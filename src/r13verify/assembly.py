@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import DiscreteSpaces
+from .ellipticity import OperatorSpec, gradient_coupling
+from .spaces import DiscreteSpaces, ScalarBasis
 from .tensors import projection_matrix2, projection_matrix3
 
-FORM_IDS = ("a", "b", "c", "d", "e", "f", "g", "h", "dbar", "A", "B", "MV", "MQ")
+STF_GRADIENT = OperatorSpec("stf2", "Stf", 3)  # Stf D sigma of the stress form
 
 
 @dataclass(frozen=True)
@@ -172,37 +173,33 @@ def _form_c(spaces, params):
     return C
 
 
-def _stf_grad_coupling(spaces):
-    """H[a,k,b,l] = <Stf(E_a otimes e_k), Stf(E_b otimes e_l)> (Frobenius)."""
-    P3 = projection_matrix3("Stf", 3)
-    E = spaces.E
-    C3 = np.zeros((5, 3, 27))
-    for a in range(5):
-        for k in range(3):
-            ek = np.zeros(3)
-            ek[k] = 1.0
-            dyad = np.einsum("ij,k->ijk", E[a], ek).ravel()
-            C3[a, k] = P3 @ dyad
-    return np.einsum("akx,blx->akbl", C3, C3)
+def projected_gradient_gram(op: OperatorSpec, sb: ScalarBasis, weight: float = 1.0) -> np.ndarray:
+    """Gram of weight * P[field otimes grad] over the component blocks of sb.
+
+    Block (a, b) is sum_kl weight H[a,k,b,l] dmat(k, l) with the coupling H
+    of the operator's domain basis (for stf fields, the stress basis E).
+    """
+    H = gradient_coupling(op)
+    nc, n = H.shape[0], sb.n
+    G = np.zeros((nc * n, nc * n))
+    for a in range(nc):
+        for b in range(nc):
+            blk = G[a * n : (a + 1) * n, b * n : (b + 1) * n]
+            for k in range(op.dim):
+                for l in range(op.dim):
+                    if abs(H[a, k, b, l]) > 1e-15:
+                        blk += weight * H[a, k, b, l] * sb.dmat(k, l)
+    return G
 
 
-def _form_d(spaces, params, include_epsilon_term=True):
+def _form_d(spaces, params):
     """Stress form: rows and columns over the 5-component stf block."""
     sb = spaces.scalar
     n = sb.n
     kn, chi, eps = params.kn, params.chi_tilde, params.epsilon_w
-    H = _stf_grad_coupling(spaces)
-    D = np.zeros((5 * n, 5 * n))
+    D = projected_gradient_gram(STF_GRADIENT, sb, kn)
     for a in range(5):
-        for b in range(5):
-            blk = np.zeros((n, n))
-            for k in range(3):
-                for l in range(3):
-                    if abs(H[a, k, b, l]) > 1e-15:
-                        blk += kn * H[a, k, b, l] * sb.dmat(k, l)
-            if a == b:
-                blk += 0.5 / kn * sb.mass()
-            _add(D, a, b, n, n, blk)
+        _add(D, a, a, n, n, 0.5 / kn * sb.mass())
     for f, fd in enumerate(sb.faces):
         Mf = sb.face_mass(f)
         w = _stress_face_weights(spaces, fd)
@@ -211,8 +208,7 @@ def _form_d(spaces, params, include_epsilon_term=True):
         comp += chi * np.outer(w_tot, w_tot)
         comp += chi * np.outer(w["t1t2"], w["t1t2"])
         comp += (1.0 / chi) * (np.outer(w["nt1"], w["nt1"]) + np.outer(w["nt2"], w["nt2"]))
-        if include_epsilon_term:
-            comp += eps * chi * np.outer(w["nn"], w["nn"])
+        comp += eps * chi * np.outer(w["nn"], w["nn"])
         for a in range(5):
             for b in range(5):
                 if abs(comp[a, b]) > 1e-15:
@@ -284,28 +280,9 @@ def _form_h(spaces, params):
 
 
 def _form_dbar(spaces, params):
-    """Stress/pressure form with the total-pressure boundary term, assembled directly."""
-    sb, pb = spaces.scalar, spaces.scalar_pq
-    n = sb.n
-    n_p = spaces.n_p
-    eps, chi = params.epsilon_w, params.chi_tilde
-    D = np.zeros((5 * n + n_p, 5 * n + n_p))
-    D[: 5 * n, : 5 * n] = _form_d(spaces, params, include_epsilon_term=False)
-    if eps != 0.0:
-        for f, fd in enumerate(sb.faces):
-            Mf = sb.face_mass(f)
-            w_nn = _stress_face_weights(spaces, fd)["nn"]
-            MfC = sb.face_mass(f, pb) @ spaces.Cp
-            for a in range(5):
-                for b in range(5):
-                    if abs(w_nn[a] * w_nn[b]) > 1e-15:
-                        D[a * n : (a + 1) * n, b * n : (b + 1) * n] += (
-                            eps * chi * w_nn[a] * w_nn[b] * Mf
-                        )
-                D[a * n : (a + 1) * n, 5 * n :] += eps * chi * w_nn[a] * MfC
-                D[5 * n :, a * n : (a + 1) * n] += eps * chi * w_nn[a] * MfC.T
-            D[5 * n :, 5 * n :] += eps * chi * spaces.Cp.T @ pb.face_mass(f) @ spaces.Cp
-    return D
+    """Stress/pressure form with the total-pressure boundary term: [[d, f^T], [f, h]]."""
+    Fm = _form_f(spaces, params)
+    return np.block([[_form_d(spaces, params), Fm.T], [Fm, _form_h(spaces, params)]])
 
 
 def _assemble_A(spaces, params):
@@ -453,13 +430,6 @@ def assemble_system(
 # -- closures and wall-relation residuals ------------------------------------
 
 
-def _gradients_at(sig, s, dphi):
-    """Pointwise gradients from coefficients: Dsigma (q,3,3,3) and Ds (q,3,3)."""
-    gs = np.einsum("iI,kqI->qik", s, dphi)
-    gsig = np.einsum("aI,kqI->qak", sig, dphi)
-    return gsig, gs
-
-
 def compute_closures(sigma, s, spaces, params, face: int | None = None):
     """Highest-order moments from the regularized closure relations.
 
@@ -470,7 +440,8 @@ def compute_closures(sigma, s, spaces, params, face: int | None = None):
     """
     sb = spaces.scalar
     dphi = sb.dphi if face is None else sb.faces[face].dphi
-    gsig, gs = _gradients_at(np.asarray(sigma), np.asarray(s), dphi)
+    gs = np.einsum("iI,kqI->qik", np.asarray(s), dphi)
+    gsig = np.einsum("aI,kqI->qak", np.asarray(sigma), dphi)
     E = spaces.E
     dsig = np.einsum("qak,aij->qijk", gsig, E)
     P3 = projection_matrix3("Stf", 3)

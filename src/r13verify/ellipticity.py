@@ -132,23 +132,16 @@ def domain_basis(op: OperatorSpec) -> np.ndarray:
     return np.eye(d * d).reshape(d * d, d, d)
 
 
+def projector(op: OperatorSpec) -> np.ndarray:
+    """Read-only matrix of the operator's projection on flattened gradient tensors."""
+    if op.domain == "vectors":
+        return projection_matrix2(op.codomain, op.dim)
+    return projection_matrix3(op.codomain, op.dim)
+
+
 def _codomain_matrix(op: OperatorSpec) -> np.ndarray:
     """Orthonormal basis of the codomain range as rows of flattened tensors."""
-    d = op.dim
-    if op.domain == "vectors":
-        if op.codomain == "identity":
-            return np.eye(d * d)
-        return _range_orthobasis(projection_matrix2(op.codomain, d))
-    return _range_orthobasis(projection_matrix3(op.codomain, d))
-
-
-def _projection_matrix(op: OperatorSpec) -> np.ndarray:
-    d = op.dim
-    if op.domain == "vectors":
-        if op.codomain == "identity":
-            return np.eye(d * d)
-        return projection_matrix2(op.codomain, d)
-    return projection_matrix3(op.codomain, d)
+    return _range_orthobasis(projector(op))
 
 
 def apply_symbol(op: OperatorSpec, X: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -158,25 +151,38 @@ def apply_symbol(op: OperatorSpec, X: np.ndarray, xi: np.ndarray) -> np.ndarray:
         raise ValueError("zero frequency")
     X = np.asarray(X)
     dyad = np.multiply.outer(X, xi)
-    P = _projection_matrix(op)
+    P = projector(op)
     out = P.astype(dyad.dtype) @ dyad.ravel()
     return out.reshape(dyad.shape)
 
 
-def symbol_coefficients(op: OperatorSpec) -> np.ndarray:
-    """Coordinate matrices S_j with symbol(xi) = sum_j xi_j S_j, shape (d, m, n)."""
+def _projected_dyads(op: OperatorSpec) -> np.ndarray:
+    """C[a, k] = P[X_a otimes e_k] flattened, over the domain basis X_a, shape (n, d, m)."""
     d = op.dim
     dom = domain_basis(op)
+    P = projector(op)
+    C = np.zeros((dom.shape[0], d, P.shape[0]))
+    for a, X in enumerate(dom):
+        for k in range(d):
+            C[a, k] = P @ np.multiply.outer(X, np.eye(d)[k]).ravel()
+    return C
+
+
+def symbol_coefficients(op: OperatorSpec) -> np.ndarray:
+    """Coordinate matrices S_j with symbol(xi) = sum_j xi_j S_j, shape (d, m, n)."""
+    C = _projected_dyads(op)
     cod = _codomain_matrix(op)
-    P = _projection_matrix(op)
-    stack = np.zeros((d, cod.shape[0], dom.shape[0]))
-    for j in range(d):
-        ej = np.zeros(d)
-        ej[j] = 1.0
-        for col, X in enumerate(dom):
-            dyad = np.multiply.outer(X, ej).ravel()
-            stack[j, :, col] = cod @ (P @ dyad)
+    stack = np.zeros((op.dim, cod.shape[0], C.shape[0]))
+    for j in range(op.dim):
+        for col in range(C.shape[0]):
+            stack[j, :, col] = cod @ C[col, j]
     return stack
+
+
+def gradient_coupling(op: OperatorSpec) -> np.ndarray:
+    """H[a,k,b,l] = <P(X_a otimes e_k), P(X_b otimes e_l)>, the projected-gradient Gram."""
+    C = _projected_dyads(op)
+    return np.einsum("akx,blx->akbl", C, C)
 
 
 def symbol_matrix(op: OperatorSpec, xi: np.ndarray) -> SymbolMatrix:
@@ -207,12 +213,6 @@ def domain_coords(op: OperatorSpec, X: np.ndarray) -> np.ndarray:
     """Coordinates of a domain tensor in the domain basis."""
     dom = domain_basis(op)
     return dom.reshape(dom.shape[0], -1) @ np.asarray(X).ravel()
-
-
-def codomain_coords(op: OperatorSpec, Y: np.ndarray) -> np.ndarray:
-    """Coordinates of a codomain tensor in the codomain range basis."""
-    cod = _codomain_matrix(op)
-    return cod @ np.asarray(Y).ravel()
 
 
 def _real_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -362,8 +362,7 @@ def lh_constant(op: OperatorSpec, n_theta: int = 64, n_phi: int = 128, n_descent
     if op.domain != "vectors":
         raise ValueError("rank-one bound is defined for vector-field operators")
     d = op.dim
-    P = _projection_matrix(op)
-    P4 = P.reshape(d, d, d, d)
+    P4 = projector(op).reshape(d, d, d, d)
     if d == 3:
         grid = _sphere_grid(n_theta, n_phi)
     else:

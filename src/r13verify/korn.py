@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import ModelParams, assemble_form
-from .ellipticity import OperatorSpec, SamplingPlan, check_ellipticity
+from .assembly import STF_GRADIENT, ModelParams, assemble_form, projected_gradient_gram
+from .ellipticity import OperatorSpec, SamplingPlan, check_ellipticity, domain_basis, projector
 from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis
-from .tensors import projection_matrix2, projection_matrix3, stf_basis
 
 
 @dataclass(frozen=True)
@@ -62,56 +61,32 @@ class RightInverseResult:
     range_residual: float
 
 
-def _component_basis(op: OperatorSpec):
-    """Orthonormal component tensors of the field and its gradient projector."""
-    d = op.dim
-    if op.domain == "vectors":
-        comps = np.eye(d)
-        P = projection_matrix2(op.codomain, d)
-        grad_shape = (d, d)
-    elif op.domain == "stf2":
-        comps = stf_basis(2, d)
-        P = projection_matrix3(op.codomain, d)
-        grad_shape = (d, d, d)
-    else:
-        raise ValueError(f"unsupported field kind {op.domain!r}")
-    return comps, P, grad_shape
-
-
-def _grad_coupling(op: OperatorSpec):
-    """H[a,k,b,l] = <P(comp_a otimes e_k), P(comp_b otimes e_l)>."""
-    comps, P, _ = _component_basis(op)
-    d = op.dim
-    nc = comps.shape[0]
-    C = np.zeros((nc, d, P.shape[0]))
-    for a in range(nc):
-        for k in range(d):
-            ek = np.zeros(d)
-            ek[k] = 1.0
-            C[a, k] = P @ np.multiply.outer(comps[a], ek).ravel()
-    return np.einsum("akx,blx->akbl", C, C)
+def _field_basis(op: OperatorSpec, spaces: DiscreteSpaces) -> ScalarBasis:
+    """The spaces' scalar basis, or its plane (z-independent) version for op.dim == 2."""
+    if op.dim == 3:
+        return spaces.scalar
+    if op.dim == 2:
+        return ScalarBasis(2, spaces.degree, spaces.subdivisions)
+    raise ValueError("dim must be 2 or 3")
 
 
 def _field_grams(op: OperatorSpec, sb: ScalarBasis):
     """(H1 gram, L2 gram, projected-gradient gram) over the component blocks."""
-    d = op.dim
-    comps, _, _ = _component_basis(op)
-    nc = comps.shape[0]
-    n = sb.n
-    mass, h1 = sb.mass(), sb.h1()
-    G_h1 = np.kron(np.eye(nc), h1)
-    G_l2 = np.kron(np.eye(nc), mass)
-    H = _grad_coupling(op)
-    G_op = np.zeros((nc * n, nc * n))
-    for a in range(nc):
-        for b in range(nc):
-            blk = np.zeros((n, n))
-            for k in range(d):
-                for l in range(d):
-                    if abs(H[a, k, b, l]) > 1e-15:
-                        blk += H[a, k, b, l] * sb.dmat(k, l)
-            G_op[a * n : (a + 1) * n, b * n : (b + 1) * n] = blk
-    return G_h1, G_l2, G_op
+    nc = domain_basis(op).shape[0]
+    return np.kron(np.eye(nc), sb.h1()), np.kron(np.eye(nc), sb.mass()), projected_gradient_gram(op, sb)
+
+
+def _korn_estimate(op: OperatorSpec, degree: int, grams) -> KornEstimate:
+    G_h1, G_l2, G_op = grams
+    vals, vecs = sla.eigh(G_h1, G_l2 + G_op)
+    c = float(vals[-1])
+    return KornEstimate(
+        op=op,
+        degree=degree,
+        constant=c,
+        sum_convention_bound=float(np.sqrt(c)),
+        extremizer=vecs[:, -1],
+    )
 
 
 def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
@@ -124,22 +99,7 @@ def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     """
     if (op.domain, op.codomain) not in (("vectors", "sym"), ("stf2", "Stf")):
         raise ValueError(f"unsupported operator {(op.domain, op.codomain)!r}")
-    if op.dim == 3:
-        sb = spaces.scalar
-    elif op.dim == 2:
-        sb = ScalarBasis(2, spaces.degree, spaces.subdivisions)
-    else:
-        raise ValueError("dim must be 2 or 3")
-    G_h1, G_l2, G_op = _field_grams(op, sb)
-    vals, vecs = sla.eigh(G_h1, G_l2 + G_op)
-    c = float(vals[-1])
-    return KornEstimate(
-        op=op,
-        degree=spaces.degree,
-        constant=c,
-        sum_convention_bound=float(np.sqrt(c)),
-        extremizer=vecs[:, -1],
-    )
+    return _korn_estimate(op, spaces.degree, _field_grams(op, _field_basis(op, spaces)))
 
 
 def operator_kernel_dimension(
@@ -154,60 +114,61 @@ def operator_kernel_dimension(
     d = 3 from degree 4 on). The planar stf gradient is the counterexample
     and shows the unbounded growth 2N + 2 instead.
     """
-    sb = ScalarBasis(op.dim, degree, subdivisions)
-    _, _, G_op = _field_grams(op, sb)
-    vals = np.linalg.eigvalsh(G_op)
+    vals = np.linalg.eigvalsh(projected_gradient_gram(op, ScalarBasis(op.dim, degree, subdivisions)))
     return int(np.sum(vals < tol * max(vals[-1], 1.0)))
 
 
 def korn_rayleigh(op: OperatorSpec, spaces: DiscreteSpaces, coeffs: np.ndarray) -> float:
     """Rayleigh quotient of the Korn pencil at a given coefficient vector."""
-    sb = spaces.scalar if op.dim == 3 else ScalarBasis(2, spaces.degree, spaces.subdivisions)
-    G_h1, G_l2, G_op = _field_grams(op, sb)
+    G_h1, G_l2, G_op = _field_grams(op, _field_basis(op, spaces))
     return float((coeffs @ G_h1 @ coeffs) / (coeffs @ (G_l2 + G_op) @ coeffs))
 
 
 def coercivity_chain_check(
-    kind: str, coeffs, spaces: DiscreteSpaces, params: ModelParams
-) -> ChainReport:
-    """Evaluate one coercivity chain for a given discrete field.
+    kind: str, fields, spaces: DiscreteSpaces, params: ModelParams
+) -> list[ChainReport]:
+    """Evaluate one coercivity chain for each of a sequence of discrete fields.
 
-    kind 'heat': a(s, s) against min{(24/25) Kn, (4/15)/Kn} times the
-    sym-gradient seminorm sum; kind 'stress': dbar((sigma, p), same)
-    against min{Kn, 1/(2 Kn)} times the Stf-gradient seminorm sum. The
-    Korn lower bound divides by the discrete Korn constant to reach the
-    full H1 norm.
+    kind 'heat': each field is s, and a(s, s) is checked against
+    min{(24/25) Kn, (4/15)/Kn} times the sym-gradient seminorm sum; kind
+    'stress': each field is a pair (sigma, p), and dbar((sigma, p), same)
+    is checked against min{Kn, 1/(2 Kn)} times the Stf-gradient seminorm
+    sum. The Korn lower bound divides by the discrete Korn constant to
+    reach the full H1 norm. The form, the grams and the Korn constant are
+    built once per call.
     """
-    sb = spaces.scalar
-    n = sb.n
     kn = params.kn
     if kind == "heat":
-        x = np.asarray(coeffs).ravel()
+        xs = [np.asarray(s).ravel() for s in fields]
         form = assemble_form("a", spaces, params)
         op = OperatorSpec("vectors", "sym", 3)
         cmin = min((24.0 / 25.0) * kn, (4.0 / 15.0) / kn)
     elif kind == "stress":
-        sig, p = coeffs
-        x = np.concatenate([np.asarray(sig).ravel(), np.asarray(p).ravel()])
+        xs = [np.concatenate([np.asarray(sig).ravel(), np.asarray(p).ravel()]) for sig, p in fields]
         form = assemble_form("dbar", spaces, params)
-        op = OperatorSpec("stf2", "Stf", 3)
+        op = STF_GRADIENT
         cmin = min(kn, 0.5 / kn)
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
 
-    G_h1, G_l2, G_op = _field_grams(op, sb)
-    xf = x[: G_l2.shape[0]]
-    form_value = float(x @ form @ x)
-    seminorm_sum = float(xf @ (G_l2 + G_op) @ xf)
-    korn = korn_constant(op, spaces)
-    h1 = float(xf @ G_h1 @ xf)
-    return ChainReport(
-        form_value=form_value,
-        seminorm_sum=seminorm_sum,
-        min_coefficient=cmin,
-        lower_bound=cmin * seminorm_sum,
-        korn_lower_bound=cmin / korn.constant * h1,
-    )
+    grams = _field_grams(op, spaces.scalar)
+    G_h1, G_l2, G_op = grams
+    G_sum = G_l2 + G_op
+    korn = _korn_estimate(op, spaces.degree, grams).constant
+    reports = []
+    for x in xs:
+        xf = x[: G_l2.shape[0]]
+        seminorm_sum = float(xf @ G_sum @ xf)
+        reports.append(
+            ChainReport(
+                form_value=float(x @ form @ x),
+                seminorm_sum=seminorm_sum,
+                min_coefficient=cmin,
+                lower_bound=cmin * seminorm_sum,
+                korn_lower_bound=cmin / korn * float(xf @ G_h1 @ xf),
+            )
+        )
+    return reports
 
 
 def _bubble_vector_system(P2: np.ndarray, bb: BubbleBasis):
@@ -246,7 +207,7 @@ def div_right_inverse(u_coeffs: np.ndarray, proj: str, spaces: DiscreteSpaces) -
             raise ValueError("operator not elliptic")
     sb = spaces.scalar
     bb = BubbleBasis(3, spaces.degree + 1, sb.b1.nodes, sb.b1.weights)
-    P2 = np.eye(9) if proj == "identity" else projection_matrix2(proj, 3)
+    P2 = projector(op)
 
     K = _bubble_vector_system(P2, bb)
     u = np.asarray(u_coeffs).reshape(3, sb.n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .assembly import (
     BoundaryData,
     ModelParams,
     assemble_form,
+    assemble_load,
     assemble_system,
     bc_residuals,
 )
@@ -174,16 +175,7 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def write(self, output_dir: str | Path) -> tuple[Path, Path]:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        jpath = out / "report.json"
-        cpath = out / "report.csv"
-        with open(jpath, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-        with open(cpath, "w") as fh:
-            fh.write(self.to_csv())
-        return jpath, cpath
+        return export(self, "json", output_dir), export(self, "csv", output_dir)
 
 
 def export(report: VerificationReport, fmt: str, output_dir: str | Path) -> Path:
@@ -362,15 +354,13 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport) -> None:
 
     sp = build_spaces(cfg.degree, cfg.subdivisions, cfg.pressure_mode)
     rng = np.random.default_rng(cfg.seed + 1)
-    violations = 0
+    fields = {"heat": [], "stress": []}
     for _ in range(200):
-        s = rng.standard_normal((3, sp.n_scalar))
-        if not coercivity_chain_check("heat", s, sp, cfg.params).holds:
-            violations += 1
-        sig = rng.standard_normal((5, sp.n_scalar))
-        p = rng.standard_normal(sp.n_p)
-        if not coercivity_chain_check("stress", (sig, p), sp, cfg.params).holds:
-            violations += 1
+        fields["heat"].append(rng.standard_normal((3, sp.n_scalar)))
+        fields["stress"].append((rng.standard_normal((5, sp.n_scalar)), rng.standard_normal(sp.n_p)))
+    violations = sum(
+        not r.holds for kind, batch in fields.items() for r in coercivity_chain_check(kind, batch, sp, cfg.params)
+    )
     rep.add(
         "korn",
         "coercivity_chain_violations",
@@ -503,13 +493,16 @@ def _suite_solve(cfg: RunConfig, rep: VerificationReport, n_datasets: int = 10) 
     sp = build_spaces(cfg.degree, cfg.subdivisions, cfg.pressure_mode)
     system = assemble_system(sp, cfg.params)
     consts = brezzi_constants(system)
+
+    def with_walls(bdata):
+        F, G = assemble_load(sp, cfg.params, None, bdata)
+        return replace(system, F=F, G=G)
+
     rng = np.random.default_rng(cfg.seed + 2)
     worst_res = 0.0
     bounds_ok = True
     for _ in range(n_datasets):
-        bdata = _seeded_boundary_data(rng)
-        sys_i = assemble_system(sp, cfg.params, None, bdata)
-        sol = solve_mixed(sys_i, consts)
+        sol = solve_mixed(with_walls(_seeded_boundary_data(rng)), consts)
         worst_res = max(worst_res, sol.residual_primal, sol.residual_constraint)
         bounds_ok = bounds_ok and sol.bounds_hold
     rep.add(
@@ -531,15 +524,9 @@ def _suite_solve(cfg: RunConfig, rep: VerificationReport, n_datasets: int = 10) 
         zero_norm <= TOLERANCES["zero_data_solution"],
     )
 
-    bdata = _seeded_boundary_data(rng)
-    sys_1 = assemble_system(sp, cfg.params, None, bdata)
+    sys_1 = with_walls(_seeded_boundary_data(rng))
     sol1 = solve_mixed(sys_1, consts)
-    import copy
-
-    sys_2 = copy.copy(sys_1)
-    sys_2.F = 2.0 * sys_1.F
-    sys_2.G = 2.0 * sys_1.G
-    sol2 = solve_mixed(sys_2, consts)
+    sol2 = solve_mixed(replace(sys_1, F=2.0 * sys_1.F, G=2.0 * sys_1.G), consts)
     dev = float(
         (np.linalg.norm(sol2.U - 2 * sol1.U) + np.linalg.norm(sol2.P - 2 * sol1.P))
         / max(np.linalg.norm(sol1.U) + np.linalg.norm(sol1.P), 1.0)

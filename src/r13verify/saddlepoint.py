@@ -47,14 +47,26 @@ class MixedSolution:
         return self.norm_U <= self.bound_U and self.norm_P <= self.bound_P
 
 
-def kernel_basis(system: MixedSystem, tol: float = KERNEL_RTOL) -> np.ndarray:
-    """Orthonormal columns spanning the nullspace of the constraint matrix."""
+def _rank(svals: np.ndarray, tol: float) -> int:
+    """Number of singular values above the relative cutoff tol * largest."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    B = system.B
-    _, svals, Vh = sla.svd(B, full_matrices=True)
     smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > tol * smax)) if smax > 0 else 0
+    return int(np.sum(svals > tol * smax)) if smax > 0 else 0
+
+
+def _row_split(M: np.ndarray, tol: float):
+    """(rank, Vh): rows Vh[:rank] span the row space of M, Vh[rank:] its nullspace.
+
+    The thin SVD already yields the complete right factor of a tall M.
+    """
+    _, svals, Vh = sla.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    return _rank(svals, tol), Vh
+
+
+def kernel_basis(system: MixedSystem, tol: float = KERNEL_RTOL) -> np.ndarray:
+    """Orthonormal columns spanning the nullspace of the constraint matrix."""
+    rank, Vh = _row_split(system.B, tol)
     return Vh[rank:].T
 
 
@@ -80,37 +92,40 @@ def infsup_constant(system: MixedSystem, tol: float = KERNEL_RTOL):
     the nullspace of B transpose; dim_kerBT counts the singular values
     below the rank cutoff and is expected to be zero.
     """
-    Lq = sla.cholesky(system.M_Q, lower=True)
-    Lv = sla.cholesky(system.M_V, lower=True)
-    K = sla.solve_triangular(Lq, system.B, lower=True)
-    K = sla.solve_triangular(Lv, K.T, lower=True).T
-    svals = sla.svd(K, compute_uv=False)
-    smax = svals[0]
-    deficient = svals < tol * smax
-    dim_kerBT = int(np.sum(deficient))
-    k0 = float(svals[~deficient][-1]) if dim_kerBT < svals.size else 0.0
-    return k0, dim_kerBT
+    return _infsup(_gram_svals(system.B, system.M_Q, system.M_V), tol)
 
 
-def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> float:
-    """Largest generalized singular value of a form in the given norms."""
+def _infsup(svals: np.ndarray, tol: float):
+    """(k0, dim ker B^T) from the singular values of B in the natural norms."""
+    rank = _rank(svals, tol)
+    return (float(svals[rank - 1]) if rank else 0.0), svals.size - rank
+
+
+def _gram_svals(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
+    """Generalized singular values of a form in the given norms, descending."""
     Ll = sla.cholesky(left_gram, lower=True)
     Lr = sla.cholesky(right_gram, lower=True)
     K = sla.solve_triangular(Ll, form_matrix, lower=True)
     K = sla.solve_triangular(Lr, K.T, lower=True).T
-    return float(sla.svd(K, compute_uv=False)[0])
+    return sla.svd(K, compute_uv=False)
+
+
+def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> float:
+    """Largest generalized singular value of a form in the given norms."""
+    return float(_gram_svals(form_matrix, left_gram, right_gram)[0])
 
 
 def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziConstants:
     """All measured constants of the assembled system."""
     Z = kernel_basis(system, tol)
     alpha0, _ = coercivity_constant(system, Z)
-    k0, dim_kerBT = infsup_constant(system, tol)
+    svals_B = _gram_svals(system.B, system.M_Q, system.M_V)  # one SVD for k0 and |B|
+    k0, dim_kerBT = _infsup(svals_B, tol)
     return BrezziConstants(
         alpha0=alpha0,
         k0=k0,
         norm_A=operator_norm(system.A, system.M_V, system.M_V),
-        norm_B=operator_norm(system.B, system.M_Q, system.M_V),
+        norm_B=float(svals_B[0]),
         dim_kerB=Z.shape[1],
         dim_kerBT=dim_kerBT,
     )
@@ -124,9 +139,7 @@ def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
 
 def cokernel_basis(system: MixedSystem, tol: float = KERNEL_RTOL) -> np.ndarray:
     """Orthonormal columns spanning the nullspace of B transpose."""
-    _, svals, Vh = sla.svd(system.B.T, full_matrices=True)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > tol * smax)) if smax > 0 else 0
+    rank, Vh = _row_split(system.B.T, tol)
     return Vh[rank:].T
 
 
@@ -154,9 +167,7 @@ def solve_mixed(
         constants = brezzi_constants(system)
     nV, nQ = system.spaces.n_V, system.spaces.n_Q
     B, G = system.B, system.G
-    _, svals, Vh = sla.svd(system.B.T, full_matrices=True)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > KERNEL_RTOL * smax)) if smax > 0 else 0
+    rank, Vh = _row_split(system.B.T, KERNEL_RTOL)
     dim_kerBT = nQ - rank
     W = None
     if dim_kerBT > 0:

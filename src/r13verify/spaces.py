@@ -56,7 +56,6 @@ class Basis1D:
         k, N = subdivisions, degree
         self._ref = _reference_functions(N)
         self._ref_d1 = [f.deriv() for f in self._ref]
-        self._ref_d2 = [f.deriv(2) for f in self._ref]
 
         # global layout: nodes 0..k first, then (N-1) bubbles per cell
         self.loc2glob = np.zeros((k, N + 1), dtype=int)
@@ -74,7 +73,6 @@ class Basis1D:
         nq = self.n_quad_cell
         self.values = np.zeros((k * nq, self.n))
         self.d1 = np.zeros((k * nq, self.n))
-        self.d2 = np.zeros((k * nq, self.n))
         for c in range(k):
             nodes.append((c + ref_x) * h)
             weights.append(ref_w * h)
@@ -82,7 +80,6 @@ class Basis1D:
                 sl = slice(c * nq, (c + 1) * nq)
                 self.values[sl, g] = self._ref[loc](ref_x)
                 self.d1[sl, g] = self._ref_d1[loc](ref_x) * k
-                self.d2[sl, g] = self._ref_d2[loc](ref_x) * k * k
         self.nodes = np.concatenate(nodes)
         self.weights = np.concatenate(weights)
 
@@ -104,7 +101,7 @@ class Basis1D:
         k = self.subdivisions
         out = np.zeros((x.size, self.n))
         cells = np.clip((x * k).astype(int), 0, k - 1)
-        ref = [self._ref, self._ref_d1, self._ref_d2][order]
+        ref = [f.deriv(order) for f in self._ref]
         scale = float(k) ** order
         for c in range(k):
             mask = cells == c

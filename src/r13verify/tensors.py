@@ -8,12 +8,10 @@ coefficient 1/(d+2) can be exercised away from d = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 
 import numpy as np
-
-RANK2_KINDS = ("sym", "skew", "dev", "stf", "identity")
-RANK3_KINDS = ("Sym", "Dev", "Stf")
 
 _FRAME_TOL = 1e-12
 
@@ -94,24 +92,26 @@ def project3(T: np.ndarray, kind: str) -> np.ndarray:
     return out
 
 
-def projection_matrix2(kind: str, d: int) -> np.ndarray:
-    """Matrix of project2(., kind) acting on flattened d x d tensors (d^2 x d^2)."""
-    P = np.zeros((d * d, d * d))
-    for col, (i, j) in enumerate(product(range(d), repeat=2)):
-        E = np.zeros((d, d))
-        E[i, j] = 1.0
-        P[:, col] = project2(E, kind).ravel()
-    return P
-
-
-def projection_matrix3(kind: str, d: int) -> np.ndarray:
-    """Matrix of project3(., kind) acting on flattened d x d x d tensors (d^3 x d^3)."""
-    P = np.zeros((d**3, d**3))
-    for col, idx in enumerate(product(range(d), repeat=3)):
-        E = np.zeros((d, d, d))
+def _projection_matrix(project, kind: str, d: int, rank: int) -> np.ndarray:
+    P = np.zeros((d**rank, d**rank))
+    for col, idx in enumerate(product(range(d), repeat=rank)):
+        E = np.zeros((d,) * rank)
         E[idx] = 1.0
-        P[:, col] = project3(E, kind).ravel()
+        P[:, col] = project(E, kind).ravel()
+    P.setflags(write=False)  # cached and shared between callers
     return P
+
+
+@cache
+def projection_matrix2(kind: str, d: int) -> np.ndarray:
+    """Read-only matrix of project2(., kind) on flattened d x d tensors (d^2 x d^2)."""
+    return _projection_matrix(project2, kind, d, 2)
+
+
+@cache
+def projection_matrix3(kind: str, d: int) -> np.ndarray:
+    """Read-only matrix of project3(., kind) on flattened d x d x d tensors (d^3 x d^3)."""
+    return _projection_matrix(project3, kind, d, 3)
 
 
 def _range_orthobasis(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -186,6 +186,20 @@ def test_skew_identity(sp):
     assert_allclose(S[:, vb["p"]], 0.0, atol=1e-12)
 
 
+def test_form_d_kn_slope_is_korn_gradient_gram(sp):
+    # d = Kn G_Stf + (1/(2 Kn)) I_5 (x) mass + Kn-free boundary terms, so the
+    # Kn = 2 minus Kn = 1 difference isolates the Stf-gradient Gram of the
+    # Korn pencil that the stress coercivity chain divides by
+    from r13verify.ellipticity import OperatorSpec
+    from r13verify.korn import _field_grams
+
+    d2 = assemble_form("d", sp, ModelParams(kn=2.0, chi_tilde=1.0, epsilon_w=0.1))
+    d1 = assemble_form("d", sp, PARAMS)
+    _, _, G_op = _field_grams(OperatorSpec("stf2", "Stf", 3), sp.scalar)
+    expected = G_op - 0.25 * np.kron(np.eye(5), sp.scalar.mass())
+    assert_allclose(d2 - d1, expected, rtol=0, atol=1e-12)
+
+
 def test_dbar_is_regrouped_sum(sp):
     dbar = assemble_form("dbar", sp, PARAMS)
     d = assemble_form("d", sp, PARAMS)

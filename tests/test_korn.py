@@ -67,7 +67,7 @@ def test_planar_korn_trend_reported():
 
 
 def test_chain_zero_field(sp2):
-    rep = coercivity_chain_check("heat", np.zeros(3 * sp2.n_scalar), sp2, ModelParams())
+    [rep] = coercivity_chain_check("heat", [np.zeros(3 * sp2.n_scalar)], sp2, ModelParams())
     assert rep.form_value == 0.0 and rep.lower_bound == 0.0
     assert rep.holds
 
@@ -75,9 +75,8 @@ def test_chain_zero_field(sp2):
 def test_chain_heat_random_fields(sp2):
     rng = np.random.default_rng(0)
     params = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
-    for _ in range(20):
-        s = rng.standard_normal((3, sp2.n_scalar))
-        rep = coercivity_chain_check("heat", s, sp2, params)
+    fields = [rng.standard_normal((3, sp2.n_scalar)) for _ in range(20)]
+    for rep in coercivity_chain_check("heat", fields, sp2, params):
         assert rep.holds
         assert rep.min_coefficient == pytest.approx(4.0 / 15.0)
 
@@ -90,7 +89,7 @@ def test_chain_stress_constant_sigma(sp2):
     one = sb.project(lambda q: np.ones(q.shape[0]))
     sig = np.zeros((5, sp2.n_scalar))
     sig[0] = one
-    rep = coercivity_chain_check("stress", (sig, np.zeros(sp2.n_p)), sp2, params)
+    [rep] = coercivity_chain_check("stress", [(sig, np.zeros(sp2.n_p))], sp2, params)
     assert rep.holds
     assert rep.form_value >= 0.5 * 1.0  # (1/(2 Kn)) |sigma|^2 = 1/2
     assert rep.min_coefficient == pytest.approx(0.5)
@@ -99,11 +98,24 @@ def test_chain_stress_constant_sigma(sp2):
 def test_chain_stress_random_fields(sp2):
     rng = np.random.default_rng(1)
     params = ModelParams(kn=0.7, chi_tilde=1.3, epsilon_w=0.1)
-    for _ in range(20):
-        sig = rng.standard_normal((5, sp2.n_scalar))
-        p = rng.standard_normal(sp2.n_p)
-        rep = coercivity_chain_check("stress", (sig, p), sp2, params)
+    fields = [
+        (rng.standard_normal((5, sp2.n_scalar)), rng.standard_normal(sp2.n_p)) for _ in range(20)
+    ]
+    for rep in coercivity_chain_check("stress", fields, sp2, params):
         assert rep.holds
+
+
+def test_chain_batch_matches_single_fields(sp2):
+    # the form, grams and Korn constant built once per call must not change
+    # any per-field number
+    rng = np.random.default_rng(5)
+    params = ModelParams(kn=0.7, chi_tilde=1.3, epsilon_w=0.1)
+    heat = [rng.standard_normal((3, sp2.n_scalar)) for _ in range(3)]
+    stress = [(rng.standard_normal((5, sp2.n_scalar)), rng.standard_normal(sp2.n_p)) for _ in range(3)]
+    for kind, fields in (("heat", heat), ("stress", stress)):
+        batch = coercivity_chain_check(kind, fields, sp2, params)
+        assert len(batch) == len(fields)
+        assert batch == [coercivity_chain_check(kind, [f], sp2, params)[0] for f in fields]
 
 
 def test_right_inverse_zero_data(sp2):

@@ -127,6 +127,15 @@ def test_stf3_matches_symbol_formula_on_dyads():
             assert_allclose(project3(T, "Stf"), stf_gradient_symbol_direct(S, xi), atol=1e-13)
 
 
+def test_projection_matrix_is_shared_read_only():
+    # built once per (kind, d) and handed to every caller, so no caller may
+    # write into it
+    P = projection_matrix3("Stf", 3)
+    assert projection_matrix3("Stf", 3) is P
+    with pytest.raises(ValueError):
+        P[0, 0] = 1.0
+
+
 def test_projection_matrix2_orthogonal_projector():
     for kind in ("sym", "dev", "stf"):
         P = projection_matrix2(kind, 3)
