@@ -2,9 +2,10 @@
 """Survey symbol ellipticity of the stf-gradient across dimensions.
 
 Prints the minimal singular value over the sampled frequency strata for
-both the real and complex tests, plus the dimension-dependent prefactor
-table. The d = 2 row is the expected counterexample: the minimum drops to
-zero on the isotropic cone.
+both the real and complex tests, the dimension-dependent prefactor table
+and the rank-one lower bounds of the vector-field operators. The d = 2
+row is the expected counterexample: the minimum drops to zero on the
+isotropic cone.
 """
 
 import argparse
@@ -29,9 +30,8 @@ def main():
     plan = SamplingPlan(seed=args.seed)
     print(f"{'d':>3} {'mode':>4} {'elliptic':>8} {'min sv':>12} {'samples':>8}")
     for d in args.dims:
-        op = OperatorSpec("stf2", "Stf", d)
-        for mode in ("R", "C"):
-            v = check_ellipticity(op, mode, plan)
+        check = check_ellipticity(OperatorSpec("stf2", "Stf", d), plan)
+        for mode, v in (("R", check.real), ("C", check.complex)):
             print(
                 f"{d:>3} {mode:>4} {str(v.elliptic):>8} "
                 f"{v.min_singular_value:>12.4e} {v.n_samples:>8}"
@@ -45,10 +45,13 @@ def main():
         vals = ", ".join(str(v) for v in general_d_prefactors(d).as_tuple())
         print(f"  d={d}: {vals}")
 
-    print("\nrank-one lower bounds (d=3):")
-    for kind in ("identity", "sym", "stf", "dev"):
-        lam = lh_constant(OperatorSpec("vectors", kind, 3))
-        print(f"  {kind:>8}: lambda = {lam:.6f}")
+    print("\nrank-one lower bounds:")
+    for d in args.dims:
+        lams = ", ".join(
+            f"{kind} {lh_constant(OperatorSpec('vectors', kind, d)):.6f}"
+            for kind in ("identity", "sym", "skew", "dev", "stf")
+        )
+        print(f"  d={d}: {lams}")
 
 
 if __name__ == "__main__":

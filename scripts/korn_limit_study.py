@@ -51,7 +51,7 @@ def main():
     print(f"{'Kn':>6} {'res_NS':>10} {'res_Fourier':>12}")
     for kn in args.kn:
         system = assemble_system(sp, ModelParams(kn, 1.0, 0.1), None, bdata)
-        sol = solve_mixed(system, verify_bounds=False)
+        sol = solve_mixed(system)
         res_ns, res_f = limit_consistency(sol.U, sol.P, system)
         print(f"{kn:>6.2f} {res_ns:>10.4f} {res_f:>12.4f}")
 

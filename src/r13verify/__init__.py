@@ -17,6 +17,7 @@ from .assembly import (
     compute_closures,
 )
 from .ellipticity import (
+    EllipticityCheck,
     EllipticityVerdict,
     OperatorSpec,
     SamplingPlan,

@@ -30,6 +30,8 @@ class ModelParams:
     epsilon_w: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.kn, self.chi_tilde, self.epsilon_w))):
+            raise ValueError("model parameters must be finite")
         if not self.kn > 0:
             raise ValueError("kn must be positive")
         if not self.chi_tilde > 0:

@@ -4,12 +4,12 @@ An operator acts as a projection of the gradient, P[field x nabla]. Its
 symbol at frequency xi is the linear map X -> P[X otimes xi]. The operator
 is R-elliptic (C-elliptic) when the symbol is injective for every nonzero
 real (complex) xi; the two notions differ exactly on the isotropic cone
-xi . xi = 0, which a C-mode check therefore always samples explicitly.
+xi . xi = 0, which the C verdict therefore always samples explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +25,6 @@ RANK2_CODOMAINS = ("sym", "skew", "dev", "stf", "identity")
 RANK3_CODOMAINS = ("Sym", "Dev", "Stf")
 
 SINGULAR_VALUE_THRESHOLD = 1e-8
-WITNESS_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,9 @@ class SymbolMatrix:
 class SamplingPlan:
     """Frequency sampling counts for the ellipticity check.
 
-    The isotropic counts apply only in C mode; the structured family
-    (1, i cos phi, i sin phi, 0, ...) is always added there so the
+    Only the n_real real directions enter the R verdict. The C verdict
+    adds the complex and isotropic strata and the structured family
+    (1, i cos phi, i sin phi, 0, ...), which is always sampled so the
     isotropic cone cannot be missed by chance.
     """
 
@@ -80,13 +80,25 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class EllipticityVerdict:
-    mode: str
     elliptic: bool
     min_singular_value: float
     xi_min: np.ndarray
     n_samples: int
     witness: np.ndarray | None = None
     witness_residual: float | None = None
+
+
+@dataclass(frozen=True)
+class EllipticityCheck:
+    """R and C verdicts of one sampled batch; the R verdict reads its real rows."""
+
+    real: EllipticityVerdict
+    complex: EllipticityVerdict
+
+    @property
+    def n_samples(self) -> int:
+        """Number of sampled frequencies."""
+        return self.complex.n_samples
 
 
 @dataclass(frozen=True)
@@ -139,11 +151,6 @@ def projector(op: OperatorSpec) -> np.ndarray:
     return projection_matrix3(op.codomain, op.dim)
 
 
-def _codomain_matrix(op: OperatorSpec) -> np.ndarray:
-    """Orthonormal basis of the codomain range as rows of flattened tensors."""
-    return _range_orthobasis(projector(op))
-
-
 def apply_symbol(op: OperatorSpec, X: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Symbol applied to a domain tensor: the projected dyad P[X otimes xi]."""
     xi = np.asarray(xi)
@@ -171,7 +178,7 @@ def _projected_dyads(op: OperatorSpec) -> np.ndarray:
 def symbol_coefficients(op: OperatorSpec) -> np.ndarray:
     """Coordinate matrices S_j with symbol(xi) = sum_j xi_j S_j, shape (d, m, n)."""
     C = _projected_dyads(op)
-    cod = _codomain_matrix(op)
+    cod = _range_orthobasis(projector(op))  # orthonormal rows spanning the codomain
     stack = np.zeros((op.dim, cod.shape[0], C.shape[0]))
     for j in range(op.dim):
         for col in range(C.shape[0]):
@@ -196,9 +203,8 @@ def symbol_matrix(op: OperatorSpec, xi: np.ndarray) -> SymbolMatrix:
 
 def codomain_tensor(op: OperatorSpec, coords: np.ndarray) -> np.ndarray:
     """Reassemble a codomain tensor from its coordinates."""
-    cod = _codomain_matrix(op)
     d = op.dim
-    flat = coords @ cod
+    flat = coords @ _range_orthobasis(projector(op))
     shape = (d, d) if op.domain == "vectors" else (d, d, d)
     return flat.reshape(shape)
 
@@ -227,8 +233,7 @@ def _complex_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 def _isotropic_samples(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Random points on the isotropic cone xi.xi = 0: (a + i b)/sqrt(2), a perp b."""
-    a = rng.standard_normal((n, d))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a = _real_sphere(rng, n, d)
     b = rng.standard_normal((n, d))
     b -= np.sum(a * b, axis=1, keepdims=True) * a
     b /= np.linalg.norm(b, axis=1, keepdims=True)
@@ -247,37 +252,41 @@ def _structured_isotropic(n: int, d: int) -> np.ndarray:
     return xis / np.sqrt(2.0)
 
 
-def check_ellipticity(
-    op: OperatorSpec, mode: str, plan: SamplingPlan | None = None
-) -> EllipticityVerdict:
-    """Sample-based ellipticity certificate for the symbol map.
+def check_ellipticity(op: OperatorSpec, plan: SamplingPlan | None = None) -> EllipticityCheck:
+    """Sample-based R- and C-ellipticity certificates from one frequency batch.
 
-    mode 'R' samples the real unit sphere; mode 'C' adds generic complex
+    The batch holds, in this order, real unit directions, generic complex
     directions, random isotropic directions and the structured isotropic
-    family. elliptic means the minimal singular value over all samples
-    (at |xi| = 1) stays above the 1e-8 threshold; otherwise the minimizer
-    and a kernel vector are returned as witness.
+    family. The complex verdict reads the whole batch, the real verdict
+    its first plan.n_real rows. A verdict is elliptic when the minimal
+    singular value over its samples (at |xi| = 1) stays above the 1e-8
+    threshold; otherwise the minimizer and a kernel vector are returned
+    as witness.
     """
-    if mode not in ("R", "C"):
-        raise ValueError("mode must be 'R' or 'C'")
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
+    xis = np.concatenate(
+        [
+            _real_sphere(rng, plan.n_real, op.dim).astype(complex),
+            _complex_sphere(rng, plan.n_complex, op.dim),
+            _isotropic_samples(rng, plan.n_isotropic, op.dim),
+            _structured_isotropic(plan.n_structured, op.dim),
+        ],
+        axis=0,
+    )
+    mats = np.tensordot(xis, symbol_coefficients(op), axes=1)
+    smins = np.linalg.svd(mats, compute_uv=False)[:, -1]
+    n = plan.n_real
+    return EllipticityCheck(
+        real=_verdict(op, xis[:n].real, mats[:n], smins[:n]),
+        complex=_verdict(op, xis, mats, smins),
+    )
 
-    batches = [_real_sphere(rng, plan.n_real, op.dim).astype(complex)]
-    if mode == "C":
-        batches.append(_complex_sphere(rng, plan.n_complex, op.dim))
-        batches.append(_isotropic_samples(rng, plan.n_isotropic, op.dim))
-        batches.append(_structured_isotropic(plan.n_structured, op.dim))
-    xis = np.concatenate(batches, axis=0)
 
-    stack = symbol_coefficients(op)
-    mats = np.tensordot(xis, stack, axes=1)
-    svals = np.linalg.svd(mats, compute_uv=False)
-    smins = svals[:, -1]
+def _verdict(op: OperatorSpec, xis: np.ndarray, mats: np.ndarray, smins: np.ndarray) -> EllipticityVerdict:
+    """Verdict over sampled symbols, given the smallest singular value of each."""
     idx = int(np.argmin(smins))
     smin = float(smins[idx])
-    xi_min = xis[idx]
-
     elliptic = smin >= SINGULAR_VALUE_THRESHOLD
     witness = None
     residual = None
@@ -289,89 +298,26 @@ def check_ellipticity(
             np.linalg.norm(mats[idx] @ coords) / np.linalg.norm(coords)
         )
     return EllipticityVerdict(
-        mode=mode,
         elliptic=elliptic,
         min_singular_value=smin,
-        xi_min=xi_min,
+        xi_min=xis[idx],
         n_samples=xis.shape[0],
         witness=witness,
         witness_residual=residual,
     )
 
 
-def _sphere_grid(n_theta: int, n_phi: int) -> np.ndarray:
-    theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    T, P = np.meshgrid(theta, phi, indexing="ij")
-    pts = np.stack(
-        [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
-    )
-    return pts.reshape(-1, 3)
-
-
-def _pair_objective_min(P4: np.ndarray, Z: np.ndarray, Y: np.ndarray, chunk: int = 256):
-    """Minimize |P[z otimes y]|^2 over the product grid, chunked over Z."""
-    YY = np.einsum("bj,bl->bjl", Y, Y).reshape(Y.shape[0], -1)
-    best = np.inf
-    best_pair = (Z[0], Y[0])
-    for start in range(0, Z.shape[0], chunk):
-        ZC = Z[start : start + chunk]
-        G = np.einsum("ijkl,ai,ak->ajl", P4, ZC, ZC).reshape(ZC.shape[0], -1)
-        F = G @ YY.T
-        a, b = np.unravel_index(np.argmin(F), F.shape)
-        if F[a, b] < best:
-            best = F[a, b]
-            best_pair = (ZC[a], Y[b])
-    return best, best_pair
-
-
-def _tangent_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space of the unit sphere at v."""
-    d = v.size
-    q, _ = np.linalg.qr(np.column_stack([v, np.eye(d)[:, :-1]]))
-    return q[:, 1:].T
-
-
-def _descend_one(P4: np.ndarray, fixed: np.ndarray, moving: np.ndarray, radius: float, fix_left: bool):
-    """One coordinate-descent sweep: refine `moving` on a local tangent grid."""
-    tang = _tangent_basis(moving)
-    steps = np.linspace(-1.0, 1.0, 9)
-    cands = [moving]
-    for i in range(tang.shape[0]):
-        for j in range(i + 1, tang.shape[0]):
-            for s1 in steps:
-                for s2 in steps:
-                    c = moving + radius * (s1 * tang[i] + s2 * tang[j])
-                    cands.append(c / np.linalg.norm(c))
-    C = np.array(cands)
-    if fix_left:
-        vals = np.einsum("ijkl,i,k,aj,al->a", P4, fixed, fixed, C, C)
-    else:
-        vals = np.einsum("ijkl,ai,ak,j,l->a", P4, C, C, fixed, fixed)
-    i = int(np.argmin(vals))
-    return C[i], float(vals[i])
-
-
-def lh_constant(op: OperatorSpec, n_theta: int = 64, n_phi: int = 128, n_descent: int = 20) -> float:
+def lh_constant(op: OperatorSpec) -> float:
     """Uniform lower bound on the symbol norm over rank-one directions.
 
-    lambda = min over unit z, y of |P[z otimes y]|_F, found by a coarse
-    scan over both unit spheres followed by alternating local descent.
-    Positive exactly when the operator is R-elliptic.
+    lambda = min over unit z, y of |P[z otimes y]|_F, positive exactly
+    when the operator is R-elliptic. Every rank-2 codomain commutes with
+    Q otimes Q for orthogonal Q, so |P[z otimes y]|^2 depends on z.y only,
+    as beta + delta (z.y)^2; its minimum over unit pairs is attained at
+    z.y = 0 or z.y = 1, at (e1, e2) or (e1, e1).
     """
     if op.domain != "vectors":
         raise ValueError("rank-one bound is defined for vector-field operators")
-    d = op.dim
-    P4 = projector(op).reshape(d, d, d, d)
-    if d == 3:
-        grid = _sphere_grid(n_theta, n_phi)
-    else:
-        rng = np.random.default_rng(1234)
-        grid = _real_sphere(rng, n_theta * n_phi, d)
-    best, (z, y) = _pair_objective_min(P4, grid, grid)
-    radius = np.pi / max(n_theta, 8)
-    for _ in range(n_descent):
-        z, best = _descend_one(P4, y, z, radius, fix_left=False)
-        y, best = _descend_one(P4, z, y, radius, fix_left=True)
-        radius *= 0.6
-    return float(np.sqrt(max(best, 0.0)))
+    P = projector(op)
+    # columns 0 and 1 of P are P[e1 otimes e1] and P[e1 otimes e2], flattened
+    return float(min(np.linalg.norm(P[:, 0]), np.linalg.norm(P[:, 1])))

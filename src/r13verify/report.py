@@ -10,6 +10,7 @@ live only in the JSON report.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -26,6 +27,7 @@ from .assembly import (
     bc_residuals,
 )
 from .ellipticity import (
+    SINGULAR_VALUE_THRESHOLD,
     OperatorSpec,
     SamplingPlan,
     apply_symbol,
@@ -34,6 +36,7 @@ from .ellipticity import (
     lh_constant,
 )
 from .korn import (
+    CHAIN_VIOLATION_RTOL,
     coercivity_chain_check,
     div_right_inverse,
     korn_constant,
@@ -41,19 +44,19 @@ from .korn import (
     operator_kernel_dimension,
     scalar_div_right_inverse,
 )
-from .saddlepoint import brezzi_constants, limit_consistency, solve_mixed
+from .saddlepoint import KERNEL_RTOL, brezzi_constants, limit_consistency, solve_mixed
 from .spaces import build_spaces
 
 ALL_SUITES = ("ellipticity", "korn", "constants", "solve", "limit", "bc")
 
 TOLERANCES = {
-    "symbol_singular_value_threshold": 1e-8,
+    "symbol_singular_value_threshold": SINGULAR_VALUE_THRESHOLD,
     "kernel_witness_residual": 1e-10,
     "planar_kernel_pair_residual": 1e-12,
     "prefactor_exactness": 0.0,
     "rank_one_bound": 1e-3,
     "korn_rayleigh_consistency": 1e-9,
-    "coercivity_chain_violation": 1e-12,
+    "coercivity_chain_violation": CHAIN_VIOLATION_RTOL,
     "weak_divergence_residual": 1e-10,
     "range_projection_residual": 1e-13,
     "energy_identity": 1e-10,
@@ -62,7 +65,7 @@ TOLERANCES = {
     "solver_residual": 1e-10,
     "linearity": 1e-11,
     "zero_data_solution": 1e-12,
-    "kernel_rank_cutoff": 1e-10,
+    "kernel_rank_cutoff": KERNEL_RTOL,
 }
 
 
@@ -88,10 +91,10 @@ class RunConfig:
 
     def __post_init__(self):
         ModelParams(self.kn, self.chi_tilde, self.epsilon_w)  # reuse validation
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.subdivisions < 1:
-            raise ValueError("subdivisions must be >= 1")
+        for name, minimum in (("degree", 1), ("subdivisions", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
         self.suites = tuple(self.suites)
         if not self.suites:
             raise ValueError("suites must be nonempty")
@@ -236,7 +239,8 @@ def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport) -> None:
     plan = SamplingPlan(seed=cfg.seed)
     for d in (2, 3, 4, 5):
         op = OperatorSpec("stf2", "Stf", d)
-        vc = check_ellipticity(op, "C", plan)
+        check = check_ellipticity(op, plan)
+        vc, vr = check.complex, check.real
         expected = d >= 3
         rep.add(
             "ellipticity",
@@ -270,7 +274,6 @@ def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport) -> None:
                 TOLERANCES["planar_kernel_pair_residual"],
                 res <= TOLERANCES["planar_kernel_pair_residual"],
             )
-        vr = check_ellipticity(op, "R", plan)
         rep.add(
             "ellipticity",
             f"stf_grad_R_elliptic_d{d}",
@@ -550,7 +553,7 @@ def _suite_limit(cfg: RunConfig, rep: VerificationReport) -> None:
     results = []
     for kn in (1.0, 0.3, 0.1):
         system = assemble_system(sp, ModelParams(kn, cfg.chi_tilde, 0.1), None, bdata)
-        sol = solve_mixed(system, verify_bounds=False)
+        sol = solve_mixed(system)
         res_ns, res_f = limit_consistency(sol.U, sol.P, system)
         results.append((res_ns, res_f))
         rep.add("limit", f"res_NS_kn{kn}", res_ns, None, None)
@@ -567,7 +570,7 @@ def _suite_bc(cfg: RunConfig, rep: VerificationReport) -> None:
     params = ModelParams(cfg.kn, cfg.chi_tilde, eps)
     bdata = BoundaryData(theta_w=np.ones(6))
     system = assemble_system(sp, params, None, bdata)
-    sol = solve_mixed(system, verify_bounds=False)
+    sol = solve_mixed(system)
     res = bc_residuals(sol.U, sol.P, sp, params, bdata)
     for name, val in res.items():
         rep.add("bc", f"onsager_{name}", val, None, bool(np.isfinite(val)))

@@ -143,11 +143,7 @@ def cokernel_basis(system: MixedSystem, tol: float = KERNEL_RTOL) -> np.ndarray:
     return Vh[rank:].T
 
 
-def solve_mixed(
-    system: MixedSystem,
-    constants: BrezziConstants | None = None,
-    verify_bounds: bool = True,
-) -> MixedSolution:
+def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -> MixedSolution:
     """Direct solve of the indefinite block system with a posteriori bounds.
 
     When the discrete pairing is deficient (ker B^T nontrivial, which the
@@ -157,14 +153,13 @@ def solve_mixed(
     continuous statement that P is unique up to ker B^T. Inconsistent loads
     raise instead of silently producing a least-squares artifact.
 
-    With verify_bounds the measured constants feed the stability estimates
+    Given the measured constants, the solve also evaluates the stability
+    estimates
         |U|_V <= (1/alpha0) |F|_V' + (|A|/alpha0 + 1) (1/k0) |G|_Q'
         |P|_Q <= (1/k0)(1 + |A|/alpha0) |F|_V' + (|A|/k0^2)(1 + |A|/alpha0) |G|_Q'
     with discrete dual norms and the quotient norm of P in the deficient
-    case; without it the bound fields stay unset and the solve is cheaper.
+    case; without them the bound fields stay unset.
     """
-    if verify_bounds and constants is None:
-        constants = brezzi_constants(system)
     nV, nQ = system.spaces.n_V, system.spaces.n_Q
     B, G = system.B, system.G
     rank, Vh = _row_split(system.B.T, KERNEL_RTOL)

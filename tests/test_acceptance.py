@@ -52,9 +52,9 @@ def test_criterion_1_complex_ellipticity_dichotomy():
     plan = SamplingPlan(seed=0)
     ok = True
     for d in (3, 4, 5):
-        v = check_ellipticity(OperatorSpec("stf2", "Stf", d), "C", plan)
+        v = check_ellipticity(OperatorSpec("stf2", "Stf", d), plan).complex
         ok &= v.elliptic and v.min_singular_value >= 1e-8 and v.n_samples >= 10**4
-    v2 = check_ellipticity(OperatorSpec("stf2", "Stf", 2), "C", plan)
+    v2 = check_ellipticity(OperatorSpec("stf2", "Stf", 2), plan).complex
     ok &= (not v2.elliptic) and v2.n_samples >= 10**4
     ok &= v2.witness is not None and v2.witness_residual <= 1e-12
     ok &= abs(v2.xi_min @ v2.xi_min) <= 1e-10  # minimizer on the isotropic cone
@@ -228,7 +228,7 @@ def test_criterion_7_hydrodynamic_limit():
         system = assemble_system(
             sp, ModelParams(kn, 1.0, 0.1), None, limit_study_boundary_data()
         )
-        sol = solve_mixed(system, verify_bounds=False)
+        sol = solve_mixed(system)
         results.append(limit_consistency(sol.U, sol.P, system))
     ns = [r[0] for r in results]
     fo = [r[1] for r in results]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r13verify.ellipticity import (
+    RANK2_CODOMAINS,
     OperatorSpec,
     SamplingPlan,
     apply_symbol,
@@ -13,6 +15,7 @@ from r13verify.ellipticity import (
     domain_coords,
     general_d_prefactors,
     lh_constant,
+    projector,
     symbol_matrix,
 )
 from r13verify.tensors import project2
@@ -84,19 +87,19 @@ def test_skew_in_kernel_on_full_tensors():
     W = 0.5 * (W - W.T)
     xi = rng.standard_normal(3)
     assert np.linalg.norm(apply_symbol(op, W, xi)) < 1e-13
-    verdict = check_ellipticity(op, "R", FAST_PLAN)
+    verdict = check_ellipticity(op, FAST_PLAN).real
     assert not verdict.elliptic
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_stf_gradient_c_elliptic_for_d_ge_3(d):
-    verdict = check_ellipticity(STF_GRAD[d], "C", FAST_PLAN)
+    verdict = check_ellipticity(STF_GRAD[d], FAST_PLAN).complex
     assert verdict.elliptic
     assert verdict.min_singular_value >= 1e-8
 
 
 def test_stf_gradient_not_c_elliptic_d2():
-    verdict = check_ellipticity(STF_GRAD[2], "C", FAST_PLAN)
+    verdict = check_ellipticity(STF_GRAD[2], FAST_PLAN).complex
     assert not verdict.elliptic
     assert verdict.witness is not None
     assert verdict.witness_residual <= 1e-10
@@ -109,21 +112,34 @@ def test_stf_gradient_not_c_elliptic_d2():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_stf_gradient_r_elliptic_all_d(d):
-    verdict = check_ellipticity(STF_GRAD[d], "R", FAST_PLAN)
+    verdict = check_ellipticity(STF_GRAD[d], FAST_PLAN).real
     assert verdict.elliptic
     assert verdict.min_singular_value >= 1e-8
 
 
 def test_symmetrized_gradient_c_elliptic():
-    verdict = check_ellipticity(OperatorSpec("vectors", "sym", 3), "C", FAST_PLAN)
+    verdict = check_ellipticity(OperatorSpec("vectors", "sym", 3), FAST_PLAN).complex
     assert verdict.elliptic
 
 
 def test_check_ellipticity_deterministic():
-    a = check_ellipticity(STF_GRAD[3], "C", FAST_PLAN)
-    b = check_ellipticity(STF_GRAD[3], "C", FAST_PLAN)
+    a = check_ellipticity(STF_GRAD[3], FAST_PLAN).complex
+    b = check_ellipticity(STF_GRAD[3], FAST_PLAN).complex
     assert a.min_singular_value == b.min_singular_value
     assert np.array_equal(a.xi_min, b.xi_min)
+
+
+def test_real_verdict_reads_the_real_rows():
+    check = check_ellipticity(STF_GRAD[3], FAST_PLAN)
+    assert check.real.n_samples == FAST_PLAN.n_real
+    assert check.n_samples == check.complex.n_samples > FAST_PLAN.n_real
+    assert np.isrealobj(check.real.xi_min)
+    # the complex strata are drawn after the real ones and do not move them
+    real_only = replace(FAST_PLAN, n_complex=0, n_isotropic=0, n_structured=0)
+    alone = check_ellipticity(STF_GRAD[3], real_only).real
+    assert alone.min_singular_value == check.real.min_singular_value
+    assert np.array_equal(alone.xi_min, check.real.xi_min)
+    assert alone.n_samples == check.real.n_samples
 
 
 def grid_min_oracle(kind: str, n: int = 400) -> float:
@@ -139,18 +155,61 @@ def grid_min_oracle(kind: str, n: int = 400) -> float:
     return best
 
 
+def random_orthogonal(rng: np.random.Generator, d: int, det: float) -> np.ndarray:
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    if np.sign(np.linalg.det(Q)) != det:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rank2_projectors_commute_with_orthogonal_maps(d):
+    # the premise of the closed-form rank-one bound: P[Q A Q^T] = Q P[A] Q^T
+    # for rotations and reflections alike
+    rng = np.random.default_rng(20 + d)
+    for det in (1.0, -1.0):
+        Q = random_orthogonal(rng, d, det)
+        QQ = np.kron(Q, Q)
+        for kind in RANK2_CODOMAINS:
+            P = projector(OperatorSpec("vectors", kind, d))
+            assert np.max(np.abs(P @ QQ - QQ @ P)) <= 1e-13, (kind, det)
+
+
+def test_lh_constant_never_above_sampled_pairs():
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4, 5):
+        Z = rng.standard_normal((10**4, d))
+        Y = rng.standard_normal((10**4, d))
+        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        dyads = np.einsum("ai,aj->aij", Z, Y).reshape(-1, d * d)
+        for kind in RANK2_CODOMAINS:
+            op = OperatorSpec("vectors", kind, d)
+            norms = np.linalg.norm(dyads @ projector(op).T, axis=1)
+            assert norms.min() >= lh_constant(op) - 1e-12, (kind, d)
+
+
 def test_lh_constant_identity():
-    assert lh_constant(OperatorSpec("vectors", "identity", 3)) == pytest.approx(1.0, abs=1e-6)
+    for d in (2, 3, 4, 5):
+        assert lh_constant(OperatorSpec("vectors", "identity", d)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_lh_constant_stf_and_sym():
+    for d in (2, 3, 4, 5):
+        for kind in ("stf", "sym"):
+            lam = lh_constant(OperatorSpec("vectors", kind, d))
+            assert lam == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-14)
     lam_stf = lh_constant(OperatorSpec("vectors", "stf", 3))
     lam_sym = lh_constant(OperatorSpec("vectors", "sym", 3))
-    assert lam_stf == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-3)
-    assert lam_sym == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-3)
     # coarse independent oracle can only overestimate the minimum
     assert lam_stf <= grid_min_oracle("stf") + 1e-9
     assert lam_sym <= grid_min_oracle("sym") + 1e-9
+
+
+def test_lh_constant_skew():
+    # skew(z x z) = 0: the skew part of the gradient is not R-elliptic
+    for d in (2, 3, 4, 5):
+        assert lh_constant(OperatorSpec("vectors", "skew", d)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_prefactors_d3_exact():
@@ -206,6 +265,7 @@ def test_contraction_identity_general_d():
 
 
 def test_lh_constant_dev():
-    # |dev(z x y)|^2 = 1 - (z.y)^2/3 is minimized at aligned vectors
-    lam = lh_constant(OperatorSpec("vectors", "dev", 3))
-    assert lam == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-3)
+    # |dev(z x y)|^2 = 1 - (z.y)^2/d is minimized at aligned vectors
+    for d in (2, 3, 4, 5):
+        lam = lh_constant(OperatorSpec("vectors", "dev", d))
+        assert lam == pytest.approx(np.sqrt(1.0 - 1.0 / d), abs=1e-14)

@@ -121,11 +121,21 @@ def test_cli_config_override(tmp_path):
 
 
 def test_cli_usage_error_on_bad_config(tmp_path, capsys):
-    cfgfile = tmp_path / "bad.json"
-    cfgfile.write_text(json.dumps({"suites": []}))
-    code = main(["report", "--config", str(cfgfile), "--output-dir", str(tmp_path)])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    # exit 1 is reserved for failed criteria; a bad value never reaches a suite
+    bad = [
+        {"suites": []},
+        {"epsilon_w": float("nan")},
+        {"kn": float("inf")},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"degree": 2.5},
+    ]
+    for data in bad:
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(data))
+        code = main(["report", "--config", str(cfgfile), "--output-dir", str(tmp_path)])
+        assert code == 2, data
+        assert "configuration error" in capsys.readouterr().err, data
 
 
 def test_cli_estimate_constants_reports_deficiency(tmp_path, capsys):
@@ -163,7 +173,7 @@ def test_export_fields_csv(tmp_path):
     system = assemble_system(
         sp, ModelParams(1.0, 1.0, 0.1), None, BoundaryData(theta_w=np.ones(6))
     )
-    sol = solve_mixed(system, verify_bounds=False)
+    sol = solve_mixed(system)
     path = tmp_path / "fields.csv"
     export_fields_csv(sp, sol.U, sol.P, path)
     lines = path.read_text().strip().splitlines()

@@ -232,7 +232,7 @@ def test_limit_monotone_in_kn():
     results = []
     for kn in (1.0, 0.3, 0.1):
         system = make_system(N=2, k=2, eps=0.1, kn=kn, bdata=limit_study_data())
-        sol = solve_mixed(system, verify_bounds=False)
+        sol = solve_mixed(system)
         results.append(limit_consistency(sol.U, sol.P, system))
     ns = [r[0] for r in results]
     fo = [r[1] for r in results]
@@ -310,7 +310,7 @@ def test_solve_hydrostatic_exact_solution():
     for pairing in PAIRINGS:
         for k in (1, 2):
             system = make_system(N=2, k=k, eps=0.0, sources=src, pairing=pairing)
-            sol = solve_mixed(system, verify_bounds=False)
+            sol = solve_mixed(system)
             sp = system.spaces
             sig, s, p = sp.split_V(sol.U)
             assert np.max(np.abs(sig)) < 1e-11

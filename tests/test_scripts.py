@@ -1,0 +1,40 @@
+"""The experiment scripts run end to end at small arguments."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, args: list[str], monkeypatch, capsys) -> list[list[str]]:
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return [line.split() for line in capsys.readouterr().out.splitlines()]
+
+
+def test_ellipticity_survey(monkeypatch, capsys):
+    rows = run_script("ellipticity_survey.py", ["--dims", "2", "3"], monkeypatch, capsys)
+    # the planar counterexample: R-elliptic, not C-elliptic
+    assert ["2", "R", "True"] in [r[:3] for r in rows]
+    assert ["2", "C", "False"] in [r[:3] for r in rows]
+    assert "d=3: identity 1.000000, sym 0.707107, skew 0.000000, dev 0.816497, stf 0.707107".split() in rows
+
+
+def test_constants_sweep(monkeypatch, capsys):
+    rows = run_script(
+        "constants_sweep.py", ["--degrees", "1", "--kn", "1.0", "--epsilon-w", "0.1"], monkeypatch, capsys
+    )
+    # N eps Kn alpha0 k0 |A| |B| kerB kerBT: the equal pairing's structural cokernel
+    [row] = [r for r in rows if r[:3] == ["1", "0.10", "1.00"]]
+    assert row[-1] == "7"
+
+
+def test_korn_limit_study(monkeypatch, capsys):
+    rows = run_script("korn_limit_study.py", ["--max-degree", "2", "--kn", "1.0", "0.1"], monkeypatch, capsys)
+    # rigid motions span the kernel of the symmetrized gradient at every degree
+    assert "sym grad, vectors (d=3) [6, 6]".split() in rows
+    misfits = {r[0]: r[1:] for r in rows if len(r) == 3 and r[0] in ("1.00", "0.10")}
+    assert set(misfits) == {"1.00", "0.10"}
+    assert float(misfits["0.10"][0]) < float(misfits["1.00"][0])
+
