@@ -82,6 +82,35 @@ class VolumeSources:
         return np.zeros(pts.shape[0]) if self.r_src is None else np.asarray(self.r_src(pts), float)
 
 
+@dataclass(eq=False)
+class SaddleOperator:
+    """The load-independent matrices of one (spaces, params), read-only.
+
+    Every MixedSystem assembled on the same spaces and parameters shares
+    one operator while any of them is alive. `factors` holds the
+    factorization that saddlepoint.solve_mixed builds on its first use.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    M_V: np.ndarray
+    M_Q: np.ndarray
+    factors: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for M in (self.A, self.B, self.M_V, self.M_Q):
+            M.setflags(write=False)
+
+    def serves(self, system: MixedSystem) -> bool:
+        """True when the system still carries this operator's own matrices."""
+        return (
+            system.A is self.A
+            and system.B is self.B
+            and system.M_V is self.M_V
+            and system.M_Q is self.M_Q
+        )
+
+
 @dataclass
 class MixedSystem:
     """Assembled saddle-point data: forms, norm matrices, loads, parameters."""
@@ -94,6 +123,7 @@ class MixedSystem:
     G: np.ndarray
     params: ModelParams
     spaces: DiscreteSpaces
+    operator: SaddleOperator | None = field(default=None, repr=False, compare=False)
 
 
 # -- frame component weights -----------------------------------------------
@@ -415,17 +445,31 @@ def assemble_system(
     sources: VolumeSources | None = None,
     bdata: BoundaryData | None = None,
 ) -> MixedSystem:
-    """Assemble all matrices and loads of the mixed problem."""
+    """Assemble the loads of the mixed problem on its shared matrices.
+
+    A, B, M_V and M_Q are assembled once per (spaces, params) and shared,
+    read-only, by every system built there while one of them is alive.
+    """
+    op = spaces.operators.get(params)
+    if op is None:
+        op = SaddleOperator(
+            A=_assemble_A(spaces, params),
+            B=_assemble_B(spaces, params),
+            M_V=_assemble_MV(spaces),
+            M_Q=_assemble_MQ(spaces),
+        )
+        spaces.operators[params] = op
     F, G = assemble_load(spaces, params, sources, bdata)
     return MixedSystem(
-        A=_assemble_A(spaces, params),
-        B=_assemble_B(spaces, params),
-        M_V=_assemble_MV(spaces),
-        M_Q=_assemble_MQ(spaces),
+        A=op.A,
+        B=op.B,
+        M_V=op.M_V,
+        M_Q=op.M_Q,
         F=F,
         G=G,
         params=params,
         spaces=spaces,
+        operator=op,
     )
 
 

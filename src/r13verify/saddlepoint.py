@@ -7,6 +7,7 @@ Dense factorizations throughout; system sizes stay at desk scale.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +134,69 @@ def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziCon
 
 def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
     """Discrete dual norm sqrt(vec^T gram^-1 vec)."""
-    c = sla.cho_factor(gram)
-    return float(np.sqrt(vec @ sla.cho_solve(c, vec)))
+    return _dual_norm(vec, sla.cho_factor(gram))
+
+
+def _dual_norm(vec: np.ndarray, cho) -> float:
+    return float(np.sqrt(vec @ sla.cho_solve(cho, vec)))
 
 
 def cokernel_basis(system: MixedSystem, tol: float = KERNEL_RTOL) -> np.ndarray:
     """Orthonormal columns spanning the nullspace of B transpose."""
     rank, Vh = _row_split(system.B.T, tol)
     return Vh[rank:].T
+
+
+@dataclass
+class _SaddleFactors:
+    """Load-independent work of solve_mixed on one set of system matrices."""
+
+    W: np.ndarray | None  # orthonormal basis of range(B), set when ker B^T is nontrivial
+    Y: np.ndarray | None  # orthonormal basis of ker B^T
+    YMY: np.ndarray | None  # Y^T M_Q Y of the minimal-norm pressure correction
+    lu: tuple  # LU factors and pivots of the (reduced) saddle matrix
+    cho: tuple | None = None  # Cholesky factors of M_V and M_Q, built with the first bounds
+
+
+def _factor_saddle(system: MixedSystem) -> _SaddleFactors:
+    nV, nQ = system.spaces.n_V, system.spaces.n_Q
+    B = system.B
+    rank, Vh = _row_split(B.T, KERNEL_RTOL)
+    W = Y = YMY = None
+    if rank < nQ:
+        W = Vh[:rank].T
+        Y = Vh[rank:].T
+        YMY = Y.T @ system.M_Q @ Y
+        B = W.T @ B
+    n = nV + B.shape[0]
+    K = np.zeros((n, n), order="F")  # factored in place
+    K[:nV, :nV] = system.A
+    K[:nV, nV:] = B.T
+    K[nV:, :nV] = B
+    lange, getrf, gecon = sla.get_lapack_funcs(("lange", "getrf", "gecon"), (K,))
+    anorm = lange("1", np.asarray_chkfinite(K))
+    lu, piv, info = getrf(K, overwrite_a=True)
+    rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+    if rcond == 0.0:
+        raise ValueError("discrete pairing deficient: singular saddle matrix")
+    # the conditioning warning of scipy.linalg.solve, once per factorization
+    if not rcond >= np.finfo(float).eps:
+        warnings.warn(
+            f"An ill-conditioned saddle matrix detected: rcond = {rcond}.",
+            sla.LinAlgWarning,
+            stacklevel=3,
+        )
+    return _SaddleFactors(W=W, Y=Y, YMY=YMY, lu=(lu, piv))
+
+
+def _saddle_factors(system: MixedSystem) -> _SaddleFactors:
+    """The factors of the system's operator, built on first use; local otherwise."""
+    op = system.operator
+    if op is None or not op.serves(system):
+        return _factor_saddle(system)
+    if op.factors is None:
+        op.factors = _factor_saddle(system)
+    return op.factors
 
 
 def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -> MixedSolution:
@@ -159,39 +215,29 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
         |P|_Q <= (1/k0)(1 + |A|/alpha0) |F|_V' + (|A|/k0^2)(1 + |A|/alpha0) |G|_Q'
     with discrete dual norms and the quotient norm of P in the deficient
     case; without them the bound fields stay unset.
+
+    The cokernel split, the LU of the saddle matrix and the Cholesky
+    factors of the norm matrices are built once per assembled operator
+    and reused while the system carries that operator's matrices.
     """
-    nV, nQ = system.spaces.n_V, system.spaces.n_Q
-    B, G = system.B, system.G
-    rank, Vh = _row_split(system.B.T, KERNEL_RTOL)
-    dim_kerBT = nQ - rank
-    W = None
-    if dim_kerBT > 0:
-        Y = Vh[rank:].T
-        defect = np.linalg.norm(Y.T @ G)
+    nV = system.spaces.n_V
+    fac = _saddle_factors(system)
+    G = system.G
+    if fac.W is not None:
+        defect = np.linalg.norm(fac.Y.T @ G)
         if defect > KERNEL_RTOL * max(np.linalg.norm(G), 1.0):
             raise ValueError(
                 "discrete pairing deficient: load not in range(B) "
-                f"(dim ker B^T = {dim_kerBT})"
+                f"(dim ker B^T = {fac.Y.shape[1]})"
             )
-        W = Vh[:rank].T  # orthonormal basis of range(B)
-        B = W.T @ system.B
-        G = W.T @ system.G
-    nr = B.shape[0]
-    K = np.zeros((nV + nr, nV + nr))
-    K[:nV, :nV] = system.A
-    K[:nV, nV:] = B.T
-    K[nV:, :nV] = B
-    rhs = np.concatenate([system.F, G])
-    try:
-        sol = sla.solve(K, rhs)
-    except sla.LinAlgError as exc:
-        raise ValueError("discrete pairing deficient: singular saddle matrix") from exc
+        G = fac.W.T @ system.G
+    sol = sla.lu_solve(fac.lu, np.concatenate([system.F, G]))
     U, P = sol[:nV], sol[nV:]
-    if dim_kerBT > 0:
-        P = W @ P
+    if fac.W is not None:
+        P = fac.W @ P
         # minimal M_Q-norm representative of the pressure class
-        c = sla.solve(Y.T @ system.M_Q @ Y, -(Y.T @ (system.M_Q @ P)))
-        P = P + Y @ c
+        c = sla.solve(fac.YMY, -(fac.Y.T @ (system.M_Q @ P)))
+        P = P + fac.Y @ c
 
     res1 = np.linalg.norm(system.A @ U + system.B.T @ P - system.F)
     res2 = np.linalg.norm(system.B @ U - system.G)
@@ -201,8 +247,10 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
 
     bound_U = bound_P = None
     if constants is not None:
-        f_dual = dual_norm(system.F, system.M_V)
-        g_dual = dual_norm(system.G, system.M_Q)
+        if fac.cho is None:
+            fac.cho = (sla.cho_factor(system.M_V), sla.cho_factor(system.M_Q))
+        f_dual = _dual_norm(system.F, fac.cho[0])
+        g_dual = _dual_norm(system.G, fac.cho[1])
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float(

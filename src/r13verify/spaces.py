@@ -10,6 +10,8 @@ here with margin.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import Legendre, leggauss
@@ -354,6 +356,9 @@ class DiscreteSpaces:
             "p": slice(8 * n, 8 * n + self.n_p),
         }
         self.q_blocks = {"u": slice(0, 3 * m), "theta": slice(3 * m, 4 * m)}
+        # ModelParams -> assembly.SaddleOperator; an entry lives as long as
+        # some MixedSystem assembled on these spaces holds its operator
+        self.operators = weakref.WeakValueDictionary()
 
     @property
     def faces(self) -> list[FaceData]:

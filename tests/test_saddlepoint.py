@@ -1,5 +1,11 @@
+import copy
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from r13verify.assembly import (
@@ -83,8 +89,6 @@ def test_alpha0_vanishes_on_full_space_without_pressure_control():
     sp = build_spaces(1, 1, "full")
     system = assemble_system(sp, ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.0))
     As = 0.5 * (system.A + system.A.T)
-    import scipy.linalg as sla
-
     vals = sla.eigh(As, system.M_V, eigvals_only=True)
     assert abs(vals[0]) < 1e-10
 
@@ -106,8 +110,6 @@ def test_infsup_positive_and_cokernel_reported(sys_eps0):
 
 
 def test_infsup_scaling(sys_eps0):
-    import copy
-
     scaled = copy.copy(sys_eps0)
     scaled.B = 3.0 * sys_eps0.B
     k0, _ = infsup_constant(sys_eps0)
@@ -178,8 +180,6 @@ def test_solve_linearity():
     system = make_system(N=1, eps=0.1, sources=src, bdata=BoundaryData(theta_w=0.5 * np.ones(6)))
     consts = brezzi_constants(system)
     sol1 = solve_mixed(system, consts)
-    import copy
-
     doubled = copy.copy(system)
     doubled.F = 2.0 * system.F
     doubled.G = 2.0 * system.G
@@ -191,8 +191,6 @@ def test_solve_linearity():
 def test_theorem_bounds_random_data(sys_eps01):
     consts = brezzi_constants(sys_eps01)
     rng = np.random.default_rng(17)
-    import copy
-
     for _ in range(5):
         system = copy.copy(sys_eps01)
         system.F = rng.standard_normal(sys_eps01.spaces.n_V)
@@ -204,8 +202,6 @@ def test_theorem_bounds_random_data(sys_eps01):
 
 
 def test_solve_rejects_inconsistent_load(sys_eps01):
-    import copy
-
     rng = np.random.default_rng(23)
     system = copy.copy(sys_eps01)
     system.G = rng.standard_normal(sys_eps01.spaces.n_Q)
@@ -324,8 +320,6 @@ def test_infsup_matches_direct_sup_computation(sys_eps0):
     # for random multipliers off the cokernel, the normalized sup over V
     # reproduces at least the measured inf-sup constant, and its minimum
     # over many draws stays close to it
-    import scipy.linalg as sla
-
     from r13verify.saddlepoint import cokernel_basis
 
     k0, _ = infsup_constant(sys_eps0)
@@ -354,3 +348,94 @@ def test_kernel_elements_respect_coercivity_constant(sys_eps0):
         z = Z @ rng.standard_normal(Z.shape[1])
         quad = z @ sys_eps0.A @ z
         assert quad >= alpha0 * (z @ sys_eps0.M_V @ z) * (1 - 1e-10)
+
+
+def seeded_walls(rng):
+    return BoundaryData(*(0.5 * rng.standard_normal((5, 6))))
+
+
+def test_assembled_matrices_are_shared_and_read_only():
+    sp = build_spaces(1, 1, "full")
+    params = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
+    first = assemble_system(sp, params)
+    second = assemble_system(sp, params, None, BoundaryData(theta_w=np.ones(6)))
+    for name in ("A", "B", "M_V", "M_Q"):
+        assert getattr(second, name) is getattr(first, name)
+    other = assemble_system(sp, ModelParams(kn=0.5, chi_tilde=1.0, epsilon_w=0.1))
+    assert other.A is not first.A and other.B is not first.B
+    with pytest.raises(ValueError, match="read-only"):
+        first.A[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_shared_factors_match_an_uncached_solve_bitwise(pairing):
+    # the equal pairing solves on the quotient by ker B^T, the enriched one
+    # on the full range; copied matrices bypass the operator's factors
+    sp = build_spaces(1, 1, "full", pairing)
+    params = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
+    base = assemble_system(sp, params)
+    consts = brezzi_constants(base)
+    assert (consts.dim_kerBT > 0) == (pairing == "equal")
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        system = assemble_system(sp, params, None, seeded_walls(rng))
+        copied = dataclasses.replace(
+            system, A=system.A.copy(), B=system.B.copy(), M_V=system.M_V.copy(), M_Q=system.M_Q.copy()
+        )
+        shared = solve_mixed(system, consts)
+        factors = base.operator.factors
+        assert factors is not None
+        fresh = solve_mixed(copied, consts)
+        assert base.operator.factors is factors
+        assert np.array_equal(shared.U, fresh.U) and np.array_equal(shared.P, fresh.P)
+        for name in ("residual_primal", "residual_constraint", "norm_U", "norm_P", "bound_U", "bound_P"):
+            assert getattr(shared, name) == getattr(fresh, name)
+
+
+def test_reassigned_constraint_is_not_served_stale_factors(sys_eps01):
+    rng = np.random.default_rng(43)
+    system = copy.copy(sys_eps01)
+    system.F = rng.standard_normal(sys_eps01.spaces.n_V)
+    system.G = sys_eps01.B @ rng.standard_normal(sys_eps01.spaces.n_V)
+    sol = solve_mixed(system)
+    assert sys_eps01.operator.factors is not None
+    scaled = copy.copy(system)
+    scaled.B = 2.0 * system.B
+    sol2 = solve_mixed(scaled)
+    assert sol2.residual_primal <= 1e-10 and sol2.residual_constraint <= 1e-10
+    assert np.linalg.norm(sol2.U - sol.U) > 1e-3 * np.linalg.norm(sol.U)
+
+
+def test_operator_lives_only_as_long_as_its_systems():
+    sp = build_spaces(1, 1, "zero_mean")
+    params = ModelParams()
+    base = assemble_system(sp, params)
+    walled = assemble_system(sp, params, None, BoundaryData(theta_w=np.ones(6)))
+    doubled = dataclasses.replace(walled, F=2.0 * walled.F)
+    solve_mixed(doubled)
+    A_ref = weakref.ref(base.A)
+    assert len(sp.operators) == 1
+    del base, walled, doubled
+    gc.collect()
+    assert A_ref() is None
+    assert len(sp.operators) == 0
+
+
+def test_solve_rejects_singular_saddle_matrix(sys_eps0):
+    system = copy.copy(sys_eps0)
+    system.A = np.zeros_like(sys_eps0.A)
+    system.B = np.zeros_like(sys_eps0.B)
+    system.G = np.zeros_like(sys_eps0.G)
+    with pytest.raises(ValueError, match="singular saddle matrix"):
+        solve_mixed(system)
+
+
+def test_solve_warns_on_ill_conditioned_saddle_matrix(sys_eps0):
+    # with B = 0 the saddle matrix is A itself; a diagonal A spanning 20
+    # decades is nonsingular but beyond double precision
+    system = copy.copy(sys_eps0)
+    system.A = np.diag(np.logspace(0.0, -20.0, sys_eps0.spaces.n_V))
+    system.B = np.zeros_like(sys_eps0.B)
+    system.G = np.zeros_like(sys_eps0.G)
+    with pytest.warns(sla.LinAlgWarning, match="ill-conditioned"):
+        solve_mixed(system)
