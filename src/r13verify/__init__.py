@@ -41,9 +41,7 @@ from .saddlepoint import (
     BrezziConstants,
     MixedSolution,
     brezzi_constants,
-    coercivity_constant,
     infsup_constant,
-    kernel_basis,
     limit_consistency,
     operator_norm,
     solve_mixed,

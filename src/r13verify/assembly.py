@@ -10,9 +10,12 @@ matrices with rows indexing the first form argument.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 
 from .ellipticity import OperatorSpec, gradient_coupling
 from .spaces import DiscreteSpaces, ScalarBasis
@@ -82,33 +85,80 @@ class VolumeSources:
         return np.zeros(pts.shape[0]) if self.r_src is None else np.asarray(self.r_src(pts), float)
 
 
-@dataclass(eq=False)
-class SaddleOperator:
-    """The load-independent matrices of one (spaces, params), read-only.
+KERNEL_RTOL = 1e-10  # relative singular-value cutoff of every rank decision
 
-    Every MixedSystem assembled on the same spaces and parameters shares
-    one operator while any of them is alive. `factors` holds the
-    factorization that saddlepoint.solve_mixed builds on its first use.
+
+def matrix_rank(svals: np.ndarray, tol: float) -> int:
+    """Number of singular values above the relative cutoff tol * largest."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return int(np.sum(svals > tol * svals[0])) if svals.size and svals[0] > 0 else 0
+
+
+@dataclass(eq=False)
+class SaddleStructure:
+    """B, M_V and M_Q of one spaces: the matrices that do not depend on ModelParams.
+
+    Every operator assembled on the spaces shares them. What derives from
+    them alone is built on first use, once: the row split of B^T, the lower
+    Cholesky factors of M_V and M_Q, and the singular values of B in those
+    norms.
     """
 
-    A: np.ndarray
     B: np.ndarray
     M_V: np.ndarray
     M_Q: np.ndarray
-    factors: object = field(default=None, repr=False)
+    _splits: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        for M in (self.A, self.B, self.M_V, self.M_Q):
-            M.setflags(write=False)
+    def serves(self, system: MixedSystem) -> bool:
+        return system.B is self.B and system.M_V is self.M_V and system.M_Q is self.M_Q
+
+    @cached_property
+    def _svd_BT(self):
+        M = self.B.T  # the thin SVD already yields the complete right factor of a tall M
+        return sla.svd(M, full_matrices=M.shape[0] < M.shape[1])[1:]
+
+    def row_split(self, tol: float = KERNEL_RTOL):
+        """(W, Y, C, Y^T M_Q Y) at the relative cutoff tol: orthonormal columns
+        W spanning range(B) and Y spanning ker B^T, and the constraint C of
+        full row rank with ker C = ker B (C = B when Y is empty, W^T B else)."""
+        if tol not in self._splits:
+            svals, Vh = self._svd_BT
+            rank = matrix_rank(svals, tol)
+            W, Y = Vh[:rank].T, Vh[rank:].T
+            C = W.T @ self.B if Y.shape[1] else self.B
+            self._splits[tol] = W, Y, C, Y.T @ self.M_Q @ Y
+        return self._splits[tol]
+
+    @cached_property
+    def cholesky(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower Cholesky factors (L_V, L_Q) of M_V and M_Q."""
+        return sla.cholesky(self.M_V, lower=True), sla.cholesky(self.M_Q, lower=True)
+
+    @cached_property
+    def whitened_svals(self) -> np.ndarray:
+        """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms."""
+        L_V, L_Q = self.cholesky
+        K = sla.solve_triangular(L_Q, self.B, lower=True)
+        K = sla.solve_triangular(L_V, K.T, lower=True).T
+        return sla.svd(K, compute_uv=False)
+
+
+@dataclass(eq=False)
+class SaddleOperator:
+    """The primal form A of one (spaces, params) on the spaces' shared structure.
+
+    `factors` holds the LU of the saddle matrix that saddlepoint.solve_mixed
+    builds on its first use.
+    """
+
+    A: np.ndarray
+    structure: SaddleStructure
+    factors: object = field(default=None, repr=False)
 
     def serves(self, system: MixedSystem) -> bool:
         """True when the system still carries this operator's own matrices."""
-        return (
-            system.A is self.A
-            and system.B is self.B
-            and system.M_V is self.M_V
-            and system.M_Q is self.M_Q
-        )
+        return system.A is self.A and self.structure.serves(system)
 
 
 @dataclass
@@ -447,24 +497,28 @@ def assemble_system(
 ) -> MixedSystem:
     """Assemble the loads of the mixed problem on its shared matrices.
 
-    A, B, M_V and M_Q are assembled once per (spaces, params) and shared,
-    read-only, by every system built there while one of them is alive.
+    B, M_V and M_Q are assembled once per spaces and A once per (spaces,
+    params); all are read-only. Every system built on the spaces shares
+    one structure, and every system built on the same parameters one
+    operator, while one of them is alive.
     """
+    st = spaces.structure and spaces.structure()
+    if st is None:
+        st = SaddleStructure(_assemble_B(spaces, params), _assemble_MV(spaces), _assemble_MQ(spaces))
+        for M in (st.B, st.M_V, st.M_Q):
+            M.setflags(write=False)
+        spaces.structure = weakref.ref(st)
     op = spaces.operators.get(params)
     if op is None:
-        op = SaddleOperator(
-            A=_assemble_A(spaces, params),
-            B=_assemble_B(spaces, params),
-            M_V=_assemble_MV(spaces),
-            M_Q=_assemble_MQ(spaces),
-        )
+        op = SaddleOperator(A=_assemble_A(spaces, params), structure=st)
+        op.A.setflags(write=False)
         spaces.operators[params] = op
     F, G = assemble_load(spaces, params, sources, bdata)
     return MixedSystem(
         A=op.A,
-        B=op.B,
-        M_V=op.M_V,
-        M_Q=op.M_Q,
+        B=st.B,
+        M_V=st.M_V,
+        M_Q=st.M_Q,
         F=F,
         G=G,
         params=params,

@@ -144,6 +144,11 @@ class VerificationReport:
             tol = 0.0
         self.rows.append(Row(suite, quantity, float(value), tol, ok))
 
+    def check(self, suite, quantity, value, tolerance_key):
+        """Add a row that passes when value <= TOLERANCES[tolerance_key]."""
+        tol = TOLERANCES[tolerance_key]
+        self.add(suite, quantity, value, tol, value <= tol)
+
     @property
     def n_failed(self) -> int:
         return sum(1 for r in self.rows if r.passed is False)
@@ -256,30 +261,16 @@ def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport) -> None:
             None,
         )
         if d == 2:
-            rep.add(
-                "ellipticity",
-                "planar_witness_residual",
-                vc.witness_residual,
-                TOLERANCES["kernel_witness_residual"],
-                vc.witness_residual <= TOLERANCES["kernel_witness_residual"],
+            rep.check(
+                "ellipticity", "planar_witness_residual", vc.witness_residual, "kernel_witness_residual"
             )
             T = np.array([[1j, 1.0], [1.0, -1j]])
             xi = np.array([1.0, 1j])
             res = float(np.linalg.norm(apply_symbol(op, T, xi)) / np.linalg.norm(T))
-            rep.add(
-                "ellipticity",
-                "planar_reference_pair_residual",
-                res,
-                TOLERANCES["planar_kernel_pair_residual"],
-                res <= TOLERANCES["planar_kernel_pair_residual"],
+            rep.check(
+                "ellipticity", "planar_reference_pair_residual", res, "planar_kernel_pair_residual"
             )
-        rep.add(
-            "ellipticity",
-            f"stf_grad_R_elliptic_d{d}",
-            float(vr.elliptic),
-            None,
-            vr.elliptic,
-        )
+        rep.add("ellipticity", f"stf_grad_R_elliptic_d{d}", float(vr.elliptic), None, vr.elliptic)
         pf = general_d_prefactors(d)
         for name, val in zip(
             ("c_stf", "c_symbol", "c_core1", "c_case1", "c_case2"), pf.as_tuple()
@@ -325,13 +316,7 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport) -> None:
             rep.add("korn", f"korn_{label}_N{N}", est.constant, None, bool(ok))
             ray = korn_rayleigh(op, sp, est.extremizer)
             dev = abs(ray - est.constant) / est.constant
-            rep.add(
-                "korn",
-                f"korn_{label}_rayleigh_dev_N{N}",
-                dev,
-                TOLERANCES["korn_rayleigh_consistency"],
-                dev <= TOLERANCES["korn_rayleigh_consistency"],
-            )
+            rep.check("korn", f"korn_{label}_rayleigh_dev_N{N}", dev, "korn_rayleigh_consistency")
             prev = est.constant
     # planar diagnostic: finite at fixed degree, growth with N is the signal
     planar = OperatorSpec("stf2", "Stf", 2)
@@ -377,37 +362,17 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport) -> None:
     u[0] = sp_ri.scalar.project(lambda q: np.ones(q.shape[0]))
     for proj in ("identity", "stf"):
         res = div_right_inverse(u, proj, sp_ri)
-        rep.add(
-            "korn",
-            f"rinv_{proj}_weak_residual",
-            res.weak_residual,
-            TOLERANCES["weak_divergence_residual"],
-            res.weak_residual <= TOLERANCES["weak_divergence_residual"],
+        rep.check(
+            "korn", f"rinv_{proj}_weak_residual", res.weak_residual, "weak_divergence_residual"
         )
-        rep.add(
-            "korn",
-            f"rinv_{proj}_range_residual",
-            res.range_residual,
-            TOLERANCES["range_projection_residual"],
-            res.range_residual <= TOLERANCES["range_projection_residual"],
+        rep.check(
+            "korn", f"rinv_{proj}_range_residual", res.range_residual, "range_projection_residual"
         )
-        rep.add(
-            "korn",
-            f"rinv_{proj}_energy_gap",
-            res.energy_gap,
-            TOLERANCES["energy_identity"],
-            res.energy_gap <= TOLERANCES["energy_identity"],
-        )
+        rep.check("korn", f"rinv_{proj}_energy_gap", res.energy_gap, "energy_identity")
         rep.add("korn", f"rinv_{proj}_bound_ratio", res.bound_ratio, None, None)
     kappa = sp_ri.scalar.project(lambda q: 1.0 + q[:, 0])
     sres = scalar_div_right_inverse(kappa, sp_ri)
-    rep.add(
-        "korn",
-        "rinv_scalar_weak_residual",
-        sres.weak_residual,
-        TOLERANCES["weak_divergence_residual"],
-        sres.weak_residual <= TOLERANCES["weak_divergence_residual"],
-    )
+    rep.check("korn", "rinv_scalar_weak_residual", sres.weak_residual, "weak_divergence_residual")
     # stability under degree refinement, past the low-degree parity staircase
     ratios = {}
     for N in (3, 4):
@@ -416,13 +381,7 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport) -> None:
         uN[0] = spN.scalar.project(lambda q: np.ones(q.shape[0]))
         ratios[N] = div_right_inverse(uN, "stf", spN).bound_ratio
     rel = abs(ratios[4] - ratios[3]) / ratios[3]
-    rep.add(
-        "korn",
-        "rinv_stf_ratio_stability",
-        rel,
-        TOLERANCES["bound_ratio_stability"],
-        rel <= TOLERANCES["bound_ratio_stability"],
-    )
+    rep.check("korn", "rinv_stf_ratio_stability", rel, "bound_ratio_stability")
 
 
 def _constants_rows(cfg: RunConfig, rep: VerificationReport, kn: float, eps: float, N: int) -> None:
@@ -438,13 +397,7 @@ def _constants_rows(cfg: RunConfig, rep: VerificationReport, kn: float, eps: flo
     rep.add("constants", f"norm_B_{tag}", consts.norm_B, None, None)
     rep.add("constants", f"dim_kerB_{tag}", consts.dim_kerB, None, None)
     # the equal-degree pairing is structurally deficient; reported, not hidden
-    rep.add(
-        "constants",
-        f"dim_kerBT_{tag}",
-        consts.dim_kerBT,
-        0.0,
-        consts.dim_kerBT == 0,
-    )
+    rep.add("constants", f"dim_kerBT_{tag}", consts.dim_kerBT, 0.0, consts.dim_kerBT == 0)
     S = system.A - system.A.T
     C = assemble_form("c", sp, params)
     vb = sp.v_blocks
@@ -455,26 +408,14 @@ def _constants_rows(cfg: RunConfig, rep: VerificationReport, kn: float, eps: flo
         np.max(np.abs(S[vb["s"], vb["s"]])),
         np.max(np.abs(S[vb["p"], :])),
     )
-    rep.add(
-        "constants",
-        f"skew_identity_dev_{tag}",
-        skew_dev,
-        TOLERANCES["structure_identities"],
-        skew_dev <= TOLERANCES["structure_identities"],
-    )
+    rep.check("constants", f"skew_identity_dev_{tag}", skew_dev, "structure_identities")
     qb = sp.q_blocks
     block_dev = max(
         np.max(np.abs(system.B[qb["u"], vb["s"]])),
         np.max(np.abs(system.B[qb["theta"], vb["sigma"]])),
         np.max(np.abs(system.B[qb["theta"], vb["p"]])),
     )
-    rep.add(
-        "constants",
-        f"B_block_structure_dev_{tag}",
-        block_dev,
-        TOLERANCES["structure_identities"],
-        block_dev <= TOLERANCES["structure_identities"],
-    )
+    rep.check("constants", f"B_block_structure_dev_{tag}", block_dev, "structure_identities")
 
 
 def _suite_constants(cfg: RunConfig, rep: VerificationReport) -> None:
@@ -482,13 +423,7 @@ def _suite_constants(cfg: RunConfig, rep: VerificationReport) -> None:
 
 
 def _seeded_boundary_data(rng: np.random.Generator) -> BoundaryData:
-    return BoundaryData(
-        u_n_w=0.5 * rng.standard_normal(6),
-        u_t1_w=0.5 * rng.standard_normal(6),
-        u_t2_w=0.5 * rng.standard_normal(6),
-        p_w=0.5 * rng.standard_normal(6),
-        theta_w=0.5 * rng.standard_normal(6),
-    )
+    return BoundaryData(*(0.5 * rng.standard_normal((5, 6))))  # field order u_n, u_t1, u_t2, p, theta
 
 
 def _suite_solve(cfg: RunConfig, rep: VerificationReport, n_datasets: int = 10) -> None:
@@ -502,24 +437,12 @@ def _suite_solve(cfg: RunConfig, rep: VerificationReport, n_datasets: int = 10) 
         sol = solve_mixed(assemble_system(sp, cfg.params, None, _seeded_boundary_data(rng)), consts)
         worst_res = max(worst_res, sol.residual_primal, sol.residual_constraint)
         bounds_ok = bounds_ok and sol.bounds_hold
-    rep.add(
-        "solve",
-        "max_system_residual",
-        worst_res,
-        TOLERANCES["solver_residual"],
-        worst_res <= TOLERANCES["solver_residual"],
-    )
+    rep.check("solve", "max_system_residual", worst_res, "solver_residual")
     rep.add("solve", "stability_bounds_hold", float(bounds_ok), None, bounds_ok)
 
     sol0 = solve_mixed(system, consts)
     zero_norm = float(np.linalg.norm(sol0.U) + np.linalg.norm(sol0.P))
-    rep.add(
-        "solve",
-        "zero_data_solution_norm",
-        zero_norm,
-        TOLERANCES["zero_data_solution"],
-        zero_norm <= TOLERANCES["zero_data_solution"],
-    )
+    rep.check("solve", "zero_data_solution_norm", zero_norm, "zero_data_solution")
 
     sys_1 = assemble_system(sp, cfg.params, None, _seeded_boundary_data(rng))
     sol1 = solve_mixed(sys_1, consts)
@@ -528,7 +451,7 @@ def _suite_solve(cfg: RunConfig, rep: VerificationReport, n_datasets: int = 10) 
         (np.linalg.norm(sol2.U - 2 * sol1.U) + np.linalg.norm(sol2.P - 2 * sol1.P))
         / max(np.linalg.norm(sol1.U) + np.linalg.norm(sol1.P), 1.0)
     )
-    rep.add("solve", "linearity_dev", dev, TOLERANCES["linearity"], dev <= TOLERANCES["linearity"])
+    rep.check("solve", "linearity_dev", dev, "linearity")
 
 
 def limit_study_boundary_data() -> BoundaryData:

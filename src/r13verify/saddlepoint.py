@@ -2,20 +2,22 @@
 
 All constants are measured on the assembled discrete system and reported
 as measurements of that system, not as bounds for the continuous problem.
-Dense factorizations throughout; system sizes stay at desk scale.
+alpha0 and |A| are extreme eigenvalues found by Lanczos on matrix-free
+operators, k0 and |B| dense singular values of the whitened constraint.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import MixedSystem
+from .assembly import KERNEL_RTOL, MixedSystem, SaddleStructure, matrix_rank
 
-KERNEL_RTOL = 1e-10
+LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
 
 
 @dataclass(frozen=True)
@@ -48,42 +50,110 @@ class MixedSolution:
         return self.norm_U <= self.bound_U and self.norm_P <= self.bound_P
 
 
-def _rank(svals: np.ndarray, tol: float) -> int:
-    """Number of singular values above the relative cutoff tol * largest."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    smax = svals[0] if svals.size else 0.0
-    return int(np.sum(svals > tol * smax)) if smax > 0 else 0
+def _structure(system: MixedSystem) -> SaddleStructure:
+    """The shared structure of the system's spaces; a private one if B, M_V or M_Q were replaced."""
+    op = system.operator
+    if op is not None and op.structure.serves(system):
+        return op.structure
+    return SaddleStructure(system.B, system.M_V, system.M_Q)
 
 
-def _row_split(M: np.ndarray, tol: float):
-    """(rank, Vh): rows Vh[:rank] span the row space of M, Vh[rank:] its nullspace.
+def _lanczos_max(apply, n: int) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite operator on R^n.
 
-    The thin SVD already yields the complete right factor of a tall M.
+    Lanczos with full reorthogonalization from a fixed start vector, so the
+    result repeats bit for bit. It stops when the residual of the leading
+    Ritz pair falls below LANCZOS_RTOL times its value, which bounds the
+    relative error of the eigenvalue by LANCZOS_RTOL, or when the Krylov
+    space fills R^n.
     """
-    _, svals, Vh = sla.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    return _rank(svals, tol), Vh
+    Q = np.empty((min(n, 500), n))  # rows are touched only as the basis grows
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for j in range(Q.shape[0]):
+        Q[j] = q
+        w = apply(q)
+        alpha.append(q @ w)
+        for _ in range(2):  # twice is enough
+            w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
+        theta, s = sla.eigh_tridiagonal(alpha, beta, select="i", select_range=(j, j))
+        b = np.linalg.norm(w)
+        if b * abs(s[-1, 0]) <= LANCZOS_RTOL * theta[0] or j + 1 == n:
+            return float(theta[0])
+        beta.append(b)
+        q = w / b
+    raise RuntimeError(f"Lanczos did not converge in {Q.shape[0]} steps")
 
 
-def kernel_basis(system: MixedSystem, tol: float = KERNEL_RTOL) -> np.ndarray:
-    """Orthonormal columns spanning the nullspace of the constraint matrix."""
-    rank, Vh = _row_split(system.B, tol)
-    return Vh[rank:].T
+def _whitened_norm(form_matrix: np.ndarray, L_left: np.ndarray, L_right: np.ndarray) -> float:
+    """Largest singular value of X = L_left^-1 form L_right^-T, by Lanczos on X^T X.
 
-
-def coercivity_constant(system: MixedSystem, Z: np.ndarray):
-    """Smallest Rayleigh quotient of the symmetrized primal form on ker B.
-
-    Returns (alpha0, extremizer in V coordinates). Only the symmetric part
-    enters since the quadratic form ignores the skew coupling.
+    Each product takes four triangular solves; X is never formed.
     """
-    if Z.size == 0 or Z.shape[1] == 0:
-        raise ValueError("trivial kernel")
-    As = 0.5 * (system.A + system.A.T)
-    lhs = Z.T @ As @ Z
-    rhs = Z.T @ system.M_V @ Z
-    vals, vecs = sla.eigh(lhs, rhs)
-    return float(vals[0]), Z @ vecs[:, 0]
+    solve = functools.partial(sla.solve_triangular, lower=True, check_finite=False)
+
+    def apply(x):
+        y = solve(L_left, form_matrix @ solve(L_right, x, trans=1))
+        return solve(L_right, form_matrix.T @ solve(L_left, y, trans=1))
+
+    return float(np.sqrt(_lanczos_max(apply, form_matrix.shape[1])))
+
+
+def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> float:
+    """Largest generalized singular value of a form in the given norms."""
+    L_left, L_right = (sla.cholesky(G, lower=True) for G in (left_gram, right_gram))
+    return _whitened_norm(form_matrix, L_left, L_right)
+
+
+def _saddle_matrix(A: np.ndarray, constraint: np.ndarray, symmetrize: bool = False) -> np.ndarray:
+    """[[A, C^T], [C, 0]] in Fortran order, to be factored in place; A_s = (A + A^T)/2 if asked."""
+    nV = A.shape[0]
+    n = nV + constraint.shape[0]
+    K = np.zeros((n, n), order="F")
+    K[:nV, :nV] = A
+    if symmetrize:
+        K[:nV, :nV] += A.T
+        K[:nV, :nV] *= 0.5
+    K[:nV, nV:] = constraint.T
+    K[nV:, :nV] = constraint
+    return K
+
+
+def _lu_in_place(K: np.ndarray):
+    """(LU factors and pivots of K, reciprocal 1-norm condition estimate; 0 if singular)."""
+    lange, getrf, gecon = sla.get_lapack_funcs(("lange", "getrf", "gecon"), (K,))
+    anorm = lange("1", np.asarray_chkfinite(K))
+    lu, piv, info = getrf(K, overwrite_a=True)
+    rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+    return (lu, piv), rcond
+
+
+def _coercivity(A: np.ndarray, constraint: np.ndarray, L_V: np.ndarray) -> float:
+    """alpha0 = 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V.
+
+    K_s = [[A_s, C^T], [C, 0]] with the symmetric part A_s of A and a
+    constraint C of full row rank and kernel ker B. The operator equals
+    L_V^T Z (Z^T A_s Z)^-1 Z^T L_V for a basis Z of ker B, so its nonzero
+    eigenvalues are the reciprocals of those of A_s z = lambda M_V z on
+    ker B (the coercivity eigenproblem of Chapelle & Bathe's inf-sup test).
+    The forms make A_s positive semidefinite, so the largest one gives
+    alpha0. A singular K_s means a kernel direction on which A_s vanishes:
+    alpha0 = 0. Only the symmetric part enters since the quadratic form
+    ignores the skew coupling. K_s is freed on return.
+    """
+    nV = A.shape[0]
+    lu, rcond = _lu_in_place(_saddle_matrix(A, constraint, symmetrize=True))
+    if not rcond >= np.finfo(float).eps:
+        return 0.0
+    rhs = np.zeros(lu[0].shape[0])
+    trmv = sla.get_blas_funcs("trmv", (L_V,))
+
+    def apply(x):
+        rhs[:nV] = trmv(L_V, x, lower=1)
+        return trmv(L_V, sla.lu_solve(lu, rhs, check_finite=False)[:nV], lower=1, trans=1)
+
+    return 1.0 / _lanczos_max(apply, nV)
 
 
 def infsup_constant(system: MixedSystem, tol: float = KERNEL_RTOL):
@@ -93,110 +163,63 @@ def infsup_constant(system: MixedSystem, tol: float = KERNEL_RTOL):
     the nullspace of B transpose; dim_kerBT counts the singular values
     below the rank cutoff and is expected to be zero.
     """
-    return _infsup(_gram_svals(system.B, system.M_Q, system.M_V), tol)
+    return _infsup(_structure(system).whitened_svals, tol)
 
 
 def _infsup(svals: np.ndarray, tol: float):
-    """(k0, dim ker B^T) from the singular values of B in the natural norms."""
-    rank = _rank(svals, tol)
+    rank = matrix_rank(svals, tol)
     return (float(svals[rank - 1]) if rank else 0.0), svals.size - rank
 
 
-def _gram_svals(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
-    """Generalized singular values of a form in the given norms, descending."""
-    Ll = sla.cholesky(left_gram, lower=True)
-    Lr = sla.cholesky(right_gram, lower=True)
-    K = sla.solve_triangular(Ll, form_matrix, lower=True)
-    K = sla.solve_triangular(Lr, K.T, lower=True).T
-    return sla.svd(K, compute_uv=False)
-
-
-def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> float:
-    """Largest generalized singular value of a form in the given norms."""
-    return float(_gram_svals(form_matrix, left_gram, right_gram)[0])
-
-
 def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziConstants:
-    """All measured constants of the assembled system."""
-    Z = kernel_basis(system, tol)
-    alpha0, _ = coercivity_constant(system, Z)
-    svals_B = _gram_svals(system.B, system.M_Q, system.M_V)  # one SVD for k0 and |B|
-    k0, dim_kerBT = _infsup(svals_B, tol)
+    """All measured constants of the assembled system.
+
+    dim ker B is n_V minus the rank of the row split of B^T, which also
+    gives alpha0 its constraint of full row rank.
+    """
+    st = _structure(system)
+    W, _, constraint, _ = st.row_split(tol)
+    dim_kerB = system.B.shape[1] - W.shape[1]
+    if dim_kerB == 0:
+        raise ValueError("trivial kernel")
+    L_V = st.cholesky[0]
+    k0, dim_kerBT = _infsup(st.whitened_svals, tol)
     return BrezziConstants(
-        alpha0=alpha0,
+        alpha0=_coercivity(system.A, constraint, L_V),
         k0=k0,
-        norm_A=operator_norm(system.A, system.M_V, system.M_V),
-        norm_B=float(svals_B[0]),
-        dim_kerB=Z.shape[1],
+        norm_A=_whitened_norm(system.A, L_V, L_V),
+        norm_B=float(st.whitened_svals[0]),  # the SVD behind k0
+        dim_kerB=dim_kerB,
         dim_kerBT=dim_kerBT,
     )
 
 
 def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
     """Discrete dual norm sqrt(vec^T gram^-1 vec)."""
-    return _dual_norm(vec, sla.cho_factor(gram))
+    return _dual_norm(vec, sla.cholesky(gram, lower=True))
 
 
-def _dual_norm(vec: np.ndarray, cho) -> float:
-    return float(np.sqrt(vec @ sla.cho_solve(cho, vec)))
+def _dual_norm(vec: np.ndarray, L: np.ndarray) -> float:  # L: lower Cholesky factor of the gram
+    return float(np.linalg.norm(sla.solve_triangular(L, vec, lower=True)))
 
 
-def cokernel_basis(system: MixedSystem, tol: float = KERNEL_RTOL) -> np.ndarray:
-    """Orthonormal columns spanning the nullspace of B transpose."""
-    rank, Vh = _row_split(system.B.T, tol)
-    return Vh[rank:].T
-
-
-@dataclass
-class _SaddleFactors:
-    """Load-independent work of solve_mixed on one set of system matrices."""
-
-    W: np.ndarray | None  # orthonormal basis of range(B), set when ker B^T is nontrivial
-    Y: np.ndarray | None  # orthonormal basis of ker B^T
-    YMY: np.ndarray | None  # Y^T M_Q Y of the minimal-norm pressure correction
-    lu: tuple  # LU factors and pivots of the (reduced) saddle matrix
-    cho: tuple | None = None  # Cholesky factors of M_V and M_Q, built with the first bounds
-
-
-def _factor_saddle(system: MixedSystem) -> _SaddleFactors:
-    nV, nQ = system.spaces.n_V, system.spaces.n_Q
-    B = system.B
-    rank, Vh = _row_split(B.T, KERNEL_RTOL)
-    W = Y = YMY = None
-    if rank < nQ:
-        W = Vh[:rank].T
-        Y = Vh[rank:].T
-        YMY = Y.T @ system.M_Q @ Y
-        B = W.T @ B
-    n = nV + B.shape[0]
-    K = np.zeros((n, n), order="F")  # factored in place
-    K[:nV, :nV] = system.A
-    K[:nV, nV:] = B.T
-    K[nV:, :nV] = B
-    lange, getrf, gecon = sla.get_lapack_funcs(("lange", "getrf", "gecon"), (K,))
-    anorm = lange("1", np.asarray_chkfinite(K))
-    lu, piv, info = getrf(K, overwrite_a=True)
-    rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+def _saddle_lu(system: MixedSystem, constraint: np.ndarray) -> tuple:
+    """LU of the saddle matrix, kept on the system's operator while the system carries its matrices."""
+    op = system.operator
+    shared = op is not None and op.serves(system)
+    if shared and op.factors is not None:
+        return op.factors
+    lu, rcond = _lu_in_place(_saddle_matrix(system.A, constraint))
     if rcond == 0.0:
         raise ValueError("discrete pairing deficient: singular saddle matrix")
     # the conditioning warning of scipy.linalg.solve, once per factorization
     if not rcond >= np.finfo(float).eps:
         warnings.warn(
-            f"An ill-conditioned saddle matrix detected: rcond = {rcond}.",
-            sla.LinAlgWarning,
-            stacklevel=3,
+            f"An ill-conditioned saddle matrix detected: rcond = {rcond}.", sla.LinAlgWarning, stacklevel=3
         )
-    return _SaddleFactors(W=W, Y=Y, YMY=YMY, lu=(lu, piv))
-
-
-def _saddle_factors(system: MixedSystem) -> _SaddleFactors:
-    """The factors of the system's operator, built on first use; local otherwise."""
-    op = system.operator
-    if op is None or not op.serves(system):
-        return _factor_saddle(system)
-    if op.factors is None:
-        op.factors = _factor_saddle(system)
-    return op.factors
+    if shared:
+        op.factors = lu
+    return lu
 
 
 def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -> MixedSolution:
@@ -216,28 +239,29 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     with discrete dual norms and the quotient norm of P in the deficient
     case; without them the bound fields stay unset.
 
-    The cokernel split, the LU of the saddle matrix and the Cholesky
-    factors of the norm matrices are built once per assembled operator
-    and reused while the system carries that operator's matrices.
+    The split and the norm factors come from the shared structure, the LU
+    from the system's operator.
     """
     nV = system.spaces.n_V
-    fac = _saddle_factors(system)
+    st = _structure(system)
+    W, Y, constraint, YMY = st.row_split()
+    lu = _saddle_lu(system, constraint)
     G = system.G
-    if fac.W is not None:
-        defect = np.linalg.norm(fac.Y.T @ G)
+    deficient = Y.shape[1] > 0
+    if deficient:
+        defect = np.linalg.norm(Y.T @ G)
         if defect > KERNEL_RTOL * max(np.linalg.norm(G), 1.0):
             raise ValueError(
-                "discrete pairing deficient: load not in range(B) "
-                f"(dim ker B^T = {fac.Y.shape[1]})"
+                f"discrete pairing deficient: load not in range(B) (dim ker B^T = {Y.shape[1]})"
             )
-        G = fac.W.T @ system.G
-    sol = sla.lu_solve(fac.lu, np.concatenate([system.F, G]))
+        G = W.T @ system.G
+    sol = sla.lu_solve(lu, np.concatenate([system.F, G]))
     U, P = sol[:nV], sol[nV:]
-    if fac.W is not None:
-        P = fac.W @ P
+    if deficient:
+        P = W @ P
         # minimal M_Q-norm representative of the pressure class
-        c = sla.solve(fac.YMY, -(fac.Y.T @ (system.M_Q @ P)))
-        P = P + fac.Y @ c
+        c = sla.solve(YMY, -(Y.T @ (system.M_Q @ P)))
+        P = P + Y @ c
 
     res1 = np.linalg.norm(system.A @ U + system.B.T @ P - system.F)
     res2 = np.linalg.norm(system.B @ U - system.G)
@@ -247,10 +271,9 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
 
     bound_U = bound_P = None
     if constants is not None:
-        if fac.cho is None:
-            fac.cho = (sla.cho_factor(system.M_V), sla.cho_factor(system.M_Q))
-        f_dual = _dual_norm(system.F, fac.cho[0])
-        g_dual = _dual_norm(system.G, fac.cho[1])
+        L_V, L_Q = st.cholesky
+        f_dual = _dual_norm(system.F, L_V)
+        g_dual = _dual_norm(system.G, L_Q)
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float(

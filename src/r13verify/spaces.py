@@ -356,8 +356,10 @@ class DiscreteSpaces:
             "p": slice(8 * n, 8 * n + self.n_p),
         }
         self.q_blocks = {"u": slice(0, 3 * m), "theta": slice(3 * m, 4 * m)}
-        # ModelParams -> assembly.SaddleOperator; an entry lives as long as
-        # some MixedSystem assembled on these spaces holds its operator
+        # weak references to assembly.SaddleStructure (B, M_V, M_Q) and, per
+        # ModelParams, to assembly.SaddleOperator; each lives as long as some
+        # MixedSystem assembled on these spaces holds it
+        self.structure = None
         self.operators = weakref.WeakValueDictionary()
 
     @property

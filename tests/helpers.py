@@ -1,10 +1,13 @@
 """Independent brute-force oracles shared by the test modules.
 
-These are deliberately written as plain index loops, separate from any
-vectorized library code they are used to check.
+The tensor oracles are deliberately written as plain index loops, separate
+from any vectorized library code they are used to check. The Brezzi
+constants oracle uses full dense decompositions (SVD of B, eigh on ker B,
+SVD of the whitened forms), the path the library replaced by Lanczos.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def stf_gradient_symbol_direct(T: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -53,3 +56,61 @@ def random_stf2(rng: np.random.Generator, d: int = 3, complex_valued: bool = Fal
         M = M + 1j * rng.standard_normal((d, d))
     M = 0.5 * (M + M.T)
     return M - (np.trace(M) / d) * np.eye(d)
+
+
+# -- dense oracle of the Brezzi constants -------------------------------------
+
+
+def _rank(svals: np.ndarray, tol: float) -> int:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return int(np.sum(svals > tol * svals[0])) if svals.size and svals[0] > 0 else 0
+
+
+def kernel_basis(system, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal columns spanning the nullspace of the constraint matrix (full SVD)."""
+    _, svals, Vh = sla.svd(system.B, full_matrices=True)
+    return Vh[_rank(svals, tol):].T
+
+
+def cokernel_basis(system, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal columns spanning the nullspace of B transpose (full SVD)."""
+    _, svals, Vh = sla.svd(system.B.T, full_matrices=True)
+    return Vh[_rank(svals, tol):].T
+
+
+def coercivity_constant(system, Z: np.ndarray):
+    """Smallest Rayleigh quotient of the symmetrized primal form on span Z.
+
+    Returns (alpha0, extremizer in V coordinates) from the dense projected
+    pencil (Z^T A_s Z, Z^T M_V Z).
+    """
+    if Z.size == 0 or Z.shape[1] == 0:
+        raise ValueError("trivial kernel")
+    As = 0.5 * (system.A + system.A.T)
+    vals, vecs = sla.eigh(Z.T @ As @ Z, Z.T @ system.M_V @ Z)
+    return float(vals[0]), Z @ vecs[:, 0]
+
+
+def gram_svals(form: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> np.ndarray:
+    """All singular values of a form in the given norms, descending (dense SVD)."""
+    Ll = sla.cholesky(left_gram, lower=True)
+    Lr = sla.cholesky(right_gram, lower=True)
+    K = sla.solve_triangular(Ll, form, lower=True)
+    K = sla.solve_triangular(Lr, K.T, lower=True).T
+    return sla.svd(K, compute_uv=False)
+
+
+def dense_brezzi_constants(system, tol: float = 1e-10) -> dict:
+    """alpha0, k0, |A|, |B| and both dimensions from full dense decompositions."""
+    Z = kernel_basis(system, tol)
+    svals_B = gram_svals(system.B, system.M_Q, system.M_V)
+    rank = _rank(svals_B, tol)
+    return {
+        "alpha0": coercivity_constant(system, Z)[0],
+        "k0": float(svals_B[rank - 1]),
+        "norm_A": float(gram_svals(system.A, system.M_V, system.M_V)[0]),
+        "norm_B": float(svals_B[0]),
+        "dim_kerB": Z.shape[1],
+        "dim_kerBT": svals_B.size - rank,
+    }

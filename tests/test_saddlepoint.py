@@ -1,11 +1,13 @@
 import copy
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from r13verify.assembly import (
@@ -17,15 +19,15 @@ from r13verify.assembly import (
 )
 from r13verify.saddlepoint import (
     brezzi_constants,
-    coercivity_constant,
     dual_norm,
     infsup_constant,
-    kernel_basis,
     limit_consistency,
     operator_norm,
     solve_mixed,
 )
 from r13verify.spaces import PAIRINGS, build_spaces
+
+from helpers import cokernel_basis, coercivity_constant, dense_brezzi_constants, kernel_basis
 
 
 def make_system(N=2, k=1, eps=0.0, kn=1.0, sources=None, bdata=None, pairing="equal"):
@@ -320,8 +322,6 @@ def test_infsup_matches_direct_sup_computation(sys_eps0):
     # for random multipliers off the cokernel, the normalized sup over V
     # reproduces at least the measured inf-sup constant, and its minimum
     # over many draws stays close to it
-    from r13verify.saddlepoint import cokernel_basis
-
     k0, _ = infsup_constant(sys_eps0)
     Lv = sla.cholesky(sys_eps0.M_V, lower=True)
     Y = cokernel_basis(sys_eps0)
@@ -362,7 +362,8 @@ def test_assembled_matrices_are_shared_and_read_only():
     for name in ("A", "B", "M_V", "M_Q"):
         assert getattr(second, name) is getattr(first, name)
     other = assemble_system(sp, ModelParams(kn=0.5, chi_tilde=1.0, epsilon_w=0.1))
-    assert other.A is not first.A and other.B is not first.B
+    # A depends on the parameters; B, M_V and M_Q belong to the spaces
+    assert other.A is not first.A and other.B is first.B
     with pytest.raises(ValueError, match="read-only"):
         first.A[0, 0] = 1.0
 
@@ -439,3 +440,65 @@ def test_solve_warns_on_ill_conditioned_saddle_matrix(sys_eps0):
     system.G = np.zeros_like(sys_eps0.G)
     with pytest.warns(sla.LinAlgWarning, match="ill-conditioned"):
         solve_mixed(system)
+
+
+@pytest.mark.parametrize(
+    "pairing,N,k,eps",
+    [
+        ("equal", 2, 1, 0.0),
+        ("equal", 3, 1, 0.0),
+        ("equal", 2, 2, 0.0),
+        ("equal", 2, 1, 0.1),
+        ("enriched", 1, 1, 0.0),
+        ("enriched", 1, 1, 0.1),
+        ("enriched", 1, 2, 0.0),
+        ("enriched", 1, 2, 0.1),
+    ],
+)
+def test_constants_match_dense_oracle(pairing, N, k, eps):
+    system = make_system(N=N, k=k, eps=eps, pairing=pairing)
+    consts = brezzi_constants(system)
+    dense = dense_brezzi_constants(system)
+    assert consts.alpha0 == pytest.approx(dense["alpha0"], rel=1e-10)
+    assert consts.norm_A == pytest.approx(dense["norm_A"], rel=1e-10)
+    for name in ("k0", "norm_B", "dim_kerB", "dim_kerBT"):
+        assert getattr(consts, name) == dense[name]
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_alpha0_is_zero_on_a_singular_bordered_matrix(pairing):
+    # full pressure at epsilon_w = 0: a pressure direction in ker B on
+    # which the symmetric form vanishes, so the coercivity constant is 0
+    sp = build_spaces(1, 1, "full", pairing)
+    system = assemble_system(sp, ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.0))
+    assert abs(dense_brezzi_constants(system)["alpha0"]) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert brezzi_constants(system).alpha0 == 0.0
+
+
+def test_constants_are_deterministic_across_arpack_calls():
+    first = brezzi_constants(make_system(N=2, k=1, eps=0.1))
+    # ARPACK keeps the state of its default start vector between calls
+    spla.eigsh(np.diag(np.arange(1.0, 41.0)), k=2)
+    second = brezzi_constants(make_system(N=2, k=1, eps=0.1))
+    assert first == second
+
+
+def test_kn_systems_share_one_structure():
+    sp = build_spaces(1, 1, "full")
+    systems = [assemble_system(sp, ModelParams(kn, 1.0, 0.1)) for kn in (1.0, 0.3, 0.1)]
+    structure = systems[0].operator.structure
+    split = structure.row_split()
+    for system in systems:
+        solve_mixed(system)
+        assert system.operator.structure is structure
+        assert structure.row_split() is split
+        for name in ("B", "M_V", "M_Q"):
+            assert getattr(system, name) is getattr(structure, name)
+    assert len({id(s.A) for s in systems}) == 3
+    # the structure lives as long as a system holds it, like the operators
+    B_ref = weakref.ref(structure.B)
+    del systems, system, structure, split
+    gc.collect()
+    assert B_ref() is None and sp.structure() is None

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at small arguments."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -38,3 +39,18 @@ def test_korn_limit_study(monkeypatch, capsys):
     assert set(misfits) == {"1.00", "0.10"}
     assert float(misfits["0.10"][0]) < float(misfits["1.00"][0])
 
+
+
+def test_bench(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    args = ["--out", str(out), "--suites", "bc", "--rungs", "1,1"]
+    run_script("bench.py", [*args, "--label", "first"], monkeypatch, capsys)
+    rows = run_script("bench.py", [*args, "--label", "second"], monkeypatch, capsys)
+    assert rows[0][:2] == ["suite", "bc"]
+    data = json.loads(out.read_text())
+    assert set(data) == {"first", "second"}
+    rec = data["second"]
+    assert {"python", "numpy", "scipy", "blas", "blas_threads"} <= set(rec["provenance"])
+    [rung] = rec["ladder"]["rungs"].values()
+    assert set(rung["steps_s"]) == {"build_spaces", "assemble_system", "brezzi_constants", "solve_mixed"}
+    assert rung["verified"] and rung["constants"]["alpha0"] > 0
