@@ -10,6 +10,7 @@ matrices with rows indexing the first form argument.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -88,60 +89,181 @@ class VolumeSources:
 KERNEL_RTOL = 1e-10  # relative singular-value cutoff of every rank decision
 
 
-def matrix_rank(svals: np.ndarray, tol: float) -> int:
-    """Number of singular values above the relative cutoff tol * largest."""
+def matrix_rank(svals: np.ndarray, tol: float, largest: float | None = None) -> int:
+    """Number of singular values above the relative cutoff tol * largest.
+
+    largest defaults to svals[0] (svals descending); a matrix taken block
+    by block passes the largest singular value over all of its blocks.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return int(np.sum(svals > tol * svals[0])) if svals.size and svals[0] > 0 else 0
+    if largest is None:
+        largest = svals[0] if svals.size else 0.0
+    return int(np.sum(svals > tol * largest)) if largest > 0 else 0
+
+
+(_trtrs,) = sla.get_lapack_funcs(("trtrs",), (np.empty(0),))
+
+
+class BlockCholesky:
+    """Lower Cholesky factor of a block-diagonal symmetric positive definite matrix.
+
+    One dense factor per diagonal block, each paired with the indices of its
+    rows; built from a matrix, the blocks are the finest contiguous diagonal
+    blocks of its nonzero pattern.
+    """
+
+    def __init__(self, blocks):
+        # (indices, lower factor) pairs; Fortran order, as LAPACK takes them
+        self.blocks = tuple((idx, np.asfortranarray(L)) for idx, L in blocks)
+
+    @classmethod
+    def of(cls, M: np.ndarray) -> BlockCholesky:
+        n = M.shape[0]
+        last = n - 1 - np.argmax(M[:, ::-1] != 0, axis=1)  # last nonzero column of each row
+        ends = np.flatnonzero(np.maximum.accumulate(last) <= np.arange(n)) + 1
+        return cls(
+            (slice(a, b), sla.cholesky(M[a:b, a:b], lower=True)) for a, b in zip(np.r_[0, ends[:-1]], ends)
+        )
+
+    def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        """L^-1 x, or L^-T x for trans=1; x is a vector or a matrix of columns.
+
+        LAPACK trtrs is called directly: the blocks are small and many, and
+        scipy's solve_triangular costs about ten times the solve itself
+        there. A Cholesky factor has a positive diagonal, so trtrs cannot
+        report a singular one.
+        """
+        out = np.empty(x.shape)
+        for idx, L in self.blocks:
+            out[idx] = _trtrs(L, x[idx], lower=1, trans=trans)[0]
+        return out
+
+    def matvec(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        """L x, or L^T x for trans=1."""
+        out = np.empty(x.shape)
+        for idx, L in self.blocks:
+            out[idx] = (L.T if trans else L) @ x[idx]
+        return out
+
+
+def subproblems(spaces: DiscreteSpaces) -> tuple:
+    """(V indices, Q indices) of the momentum (sigma, p | u) and energy (s | theta) subproblems."""
+    vb, qb = spaces.v_blocks, spaces.q_blocks
+    return (np.r_[vb["sigma"], vb["p"]], np.r_[qb["u"]]), (np.r_[vb["s"]], np.r_[qb["theta"]])
+
+
+@dataclass(eq=False)
+class SaddlePart:
+    """One subproblem of a SaddleStructure: its V indices v and Q indices q.
+
+    It holds the structure's whole matrices, shared, and builds from their
+    blocks on (q, v), once on first use: the singular values and right
+    factor of B_i^T for the block B_i of B, the block Cholesky factors of
+    the M_V and M_Q blocks, and the singular values of B_i in those norms.
+    """
+
+    B: np.ndarray
+    M_V: np.ndarray
+    M_Q: np.ndarray
+    v: np.ndarray
+    q: np.ndarray
+
+    @property
+    def block(self) -> np.ndarray:
+        """B_i, copied out of B on each use rather than kept."""
+        return self.B[np.ix_(self.q, self.v)]
+
+    @cached_property
+    def svd_BT(self):
+        M = self.block.T  # the thin SVD already yields the complete right factor of a tall M
+        return sla.svd(M, full_matrices=M.shape[0] < M.shape[1])[1:]
+
+    def split(self, rank: int):
+        """(W_i, Y_i, C_i): W_i spans range(B_i), Y_i ker B_i^T, and C_i (B_i
+        when Y_i is empty, W_i^T B_i else) has full row rank and ker C_i = ker B_i."""
+        Vh = self.svd_BT[1]
+        W, Y = Vh[:rank].T, Vh[rank:].T
+        B_i = self.block
+        return W, Y, (W.T @ B_i if Y.shape[1] else B_i)
+
+    @cached_property
+    def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
+        """Factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's own indices."""
+        pairs = ((self.M_V, self.v), (self.M_Q, self.q))
+        return tuple(BlockCholesky.of(M[np.ix_(idx, idx)]) for M, idx in pairs)
+
+    @cached_property
+    def whitened_svals(self) -> np.ndarray:
+        """Singular values of L_Q^-1 B_i L_V^-T, descending."""
+        L_V, L_Q = self.cholesky
+        return sla.svd(L_V.solve(L_Q.solve(self.block).T).T, compute_uv=False)
 
 
 @dataclass(eq=False)
 class SaddleStructure:
     """B, M_V and M_Q of one spaces: the matrices that do not depend on ModelParams.
 
-    Every operator assembled on the spaces shares them. What derives from
-    them alone is built on first use, once: the row split of B^T, the lower
-    Cholesky factors of M_V and M_Q, and the singular values of B in those
-    norms.
+    Every operator assembled on the spaces shares them. They never couple
+    the momentum and the energy subproblem (`subproblems`), so each
+    derived quantity comes from the two parts (SaddlePart) and is combined
+    exactly: the row split of B^T, the Cholesky factors of M_V and M_Q, and
+    the singular values of B in those norms. Construction raises when B,
+    M_V or M_Q has a nonzero entry between the subproblems.
     """
 
     B: np.ndarray
     M_V: np.ndarray
     M_Q: np.ndarray
+    subproblems: tuple
+    parts: tuple = field(init=False, repr=False)
     _splits: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for (va, qa), (vb, qb) in itertools.permutations(self.subproblems, 2):
+            cross = (self.B[np.ix_(qa, vb)], self.M_V[np.ix_(va, vb)], self.M_Q[np.ix_(qa, qb)])
+            if any(np.any(M) for M in cross):
+                raise ValueError("B, M_V or M_Q couples the momentum and energy subproblems")
+        self.parts = tuple(SaddlePart(self.B, self.M_V, self.M_Q, v, q) for v, q in self.subproblems)
 
     def serves(self, system: MixedSystem) -> bool:
         return system.B is self.B and system.M_V is self.M_V and system.M_Q is self.M_Q
 
-    @cached_property
-    def _svd_BT(self):
-        M = self.B.T  # the thin SVD already yields the complete right factor of a tall M
-        return sla.svd(M, full_matrices=M.shape[0] < M.shape[1])[1:]
+    def rank_offsets(self, tol: float = KERNEL_RTOL) -> np.ndarray:
+        """Cumulative ranks of the parts' B blocks, from 0: part i owns rows
+        offsets[i]:offsets[i+1] of the row split's W^T and C. Every rank is
+        cut at tol times the largest singular value of the whole B."""
+        svals = [p.svd_BT[0] for p in self.parts]
+        largest = max(s[0] if s.size else 0.0 for s in svals)
+        return np.cumsum([0] + [matrix_rank(s, tol, largest) for s in svals])
 
     def row_split(self, tol: float = KERNEL_RTOL):
         """(W, Y, C, Y^T M_Q Y) at the relative cutoff tol: orthonormal columns
         W spanning range(B) and Y spanning ker B^T, and the constraint C of
-        full row rank with ker C = ker B (C = B when Y is empty, W^T B else)."""
+        full row rank with ker C = ker B, each joined from the parts' blocks."""
         if tol not in self._splits:
-            svals, Vh = self._svd_BT
-            rank = matrix_rank(svals, tol)
-            W, Y = Vh[:rank].T, Vh[rank:].T
-            C = W.T @ self.B if Y.shape[1] else self.B
+            r = self.rank_offsets(tol)
+            d = np.cumsum([0] + [p.q.size for p in self.parts]) - r
+            W, Y = np.zeros((self.B.shape[0], r[-1])), np.zeros((self.B.shape[0], d[-1]))
+            C = np.zeros((r[-1], self.B.shape[1]))
+            for i, p in enumerate(self.parts):
+                W_i, Y_i, C_i = p.split(r[i + 1] - r[i])
+                W[p.q, r[i] : r[i + 1]], Y[p.q, d[i] : d[i + 1]] = W_i, Y_i
+                C[r[i] : r[i + 1], p.v] = C_i
             self._splits[tol] = W, Y, C, Y.T @ self.M_Q @ Y
         return self._splits[tol]
 
     @cached_property
-    def cholesky(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower Cholesky factors (L_V, L_Q) of M_V and M_Q."""
-        return sla.cholesky(self.M_V, lower=True), sla.cholesky(self.M_Q, lower=True)
+    def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
+        """Block factors (L_V, L_Q) of M_V and M_Q, joined from the parts' factors."""
+        L_V = BlockCholesky((p.v[sl], L) for p in self.parts for sl, L in p.cholesky[0].blocks)
+        L_Q = BlockCholesky((p.q[sl], L) for p in self.parts for sl, L in p.cholesky[1].blocks)
+        return L_V, L_Q
 
     @cached_property
     def whitened_svals(self) -> np.ndarray:
         """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms."""
-        L_V, L_Q = self.cholesky
-        K = sla.solve_triangular(L_Q, self.B, lower=True)
-        K = sla.solve_triangular(L_V, K.T, lower=True).T
-        return sla.svd(K, compute_uv=False)
+        return np.sort(np.concatenate([p.whitened_svals for p in self.parts]))[::-1]
 
 
 @dataclass(eq=False)
@@ -504,9 +626,10 @@ def assemble_system(
     """
     st = spaces.structure and spaces.structure()
     if st is None:
-        st = SaddleStructure(_assemble_B(spaces, params), _assemble_MV(spaces), _assemble_MQ(spaces))
-        for M in (st.B, st.M_V, st.M_Q):
+        B, M_V, M_Q = _assemble_B(spaces, params), _assemble_MV(spaces), _assemble_MQ(spaces)
+        for M in (B, M_V, M_Q):
             M.setflags(write=False)
+        st = SaddleStructure(B, M_V, M_Q, subproblems(spaces))
         spaces.structure = weakref.ref(st)
     op = spaces.operators.get(params)
     if op is None:

@@ -4,18 +4,19 @@ All constants are measured on the assembled discrete system and reported
 as measurements of that system, not as bounds for the continuous problem.
 alpha0 and |A| are extreme eigenvalues found by Lanczos on matrix-free
 operators, k0 and |B| dense singular values of the whitened constraint.
+All but |A| are taken on the momentum and the energy subproblem apart
+(assembly.SaddleStructure) and combined exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, MixedSystem, SaddleStructure, matrix_rank
+from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleStructure, matrix_rank, subproblems
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
 
@@ -55,7 +56,7 @@ def _structure(system: MixedSystem) -> SaddleStructure:
     op = system.operator
     if op is not None and op.structure.serves(system):
         return op.structure
-    return SaddleStructure(system.B, system.M_V, system.M_Q)
+    return SaddleStructure(system.B, system.M_V, system.M_Q, subproblems(system.spaces))
 
 
 def _lanczos_max(apply, n: int) -> float:
@@ -86,24 +87,22 @@ def _lanczos_max(apply, n: int) -> float:
     raise RuntimeError(f"Lanczos did not converge in {Q.shape[0]} steps")
 
 
-def _whitened_norm(form_matrix: np.ndarray, L_left: np.ndarray, L_right: np.ndarray) -> float:
+def _whitened_norm(form_matrix: np.ndarray, L_left: BlockCholesky, L_right: BlockCholesky) -> float:
     """Largest singular value of X = L_left^-1 form L_right^-T, by Lanczos on X^T X.
 
-    Each product takes four triangular solves; X is never formed.
+    Each product takes four block triangular solves; X is never formed.
     """
-    solve = functools.partial(sla.solve_triangular, lower=True, check_finite=False)
 
     def apply(x):
-        y = solve(L_left, form_matrix @ solve(L_right, x, trans=1))
-        return solve(L_right, form_matrix.T @ solve(L_left, y, trans=1))
+        y = L_left.solve(form_matrix @ L_right.solve(x, trans=1))
+        return L_right.solve(form_matrix.T @ L_left.solve(y, trans=1))
 
     return float(np.sqrt(_lanczos_max(apply, form_matrix.shape[1])))
 
 
 def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> float:
     """Largest generalized singular value of a form in the given norms."""
-    L_left, L_right = (sla.cholesky(G, lower=True) for G in (left_gram, right_gram))
-    return _whitened_norm(form_matrix, L_left, L_right)
+    return _whitened_norm(form_matrix, BlockCholesky.of(left_gram), BlockCholesky.of(right_gram))
 
 
 def _saddle_matrix(A: np.ndarray, constraint: np.ndarray, symmetrize: bool = False) -> np.ndarray:
@@ -129,7 +128,26 @@ def _lu_in_place(K: np.ndarray):
     return (lu, piv), rcond
 
 
-def _coercivity(A: np.ndarray, constraint: np.ndarray, L_V: np.ndarray) -> float:
+def _coercivity(A: np.ndarray, st: SaddleStructure, tol: float) -> float:
+    """alpha0 on ker B: the smallest of the subproblems' constants.
+
+    ker B, A_s and M_V split along the subproblems, so the coercivity
+    eigenproblem on ker B is the union of one per part. Raises when A + A^T
+    couples the subproblems, which would join them. A part whose B block
+    is injective has no kernel and no say.
+    """
+    (v0, _), (v1, _) = st.subproblems
+    if np.any(A[np.ix_(v0, v1)] + A[np.ix_(v1, v0)].T):
+        raise ValueError("the symmetric part of A couples the momentum and energy subproblems")
+    C, r = st.row_split(tol)[2], st.rank_offsets(tol)
+    return min(
+        _kernel_coercivity(A[np.ix_(p.v, p.v)], C[r[i] : r[i + 1], p.v], p.cholesky[0])
+        for i, p in enumerate(st.parts)
+        if r[i + 1] - r[i] < p.v.size
+    )
+
+
+def _kernel_coercivity(A: np.ndarray, constraint: np.ndarray, L_V: BlockCholesky) -> float:
     """alpha0 = 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V.
 
     K_s = [[A_s, C^T], [C, 0]] with the symmetric part A_s of A and a
@@ -147,11 +165,10 @@ def _coercivity(A: np.ndarray, constraint: np.ndarray, L_V: np.ndarray) -> float
     if not rcond >= np.finfo(float).eps:
         return 0.0
     rhs = np.zeros(lu[0].shape[0])
-    trmv = sla.get_blas_funcs("trmv", (L_V,))
 
     def apply(x):
-        rhs[:nV] = trmv(L_V, x, lower=1)
-        return trmv(L_V, sla.lu_solve(lu, rhs, check_finite=False)[:nV], lower=1, trans=1)
+        rhs[:nV] = L_V.matvec(x)
+        return L_V.matvec(sla.lu_solve(lu, rhs, check_finite=False)[:nV], trans=1)
 
     return 1.0 / _lanczos_max(apply, nV)
 
@@ -174,18 +191,21 @@ def _infsup(svals: np.ndarray, tol: float):
 def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziConstants:
     """All measured constants of the assembled system.
 
-    dim ker B is n_V minus the rank of the row split of B^T, which also
-    gives alpha0 its constraint of full row rank.
+    Each comes from the momentum and the energy subproblem and is combined
+    exactly: dim ker B is n_V minus the ranks of the parts' row splits of
+    B^T, which also give each part's alpha0 its constraint of full row
+    rank, and alpha0 is the smaller of the two. k0, |B| and dim ker B^T
+    come from the union of the parts' whitened singular values; |A| is
+    taken on the whole A with the parts' factors of M_V.
     """
     st = _structure(system)
-    W, _, constraint, _ = st.row_split(tol)
-    dim_kerB = system.B.shape[1] - W.shape[1]
+    dim_kerB = system.B.shape[1] - st.rank_offsets(tol)[-1]
     if dim_kerB == 0:
         raise ValueError("trivial kernel")
     L_V = st.cholesky[0]
     k0, dim_kerBT = _infsup(st.whitened_svals, tol)
     return BrezziConstants(
-        alpha0=_coercivity(system.A, constraint, L_V),
+        alpha0=_coercivity(system.A, st, tol),
         k0=k0,
         norm_A=_whitened_norm(system.A, L_V, L_V),
         norm_B=float(st.whitened_svals[0]),  # the SVD behind k0
@@ -196,11 +216,11 @@ def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziCon
 
 def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
     """Discrete dual norm sqrt(vec^T gram^-1 vec)."""
-    return _dual_norm(vec, sla.cholesky(gram, lower=True))
+    return _dual_norm(vec, BlockCholesky.of(gram))
 
 
-def _dual_norm(vec: np.ndarray, L: np.ndarray) -> float:  # L: lower Cholesky factor of the gram
-    return float(np.linalg.norm(sla.solve_triangular(L, vec, lower=True)))
+def _dual_norm(vec: np.ndarray, L: BlockCholesky) -> float:  # L: Cholesky factor of the gram
+    return float(np.linalg.norm(L.solve(vec)))
 
 
 def _saddle_lu(system: MixedSystem, constraint: np.ndarray) -> tuple:
@@ -239,8 +259,10 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     with discrete dual norms and the quotient norm of P in the deficient
     case; without them the bound fields stay unset.
 
-    The split and the norm factors come from the shared structure, the LU
-    from the system's operator.
+    The split and the norm factors come from the shared structure, joined
+    from its momentum and energy parts; the LU, from the system's operator,
+    is of the whole saddle matrix, since the skew coupling of sigma and s
+    joins the parts there.
     """
     nV = system.spaces.n_V
     st = _structure(system)

@@ -449,6 +449,7 @@ def test_solve_warns_on_ill_conditioned_saddle_matrix(sys_eps0):
         ("equal", 3, 1, 0.0),
         ("equal", 2, 2, 0.0),
         ("equal", 2, 1, 0.1),
+        ("equal", 3, 1, 0.1),
         ("enriched", 1, 1, 0.0),
         ("enriched", 1, 1, 0.1),
         ("enriched", 1, 2, 0.0),
@@ -461,8 +462,63 @@ def test_constants_match_dense_oracle(pairing, N, k, eps):
     dense = dense_brezzi_constants(system)
     assert consts.alpha0 == pytest.approx(dense["alpha0"], rel=1e-10)
     assert consts.norm_A == pytest.approx(dense["norm_A"], rel=1e-10)
-    for name in ("k0", "norm_B", "dim_kerB", "dim_kerBT"):
-        assert getattr(consts, name) == dense[name]
+    # per-subproblem SVDs against one whole-matrix SVD: equal up to rounding
+    assert consts.k0 == pytest.approx(dense["k0"], rel=1e-12)
+    assert consts.norm_B == pytest.approx(dense["norm_B"], rel=1e-12)
+    assert consts.dim_kerB == dense["dim_kerB"] and consts.dim_kerBT == dense["dim_kerBT"]
+
+
+@pytest.mark.parametrize(
+    "pairing,N,k,cokernels",
+    [
+        ("equal", 2, 1, (6, 1)),
+        ("equal", 3, 1, (6, 1)),
+        ("equal", 2, 2, (6, 1)),
+        ("enriched", 1, 1, (0, 0)),
+        ("enriched", 1, 2, (0, 0)),
+    ],
+)
+def test_cokernel_splits_between_velocity_and_temperature(pairing, N, k, cokernels):
+    # the equal pairing's 7-dimensional cokernel, which first derivatives
+    # missing the top corner monomial cause, lies six dimensions against u
+    # (momentum part) and one against theta (energy part); enriched has none
+    system = make_system(N=N, k=k, pairing=pairing)
+    structure = system.operator.structure
+    ranks = np.diff(structure.rank_offsets())
+    assert tuple(p.q.size - r for p, r in zip(structure.parts, ranks)) == cokernels
+    assert brezzi_constants(system).dim_kerBT == sum(cokernels)
+
+
+def test_rank_cutoff_is_relative_to_the_whole_B(sys_eps0):
+    # an energy block 1e-12 times smaller lies wholly below the whole-B
+    # cutoff, though a cutoff relative to its own part would keep its rank
+    sp = sys_eps0.spaces
+    scaled = copy.copy(sys_eps0)
+    scaled.B = sys_eps0.B.copy()
+    scaled.B[sp.q_blocks["theta"]] *= 1e-12
+    consts = brezzi_constants(scaled)
+    dense = dense_brezzi_constants(scaled)
+    assert consts.dim_kerBT == dense["dim_kerBT"] == 6 + sp.scalar_pq.n
+    assert consts.dim_kerB == dense["dim_kerB"]
+    assert consts.alpha0 == pytest.approx(dense["alpha0"], rel=1e-10)
+
+
+def test_coupled_subproblems_are_rejected(sys_eps01):
+    # one u-row/s-column entry of B joins the momentum and energy subproblems
+    sp = sys_eps01.spaces
+    coupled = copy.copy(sys_eps01)
+    coupled.B = sys_eps01.B.copy()
+    coupled.B[sp.q_blocks["u"].start, sp.v_blocks["s"].start] = 1.0
+    with pytest.raises(ValueError, match="couples the momentum and energy"):
+        brezzi_constants(coupled)
+    with pytest.raises(ValueError, match="couples the momentum and energy"):
+        solve_mixed(coupled)
+    # a sigma-s entry of A without its skew partner couples them through A + A^T
+    lopsided = copy.copy(sys_eps01)
+    lopsided.A = sys_eps01.A.copy()
+    lopsided.A[sp.v_blocks["sigma"].start, sp.v_blocks["s"].start] += 1.0
+    with pytest.raises(ValueError, match="symmetric part of A couples"):
+        brezzi_constants(lopsided)
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
