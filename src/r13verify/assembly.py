@@ -89,19 +89,6 @@ class VolumeSources:
 KERNEL_RTOL = 1e-10  # relative singular-value cutoff of every rank decision
 
 
-def matrix_rank(svals: np.ndarray, tol: float, largest: float | None = None) -> int:
-    """Number of singular values above the relative cutoff tol * largest.
-
-    largest defaults to svals[0] (svals descending); a matrix taken block
-    by block passes the largest singular value over all of its blocks.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if largest is None:
-        largest = svals[0] if svals.size else 0.0
-    return int(np.sum(svals > tol * largest)) if largest > 0 else 0
-
-
 (_trtrs,) = sla.get_lapack_funcs(("trtrs",), (np.empty(0),))
 
 
@@ -158,9 +145,9 @@ class SaddlePart:
     """One subproblem of a SaddleStructure: its V indices v and Q indices q.
 
     It holds the structure's whole matrices, shared, and builds from their
-    blocks on (q, v), once on first use: the singular values and right
-    factor of B_i^T for the block B_i of B, the block Cholesky factors of
-    the M_V and M_Q blocks, and the singular values of B_i in those norms.
+    blocks on (q, v), once on first use: the block Cholesky factors of the
+    M_V and M_Q blocks and one SVD of the block B_i of B in those norms,
+    of which it keeps U and the singular values.
     """
 
     B: np.ndarray
@@ -175,29 +162,23 @@ class SaddlePart:
         return self.B[np.ix_(self.q, self.v)]
 
     @cached_property
-    def svd_BT(self):
-        M = self.block.T  # the thin SVD already yields the complete right factor of a tall M
-        return sla.svd(M, full_matrices=M.shape[0] < M.shape[1])[1:]
-
-    def split(self, rank: int):
-        """(W_i, Y_i, C_i): W_i spans range(B_i), Y_i ker B_i^T, and C_i (B_i
-        when Y_i is empty, W_i^T B_i else) has full row rank and ker C_i = ker B_i."""
-        Vh = self.svd_BT[1]
-        W, Y = Vh[:rank].T, Vh[rank:].T
-        B_i = self.block
-        return W, Y, (W.T @ B_i if Y.shape[1] else B_i)
-
-    @cached_property
     def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
         """Factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's own indices."""
         pairs = ((self.M_V, self.v), (self.M_Q, self.q))
         return tuple(BlockCholesky.of(M[np.ix_(idx, idx)]) for M, idx in pairs)
 
     @cached_property
-    def whitened_svals(self) -> np.ndarray:
-        """Singular values of L_Q^-1 B_i L_V^-T, descending."""
+    def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, svals) of X_i, svals descending; U is square, and past the rank it spans L_Q^T ker B_i^T."""
         L_V, L_Q = self.cholesky
-        return sla.svd(L_V.solve(L_Q.solve(self.block).T).T, compute_uv=False)
+        X = L_V.solve(L_Q.solve(self.block).T).T
+        U, svals, _ = sla.svd(X, full_matrices=X.shape[0] > X.shape[1])
+        return U, svals
+
+    def constraint(self, rank: int) -> np.ndarray:
+        """C_i = U_r^T L_Q^-1 B_i for the leading rank columns U_r of U: full
+        row rank and ker C_i = ker B_i. Built anew on each use, not kept."""
+        return self.whitened_svd[0][:, :rank].T @ self.cholesky[1].solve(self.block)
 
 
 @dataclass(eq=False)
@@ -207,8 +188,8 @@ class SaddleStructure:
     Every operator assembled on the spaces shares them. They never couple
     the momentum and the energy subproblem (`subproblems`), so each
     derived quantity comes from the two parts (SaddlePart) and is combined
-    exactly: the row split of B^T, the Cholesky factors of M_V and M_Q, and
-    the singular values of B in those norms. Construction raises when B,
+    exactly: the Cholesky factors of M_V and M_Q, and the SVD of B in those
+    norms with the one rank decision cut on it. Construction raises when B,
     M_V or M_Q has a nonzero entry between the subproblems.
     """
 
@@ -217,7 +198,6 @@ class SaddleStructure:
     M_Q: np.ndarray
     subproblems: tuple
     parts: tuple = field(init=False, repr=False)
-    _splits: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for (va, qa), (vb, qb) in itertools.permutations(self.subproblems, 2):
@@ -229,29 +209,14 @@ class SaddleStructure:
     def serves(self, system: MixedSystem) -> bool:
         return system.B is self.B and system.M_V is self.M_V and system.M_Q is self.M_Q
 
-    def rank_offsets(self, tol: float = KERNEL_RTOL) -> np.ndarray:
-        """Cumulative ranks of the parts' B blocks, from 0: part i owns rows
-        offsets[i]:offsets[i+1] of the row split's W^T and C. Every rank is
-        cut at tol times the largest singular value of the whole B."""
-        svals = [p.svd_BT[0] for p in self.parts]
-        largest = max(s[0] if s.size else 0.0 for s in svals)
-        return np.cumsum([0] + [matrix_rank(s, tol, largest) for s in svals])
-
-    def row_split(self, tol: float = KERNEL_RTOL):
-        """(W, Y, C, Y^T M_Q Y) at the relative cutoff tol: orthonormal columns
-        W spanning range(B) and Y spanning ker B^T, and the constraint C of
-        full row rank with ker C = ker B, each joined from the parts' blocks."""
-        if tol not in self._splits:
-            r = self.rank_offsets(tol)
-            d = np.cumsum([0] + [p.q.size for p in self.parts]) - r
-            W, Y = np.zeros((self.B.shape[0], r[-1])), np.zeros((self.B.shape[0], d[-1]))
-            C = np.zeros((r[-1], self.B.shape[1]))
-            for i, p in enumerate(self.parts):
-                W_i, Y_i, C_i = p.split(r[i + 1] - r[i])
-                W[p.q, r[i] : r[i + 1]], Y[p.q, d[i] : d[i + 1]] = W_i, Y_i
-                C[r[i] : r[i + 1], p.v] = C_i
-            self._splits[tol] = W, Y, C, Y.T @ self.M_Q @ Y
-        return self._splits[tol]
+    def ranks(self, tol: float = KERNEL_RTOL) -> tuple[int, ...]:
+        """Rank of each part's block of B: its whitened singular values above
+        tol times the largest whitened singular value of the whole B. This
+        is the one rank decision behind every kernel, cokernel and constant."""
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        cut = tol * self.whitened_svals[0] if self.whitened_svals.size else 0.0
+        return tuple(int(np.sum(p.whitened_svd[1] > cut)) for p in self.parts)
 
     @cached_property
     def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
@@ -263,19 +228,21 @@ class SaddleStructure:
     @cached_property
     def whitened_svals(self) -> np.ndarray:
         """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms."""
-        return np.sort(np.concatenate([p.whitened_svals for p in self.parts]))[::-1]
+        return np.sort(np.concatenate([p.whitened_svd[1] for p in self.parts]))[::-1]
 
 
 @dataclass(eq=False)
 class SaddleOperator:
     """The primal form A of one (spaces, params) on the spaces' shared structure.
 
-    `factors` holds the LU of the saddle matrix that saddlepoint.solve_mixed
-    builds on its first use.
+    It keeps what saddlepoint factors on first use: in `bordered` the LU of
+    each part's bordered matrix, which alpha0 and the solve share, and in
+    `factors` the solve's block elimination.
     """
 
     A: np.ndarray
     structure: SaddleStructure
+    bordered: dict = field(default_factory=dict, repr=False)
     factors: object = field(default=None, repr=False)
 
     def serves(self, system: MixedSystem) -> bool:
@@ -494,15 +461,17 @@ def _assemble_A(spaces, params):
     nV = spaces.n_V
     vb = spaces.v_blocks
     A = np.zeros((nV, nV))
-    A[vb["s"], vb["s"]] = _form_a(spaces, params)
+    # the symmetric forms a, d and h enter as (M + M^T)/2, symmetric to the
+    # bit, so the symmetric part of A equals A on each subproblem's block
+    for block, form in (("s", _form_a), ("sigma", _form_d), ("p", _form_h)):
+        M = form(spaces, params)
+        A[vb[block], vb[block]] = 0.5 * (M + M.T)
     C = _form_c(spaces, params)
-    A[vb["sigma"], vb["s"]] += C.T
-    A[vb["s"], vb["sigma"]] -= C
-    A[vb["sigma"], vb["sigma"]] += _form_d(spaces, params)
+    A[vb["sigma"], vb["s"]] = C.T
+    A[vb["s"], vb["sigma"]] = -C
     Fm = _form_f(spaces, params)
-    A[vb["sigma"], vb["p"]] += Fm.T
-    A[vb["p"], vb["sigma"]] += Fm
-    A[vb["p"], vb["p"]] += _form_h(spaces, params)
+    A[vb["sigma"], vb["p"]] = Fm.T
+    A[vb["p"], vb["sigma"]] = Fm
     return A
 
 

@@ -265,38 +265,38 @@ def check_ellipticity(op: OperatorSpec, plan: SamplingPlan | None = None) -> Ell
     """
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
+    real = _real_sphere(rng, plan.n_real, op.dim)
     xis = np.concatenate(
         [
-            _real_sphere(rng, plan.n_real, op.dim).astype(complex),
+            real.astype(complex),
             _complex_sphere(rng, plan.n_complex, op.dim),
             _isotropic_samples(rng, plan.n_isotropic, op.dim),
             _structured_isotropic(plan.n_structured, op.dim),
         ],
         axis=0,
     )
-    mats = np.tensordot(xis, symbol_coefficients(op), axes=1)
-    smins = np.linalg.svd(mats, compute_uv=False)[:, -1]
-    n = plan.n_real
+    coeffs = symbol_coefficients(op)
+    # the real rows are decomposed as real matrices, the rest as complex
+    batches = (np.tensordot(x, coeffs, axes=1) for x in (real, xis[plan.n_real :]))
+    smins = np.concatenate([np.linalg.svd(mats, compute_uv=False)[:, -1] for mats in batches])
     return EllipticityCheck(
-        real=_verdict(op, xis[:n].real, mats[:n], smins[:n]),
-        complex=_verdict(op, xis, mats, smins),
+        real=_verdict(op, coeffs, real, smins[: plan.n_real]),
+        complex=_verdict(op, coeffs, xis, smins),
     )
 
 
-def _verdict(op: OperatorSpec, xis: np.ndarray, mats: np.ndarray, smins: np.ndarray) -> EllipticityVerdict:
+def _verdict(op: OperatorSpec, coeffs: np.ndarray, xis: np.ndarray, smins: np.ndarray) -> EllipticityVerdict:
     """Verdict over sampled symbols, given the smallest singular value of each."""
     idx = int(np.argmin(smins))
     smin = float(smins[idx])
     elliptic = smin >= SINGULAR_VALUE_THRESHOLD
-    witness = None
-    residual = None
+    witness = residual = None
     if not elliptic:
-        _, _, vh = np.linalg.svd(mats[idx])
+        mat = np.tensordot(xis[idx], coeffs, axes=1)
+        _, _, vh = np.linalg.svd(mat)
         coords = vh[-1].conj()
         witness = domain_tensor(op, coords)
-        residual = float(
-            np.linalg.norm(mats[idx] @ coords) / np.linalg.norm(coords)
-        )
+        residual = float(np.linalg.norm(mat @ coords) / np.linalg.norm(coords))
     return EllipticityVerdict(
         elliptic=elliptic,
         min_singular_value=smin,

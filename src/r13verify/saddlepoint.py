@@ -5,7 +5,8 @@ as measurements of that system, not as bounds for the continuous problem.
 alpha0 and |A| are extreme eigenvalues found by Lanczos on matrix-free
 operators, k0 and |B| dense singular values of the whitened constraint.
 All but |A| are taken on the momentum and the energy subproblem apart
-(assembly.SaddleStructure) and combined exactly.
+(assembly.SaddleStructure) and combined exactly, and the solve eliminates
+the momentum subproblem against the LU that alpha0 already took.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleStructure, matrix_rank, subproblems
+from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleStructure, subproblems
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
+
+(_getrs,) = sla.get_lapack_funcs(("getrs",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,7 @@ def _saddle_matrix(A: np.ndarray, constraint: np.ndarray, symmetrize: bool = Fal
     nV = A.shape[0]
     n = nV + constraint.shape[0]
     K = np.zeros((n, n), order="F")
-    K[:nV, :nV] = A
-    if symmetrize:
-        K[:nV, :nV] += A.T
-        K[:nV, :nV] *= 0.5
+    K[:nV, :nV] = 0.5 * (A + A.T) if symmetrize else A
     K[:nV, nV:] = constraint.T
     K[nV:, :nV] = constraint
     return K
@@ -128,7 +128,29 @@ def _lu_in_place(K: np.ndarray):
     return (lu, piv), rcond
 
 
-def _coercivity(A: np.ndarray, st: SaddleStructure, tol: float) -> float:
+def _bordered_lu(system: MixedSystem, st: SaddleStructure, i: int, tol: float, symmetric_part: bool = False):
+    """(LU, rcond) of part i's bordered matrix [[A_ii, C_i^T], [C_i, 0]], kept
+    on the system's operator while the system carries its matrices.
+
+    A_ii is the part's block of A, or of its symmetric part if asked. The
+    assembled block is symmetric to the bit, so alpha0 and the solve share
+    one factor; the key records whether A_ii had to be symmetrized.
+    """
+    op = system.operator
+    cache = op.bordered if op is not None and op.serves(system) else {}
+    p = st.parts[i]
+    A_ii = system.A[np.ix_(p.v, p.v)] if symmetric_part or (i, tol, False) not in cache else None
+    key = (i, tol, symmetric_part and not np.array_equal(A_ii, A_ii.T))
+    if key not in cache:
+        cache[key] = _lu_in_place(_saddle_matrix(A_ii, p.constraint(st.ranks(tol)[i]), key[2]))
+    return cache[key]
+
+
+def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's lu_solve costs more here
+    return _getrs(*lu, b)[0]
+
+
+def _coercivity(system: MixedSystem, st: SaddleStructure, tol: float) -> float:
     """alpha0 on ker B: the smallest of the subproblems' constants.
 
     ker B, A_s and M_V split along the subproblems, so the coercivity
@@ -137,38 +159,35 @@ def _coercivity(A: np.ndarray, st: SaddleStructure, tol: float) -> float:
     is injective has no kernel and no say.
     """
     (v0, _), (v1, _) = st.subproblems
-    if np.any(A[np.ix_(v0, v1)] + A[np.ix_(v1, v0)].T):
+    if np.any(system.A[np.ix_(v0, v1)] + system.A[np.ix_(v1, v0)].T):
         raise ValueError("the symmetric part of A couples the momentum and energy subproblems")
-    C, r = st.row_split(tol)[2], st.rank_offsets(tol)
+    ranks = st.ranks(tol)
     return min(
-        _kernel_coercivity(A[np.ix_(p.v, p.v)], C[r[i] : r[i + 1], p.v], p.cholesky[0])
+        _kernel_coercivity(*_bordered_lu(system, st, i, tol, symmetric_part=True), p.cholesky[0], p.v.size)
         for i, p in enumerate(st.parts)
-        if r[i + 1] - r[i] < p.v.size
+        if ranks[i] < p.v.size
     )
 
 
-def _kernel_coercivity(A: np.ndarray, constraint: np.ndarray, L_V: BlockCholesky) -> float:
+def _kernel_coercivity(lu: tuple, rcond: float, L_V: BlockCholesky, nV: int) -> float:
     """alpha0 = 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V.
 
-    K_s = [[A_s, C^T], [C, 0]] with the symmetric part A_s of A and a
-    constraint C of full row rank and kernel ker B. The operator equals
-    L_V^T Z (Z^T A_s Z)^-1 Z^T L_V for a basis Z of ker B, so its nonzero
-    eigenvalues are the reciprocals of those of A_s z = lambda M_V z on
-    ker B (the coercivity eigenproblem of Chapelle & Bathe's inf-sup test).
-    The forms make A_s positive semidefinite, so the largest one gives
-    alpha0. A singular K_s means a kernel direction on which A_s vanishes:
-    alpha0 = 0. Only the symmetric part enters since the quadratic form
-    ignores the skew coupling. K_s is freed on return.
+    K_s = [[A_s, C^T], [C, 0]], factored as lu, with the symmetric part A_s
+    of A and a constraint C of full row rank and kernel ker B. The operator
+    equals L_V^T Z (Z^T A_s Z)^-1 Z^T L_V for a basis Z of ker B, so its
+    nonzero eigenvalues are the reciprocals of those of A_s z = lambda M_V z
+    on ker B (the coercivity eigenproblem of Chapelle & Bathe's inf-sup
+    test). The forms make A_s positive semidefinite, so the largest one
+    gives alpha0. A singular K_s means a kernel direction on which A_s
+    vanishes: alpha0 = 0.
     """
-    nV = A.shape[0]
-    lu, rcond = _lu_in_place(_saddle_matrix(A, constraint, symmetrize=True))
     if not rcond >= np.finfo(float).eps:
         return 0.0
     rhs = np.zeros(lu[0].shape[0])
 
     def apply(x):
         rhs[:nV] = L_V.matvec(x)
-        return L_V.matvec(sla.lu_solve(lu, rhs, check_finite=False)[:nV], trans=1)
+        return L_V.matvec(_lu_solve(lu, rhs)[:nV], trans=1)
 
     return 1.0 / _lanczos_max(apply, nV)
 
@@ -180,11 +199,11 @@ def infsup_constant(system: MixedSystem, tol: float = KERNEL_RTOL):
     the nullspace of B transpose; dim_kerBT counts the singular values
     below the rank cutoff and is expected to be zero.
     """
-    return _infsup(_structure(system).whitened_svals, tol)
+    st = _structure(system)
+    return _infsup(st.whitened_svals, sum(st.ranks(tol)))
 
 
-def _infsup(svals: np.ndarray, tol: float):
-    rank = matrix_rank(svals, tol)
+def _infsup(svals: np.ndarray, rank: int):
     return (float(svals[rank - 1]) if rank else 0.0), svals.size - rank
 
 
@@ -192,20 +211,20 @@ def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziCon
     """All measured constants of the assembled system.
 
     Each comes from the momentum and the energy subproblem and is combined
-    exactly: dim ker B is n_V minus the ranks of the parts' row splits of
-    B^T, which also give each part's alpha0 its constraint of full row
-    rank, and alpha0 is the smaller of the two. k0, |B| and dim ker B^T
-    come from the union of the parts' whitened singular values; |A| is
-    taken on the whole A with the parts' factors of M_V.
+    exactly. One SVD of each part's block of B in the natural norms, cut
+    once, gives k0, |B|, dim ker B, dim ker B^T and the constraint of full
+    row rank behind each part's alpha0; alpha0 is the smaller of the two.
+    |A| is taken on the whole A with the parts' factors of M_V.
     """
     st = _structure(system)
-    dim_kerB = system.B.shape[1] - st.rank_offsets(tol)[-1]
+    rank = sum(st.ranks(tol))
+    dim_kerB = system.B.shape[1] - rank
     if dim_kerB == 0:
         raise ValueError("trivial kernel")
     L_V = st.cholesky[0]
-    k0, dim_kerBT = _infsup(st.whitened_svals, tol)
+    k0, dim_kerBT = _infsup(st.whitened_svals, rank)
     return BrezziConstants(
-        alpha0=_coercivity(system.A, st, tol),
+        alpha0=_coercivity(system, st, tol),
         k0=k0,
         norm_A=_whitened_norm(system.A, L_V, L_V),
         norm_B=float(st.whitened_svals[0]),  # the SVD behind k0
@@ -216,30 +235,53 @@ def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziCon
 
 def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
     """Discrete dual norm sqrt(vec^T gram^-1 vec)."""
-    return _dual_norm(vec, BlockCholesky.of(gram))
+    return float(np.linalg.norm(BlockCholesky.of(gram).solve(vec)))
 
 
-def _dual_norm(vec: np.ndarray, L: BlockCholesky) -> float:  # L: Cholesky factor of the gram
-    return float(np.linalg.norm(L.solve(vec)))
+def _coupling(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The nonzero blocks of A[rows, cols] between contiguous runs of the two
+    increasing index arrays, as (local rows, local columns, view of A)."""
+    runs = []
+    for idx in (rows, cols):
+        cuts = np.r_[0, np.flatnonzero(np.diff(idx) != 1) + 1, idx.size]
+        runs.append([(slice(a, b), slice(idx[a], idx[b - 1] + 1)) for a, b in zip(cuts[:-1], cuts[1:])])
+    blocks = ((lr, lc, A[gr, gc]) for lr, gr in runs[0] for lc, gc in runs[1])
+    return [b for b in blocks if np.any(b[2])]
 
 
-def _saddle_lu(system: MixedSystem, constraint: np.ndarray) -> tuple:
-    """LU of the saddle matrix, kept on the system's operator while the system carries its matrices."""
+def _elimination(system: MixedSystem, st: SaddleStructure) -> tuple:
+    """(LU of K_0, LU of S, R_01 blocks, R_10 blocks) of the saddle matrix.
+
+    Up to the order of its rows it is [[K_0, R_01], [R_10, K_1]], with K_i
+    the parts' bordered matrices and R_01, R_10 views of the blocks of A
+    between the parts. S = K_1 - R_10 K_0^-1 R_01 is the Schur complement.
+    """
     op = system.operator
     shared = op is not None and op.serves(system)
     if shared and op.factors is not None:
         return op.factors
-    lu, rcond = _lu_in_place(_saddle_matrix(system.A, constraint))
-    if rcond == 0.0:
+    A, (p0, p1) = system.A, st.parts
+    lu0, rcond0 = _bordered_lu(system, st, 0, KERNEL_RTOL)
+    if rcond0 == 0.0:
         raise ValueError("discrete pairing deficient: singular saddle matrix")
-    # the conditioning warning of scipy.linalg.solve, once per factorization
-    if not rcond >= np.finfo(float).eps:
-        warnings.warn(
-            f"An ill-conditioned saddle matrix detected: rcond = {rcond}.", sla.LinAlgWarning, stacklevel=3
-        )
+    upper, lower = _coupling(A, p0.v, p1.v), _coupling(A, p1.v, p0.v)
+    Z = np.zeros((lu0[0].shape[0], p1.v.size), order="F")
+    for lr, lc, blk in upper:
+        Z[lr, lc] = blk
+    Z = _getrs(*lu0, Z, overwrite_b=1)[0]  # K_0^-1 R_01, in place
+    S = _saddle_matrix(A[np.ix_(p1.v, p1.v)], p1.constraint(st.ranks()[1]))
+    for lr, lc, blk in lower:
+        S[lr, : p1.v.size] -= blk @ Z[lc]
+    del Z
+    lu1, rcond1 = _lu_in_place(S)
+    if rcond1 == 0.0:
+        raise ValueError("discrete pairing deficient: singular saddle matrix")
+    if not min(rcond0, rcond1) >= np.finfo(float).eps:  # scipy.linalg.solve's warning, once
+        msg = f"An ill-conditioned saddle matrix detected: rcond = {min(rcond0, rcond1)}."
+        warnings.warn(msg, sla.LinAlgWarning, stacklevel=3)
     if shared:
-        op.factors = lu
-    return lu
+        op.factors = lu0, lu1, upper, lower
+    return lu0, lu1, upper, lower
 
 
 def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -> MixedSolution:
@@ -259,31 +301,32 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     with discrete dual norms and the quotient norm of P in the deficient
     case; without them the bound fields stay unset.
 
-    The split and the norm factors come from the shared structure, joined
-    from its momentum and energy parts; the LU, from the system's operator,
-    is of the whole saddle matrix, since the skew coupling of sigma and s
-    joins the parts there.
+    Each part's one SVD L_Q^-1 B_i L_V^-T = U S V^T, split at its rank into
+    U_r and U_k, gives the consistency test U_k^T L_Q^-1 G = 0, the
+    constraint rows U_r^T L_Q^-1 G and, from the multipliers lam, the
+    minimal pressure P = L_Q^-T U_r lam. The momentum part is eliminated
+    against the bordered LU alpha0 took (_elimination), which needs the
+    momentum alpha0 positive; each load costs three back-substitutions.
     """
-    nV = system.spaces.n_V
     st = _structure(system)
-    W, Y, constraint, YMY = st.row_split()
-    lu = _saddle_lu(system, constraint)
-    G = system.G
-    deficient = Y.shape[1] > 0
-    if deficient:
-        defect = np.linalg.norm(Y.T @ G)
-        if defect > KERNEL_RTOL * max(np.linalg.norm(G), 1.0):
-            raise ValueError(
-                f"discrete pairing deficient: load not in range(B) (dim ker B^T = {Y.shape[1]})"
-            )
-        G = W.T @ system.G
-    sol = sla.lu_solve(lu, np.concatenate([system.F, G]))
-    U, P = sol[:nV], sol[nV:]
-    if deficient:
-        P = W @ P
-        # minimal M_Q-norm representative of the pressure class
-        c = sla.solve(YMY, -(Y.T @ (system.M_Q @ P)))
-        P = P + Y @ c
+    L_V, L_Q = st.cholesky
+    g = L_Q.solve(system.G)  # its norm is the dual norm of G
+    U_split = [(p, p.whitened_svd[0][:, :r], p.whitened_svd[0][:, r:]) for p, r in zip(st.parts, st.ranks())]
+    defect = np.concatenate([U_k.T @ g[p.q] for p, _, U_k in U_split])
+    if np.linalg.norm(defect) > KERNEL_RTOL * max(np.linalg.norm(g), 1.0):
+        raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {defect.size})")
+    lu0, lu1, upper, lower = _elimination(system, st)
+    b0, b1 = (np.concatenate([system.F[p.v], U_r.T @ g[p.q]]) for p, U_r, _ in U_split)
+    y0 = _lu_solve(lu0, b0)
+    for lr, lc, blk in lower:
+        b1[lr] -= blk @ y0[lc]
+    x1 = _lu_solve(lu1, b1)
+    for lr, lc, blk in upper:
+        b0[lr] -= blk @ x1[lc]
+    U, w = np.empty(system.F.size), np.empty(g.size)
+    for (p, U_r, _), x in zip(U_split, (_lu_solve(lu0, b0), x1)):
+        U[p.v], w[p.q] = x[: p.v.size], U_r @ x[p.v.size :]
+    P = L_Q.solve(w, trans=1)
 
     res1 = np.linalg.norm(system.A @ U + system.B.T @ P - system.F)
     res2 = np.linalg.norm(system.B @ U - system.G)
@@ -293,24 +336,12 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
 
     bound_U = bound_P = None
     if constants is not None:
-        L_V, L_Q = st.cholesky
-        f_dual = _dual_norm(system.F, L_V)
-        g_dual = _dual_norm(system.G, L_Q)
+        f_dual, g_dual = np.linalg.norm(L_V.solve(system.F)), np.linalg.norm(g)
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
-        bound_P = float(
-            (1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual
-        )
-    return MixedSolution(
-        U=U,
-        P=P,
-        residual_primal=res1,
-        residual_constraint=res2,
-        norm_U=float(np.sqrt(U @ system.M_V @ U)),
-        norm_P=float(np.sqrt(P @ system.M_Q @ P)),
-        bound_U=bound_U,
-        bound_P=bound_P,
-    )
+        bound_P = float((1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual)
+    norm_U, norm_P = float(np.sqrt(U @ system.M_V @ U)), float(np.sqrt(P @ system.M_Q @ P))
+    return MixedSolution(U, P, res1, res2, norm_U, norm_P, bound_U, bound_P)
 
 
 def limit_consistency(U: np.ndarray, P: np.ndarray, system: MixedSystem):

@@ -114,3 +114,23 @@ def dense_brezzi_constants(system, tol: float = 1e-10) -> dict:
         "dim_kerB": Z.shape[1],
         "dim_kerBT": svals_B.size - rank,
     }
+
+
+def dense_mixed_solution(system, tol: float = 1e-10):
+    """(U, P) of the whole saddle matrix by one dense solve, P of minimal M_Q norm.
+
+    Solves [[A, B^T W], [W^T B, 0]] for an orthonormal basis W of range(B)
+    from a full SVD of B^T, then removes from P = W mu its M_Q-orthogonal
+    projection onto the cokernel ker B^T.
+    """
+    _, svals, Vh = sla.svd(system.B.T, full_matrices=True)
+    rank = _rank(svals, tol)
+    W, Y = Vh[:rank].T, Vh[rank:].T
+    C = W.T @ system.B
+    nV = system.A.shape[0]
+    K = np.block([[system.A, C.T], [C, np.zeros((rank, rank))]])
+    sol = sla.solve(K, np.concatenate([system.F, W.T @ system.G]))
+    U, P = sol[:nV], W @ sol[nV:]
+    MQ = system.M_Q
+    P = P - Y @ np.linalg.solve(Y.T @ MQ @ Y, Y.T @ MQ @ P)
+    return U, P

@@ -11,8 +11,9 @@ from r13verify.assembly import (
     assemble_system,
     bc_residuals,
     compute_closures,
+    subproblems,
 )
-from r13verify.spaces import build_spaces
+from r13verify.spaces import PAIRINGS, build_spaces
 from r13verify.tensors import project2
 
 PARAMS = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
@@ -184,6 +185,23 @@ def test_skew_identity(sp):
     assert_allclose(S[vb["s"], vb["s"]], 0.0, atol=1e-12)
     assert_allclose(S[vb["p"], :], 0.0, atol=1e-12)
     assert_allclose(S[:, vb["p"]], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_assembled_A_is_exactly_symmetric_per_subproblem(pairing, eps):
+    # each subproblem's diagonal block equals its transpose to the bit, and
+    # the blocks between them are exact negative transposes, so the
+    # symmetric part of A equals A on each diagonal block
+    spaces = build_spaces(2, 1, "full", pairing)
+    A = assemble_form("A", spaces, ModelParams(kn=0.3, chi_tilde=1.0, epsilon_w=eps))
+    (v0, _), (v1, _) = subproblems(spaces)
+    for v in (v0, v1):
+        assert np.array_equal(A[np.ix_(v, v)], A[np.ix_(v, v)].T)
+    assert np.array_equal(A[np.ix_(v0, v1)], -A[np.ix_(v1, v0)].T)
+    vb = spaces.v_blocks
+    assert np.array_equal(A[vb["sigma"], vb["s"]], -A[vb["s"], vb["sigma"]].T)
+    assert np.any(A[vb["sigma"], vb["s"]])
 
 
 def test_form_d_kn_slope_is_korn_gradient_gram(sp):

@@ -10,14 +10,17 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from r13verify import saddlepoint
 from r13verify.assembly import (
     BoundaryData,
     ModelParams,
+    SaddleOperator,
     VolumeSources,
     assemble_system,
     bc_residuals,
 )
 from r13verify.saddlepoint import (
+    KERNEL_RTOL,
     brezzi_constants,
     dual_norm,
     infsup_constant,
@@ -27,7 +30,13 @@ from r13verify.saddlepoint import (
 )
 from r13verify.spaces import PAIRINGS, build_spaces
 
-from helpers import cokernel_basis, coercivity_constant, dense_brezzi_constants, kernel_basis
+from helpers import (
+    cokernel_basis,
+    coercivity_constant,
+    dense_brezzi_constants,
+    dense_mixed_solution,
+    kernel_basis,
+)
 
 
 def make_system(N=2, k=1, eps=0.0, kn=1.0, sources=None, bdata=None, pairing="equal"):
@@ -484,7 +493,7 @@ def test_cokernel_splits_between_velocity_and_temperature(pairing, N, k, cokerne
     # (momentum part) and one against theta (energy part); enriched has none
     system = make_system(N=N, k=k, pairing=pairing)
     structure = system.operator.structure
-    ranks = np.diff(structure.rank_offsets())
+    ranks = structure.ranks()
     assert tuple(p.q.size - r for p, r in zip(structure.parts, ranks)) == cokernels
     assert brezzi_constants(system).dim_kerBT == sum(cokernels)
 
@@ -545,16 +554,88 @@ def test_kn_systems_share_one_structure():
     sp = build_spaces(1, 1, "full")
     systems = [assemble_system(sp, ModelParams(kn, 1.0, 0.1)) for kn in (1.0, 0.3, 0.1)]
     structure = systems[0].operator.structure
-    split = structure.row_split()
+    svds = [part.whitened_svd for part in structure.parts]
     for system in systems:
         solve_mixed(system)
         assert system.operator.structure is structure
-        assert structure.row_split() is split
+        assert all(part.whitened_svd is svd for part, svd in zip(structure.parts, svds))
         for name in ("B", "M_V", "M_Q"):
             assert getattr(system, name) is getattr(structure, name)
     assert len({id(s.A) for s in systems}) == 3
     # the structure lives as long as a system holds it, like the operators
     B_ref = weakref.ref(structure.B)
-    del systems, system, structure, split
+    del systems, system, structure, svds
     gc.collect()
     assert B_ref() is None and sp.structure() is None
+
+
+def random_consistent_load(system, seed):
+    """A copy of the system with a random F and a G inside range(B)."""
+    rng = np.random.default_rng(seed)
+    loaded = copy.copy(system)
+    loaded.F = rng.standard_normal(system.spaces.n_V)
+    loaded.G = system.B @ rng.standard_normal(system.spaces.n_V)
+    return loaded
+
+
+def assert_matches_dense_solution(sol, system):
+    U, P = dense_mixed_solution(system)
+    assert np.linalg.norm(sol.U - U) <= 1e-10 * np.linalg.norm(U)
+    assert np.linalg.norm(sol.P - P) <= 1e-10 * np.linalg.norm(P)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_solve_matches_dense_oracle(pairing, N, k, eps):
+    # the block elimination against one dense solve of the whole saddle
+    # matrix, with the minimal M_Q-norm pressure on the equal pairing
+    system = make_system(N=N, k=k, eps=eps, pairing=pairing)
+    for seed in (51, 52):
+        loaded = random_consistent_load(system, seed)
+        assert_matches_dense_solution(solve_mixed(loaded), loaded)
+
+
+def test_momentum_factor_is_shared_by_alpha0_and_every_load(monkeypatch):
+    sizes = []
+
+    def counting_lu(K):
+        sizes.append(K.shape[0])
+        return lu_in_place(K)
+
+    lu_in_place = saddlepoint._lu_in_place
+    monkeypatch.setattr(saddlepoint, "_lu_in_place", counting_lu)
+    sp = build_spaces(2, 1, "zero_mean")
+    params = ModelParams()
+    system = assemble_system(sp, params)
+    structure = system.operator.structure
+    momentum = structure.parts[0].v.size + structure.ranks()[0]
+    consts = brezzi_constants(system)
+    solve_mixed(system, consts)
+    assert sizes.count(momentum) == 1
+    # energy alpha0 and the Schur complement of the solve: one LU each, and
+    # none of the whole saddle matrix, which is larger than n_V
+    assert len(sizes) == 3 and max(sizes) < sp.n_V
+    op = system.operator
+    assert op.factors[0] is op.bordered[(0, KERNEL_RTOL, False)][0]
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        sol = solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts)
+        assert sol.bounds_hold
+    assert len(sizes) == 3
+
+
+def test_nonsymmetric_A_gets_its_own_coercivity_factor(sys_eps01):
+    # an operator whose momentum block is not symmetric: alpha0 must factor
+    # the symmetric part, the solve A itself, and neither may use the other's
+    sp = sys_eps01.spaces
+    A = sys_eps01.A.copy()
+    i, j = sp.v_blocks["sigma"].start, sp.v_blocks["p"].start
+    A[i, j] += 0.05
+    A[j, i] -= 0.05
+    op = SaddleOperator(A=A, structure=sys_eps01.operator.structure)
+    system = random_consistent_load(dataclasses.replace(sys_eps01, A=A, operator=op), 54)
+    consts = brezzi_constants(system)
+    assert consts.alpha0 == pytest.approx(dense_brezzi_constants(system)["alpha0"], rel=1e-10)
+    assert_matches_dense_solution(solve_mixed(system, consts), system)
+    assert sorted(key[2] for key in op.bordered if key[0] == 0) == [False, True]
