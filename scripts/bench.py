@@ -13,6 +13,10 @@ within the report's tolerance, stability bounds hold). Only public calls
 are used, so pointing PYTHONPATH at another checkout of the package times
 that checkout with the same script.
 
+With --repeat n, each suite and each rung is timed n times; the record keeps
+the median as `wall_s` (suites) or `total_s` (rungs) and the n times beside
+it as `wall_s_runs` or `total_s_runs`.
+
 BLAS is pinned to one thread when the script starts a fresh interpreter.
 The record carries the Python, numpy, scipy and BLAS versions, the thread
 settings and the git revision of the imported package, suffixed -dirty
@@ -70,13 +74,17 @@ def provenance() -> dict:
     }
 
 
-def time_suites(suites) -> dict:
+def time_suites(suites, repeat: int) -> dict:
     out = {}
     for suite in suites:
-        t0 = time.perf_counter()
-        rep = r13verify.run(r13verify.RunConfig(suites=(suite,)))
+        runs = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            rep = r13verify.run(r13verify.RunConfig(suites=(suite,)))
+            runs.append(time.perf_counter() - t0)
         out[suite] = {
-            "wall_s": time.perf_counter() - t0,
+            "wall_s": statistics.median(runs),
+            "wall_s_runs": runs,
             "rows": len(rep.rows),
             "failed": [r.quantity for r in rep.failed_rows()],
         }
@@ -140,12 +148,12 @@ def main(argv=None) -> None:
     ap.add_argument("--suites", nargs="*", default=list(ALL_SUITES), choices=ALL_SUITES)
     ap.add_argument("--rungs", nargs="*", type=parse_rung, default=list(LADDER), help="N,k pairs")
     ap.add_argument("--pairing", default="equal", choices=("equal", "enriched"))
-    ap.add_argument("--repeat", type=int, default=1, help="timed runs per rung (median kept)")
+    ap.add_argument("--repeat", type=int, default=1, help="timed runs per suite and rung (median kept)")
     args = ap.parse_args(argv)
 
     record = {
         "provenance": provenance(),
-        "suites": time_suites(args.suites),
+        "suites": time_suites(args.suites, args.repeat),
         "ladder": {
             "pairing": args.pairing,
             "pressure_mode": "zero_mean",

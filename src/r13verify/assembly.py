@@ -140,6 +140,12 @@ def subproblems(spaces: DiscreteSpaces) -> tuple:
     return (np.r_[vb["sigma"], vb["p"]], np.r_[qb["u"]]), (np.r_[vb["s"]], np.r_[qb["theta"]])
 
 
+def _runs(idx: np.ndarray) -> list[tuple[slice, slice]]:
+    """(local, global) slices of the contiguous runs of an increasing index array."""
+    cuts = np.r_[0, np.flatnonzero(np.diff(idx) != 1) + 1, idx.size]
+    return [(slice(a, b), slice(idx[a], idx[b - 1] + 1)) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 @dataclass(eq=False)
 class SaddlePart:
     """One subproblem of a SaddleStructure: its V indices v and Q indices q.
@@ -201,21 +207,17 @@ class SaddleStructure:
 
     def __post_init__(self):
         for (va, qa), (vb, qb) in itertools.permutations(self.subproblems, 2):
-            cross = (self.B[np.ix_(qa, vb)], self.M_V[np.ix_(va, vb)], self.M_Q[np.ix_(qa, qb)])
-            if any(np.any(M) for M in cross):
-                raise ValueError("B, M_V or M_Q couples the momentum and energy subproblems")
+            for M, rows, cols in ((self.B, qa, vb), (self.M_V, va, vb), (self.M_Q, qa, qb)):
+                if any(np.any(M[r, c]) for _, r in _runs(rows) for _, c in _runs(cols)):
+                    raise ValueError("B, M_V or M_Q couples the momentum and energy subproblems")
         self.parts = tuple(SaddlePart(self.B, self.M_V, self.M_Q, v, q) for v, q in self.subproblems)
 
-    def serves(self, system: MixedSystem) -> bool:
-        return system.B is self.B and system.M_V is self.M_V and system.M_Q is self.M_Q
-
-    def ranks(self, tol: float = KERNEL_RTOL) -> tuple[int, ...]:
-        """Rank of each part's block of B: its whitened singular values above
-        tol times the largest whitened singular value of the whole B. This
-        is the one rank decision behind every kernel, cokernel and constant."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        cut = tol * self.whitened_svals[0] if self.whitened_svals.size else 0.0
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Rank of each part's block of B, cut once at KERNEL_RTOL (1e-10, the report's
+        `kernel_rank_cutoff`) times the largest whitened singular value of the whole B:
+        the one rank decision behind every kernel, cokernel and constant."""
+        cut = KERNEL_RTOL * self.whitened_svals[0] if self.whitened_svals.size else 0.0
         return tuple(int(np.sum(p.whitened_svd[1] > cut)) for p in self.parts)
 
     @cached_property
@@ -235,19 +237,16 @@ class SaddleStructure:
 class SaddleOperator:
     """The primal form A of one (spaces, params) on the spaces' shared structure.
 
-    It keeps what saddlepoint factors on first use: in `bordered` the LU of
-    each part's bordered matrix, which alpha0 and the solve share, and in
-    `factors` the solve's block elimination.
+    It keeps what saddlepoint factors on first use, valid for this A and
+    structure only: in `bordered`, by part index, the LU of each part's
+    bordered matrix, which alpha0 and the solve share, and in `factors` the
+    solve's block elimination. `saddlepoint._operator` decides who uses it.
     """
 
     A: np.ndarray
     structure: SaddleStructure
     bordered: dict = field(default_factory=dict, repr=False)
     factors: object = field(default=None, repr=False)
-
-    def serves(self, system: MixedSystem) -> bool:
-        """True when the system still carries this operator's own matrices."""
-        return system.A is self.A and self.structure.serves(system)
 
 
 @dataclass

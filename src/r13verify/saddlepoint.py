@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleStructure, subproblems
+from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, SaddleStructure, _runs, subproblems
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
 
@@ -54,12 +54,17 @@ class MixedSolution:
         return self.norm_U <= self.bound_U and self.norm_P <= self.bound_P
 
 
-def _structure(system: MixedSystem) -> SaddleStructure:
-    """The shared structure of the system's spaces; a private one if B, M_V or M_Q were replaced."""
+def _operator(system: MixedSystem) -> SaddleOperator:
+    """The system's shared operator while the system carries its A, B, M_V and M_Q; else a
+    private one, on the shared structure when only A was replaced. Each public call resolves
+    the operator here once; everything below reads it and its cached factors unchecked."""
     op = system.operator
-    if op is not None and op.structure.serves(system):
-        return op.structure
-    return SaddleStructure(system.B, system.M_V, system.M_Q, subproblems(system.spaces))
+    st = op and op.structure
+    if st is None or not (system.B is st.B and system.M_V is st.M_V and system.M_Q is st.M_Q):
+        st = SaddleStructure(system.B, system.M_V, system.M_Q, subproblems(system.spaces))
+    elif system.A is op.A:
+        return op
+    return SaddleOperator(system.A, st)
 
 
 def _lanczos_max(apply, n: int) -> float:
@@ -108,12 +113,12 @@ def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np
     return _whitened_norm(form_matrix, BlockCholesky.of(left_gram), BlockCholesky.of(right_gram))
 
 
-def _saddle_matrix(A: np.ndarray, constraint: np.ndarray, symmetrize: bool = False) -> np.ndarray:
-    """[[A, C^T], [C, 0]] in Fortran order, to be factored in place; A_s = (A + A^T)/2 if asked."""
+def _saddle_matrix(A: np.ndarray, constraint: np.ndarray) -> np.ndarray:
+    """[[A, C^T], [C, 0]] in Fortran order, to be factored in place."""
     nV = A.shape[0]
     n = nV + constraint.shape[0]
     K = np.zeros((n, n), order="F")
-    K[:nV, :nV] = 0.5 * (A + A.T) if symmetrize else A
+    K[:nV, :nV] = A
     K[:nV, nV:] = constraint.T
     K[nV:, :nV] = constraint
     return K
@@ -128,52 +133,47 @@ def _lu_in_place(K: np.ndarray):
     return (lu, piv), rcond
 
 
-def _bordered_lu(system: MixedSystem, st: SaddleStructure, i: int, tol: float, symmetric_part: bool = False):
-    """(LU, rcond) of part i's bordered matrix [[A_ii, C_i^T], [C_i, 0]], kept
-    on the system's operator while the system carries its matrices.
-
-    A_ii is the part's block of A, or of its symmetric part if asked. The
-    assembled block is symmetric to the bit, so alpha0 and the solve share
-    one factor; the key records whether A_ii had to be symmetrized.
-    """
-    op = system.operator
-    cache = op.bordered if op is not None and op.serves(system) else {}
-    p = st.parts[i]
-    A_ii = system.A[np.ix_(p.v, p.v)] if symmetric_part or (i, tol, False) not in cache else None
-    key = (i, tol, symmetric_part and not np.array_equal(A_ii, A_ii.T))
-    if key not in cache:
-        cache[key] = _lu_in_place(_saddle_matrix(A_ii, p.constraint(st.ranks(tol)[i]), key[2]))
-    return cache[key]
+def _bordered_lu(op: SaddleOperator, i: int):
+    """(LU, rcond) of part i's bordered matrix [[A_ii, C_i^T], [C_i, 0]],
+    factored once per operator; alpha0 and the solve share it."""
+    if i not in op.bordered:
+        p, rank = op.structure.parts[i], op.structure.ranks[i]
+        op.bordered[i] = _lu_in_place(_saddle_matrix(op.A[np.ix_(p.v, p.v)], p.constraint(rank)))
+    return op.bordered[i]
 
 
 def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's lu_solve costs more here
     return _getrs(*lu, b)[0]
 
 
-def _coercivity(system: MixedSystem, st: SaddleStructure, tol: float) -> float:
+def _coercivity(op: SaddleOperator) -> float:
     """alpha0 on ker B: the smallest of the subproblems' constants.
 
-    ker B, A_s and M_V split along the subproblems, so the coercivity
-    eigenproblem on ker B is the union of one per part. Raises when A + A^T
-    couples the subproblems, which would join them. A part whose B block
-    is injective has no kernel and no say.
+    Raises unless A, read in views of its blocks, is symmetric on each
+    subproblem and skew between them, as assembled. Then ker B, M_V and
+    A's symmetric part split along the subproblems, so the coercivity
+    eigenproblem on ker B is the union of one per part, on the solve's
+    bordered matrices. A part whose B block is injective has no say.
     """
-    (v0, _), (v1, _) = st.subproblems
-    if np.any(system.A[np.ix_(v0, v1)] + system.A[np.ix_(v1, v0)].T):
+    A, st = op.A, op.structure
+    runs = [[g for _, g in _runs(v)] for v, _ in st.subproblems]
+    for name, part in zip(("momentum", "energy"), runs):
+        if not all(np.array_equal(A[a, b], A[b, a].T) for a in part for b in part):
+            raise ValueError(f"A is not symmetric on the {name} subproblem")
+    if any(np.any(A[a, b] + A[b, a].T) for a in runs[0] for b in runs[1]):
         raise ValueError("the symmetric part of A couples the momentum and energy subproblems")
-    ranks = st.ranks(tol)
     return min(
-        _kernel_coercivity(*_bordered_lu(system, st, i, tol, symmetric_part=True), p.cholesky[0], p.v.size)
+        _kernel_coercivity(*_bordered_lu(op, i), p.cholesky[0], p.v.size)
         for i, p in enumerate(st.parts)
-        if ranks[i] < p.v.size
+        if st.ranks[i] < p.v.size
     )
 
 
 def _kernel_coercivity(lu: tuple, rcond: float, L_V: BlockCholesky, nV: int) -> float:
     """alpha0 = 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V.
 
-    K_s = [[A_s, C^T], [C, 0]], factored as lu, with the symmetric part A_s
-    of A and a constraint C of full row rank and kernel ker B. The operator
+    K_s = [[A_s, C^T], [C, 0]], factored as lu, with A_s symmetric and a
+    constraint C of full row rank and kernel ker B. The operator
     equals L_V^T Z (Z^T A_s Z)^-1 Z^T L_V for a basis Z of ker B, so its
     nonzero eigenvalues are the reciprocals of those of A_s z = lambda M_V z
     on ker B (the coercivity eigenproblem of Chapelle & Bathe's inf-sup
@@ -192,39 +192,43 @@ def _kernel_coercivity(lu: tuple, rcond: float, L_V: BlockCholesky, nV: int) -> 
     return 1.0 / _lanczos_max(apply, nV)
 
 
-def infsup_constant(system: MixedSystem, tol: float = KERNEL_RTOL):
+def infsup_constant(system: MixedSystem):
     """Discrete inf-sup constant and the codimension of the range of B.
 
     k0 is the smallest singular value of B in the natural norms, taken off
     the nullspace of B transpose; dim_kerBT counts the singular values
-    below the rank cutoff and is expected to be zero.
+    below the fixed cutoff KERNEL_RTOL (the report's `kernel_rank_cutoff`)
+    and is expected to be zero. The structure comes from `_operator`.
     """
-    st = _structure(system)
-    return _infsup(st.whitened_svals, sum(st.ranks(tol)))
+    st = _operator(system).structure
+    return _infsup(st.whitened_svals, sum(st.ranks))
 
 
 def _infsup(svals: np.ndarray, rank: int):
     return (float(svals[rank - 1]) if rank else 0.0), svals.size - rank
 
 
-def brezzi_constants(system: MixedSystem, tol: float = KERNEL_RTOL) -> BrezziConstants:
+def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     """All measured constants of the assembled system.
 
     Each comes from the momentum and the energy subproblem and is combined
     exactly. One SVD of each part's block of B in the natural norms, cut
-    once, gives k0, |B|, dim ker B, dim ker B^T and the constraint of full
-    row rank behind each part's alpha0; alpha0 is the smaller of the two.
-    |A| is taken on the whole A with the parts' factors of M_V.
+    once at KERNEL_RTOL (the report's `kernel_rank_cutoff`), gives k0, |B|,
+    dim ker B, dim ker B^T and the constraint of full row rank behind each
+    part's alpha0; alpha0 is the smaller of the two and needs A symmetric
+    on each subproblem. |A| is taken on the whole A with the parts' factors
+    of M_V. The operator comes from `_operator`.
     """
-    st = _structure(system)
-    rank = sum(st.ranks(tol))
+    op = _operator(system)
+    st = op.structure
+    rank = sum(st.ranks)
     dim_kerB = system.B.shape[1] - rank
     if dim_kerB == 0:
         raise ValueError("trivial kernel")
     L_V = st.cholesky[0]
     k0, dim_kerBT = _infsup(st.whitened_svals, rank)
     return BrezziConstants(
-        alpha0=_coercivity(system, st, tol),
+        alpha0=_coercivity(op),
         k0=k0,
         norm_A=_whitened_norm(system.A, L_V, L_V),
         norm_B=float(st.whitened_svals[0]),  # the SVD behind k0
@@ -241,27 +245,22 @@ def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
 def _coupling(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
     """The nonzero blocks of A[rows, cols] between contiguous runs of the two
     increasing index arrays, as (local rows, local columns, view of A)."""
-    runs = []
-    for idx in (rows, cols):
-        cuts = np.r_[0, np.flatnonzero(np.diff(idx) != 1) + 1, idx.size]
-        runs.append([(slice(a, b), slice(idx[a], idx[b - 1] + 1)) for a, b in zip(cuts[:-1], cuts[1:])])
-    blocks = ((lr, lc, A[gr, gc]) for lr, gr in runs[0] for lc, gc in runs[1])
+    blocks = ((lr, lc, A[gr, gc]) for lr, gr in _runs(rows) for lc, gc in _runs(cols))
     return [b for b in blocks if np.any(b[2])]
 
 
-def _elimination(system: MixedSystem, st: SaddleStructure) -> tuple:
-    """(LU of K_0, LU of S, R_01 blocks, R_10 blocks) of the saddle matrix.
+def _elimination(op: SaddleOperator) -> tuple:
+    """(LU of K_0, LU of S, R_01 blocks, R_10 blocks) of the saddle matrix, kept in op.factors.
 
     Up to the order of its rows it is [[K_0, R_01], [R_10, K_1]], with K_i
     the parts' bordered matrices and R_01, R_10 views of the blocks of A
     between the parts. S = K_1 - R_10 K_0^-1 R_01 is the Schur complement.
     """
-    op = system.operator
-    shared = op is not None and op.serves(system)
-    if shared and op.factors is not None:
+    if op.factors is not None:
         return op.factors
-    A, (p0, p1) = system.A, st.parts
-    lu0, rcond0 = _bordered_lu(system, st, 0, KERNEL_RTOL)
+    A, st = op.A, op.structure
+    p0, p1 = st.parts
+    lu0, rcond0 = _bordered_lu(op, 0)
     if rcond0 == 0.0:
         raise ValueError("discrete pairing deficient: singular saddle matrix")
     upper, lower = _coupling(A, p0.v, p1.v), _coupling(A, p1.v, p0.v)
@@ -269,7 +268,7 @@ def _elimination(system: MixedSystem, st: SaddleStructure) -> tuple:
     for lr, lc, blk in upper:
         Z[lr, lc] = blk
     Z = _getrs(*lu0, Z, overwrite_b=1)[0]  # K_0^-1 R_01, in place
-    S = _saddle_matrix(A[np.ix_(p1.v, p1.v)], p1.constraint(st.ranks()[1]))
+    S = _saddle_matrix(A[np.ix_(p1.v, p1.v)], p1.constraint(st.ranks[1]))
     for lr, lc, blk in lower:
         S[lr, : p1.v.size] -= blk @ Z[lc]
     del Z
@@ -279,9 +278,8 @@ def _elimination(system: MixedSystem, st: SaddleStructure) -> tuple:
     if not min(rcond0, rcond1) >= np.finfo(float).eps:  # scipy.linalg.solve's warning, once
         msg = f"An ill-conditioned saddle matrix detected: rcond = {min(rcond0, rcond1)}."
         warnings.warn(msg, sla.LinAlgWarning, stacklevel=3)
-    if shared:
-        op.factors = lu0, lu1, upper, lower
-    return lu0, lu1, upper, lower
+    op.factors = lu0, lu1, upper, lower
+    return op.factors
 
 
 def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -> MixedSolution:
@@ -308,14 +306,15 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     against the bordered LU alpha0 took (_elimination), which needs the
     momentum alpha0 positive; each load costs three back-substitutions.
     """
-    st = _structure(system)
+    op = _operator(system)
+    st = op.structure
     L_V, L_Q = st.cholesky
     g = L_Q.solve(system.G)  # its norm is the dual norm of G
-    U_split = [(p, p.whitened_svd[0][:, :r], p.whitened_svd[0][:, r:]) for p, r in zip(st.parts, st.ranks())]
+    U_split = [(p, p.whitened_svd[0][:, :r], p.whitened_svd[0][:, r:]) for p, r in zip(st.parts, st.ranks)]
     defect = np.concatenate([U_k.T @ g[p.q] for p, _, U_k in U_split])
     if np.linalg.norm(defect) > KERNEL_RTOL * max(np.linalg.norm(g), 1.0):
         raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {defect.size})")
-    lu0, lu1, upper, lower = _elimination(system, st)
+    lu0, lu1, upper, lower = _elimination(op)
     b0, b1 = (np.concatenate([system.F[p.v], U_r.T @ g[p.q]]) for p, U_r, _ in U_split)
     y0 = _lu_solve(lu0, b0)
     for lr, lc, blk in lower:

@@ -14,13 +14,11 @@ from r13verify import saddlepoint
 from r13verify.assembly import (
     BoundaryData,
     ModelParams,
-    SaddleOperator,
     VolumeSources,
     assemble_system,
     bc_residuals,
 )
 from r13verify.saddlepoint import (
-    KERNEL_RTOL,
     brezzi_constants,
     dual_norm,
     infsup_constant,
@@ -493,8 +491,7 @@ def test_cokernel_splits_between_velocity_and_temperature(pairing, N, k, cokerne
     # (momentum part) and one against theta (energy part); enriched has none
     system = make_system(N=N, k=k, pairing=pairing)
     structure = system.operator.structure
-    ranks = structure.ranks()
-    assert tuple(p.q.size - r for p, r in zip(structure.parts, ranks)) == cokernels
+    assert tuple(p.q.size - r for p, r in zip(structure.parts, structure.ranks)) == cokernels
     assert brezzi_constants(system).dim_kerBT == sum(cokernels)
 
 
@@ -609,7 +606,7 @@ def test_momentum_factor_is_shared_by_alpha0_and_every_load(monkeypatch):
     params = ModelParams()
     system = assemble_system(sp, params)
     structure = system.operator.structure
-    momentum = structure.parts[0].v.size + structure.ranks()[0]
+    momentum = structure.parts[0].v.size + structure.ranks[0]
     consts = brezzi_constants(system)
     solve_mixed(system, consts)
     assert sizes.count(momentum) == 1
@@ -617,7 +614,7 @@ def test_momentum_factor_is_shared_by_alpha0_and_every_load(monkeypatch):
     # none of the whole saddle matrix, which is larger than n_V
     assert len(sizes) == 3 and max(sizes) < sp.n_V
     op = system.operator
-    assert op.factors[0] is op.bordered[(0, KERNEL_RTOL, False)][0]
+    assert op.factors[0] is op.bordered[0][0]
     rng = np.random.default_rng(53)
     for _ in range(3):
         sol = solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts)
@@ -625,17 +622,36 @@ def test_momentum_factor_is_shared_by_alpha0_and_every_load(monkeypatch):
     assert len(sizes) == 3
 
 
-def test_nonsymmetric_A_gets_its_own_coercivity_factor(sys_eps01):
-    # an operator whose momentum block is not symmetric: alpha0 must factor
-    # the symmetric part, the solve A itself, and neither may use the other's
+def test_nonsymmetric_A_is_rejected_by_the_constants(sys_eps01):
+    # a sigma-p skew pair leaves A + A^T as assembled but makes the momentum
+    # block of A nonsymmetric: alpha0, which factors the solve's bordered
+    # matrix, refuses it, while the solve takes A as it is
     sp = sys_eps01.spaces
     A = sys_eps01.A.copy()
     i, j = sp.v_blocks["sigma"].start, sp.v_blocks["p"].start
     A[i, j] += 0.05
     A[j, i] -= 0.05
-    op = SaddleOperator(A=A, structure=sys_eps01.operator.structure)
-    system = random_consistent_load(dataclasses.replace(sys_eps01, A=A, operator=op), 54)
+    system = random_consistent_load(dataclasses.replace(sys_eps01, A=A), 54)
+    with pytest.raises(ValueError, match="not symmetric"):
+        brezzi_constants(system)
+    assert_matches_dense_solution(solve_mixed(system), system)
+
+
+def test_replaced_A_gets_a_private_operator_on_the_shared_structure():
+    system = random_consistent_load(make_system(N=1, k=1, eps=0.1), 55)
+    op = system.operator
     consts = brezzi_constants(system)
-    assert consts.alpha0 == pytest.approx(dense_brezzi_constants(system)["alpha0"], rel=1e-10)
-    assert_matches_dense_solution(solve_mixed(system, consts), system)
-    assert sorted(key[2] for key in op.bordered if key[0] == 0) == [False, True]
+    shared = solve_mixed(system, consts)
+    bordered, factors = dict(op.bordered), op.factors
+    svds = [part.whitened_svd for part in op.structure.parts]
+    replaced = dataclasses.replace(system, A=system.A.copy())
+    private_op = saddlepoint._operator(replaced)
+    assert private_op is not op and private_op.structure is op.structure
+    assert brezzi_constants(replaced) == consts
+    private = solve_mixed(replaced, consts)
+    assert all(a is b for a, b in zip([part.whitened_svd for part in op.structure.parts], svds))
+    assert op.bordered.keys() == bordered.keys() and all(op.bordered[i] is lu for i, lu in bordered.items())
+    assert op.factors is factors
+    assert np.array_equal(private.U, shared.U) and np.array_equal(private.P, shared.P)
+    for name in ("residual_primal", "residual_constraint", "norm_U", "norm_P", "bound_U", "bound_P"):
+        assert getattr(private, name) == getattr(shared, name)

@@ -45,7 +45,7 @@ def test_bench(monkeypatch, capsys, tmp_path):
     out = tmp_path / "bench.json"
     args = ["--out", str(out), "--suites", "bc", "--rungs", "1,1"]
     run_script("bench.py", [*args, "--label", "first"], monkeypatch, capsys)
-    rows = run_script("bench.py", [*args, "--label", "second"], monkeypatch, capsys)
+    rows = run_script("bench.py", [*args, "--label", "second", "--repeat", "2"], monkeypatch, capsys)
     assert rows[0][:2] == ["suite", "bc"]
     data = json.loads(out.read_text())
     assert set(data) == {"first", "second"}
@@ -54,3 +54,5 @@ def test_bench(monkeypatch, capsys, tmp_path):
     [rung] = rec["ladder"]["rungs"].values()
     assert set(rung["steps_s"]) == {"build_spaces", "assemble_system", "brezzi_constants", "solve_mixed"}
     assert rung["verified"] and rung["constants"]["alpha0"] > 0
+    # --repeat times each suite as often as each rung and keeps the median
+    assert len(rec["suites"]["bc"]["wall_s_runs"]) == len(rung["total_s_runs"]) == 2
