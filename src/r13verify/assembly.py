@@ -146,71 +146,208 @@ def _runs(idx: np.ndarray) -> list[tuple[slice, slice]]:
     return [(slice(a, b), slice(idx[a], idx[b - 1] + 1)) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
+MIRROR_RTOL = 1e-12  # largest off-sector entry of a mirror-invariant matrix, relative to its largest sector entry
+
+
+def _shift(sl: slice, offset: int) -> slice:
+    return slice(sl.start + offset, sl.stop + offset)
+
+
+def _box(mask: np.ndarray) -> tuple:
+    """The slices of the box that the True entries of mask fill."""
+    idx = np.nonzero(mask)
+    if not idx[0].size:
+        return (slice(0, 0),) * mask.ndim
+    box = tuple(slice(i.min(), i.max() + 1) for i in idx)
+    if mask[box].size != idx[0].size:
+        raise ValueError("a sector of a field block is not a box of its coordinates")
+    return box
+
+
+class Sectors:
+    """V or Q in parity coordinates, grouped by sector and inside each sector by subproblem.
+
+    `basis` lists the field blocks as spaces.MirrorBasis does, as (slice,
+    transform, sector labels), with transform None for the identity;
+    `groups` joins neighbouring blocks that share a transform. The
+    sector coordinates list the parity coordinates sector by sector, momentum
+    before energy: `order` maps them to parity coordinates, `sectors` holds
+    each sector's slice of them and `split` the number of its momentum
+    coordinates. `boxes` gives per field block and sector the box of the
+    block's coordinates in the sector (its labels' shape), and the offset
+    and the size of the box in the sector, where its coordinates are
+    contiguous.
+    """
+
+    def __init__(self, basis: list, momentum: np.ndarray, count: int):
+        self.basis = basis
+        self.groups = []
+        for sl, T, _ in basis:
+            if self.groups and self.groups[-1][1] is T:
+                sl = slice(self.groups.pop()[0].start, sl.stop)
+            self.groups.append((sl, T))
+        labels = np.concatenate([lab.ravel() for _, _, lab in basis])
+        energy = np.ones(labels.size, dtype=int)
+        energy[momentum] = 0
+        self.order = np.lexsort((energy, labels))
+        bounds = np.searchsorted(labels[self.order], np.arange(count + 1))
+        self.sectors = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.split = [int(np.sum(energy[self.order[sl]] == 0)) for sl in self.sectors]
+        local = np.empty(labels.size, dtype=int)
+        local[self.order] = np.arange(labels.size) - bounds[labels[self.order]]
+        self.boxes = []
+        for sl, _, lab in basis:
+            boxes = []
+            for s in range(count):
+                mask = lab == s
+                first = np.flatnonzero(mask.ravel())[:1]
+                boxes.append((_box(mask), int(local[sl][first[0]]) if first.size else 0, int(mask.sum())))
+            self.boxes.append(boxes)
+
+    def to_sectors(self, x: np.ndarray) -> np.ndarray:
+        """Sector coordinates of a vector."""
+        y = np.concatenate([x[sl] if T is None else T(x[sl], True) for sl, T in self.groups])
+        return y[self.order]
+
+    def from_sectors(self, y: np.ndarray) -> np.ndarray:
+        """The vector with sector coordinates y."""
+        z = np.empty_like(y)
+        z[self.order] = y
+        return np.concatenate([z[sl] if T is None else T(z[sl]) for sl, T in self.groups])
+
+
+def _sector_blocks(M: np.ndarray, rows: Sectors, cols: Sectors) -> tuple[list, bool]:
+    """(diagonal sector blocks of T_r^T M T_c in sector coordinates, whether M is mirror-invariant).
+
+    M counts as mirror-invariant when no entry the blocks leave out exceeds
+    MIRROR_RTOL times their largest entry.
+
+    It takes one pair of field blocks of M at a time through the Kronecker
+    mode products, so neither T nor a transformed copy of M is ever formed
+    whole, and it skips the pairs that M does not couple. Each sector's
+    entries of a pair are one box of it, copied out by slices.
+    """
+    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rows.sectors, cols.sectors)]
+    dropped = 0.0
+    for (rsl, rT, rlab), rboxes in zip(rows.basis, rows.boxes):
+        coupled = M[rsl].any(axis=0)
+        for (csl, cT, clab), cboxes in zip(cols.basis, cols.boxes):
+            if not coupled[csl].any():
+                continue
+            X = M[rsl, csl]
+            X = X.copy() if rT is None else rT(X, True)
+            if cT is not None:
+                X = cT(X.T, True).T
+            X = X.reshape(rlab.shape + clab.shape)
+            for S, (rbox, roff, nr), (cbox, coff, nc) in zip(out, rboxes, cboxes):
+                piece = X[rbox + cbox]
+                S[roff : roff + nr, coff : coff + nc] = piece.reshape(nr, nc)
+                piece[...] = 0.0
+            dropped = max(dropped, float(np.abs(X).max()))
+    kept = max((float(np.abs(S).max()) for S in out if S.size), default=0.0)
+    return out, dropped <= MIRROR_RTOL * kept
+
+
 @dataclass(eq=False)
 class SaddlePart:
-    """One subproblem of a SaddleStructure: its V indices v and Q indices q.
+    """One (sector, subproblem) of a SaddleStructure.
 
-    It holds the structure's whole matrices, shared, and builds from their
-    blocks on (q, v), once on first use: the block Cholesky factors of the
-    M_V and M_Q blocks and one SVD of the block B_i of B in those norms,
-    of which it keeps U and the singular values.
+    It holds its blocks of B, M_V and M_Q in parity coordinates, its sector,
+    its subproblem (0 momentum, 1 energy), its slices v and q of the
+    structure's sector coordinates, and its slice `local` of its sector's V
+    coordinates. It builds on first use the block Cholesky
+    factors of its M_V and M_Q blocks and one SVD of its block of B in those
+    norms, of which it keeps U and the singular values.
     """
 
     B: np.ndarray
     M_V: np.ndarray
     M_Q: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-
-    @property
-    def block(self) -> np.ndarray:
-        """B_i, copied out of B on each use rather than kept."""
-        return self.B[np.ix_(self.q, self.v)]
+    sector: int
+    subproblem: int
+    v: slice
+    q: slice
+    local: slice
 
     @cached_property
     def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
-        """Factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's own indices."""
-        pairs = ((self.M_V, self.v), (self.M_Q, self.q))
-        return tuple(BlockCholesky.of(M[np.ix_(idx, idx)]) for M, idx in pairs)
+        """Factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's own indices,
+        each one dense block: a part is small, and fewer blocks mean fewer LAPACK calls."""
+        return tuple(BlockCholesky([(slice(0, M.shape[0]), sla.cholesky(M, lower=True))]) for M in (self.M_V, self.M_Q))
 
     @cached_property
     def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, svals) of X_i, svals descending; U is square, and past the rank it spans L_Q^T ker B_i^T."""
         L_V, L_Q = self.cholesky
-        X = L_V.solve(L_Q.solve(self.block).T).T
+        X = L_V.solve(L_Q.solve(self.B).T).T
         U, svals, _ = sla.svd(X, full_matrices=X.shape[0] > X.shape[1])
         return U, svals
 
     def constraint(self, rank: int) -> np.ndarray:
         """C_i = U_r^T L_Q^-1 B_i for the leading rank columns U_r of U: full
         row rank and ker C_i = ker B_i. Built anew on each use, not kept."""
-        return self.whitened_svd[0][:, :rank].T @ self.cholesky[1].solve(self.block)
+        return self.whitened_svd[0][:, :rank].T @ self.cholesky[1].solve(self.B)
 
 
 @dataclass(eq=False)
 class SaddleStructure:
     """B, M_V and M_Q of one spaces: the matrices that do not depend on ModelParams.
 
-    Every operator assembled on the spaces shares them. They never couple
-    the momentum and the energy subproblem (`subproblems`), so each
-    derived quantity comes from the two parts (SaddlePart) and is combined
-    exactly: the Cholesky factors of M_V and M_Q, and the SVD of B in those
-    norms with the one rank decision cut on it. Construction raises when B,
-    M_V or M_Q has a nonzero entry between the subproblems.
+    Every operator assembled on the spaces shares them. They commute with
+    the cube's three mirror reflections and never couple the momentum and
+    the energy subproblem (`subproblems`). In the spaces' MirrorBasis they
+    therefore split into 8 sectors, and each sector into its two
+    subproblems: 16 parts (SaddlePart), each about 1/16 of the whole. Every
+    derived quantity comes from the parts and is combined exactly: the
+    Cholesky factors of M_V and M_Q, and the SVD of B in those norms with
+    the one rank decision cut on it. A matrix with an off-sector entry
+    above MIRROR_RTOL times its largest sector entry, such as a hand-edited
+    B, is not mirror-invariant: then, or with mirrored False, the structure
+    has one trivial sector (T = I) of two parts, through the same code.
+    Construction raises when B, M_V or M_Q has a nonzero entry between the
+    subproblems.
     """
 
     B: np.ndarray
     M_V: np.ndarray
     M_Q: np.ndarray
-    subproblems: tuple
+    spaces: DiscreteSpaces
+    mirrored: bool = True
+    V: Sectors = field(init=False, repr=False)
+    Q: Sectors = field(init=False, repr=False)
     parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        for (va, qa), (vb, qb) in itertools.permutations(self.subproblems, 2):
+        subs = subproblems(self.spaces)
+        for (va, qa), (vb, qb) in itertools.permutations(subs, 2):
             for M, rows, cols in ((self.B, qa, vb), (self.M_V, va, vb), (self.M_Q, qa, qb)):
                 if any(np.any(M[r, c]) for _, r in _runs(rows) for _, c in _runs(cols)):
                     raise ValueError("B, M_V or M_Q couples the momentum and energy subproblems")
-        self.parts = tuple(SaddlePart(self.B, self.M_V, self.M_Q, v, q) for v, q in self.subproblems)
+        mirror = self.spaces.mirror
+        blocks = self._split(mirror.V, mirror.Q, 8, subs) if self.mirrored else None
+        if blocks is None:
+            self.mirrored = False
+            trivial = ([(sl, None, np.zeros(lab.size, dtype=int)) for sl, _, lab in b] for b in (mirror.V, mirror.Q))
+            blocks = self._split(*trivial, 1, subs)
+        parts = []
+        for s, (B_s, MV_s, MQ_s) in enumerate(zip(*blocks)):
+            vs, qs, kv, kq = self.V.sectors[s], self.Q.sectors[s], self.V.split[s], self.Q.split[s]
+            halves = ((slice(0, kv), slice(0, kq)), (slice(kv, vs.stop - vs.start), slice(kq, qs.stop - qs.start)))
+            for sub, (lv, lq) in enumerate(halves):
+                blk = (B_s[lq, lv].copy(), MV_s[lv, lv].copy(), MQ_s[lq, lq].copy())
+                parts.append(SaddlePart(*blk, s, sub, _shift(lv, vs.start), _shift(lq, qs.start), lv))
+        self.parts = tuple(parts)
+
+    def _split(self, v_basis: list, q_basis: list, count: int, subs: tuple):
+        """Sector blocks of B, M_V and M_Q in these bases; None if one leaves an entry above MIRROR_RTOL."""
+        self.V, self.Q = Sectors(v_basis, subs[0][0], count), Sectors(q_basis, subs[0][1], count)
+        out = []
+        for M, rows, cols in ((self.B, self.Q, self.V), (self.M_V, self.V, self.V), (self.M_Q, self.Q, self.Q)):
+            blocks, invariant = _sector_blocks(M, rows, cols)
+            if not invariant:
+                return None
+            out.append(blocks)
+        return out
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -221,32 +358,81 @@ class SaddleStructure:
         return tuple(int(np.sum(p.whitened_svd[1] > cut)) for p in self.parts)
 
     @cached_property
-    def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
-        """Block factors (L_V, L_Q) of M_V and M_Q, joined from the parts' factors."""
-        L_V = BlockCholesky((p.v[sl], L) for p in self.parts for sl, L in p.cholesky[0].blocks)
-        L_Q = BlockCholesky((p.q[sl], L) for p in self.parts for sl, L in p.cholesky[1].blocks)
-        return L_V, L_Q
+    def L_V(self) -> BlockCholesky:
+        """Block factor of M_V in sector coordinates, joined from the parts' factors."""
+        return BlockCholesky((_shift(sl, p.v.start), L) for p in self.parts for sl, L in p.cholesky[0].blocks)
 
     @cached_property
     def whitened_svals(self) -> np.ndarray:
         """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms."""
         return np.sort(np.concatenate([p.whitened_svd[1] for p in self.parts]))[::-1]
 
+    @cached_property
+    def load_maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per sector, (Y, Z) on its Q coordinates, from its parts' U and L_Q.
+
+        Y = [U_r^T; U_k^T] L_Q^-1 stacks the parts' rank rows, then their
+        remaining rows: Y g holds a load's constraint rows, then its
+        component against ker B^T, and |Y g| = |L_Q^-1 g|. Z = L_Q^-T U_r
+        maps the sector's multipliers to its pressure.
+        """
+        out = []
+        for s, qs in enumerate(self.Q.sectors):
+            own = [(p, r) for p, r in zip(self.parts, self.ranks) if p.sector == s]
+            rank = sum(r for _, r in own)
+            Y, Z = np.zeros((qs.stop - qs.start,) * 2), np.zeros((qs.stop - qs.start, rank))
+            row, kernel_row = 0, rank
+            for p, r in own:
+                W = p.cholesky[1].solve(p.whitened_svd[0], trans=1)  # L_Q^-T U
+                lq = _shift(p.q, -qs.start)
+                Y[row : row + r, lq] = W[:, :r].T
+                Z[lq, row : row + r] = W[:, :r]
+                Y[kernel_row : kernel_row + W.shape[1] - r, lq] = W[:, r:].T
+                row, kernel_row = row + r, kernel_row + W.shape[1] - r
+            out.append((Y, Z))
+        return out
+
 
 @dataclass(eq=False)
 class SaddleOperator:
     """The primal form A of one (spaces, params) on the spaces' shared structure.
 
-    It keeps what saddlepoint factors on first use, valid for this A and
-    structure only: in `bordered`, by part index, the LU of each part's
-    bordered matrix, which alpha0 and the solve share, and in `factors` the
-    solve's block elimination. `saddlepoint._operator` decides who uses it.
+    `sectors` holds A's diagonal sector blocks in the structure's sector
+    coordinates. `symmetric` records whether A is symmetric on the momentum
+    and on the energy subproblem and skew between them, read in views of
+    its blocks; when all three hold, as assembled, the sector blocks are
+    made so to the bit. An A that is not mirror-invariant (MIRROR_RTOL)
+    gets a private structure of one trivial sector. The operator keeps what
+    saddlepoint factors on first use, valid for this A and structure only:
+    in `bordered`, by part index, the LU of each part's bordered matrix
+    (alpha0), and in `factors` the LU of each sector's saddle matrix (the
+    solve). `saddlepoint._operator` decides who uses it.
     """
 
     A: np.ndarray
     structure: SaddleStructure
+    symmetric: tuple = field(init=False)
+    sectors: list = field(init=False, repr=False)
     bordered: dict = field(default_factory=dict, repr=False)
-    factors: object = field(default=None, repr=False)
+    factors: list | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        A, st = self.A, self.structure
+        runs = [[g for _, g in _runs(v)] for v, _ in subproblems(st.spaces)]
+        self.symmetric = (
+            *(all(np.array_equal(A[a, b], A[b, a].T) for a in part for b in part) for part in runs),
+            not any(np.any(A[a, b] + A[b, a].T) for a in runs[0] for b in runs[1]),
+        )
+        blocks, invariant = _sector_blocks(A, st.V, st.V)
+        if not invariant:
+            self.structure = st = SaddleStructure(st.B, st.M_V, st.M_Q, st.spaces, mirrored=False)
+            blocks, _ = _sector_blocks(A, st.V, st.V)
+        if all(self.symmetric):
+            for S, k in zip(blocks, st.V.split):
+                for d in (slice(0, k), slice(k, None)):
+                    S[d, d] = 0.5 * (S[d, d] + S[d, d].T)
+                S[k:, :k] = -S[:k, k:].T
+        self.sectors = blocks
 
 
 @dataclass
@@ -265,20 +451,6 @@ class MixedSystem:
 
 
 # -- frame component weights -----------------------------------------------
-
-
-def _stress_face_weights(spaces, fd):
-    """Component weights of sigma frame entries on one face (5-vectors)."""
-    E = spaces.E
-    n, t1, t2 = fd.frame.n, fd.frame.t1, fd.frame.t2
-    return {
-        "nn": np.einsum("aij,i,j->a", E, n, n),
-        "nt1": np.einsum("aij,i,j->a", E, n, t1),
-        "nt2": np.einsum("aij,i,j->a", E, n, t2),
-        "t1t1": np.einsum("aij,i,j->a", E, t1, t1),
-        "t1t2": np.einsum("aij,i,j->a", E, t1, t2),
-        "t2t2": np.einsum("aij,i,j->a", E, t2, t2),
-    }
 
 
 def _add(M, bi, bj, nr, nc, blk):
@@ -330,9 +502,8 @@ def _form_c(spaces, params):
                 if E[a, i, al] != 0.0:
                     blk += (2.0 / 5.0) * E[a, i, al] * sb.vmat(al).T
             _add(C, i, a, n, n, blk)
-    for f, fd in enumerate(sb.faces):
+    for f, (fd, w) in enumerate(zip(sb.faces, spaces.stress_face_weights)):
         Mf = sb.face_mass(f)
-        w = _stress_face_weights(spaces, fd)
         nvec, t1, t2 = fd.frame.n, fd.frame.t1, fd.frame.t2
         for i in range(3):
             for a in range(5):
@@ -370,9 +541,8 @@ def _form_d(spaces, params):
     D = projected_gradient_gram(STF_GRADIENT, sb, kn)
     for a in range(5):
         _add(D, a, a, n, n, 0.5 / kn * sb.mass())
-    for f, fd in enumerate(sb.faces):
+    for f, w in enumerate(spaces.stress_face_weights):
         Mf = sb.face_mass(f)
-        w = _stress_face_weights(spaces, fd)
         w_tot = w["t1t1"] + 0.5 * w["nn"]
         comp = (9.0 / 8.0) * chi * np.outer(w["nn"], w["nn"])
         comp += chi * np.outer(w_tot, w_tot)
@@ -419,9 +589,8 @@ def _form_f(spaces, params):
     coeff = params.epsilon_w * params.chi_tilde
     raw = np.zeros((pb.n, 5 * n))
     if coeff != 0.0:
-        for f, fd in enumerate(sb.faces):
+        for f, w in enumerate(spaces.stress_face_weights):
             Mf = pb.face_mass(f, sb)
-            w = _stress_face_weights(spaces, fd)
             for a in range(5):
                 if abs(w["nn"][a]) > 1e-15:
                     raw[:, a * n : (a + 1) * n] += coeff * w["nn"][a] * Mf
@@ -554,9 +723,8 @@ def assemble_load(
     r_vals = sources.energy(pts)
 
     raw_p = pb.phi.T @ (wq * m_vals)
-    for f, fd in enumerate(sb.faces):
-        fint = fd.phi.T @ fd.weights
-        w = _stress_face_weights(spaces, fd)
+    for f, (fd, w) in enumerate(zip(sb.faces, spaces.stress_face_weights)):
+        fint = sb.face_integrals(f)
         nvec = fd.frame.n
         eff_un = bdata.u_n_w[f] - eps * chi * bdata.p_w[f]
         # wall temperature drives the heat-flux test functions
@@ -570,7 +738,7 @@ def assemble_load(
                 + eff_un * w["nn"][a]
             )
             F[spaces.v_blocks["sigma"]][a * n : (a + 1) * n] += -coeff * fint
-        raw_p -= eff_un * (pb.faces[f].phi.T @ fd.weights)
+        raw_p -= eff_un * pb.face_integrals(f)
     F[spaces.v_blocks["p"]] = spaces.Cp.T @ raw_p
 
     for i in range(3):
@@ -597,12 +765,13 @@ def assemble_system(
         B, M_V, M_Q = _assemble_B(spaces, params), _assemble_MV(spaces), _assemble_MQ(spaces)
         for M in (B, M_V, M_Q):
             M.setflags(write=False)
-        st = SaddleStructure(B, M_V, M_Q, subproblems(spaces))
+        st = SaddleStructure(B, M_V, M_Q, spaces)
         spaces.structure = weakref.ref(st)
     op = spaces.operators.get(params)
     if op is None:
-        op = SaddleOperator(A=_assemble_A(spaces, params), structure=st)
-        op.A.setflags(write=False)
+        A = _assemble_A(spaces, params)
+        A.setflags(write=False)
+        op = SaddleOperator(A=A, structure=st)
         spaces.operators[params] = op
     F, G = assemble_load(spaces, params, sources, bdata)
     return MixedSystem(
@@ -656,8 +825,7 @@ def bc_residuals(U, P, spaces, params, bdata: BoundaryData | None = None):
     sig, s, p = spaces.split_V(np.asarray(U))
     u, theta = spaces.split_Q(np.asarray(P))
     sq = {k: 0.0 for k in range(1, 8)}
-    for f, fd in enumerate(spaces.faces):
-        w = _stress_face_weights(spaces, fd)
+    for f, (fd, w) in enumerate(zip(spaces.faces, spaces.stress_face_weights)):
         phi, phi_pq = fd.phi, spaces.scalar_pq.faces[f].phi
         wq = fd.weights
         nvec, t1, t2 = fd.frame.n, fd.frame.t1, fd.frame.t2

@@ -9,6 +9,7 @@ live only in the JSON report.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import os
@@ -239,7 +240,7 @@ def export_fields_csv(spaces, U, P, path: str | Path) -> None:
 # -- suites -------------------------------------------------------------------
 
 
-def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport) -> None:
+def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport, base) -> None:
     plan = SamplingPlan(seed=cfg.seed)
     for d in (2, 3, 4, 5):
         op = OperatorSpec("stf2", "Stf", d)
@@ -302,7 +303,7 @@ def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport) -> None:
         )
 
 
-def _suite_korn(cfg: RunConfig, rep: VerificationReport) -> None:
+def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     degrees = sorted({1, 2, 3, cfg.degree})
     for label, op in (
         ("sym_vec", OperatorSpec("vectors", "sym", 3)),
@@ -384,13 +385,16 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport) -> None:
     rep.check("korn", "rinv_stf_ratio_stability", rel, "bound_ratio_stability")
 
 
-def _constants_rows(cfg: RunConfig, rep: VerificationReport, kn: float, eps: float, N: int) -> None:
-    mode = "zero_mean" if eps == 0.0 else "full"
-    sp = build_spaces(N, cfg.subdivisions, mode)
-    params = ModelParams(kn, cfg.chi_tilde, eps)
-    system = assemble_system(sp, params)
-    tag = f"N{N}_eps{eps}_kn{kn}"
-    consts = brezzi_constants(system)
+def _base_pair(cfg: RunConfig):
+    """(system, constants) at the configured degree, subdivisions, pressure mode and parameters."""
+    system = assemble_system(build_spaces(cfg.degree, cfg.subdivisions, cfg.pressure_mode), cfg.params)
+    return system, brezzi_constants(system)
+
+
+def _suite_constants(cfg: RunConfig, rep: VerificationReport, base) -> None:
+    system, consts = base()
+    sp, params = system.spaces, system.params
+    tag = f"N{cfg.degree}_eps{cfg.epsilon_w}_kn{cfg.kn}"
     rep.add("constants", f"alpha0_{tag}", consts.alpha0, None, consts.alpha0 > 0)
     rep.add("constants", f"k0_{tag}", consts.k0, None, consts.k0 > 0)
     rep.add("constants", f"norm_A_{tag}", consts.norm_A, None, None)
@@ -418,18 +422,13 @@ def _constants_rows(cfg: RunConfig, rep: VerificationReport, kn: float, eps: flo
     rep.check("constants", f"B_block_structure_dev_{tag}", block_dev, "structure_identities")
 
 
-def _suite_constants(cfg: RunConfig, rep: VerificationReport) -> None:
-    _constants_rows(cfg, rep, cfg.kn, cfg.epsilon_w, cfg.degree)
-
-
 def _seeded_boundary_data(rng: np.random.Generator) -> BoundaryData:
     return BoundaryData(*(0.5 * rng.standard_normal((5, 6))))  # field order u_n, u_t1, u_t2, p, theta
 
 
-def _suite_solve(cfg: RunConfig, rep: VerificationReport, n_datasets: int = 10) -> None:
-    sp = build_spaces(cfg.degree, cfg.subdivisions, cfg.pressure_mode)
-    system = assemble_system(sp, cfg.params)
-    consts = brezzi_constants(system)
+def _suite_solve(cfg: RunConfig, rep: VerificationReport, base, n_datasets: int = 10) -> None:
+    system, consts = base()
+    sp = system.spaces
     rng = np.random.default_rng(cfg.seed + 2)
     worst_res = 0.0
     bounds_ok = True
@@ -462,7 +461,7 @@ def limit_study_boundary_data() -> BoundaryData:
     )
 
 
-def _suite_limit(cfg: RunConfig, rep: VerificationReport) -> None:
+def _suite_limit(cfg: RunConfig, rep: VerificationReport, base) -> None:
     # fixed diagnostic configuration: the trend needs the resolution where
     # representative noise of the L2 variables stays below the signal
     sp = build_spaces(2, 2, "full")
@@ -481,7 +480,7 @@ def _suite_limit(cfg: RunConfig, rep: VerificationReport) -> None:
     rep.add("limit", "res_Fourier_monotone", float(f_mono), None, f_mono)
 
 
-def _suite_bc(cfg: RunConfig, rep: VerificationReport) -> None:
+def _suite_bc(cfg: RunConfig, rep: VerificationReport, base) -> None:
     eps = cfg.epsilon_w if cfg.epsilon_w > 0 else 0.1
     sp = build_spaces(cfg.degree, cfg.subdivisions, "full")
     params = ModelParams(cfg.kn, cfg.chi_tilde, eps)
@@ -504,13 +503,19 @@ _SUITE_FUNCS = {
 
 
 def run(config: RunConfig) -> VerificationReport:
-    """Execute the configured suites and assemble the report."""
+    """Execute the configured suites and assemble the report.
+
+    Every suite is called as suite(config, report, base); base() returns the
+    (system, constants) pair of `_base_pair`, built once per run on first use,
+    which the constants and the solve suite share.
+    """
     rep = VerificationReport(config=asdict(config))
     rep.config["suites"] = list(config.suites)
+    base = functools.cache(functools.partial(_base_pair, config))
     for suite in ALL_SUITES:  # fixed dependency order
         if suite not in config.suites:
             continue
         t0 = time.perf_counter()
-        _SUITE_FUNCS[suite](config, rep)
+        _SUITE_FUNCS[suite](config, rep, base)
         rep.timings[suite] = time.perf_counter() - t0
     return rep

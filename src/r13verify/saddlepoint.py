@@ -4,9 +4,11 @@ All constants are measured on the assembled discrete system and reported
 as measurements of that system, not as bounds for the continuous problem.
 alpha0 and |A| are extreme eigenvalues found by Lanczos on matrix-free
 operators, k0 and |B| dense singular values of the whitened constraint.
-All but |A| are taken on the momentum and the energy subproblem apart
-(assembly.SaddleStructure) and combined exactly, and the solve eliminates
-the momentum subproblem against the LU that alpha0 already took.
+The unit cube's three mirror reflections and the split into momentum and
+energy subproblem cut the system into 8 sectors of two parts each
+(assembly.SaddleStructure): every constant comes from the parts or the
+sectors and is combined exactly, and the solve factors each sector's
+saddle matrix once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, SaddleStructure, _runs, subproblems
+from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, SaddleStructure
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
 
@@ -61,7 +63,7 @@ def _operator(system: MixedSystem) -> SaddleOperator:
     op = system.operator
     st = op and op.structure
     if st is None or not (system.B is st.B and system.M_V is st.M_V and system.M_Q is st.M_Q):
-        st = SaddleStructure(system.B, system.M_V, system.M_Q, subproblems(system.spaces))
+        st = SaddleStructure(system.B, system.M_V, system.M_Q, system.spaces)
     elif system.A is op.A:
         return op
     return SaddleOperator(system.A, st)
@@ -95,32 +97,41 @@ def _lanczos_max(apply, n: int) -> float:
     raise RuntimeError(f"Lanczos did not converge in {Q.shape[0]} steps")
 
 
-def _whitened_norm(form_matrix: np.ndarray, L_left: BlockCholesky, L_right: BlockCholesky) -> float:
-    """Largest singular value of X = L_left^-1 form L_right^-T, by Lanczos on X^T X.
+def _whitened_norm(product, n: int, L_left: BlockCholesky, L_right: BlockCholesky) -> float:
+    """Largest singular value of X = L_left^-1 F L_right^-T, by Lanczos on X^T X.
 
-    Each product takes four block triangular solves; X is never formed.
+    product(x, trans) returns F x, or F^T x for trans True, with F n columns
+    wide. Each product takes four block triangular solves; X is never formed.
     """
 
     def apply(x):
-        y = L_left.solve(form_matrix @ L_right.solve(x, trans=1))
-        return L_right.solve(form_matrix.T @ L_left.solve(y, trans=1))
+        y = L_left.solve(product(L_right.solve(x, trans=1), False))
+        return L_right.solve(product(L_left.solve(y, trans=1), True))
 
-    return float(np.sqrt(_lanczos_max(apply, form_matrix.shape[1])))
+    return float(np.sqrt(_lanczos_max(apply, n)))
 
 
 def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> float:
     """Largest generalized singular value of a form in the given norms."""
-    return _whitened_norm(form_matrix, BlockCholesky.of(left_gram), BlockCholesky.of(right_gram))
+
+    def product(x, trans):
+        return (form_matrix.T if trans else form_matrix) @ x
+
+    return _whitened_norm(product, form_matrix.shape[1], BlockCholesky.of(left_gram), BlockCholesky.of(right_gram))
 
 
-def _saddle_matrix(A: np.ndarray, constraint: np.ndarray) -> np.ndarray:
-    """[[A, C^T], [C, 0]] in Fortran order, to be factored in place."""
+def _saddle_matrix(A: np.ndarray, constraints: list) -> np.ndarray:
+    """[[A, C^T], [C, 0]] in Fortran order, to be factored in place. C stacks
+    the constraints, given as (columns of A, rows of full rank) pairs."""
     nV = A.shape[0]
-    n = nV + constraint.shape[0]
+    n = nV + sum(C.shape[0] for _, C in constraints)
     K = np.zeros((n, n), order="F")
     K[:nV, :nV] = A
-    K[:nV, nV:] = constraint.T
-    K[nV:, :nV] = constraint
+    row = nV
+    for cols, C in constraints:
+        K[row : row + C.shape[0], cols] = C
+        K[cols, row : row + C.shape[0]] = C.T
+        row += C.shape[0]
     return K
 
 
@@ -134,12 +145,46 @@ def _lu_in_place(K: np.ndarray):
 
 
 def _bordered_lu(op: SaddleOperator, i: int):
-    """(LU, rcond) of part i's bordered matrix [[A_ii, C_i^T], [C_i, 0]],
-    factored once per operator; alpha0 and the solve share it."""
+    """(LU, rcond) of part i's bordered matrix [[A_ii, C_i^T], [C_i, 0]], factored once per operator."""
     if i not in op.bordered:
-        p, rank = op.structure.parts[i], op.structure.ranks[i]
-        op.bordered[i] = _lu_in_place(_saddle_matrix(op.A[np.ix_(p.v, p.v)], p.constraint(rank)))
+        p = op.structure.parts[i]
+        A_ii = op.sectors[p.sector][p.local, p.local]
+        C_i = p.constraint(op.structure.ranks[i])
+        op.bordered[i] = _lu_in_place(_saddle_matrix(A_ii, [(slice(0, A_ii.shape[0]), C_i)]))
     return op.bordered[i]
+
+
+def _sector_lus(op: SaddleOperator) -> list:
+    """LU of each sector's saddle matrix [[A_s, C_s^T], [C_s, 0]], factored once per operator;
+    C_s stacks the constraints of the sector's parts."""
+    if op.factors is None:
+        st = op.structure
+        factors = [
+            _lu_in_place(
+                _saddle_matrix(A_s, [(p.local, p.constraint(r)) for p, r in zip(st.parts, st.ranks) if p.sector == s])
+            )
+            for s, A_s in enumerate(op.sectors)
+        ]
+        rcond = min(rc for _, rc in factors)
+        if rcond == 0.0:
+            raise ValueError("discrete pairing deficient: singular saddle matrix")
+        if not rcond >= np.finfo(float).eps:  # scipy.linalg.solve's warning, once
+            msg = f"An ill-conditioned saddle matrix detected: rcond = {rcond}."
+            warnings.warn(msg, sla.LinAlgWarning, stacklevel=3)
+        op.factors = [lu for lu, _ in factors]
+    return op.factors
+
+
+def _sector_product(op: SaddleOperator):
+    """x -> A x or A^T x in sector coordinates, by the sector blocks of A."""
+
+    def product(x, trans):
+        out = np.empty(x.size)
+        for A_s, sl in zip(op.sectors, op.structure.V.sectors):
+            out[sl] = (A_s.T if trans else A_s) @ x[sl]
+        return out
+
+    return product
 
 
 def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's lu_solve costs more here
@@ -147,49 +192,46 @@ def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's 
 
 
 def _coercivity(op: SaddleOperator) -> float:
-    """alpha0 on ker B: the smallest of the subproblems' constants.
+    """alpha0 on ker B: 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V over the parts.
 
     Raises unless A, read in views of its blocks, is symmetric on each
     subproblem and skew between them, as assembled. Then ker B, M_V and
-    A's symmetric part split along the subproblems, so the coercivity
-    eigenproblem on ker B is the union of one per part, on the solve's
-    bordered matrices. A part whose B block is injective has no say.
+    A's symmetric part split along the parts, so the coercivity
+    eigenproblem on ker B is the direct sum of one per part, and one
+    Lanczos run on the direct sum gives the smallest constant. On part i,
+    K_s = [[A_ii, C_i^T], [C_i, 0]] is its bordered matrix, with C_i of
+    full row rank and kernel ker B_i. The operator equals
+    L_V^T Z (Z^T A_ii Z)^-1 Z^T L_V for a basis Z of ker B_i, so its nonzero
+    eigenvalues are the reciprocals of those of A_ii z = lambda M_V z on
+    ker B_i (the coercivity eigenproblem of Chapelle & Bathe's inf-sup
+    test). The forms make A_ii positive semidefinite. A singular K_s means
+    a kernel direction on which A vanishes: alpha0 = 0. A part whose B
+    block is injective has no say.
     """
-    A, st = op.A, op.structure
-    runs = [[g for _, g in _runs(v)] for v, _ in st.subproblems]
-    for name, part in zip(("momentum", "energy"), runs):
-        if not all(np.array_equal(A[a, b], A[b, a].T) for a in part for b in part):
+    for name, symmetric in zip(("momentum", "energy"), op.symmetric):
+        if not symmetric:
             raise ValueError(f"A is not symmetric on the {name} subproblem")
-    if any(np.any(A[a, b] + A[b, a].T) for a in runs[0] for b in runs[1]):
+    if not op.symmetric[2]:
         raise ValueError("the symmetric part of A couples the momentum and energy subproblems")
-    return min(
-        _kernel_coercivity(*_bordered_lu(op, i), p.cholesky[0], p.v.size)
-        for i, p in enumerate(st.parts)
-        if st.ranks[i] < p.v.size
-    )
-
-
-def _kernel_coercivity(lu: tuple, rcond: float, L_V: BlockCholesky, nV: int) -> float:
-    """alpha0 = 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V.
-
-    K_s = [[A_s, C^T], [C, 0]], factored as lu, with A_s symmetric and a
-    constraint C of full row rank and kernel ker B. The operator
-    equals L_V^T Z (Z^T A_s Z)^-1 Z^T L_V for a basis Z of ker B, so its
-    nonzero eigenvalues are the reciprocals of those of A_s z = lambda M_V z
-    on ker B (the coercivity eigenproblem of Chapelle & Bathe's inf-sup
-    test). The forms make A_s positive semidefinite, so the largest one
-    gives alpha0. A singular K_s means a kernel direction on which A_s
-    vanishes: alpha0 = 0.
-    """
-    if not rcond >= np.finfo(float).eps:
-        return 0.0
-    rhs = np.zeros(lu[0].shape[0])
+    st = op.structure
+    terms, n = [], 0
+    for i, p in enumerate(st.parts):
+        nV = p.M_V.shape[0]
+        if st.ranks[i] < nV:
+            lu, rcond = _bordered_lu(op, i)
+            if not rcond >= np.finfo(float).eps:
+                return 0.0
+            terms.append((lu, p.cholesky[0], slice(n, n + nV), np.zeros(lu[0].shape[0])))
+            n += nV
 
     def apply(x):
-        rhs[:nV] = L_V.matvec(x)
-        return L_V.matvec(_lu_solve(lu, rhs)[:nV], trans=1)
+        y = np.empty(n)
+        for lu, L_V, sl, rhs in terms:
+            rhs[: sl.stop - sl.start] = L_V.matvec(x[sl])
+            y[sl] = L_V.matvec(_lu_solve(lu, rhs)[: sl.stop - sl.start], trans=1)
+        return y
 
-    return 1.0 / _lanczos_max(apply, nV)
+    return 1.0 / _lanczos_max(apply, n)
 
 
 def infsup_constant(system: MixedSystem):
@@ -211,13 +253,17 @@ def _infsup(svals: np.ndarray, rank: int):
 def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     """All measured constants of the assembled system.
 
-    Each comes from the momentum and the energy subproblem and is combined
-    exactly. One SVD of each part's block of B in the natural norms, cut
-    once at KERNEL_RTOL (the report's `kernel_rank_cutoff`), gives k0, |B|,
-    dim ker B, dim ker B^T and the constraint of full row rank behind each
-    part's alpha0; alpha0 is the smaller of the two and needs A symmetric
-    on each subproblem. |A| is taken on the whole A with the parts' factors
-    of M_V. The operator comes from `_operator`.
+    Each comes from the structure's parts, (mirror sector x subproblem),
+    16 of them on a mirror-invariant system and 2 in its one trivial
+    sector otherwise, and is combined exactly. One SVD of each part's block
+    of B in the natural norms, cut once at KERNEL_RTOL (the report's
+    `kernel_rank_cutoff`) times the whole B's largest singular value, gives
+    k0 and dim ker B^T from the union of the singular values, |B|, dim
+    ker B as a sum, and the constraint of full row rank behind each part's
+    alpha0. alpha0, the minimum over the parts, needs A symmetric on each
+    subproblem. |A| is the largest over the sectors' blocks of A with the
+    parts' factors of M_V. alpha0 and |A| take one Lanczos run each over
+    the direct sum. The operator comes from `_operator`.
     """
     op = _operator(system)
     st = op.structure
@@ -225,12 +271,12 @@ def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     dim_kerB = system.B.shape[1] - rank
     if dim_kerB == 0:
         raise ValueError("trivial kernel")
-    L_V = st.cholesky[0]
+    L_V = st.L_V
     k0, dim_kerBT = _infsup(st.whitened_svals, rank)
     return BrezziConstants(
         alpha0=_coercivity(op),
         k0=k0,
-        norm_A=_whitened_norm(system.A, L_V, L_V),
+        norm_A=_whitened_norm(_sector_product(op), system.A.shape[1], L_V, L_V),
         norm_B=float(st.whitened_svals[0]),  # the SVD behind k0
         dim_kerB=dim_kerB,
         dim_kerBT=dim_kerBT,
@@ -240,46 +286,6 @@ def brezzi_constants(system: MixedSystem) -> BrezziConstants:
 def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
     """Discrete dual norm sqrt(vec^T gram^-1 vec)."""
     return float(np.linalg.norm(BlockCholesky.of(gram).solve(vec)))
-
-
-def _coupling(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
-    """The nonzero blocks of A[rows, cols] between contiguous runs of the two
-    increasing index arrays, as (local rows, local columns, view of A)."""
-    blocks = ((lr, lc, A[gr, gc]) for lr, gr in _runs(rows) for lc, gc in _runs(cols))
-    return [b for b in blocks if np.any(b[2])]
-
-
-def _elimination(op: SaddleOperator) -> tuple:
-    """(LU of K_0, LU of S, R_01 blocks, R_10 blocks) of the saddle matrix, kept in op.factors.
-
-    Up to the order of its rows it is [[K_0, R_01], [R_10, K_1]], with K_i
-    the parts' bordered matrices and R_01, R_10 views of the blocks of A
-    between the parts. S = K_1 - R_10 K_0^-1 R_01 is the Schur complement.
-    """
-    if op.factors is not None:
-        return op.factors
-    A, st = op.A, op.structure
-    p0, p1 = st.parts
-    lu0, rcond0 = _bordered_lu(op, 0)
-    if rcond0 == 0.0:
-        raise ValueError("discrete pairing deficient: singular saddle matrix")
-    upper, lower = _coupling(A, p0.v, p1.v), _coupling(A, p1.v, p0.v)
-    Z = np.zeros((lu0[0].shape[0], p1.v.size), order="F")
-    for lr, lc, blk in upper:
-        Z[lr, lc] = blk
-    Z = _getrs(*lu0, Z, overwrite_b=1)[0]  # K_0^-1 R_01, in place
-    S = _saddle_matrix(A[np.ix_(p1.v, p1.v)], p1.constraint(st.ranks[1]))
-    for lr, lc, blk in lower:
-        S[lr, : p1.v.size] -= blk @ Z[lc]
-    del Z
-    lu1, rcond1 = _lu_in_place(S)
-    if rcond1 == 0.0:
-        raise ValueError("discrete pairing deficient: singular saddle matrix")
-    if not min(rcond0, rcond1) >= np.finfo(float).eps:  # scipy.linalg.solve's warning, once
-        msg = f"An ill-conditioned saddle matrix detected: rcond = {min(rcond0, rcond1)}."
-        warnings.warn(msg, sla.LinAlgWarning, stacklevel=3)
-    op.factors = lu0, lu1, upper, lower
-    return op.factors
 
 
 def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -> MixedSolution:
@@ -302,30 +308,27 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     Each part's one SVD L_Q^-1 B_i L_V^-T = U S V^T, split at its rank into
     U_r and U_k, gives the consistency test U_k^T L_Q^-1 G = 0, the
     constraint rows U_r^T L_Q^-1 G and, from the multipliers lam, the
-    minimal pressure P = L_Q^-T U_r lam. The momentum part is eliminated
-    against the bordered LU alpha0 took (_elimination), which needs the
-    momentum alpha0 positive; each load costs three back-substitutions.
+    minimal pressure P = L_Q^-T U_r lam, through one map per sector each
+    way (SaddleStructure.load_maps). F and G go to sector coordinates, each
+    sector's saddle matrix is factored once per operator, and U and P come
+    back from sector coordinates: each further load costs two changes of
+    basis each way and per sector three small products and one LU
+    back-substitution. Residuals and the norms of U and P are taken with
+    the original matrices.
     """
     op = _operator(system)
     st = op.structure
-    L_V, L_Q = st.cholesky
-    g = L_Q.solve(system.G)  # its norm is the dual norm of G
-    U_split = [(p, p.whitened_svd[0][:, :r], p.whitened_svd[0][:, r:]) for p, r in zip(st.parts, st.ranks)]
-    defect = np.concatenate([U_k.T @ g[p.q] for p, _, U_k in U_split])
-    if np.linalg.norm(defect) > KERNEL_RTOL * max(np.linalg.norm(g), 1.0):
+    f, g = st.V.to_sectors(system.F), st.Q.to_sectors(system.G)
+    y = [Y @ g[qs] for (Y, _), qs in zip(st.load_maps, st.Q.sectors)]
+    defect = np.concatenate([y_s[Z.shape[1] :] for y_s, (_, Z) in zip(y, st.load_maps)])
+    g_dual = np.linalg.norm(np.concatenate(y))  # |L_Q^-1 G|, the dual norm of G
+    if np.linalg.norm(defect) > KERNEL_RTOL * max(g_dual, 1.0):
         raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {defect.size})")
-    lu0, lu1, upper, lower = _elimination(op)
-    b0, b1 = (np.concatenate([system.F[p.v], U_r.T @ g[p.q]]) for p, U_r, _ in U_split)
-    y0 = _lu_solve(lu0, b0)
-    for lr, lc, blk in lower:
-        b1[lr] -= blk @ y0[lc]
-    x1 = _lu_solve(lu1, b1)
-    for lr, lc, blk in upper:
-        b0[lr] -= blk @ x1[lc]
-    U, w = np.empty(system.F.size), np.empty(g.size)
-    for (p, U_r, _), x in zip(U_split, (_lu_solve(lu0, b0), x1)):
-        U[p.v], w[p.q] = x[: p.v.size], U_r @ x[p.v.size :]
-    P = L_Q.solve(w, trans=1)
+    u, p = np.empty(f.size), np.empty(g.size)
+    for lu, vs, qs, y_s, (_, Z) in zip(_sector_lus(op), st.V.sectors, st.Q.sectors, y, st.load_maps):
+        x = _lu_solve(lu, np.concatenate([f[vs], y_s[: Z.shape[1]]]))
+        u[vs], p[qs] = x[: vs.stop - vs.start], Z @ x[vs.stop - vs.start :]
+    U, P = st.V.from_sectors(u), st.Q.from_sectors(p)
 
     res1 = np.linalg.norm(system.A @ U + system.B.T @ P - system.F)
     res2 = np.linalg.norm(system.B @ U - system.G)
@@ -335,7 +338,7 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
 
     bound_U = bound_P = None
     if constants is not None:
-        f_dual, g_dual = np.linalg.norm(L_V.solve(system.F)), np.linalg.norm(g)
+        f_dual = np.linalg.norm(st.L_V.solve(f))
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float((1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual)

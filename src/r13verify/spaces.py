@@ -11,6 +11,7 @@ here with margin.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -96,6 +97,36 @@ class Basis1D:
         for loc, g in enumerate(self.loc2glob[k - 1]):
             self.at1[g] += self._ref[loc](1.0)
             self.d1_at1[g] += self._ref_d1[loc](1.0) * k
+
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pi, sign) of the reflection x -> 1 - x: phi_j(1 - x) = sign[j] phi_pi[j](x).
+
+        Node j goes to node k - j. The degree-m bubble of cell c goes to the
+        same bubble of cell k - 1 - c times (-1)^m, the parity of P_m - P_{m-2}.
+        """
+        k, N = self.subdivisions, self.degree
+        pi, sign = np.arange(self.n), np.ones(self.n)
+        pi[: k + 1] = np.arange(k, -1, -1)
+        for m in range(2, N + 1):
+            pi[self.loc2glob[:, m]] = self.loc2glob[::-1, m]
+            sign[self.loc2glob[:, m]] = (-1.0) ** m
+        return pi, sign
+
+    def parity_basis(self) -> tuple[np.ndarray, int]:
+        """(T1, n_even): an orthogonal T1 whose first n_even columns are even under
+        x -> 1 - x and the rest odd. It pairs each function with its mirror image
+        as (e_j +- sign[j] e_pi(j)) / sqrt(2); a function that is its own image stays."""
+        pi, sign = self.mirror()
+        cols = {1.0: [], -1.0: []}
+        for j in np.flatnonzero(pi >= np.arange(self.n)):
+            if pi[j] == j:
+                cols[sign[j]].append(np.eye(self.n)[j])
+                continue
+            for p in (1.0, -1.0):
+                col = np.zeros(self.n)
+                col[j], col[pi[j]] = np.sqrt(0.5), p * sign[j] * np.sqrt(0.5)
+                cols[p].append(col)
+        return np.column_stack(cols[1.0] + cols[-1.0]), len(cols[1.0])
 
     def evaluate(self, x: np.ndarray, order: int = 0) -> np.ndarray:
         """Tabulate all basis functions (or a derivative) at arbitrary points."""
@@ -226,6 +257,14 @@ class ScalarBasis:
         """Vector of integrals of each basis function."""
         return self.phi.T @ self.weights
 
+    def face_integrals(self, f: int) -> np.ndarray:
+        """Vector of integrals of each basis function over face f."""
+        key = ("fi", f)
+        if key not in self._cache:
+            fd = self.faces[f]
+            self._cache[key] = fd.phi.T @ fd.weights
+        return self._cache[key]
+
     def face_mass(self, f: int, trial: ScalarBasis | None = None) -> np.ndarray:
         """Face integral of phi_I psi_J, psi from trial (default: this basis)."""
         trial = self if trial is None else trial
@@ -298,6 +337,89 @@ class BubbleBasis:
         return g
 
 
+class _Kron3:
+    """T1 (x) T1 (x) T1 applied along the first axis of an array, one mode product
+    per factor; the axis may stack several blocks of n1^3."""
+
+    def __init__(self, T1: np.ndarray):
+        self.T1 = T1
+
+    def __call__(self, X: np.ndarray, transpose: bool = False) -> np.ndarray:
+        T = self.T1.T if transpose else self.T1
+        n1 = T.shape[0]
+        trail = X.size // X.shape[0]
+        Y = X
+        for k in range(3):
+            Y = T @ Y.reshape(-1, n1, n1 ** (2 - k) * trail)
+        return Y.reshape(X.shape)
+
+
+def _sector_labels(n1: int, n_even: int, field_signs) -> np.ndarray:
+    """Sector 0..7 of each Kronecker product of 1D parity functions, as an
+    (n1, n1, n1) array: bit a is set when it is odd under the mirror of axis a."""
+    odd = np.arange(n1) >= n_even
+    bits = [(odd ^ (sign < 0)).astype(int) << a for a, sign in enumerate(field_signs)]
+    return bits[0][:, None, None] + bits[1][None, :, None] + bits[2][None, None, :]
+
+
+class MirrorBasis:
+    """Orthogonal coordinates of V and Q that the cube's three mirror reflections
+    map to plus or minus themselves.
+
+    Reflecting x_a -> 1 - x_a maps the scalar basis to itself up to sign
+    (Basis1D.mirror), and it maps each stf component of sigma (in the basis
+    E), each vector component and each scalar field to plus or minus itself.
+    Pairing every 1D function with its image (Basis1D.parity_basis, one
+    Kronecker factor per axis) therefore gives coordinates with one sign per
+    reflection: a sector 0..7. For the zero-mean pressure a Householder
+    reflection inside the fully even class, where the integrals lie, spans
+    their orthogonal complement. `V` and `Q` list the field blocks as
+    (slice, transform, sectors): transform(x, True) maps the block's
+    coordinates x to parity coordinates and transform(y) maps them back, and
+    sectors gives the sector of each parity coordinate, shaped (n1, n1, n1)
+    for a Kronecker block and sorted for the pressure. Each sector's
+    coordinates in a block thus form a box of that shape.
+    """
+
+    def __init__(self, spaces: DiscreteSpaces):
+        T1, even = spaces.scalar.b1.parity_basis()
+        Tq, even_q = spaces.scalar_pq.b1.parity_basis()
+        n1, m1 = T1.shape[0], Tq.shape[0]
+        n, m = n1**3, m1**3
+        axis_signs = [np.where(np.arange(3) == i, -1.0, 1.0) for i in range(3)]
+        # the reflection of axis a maps E_b to sigma_signs[b, a] E_b; one that
+        # did not would show as off-sector entries of the assembled matrices
+        sigma_signs = np.array([[np.sum(s[:, None] * s[None, :] * Eb * Eb) for s in axis_signs] for Eb in spaces.E])
+        K, Kq = _Kron3(T1), _Kron3(Tq)
+        P, p_labels = self._pressure_basis(spaces, _kron_all([Tq] * 3), _sector_labels(m1, even_q, np.ones(3)))
+        self.V = (
+            [(slice(a * n, (a + 1) * n), K, _sector_labels(n1, even, sigma_signs[a])) for a in range(5)]
+            + [(slice((5 + i) * n, (6 + i) * n), K, _sector_labels(n1, even, axis_signs[i])) for i in range(3)]
+            + [(spaces.v_blocks["p"], lambda X, transpose=False: (P.T if transpose else P) @ X, p_labels)]
+        )
+        self.Q = [(slice(i * m, (i + 1) * m), Kq, _sector_labels(m1, even_q, axis_signs[i])) for i in range(3)]
+        self.Q.append((spaces.q_blocks["theta"], Kq, _sector_labels(m1, even_q, np.ones(3))))
+
+    @staticmethod
+    def _pressure_basis(spaces, T3: np.ndarray, labels: np.ndarray):
+        """(Cp^T W, sorted sectors of W's columns) for an orthonormal parity
+        basis W of the span of Cp, its columns sorted by sector."""
+        labels = labels.ravel()
+        if spaces.pressure_mode == "zero_mean":
+            even = np.flatnonzero(labels == 0)
+            x = T3[:, even].T @ spaces.scalar_pq.integrals()
+            x /= np.linalg.norm(x)
+            u = x.copy()
+            u[0] += 1.0 if x[0] >= 0 else -1.0  # no cancellation, also where x = +-e_0
+            u /= np.linalg.norm(u)
+            T3 = T3.copy()
+            T3[:, even] -= 2.0 * np.outer(T3[:, even] @ u, u)  # column even[0] now spans the integrals
+            keep = np.delete(np.arange(labels.size), even[0])
+            T3, labels = T3[:, keep], labels[keep]
+        order = np.argsort(labels, kind="stable")
+        return spaces.Cp.T @ T3[:, order], labels[order]
+
+
 PAIRINGS = ("equal", "enriched")
 
 
@@ -317,7 +439,8 @@ class DiscreteSpaces:
     degree N, both tabulated on the N+3 Gauss points per direction and
     cell of the degree-(N+1) basis; its constraint maps onto Q. The Korn
     and right-inverse helpers read `scalar` and `degree` as one
-    equal-degree basis.
+    equal-degree basis. `mirror` is the MirrorBasis of V and Q, built on
+    first use.
     """
 
     def __init__(self, degree: int, subdivisions: int, pressure_mode: str, pairing: str = "equal"):
@@ -361,6 +484,21 @@ class DiscreteSpaces:
         # MixedSystem assembled on these spaces holds it
         self.structure = None
         self.operators = weakref.WeakValueDictionary()
+
+    @cached_property
+    def stress_face_weights(self) -> list[dict]:
+        """Per face, the weights w[key] (5-vectors) with sigma_key = w[key] . sigma
+        for the frame entries nn, nt1, nt2, t1t1, t1t2 and t2t2."""
+        out = []
+        for fd in self.faces:
+            vec = {"n": fd.frame.n, "t1": fd.frame.t1, "t2": fd.frame.t2}
+            keys = (("n", "n"), ("n", "t1"), ("n", "t2"), ("t1", "t1"), ("t1", "t2"), ("t2", "t2"))
+            out.append({i + j: np.einsum("aij,i,j->a", self.E, vec[i], vec[j]) for i, j in keys})
+        return out
+
+    @cached_property
+    def mirror(self) -> MirrorBasis:
+        return MirrorBasis(self)
 
     @property
     def faces(self) -> list[FaceData]:

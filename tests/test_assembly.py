@@ -16,6 +16,8 @@ from r13verify.assembly import (
 from r13verify.spaces import PAIRINGS, build_spaces
 from r13verify.tensors import project2
 
+from helpers import mirror_maps
+
 PARAMS = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
 PARAMS0 = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.0)
 
@@ -202,6 +204,38 @@ def test_assembled_A_is_exactly_symmetric_per_subproblem(pairing, eps):
     vb = spaces.v_blocks
     assert np.array_equal(A[vb["sigma"], vb["s"]], -A[vb["s"], vb["sigma"]].T)
     assert np.any(A[vb["sigma"], vb["s"]])
+
+
+@pytest.mark.parametrize(
+    "pairing,N,k",
+    [("equal", 1, 1), ("equal", 2, 1), ("equal", 2, 2), ("enriched", 1, 1), ("enriched", 1, 2)],
+)
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_assembled_matrices_commute_with_the_cube_mirrors(pairing, N, k, mode, eps):
+    # the premise of the mirror sectors: Omega^T M Omega = M for each of the
+    # three reflections, with Omega built from tabulations alone
+    spaces = build_spaces(N, k, mode, pairing)
+    params = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=eps)
+    mats = {name: assemble_form(name, spaces, params) for name in ("A", "B", "MV", "MQ")}
+    for Omega_V, Omega_Q in mirror_maps(spaces):
+        for name, left, right in (("A", Omega_V, Omega_V), ("B", Omega_Q, Omega_V),
+                                  ("MV", Omega_V, Omega_V), ("MQ", Omega_Q, Omega_Q)):
+            M = mats[name]
+            assert np.abs(left.T @ M @ right - M).max() <= 1e-13 * np.abs(M).max(), name
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_sector_blocks_of_A_keep_its_exact_symmetry(pairing):
+    # each sector block is symmetric to the bit on both subproblems and
+    # exactly skew between them, as A itself is assembled
+    system = assemble_system(build_spaces(2, 1, "full", pairing), PARAMS)
+    op = system.operator
+    assert op.structure.mirrored and all(op.symmetric) and len(op.sectors) == 8
+    for S, k in zip(op.sectors, op.structure.V.split):
+        for d in (slice(0, k), slice(k, None)):
+            assert np.array_equal(S[d, d], S[d, d].T)
+        assert np.array_equal(S[k:, :k], -S[:k, k:].T) and np.any(S[k:, :k])
 
 
 def test_form_d_kn_slope_is_korn_gradient_gram(sp):

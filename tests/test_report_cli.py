@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from r13verify.assembly import SaddleStructure
 from r13verify.cli import main
 from r13verify.report import (
     ALL_SUITES,
@@ -76,6 +77,28 @@ def test_constants_suite_marks_deficiency():
     deficiency = rows["dim_kerBT_N1_eps0.0_kn1.0"]
     assert deficiency.value > 0
     assert deficiency.passed is False  # reported honestly, not hidden
+
+
+def test_constants_and_solve_suites_share_one_structure(monkeypatch):
+    # the two suites measure the same (degree, subdivisions, pressure mode,
+    # params) system; one run builds its structure once, and the solve
+    # suite alone still builds it
+    built = []
+    post_init = SaddleStructure.__post_init__
+
+    def counting(self):
+        sp = self.spaces
+        built.append((sp.degree, sp.subdivisions, sp.pressure_mode))
+        post_init(self)
+
+    monkeypatch.setattr(SaddleStructure, "__post_init__", counting)
+    rep = run(RunConfig(suites=("constants", "solve")))
+    assert built.count((2, 1, "zero_mean")) == 1
+    assert {r.suite for r in rep.rows} == {"constants", "solve"}
+    built.clear()
+    solo = run(RunConfig(suites=("solve",)))
+    assert built == [(2, 1, "zero_mean")]
+    assert [r for r in solo.rows] == [r for r in rep.rows if r.suite == "solve"]
 
 
 def test_report_json_roundtrip(tmp_path, ellipticity_report):

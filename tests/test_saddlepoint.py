@@ -37,8 +37,8 @@ from helpers import (
 )
 
 
-def make_system(N=2, k=1, eps=0.0, kn=1.0, sources=None, bdata=None, pairing="equal"):
-    mode = "zero_mean" if eps == 0.0 else "full"
+def make_system(N=2, k=1, eps=0.0, kn=1.0, sources=None, bdata=None, pairing="equal", mode=None):
+    mode = mode or ("zero_mean" if eps == 0.0 else "full")
     sp = build_spaces(N, k, mode, pairing)
     params = ModelParams(kn=kn, chi_tilde=1.0, epsilon_w=eps)
     return assemble_system(sp, params, sources, bdata)
@@ -449,27 +449,42 @@ def test_solve_warns_on_ill_conditioned_saddle_matrix(sys_eps0):
         solve_mixed(system)
 
 
+def with_ids(cases):
+    """pytest params whose id joins the values, and the pressure mode where one is given."""
+    return [pytest.param(*case, id="-".join(str(v) for v in case if v is not None)) for case in cases]
+
+
 @pytest.mark.parametrize(
-    "pairing,N,k,eps",
-    [
-        ("equal", 2, 1, 0.0),
-        ("equal", 3, 1, 0.0),
-        ("equal", 2, 2, 0.0),
-        ("equal", 2, 1, 0.1),
-        ("equal", 3, 1, 0.1),
-        ("enriched", 1, 1, 0.0),
-        ("enriched", 1, 1, 0.1),
-        ("enriched", 1, 2, 0.0),
-        ("enriched", 1, 2, 0.1),
-    ],
+    "pairing,N,k,eps,mode",
+    with_ids(
+        [
+            ("equal", 2, 1, 0.0, None),
+            ("equal", 3, 1, 0.0, None),
+            ("equal", 2, 2, 0.0, None),
+            ("equal", 2, 1, 0.1, None),
+            ("equal", 3, 1, 0.1, None),
+            ("enriched", 1, 1, 0.0, None),
+            ("enriched", 1, 1, 0.1, None),
+            ("enriched", 1, 2, 0.0, None),
+            ("enriched", 1, 2, 0.1, None),
+            # a fully even pressure class of one function: the zero-mean
+            # Householder inside it must not divide 0 by 0
+            ("enriched", 1, 1, 0.1, "zero_mean"),
+            ("equal", 1, 3, 0.05, "zero_mean"),
+            # full pressure at epsilon_w = 0: alpha0 = 0 on a singular bordered matrix
+            ("equal", 1, 1, 0.0, "full"),
+            ("equal", 2, 1, 0.0, "full"),
+        ]
+    ),
 )
-def test_constants_match_dense_oracle(pairing, N, k, eps):
-    system = make_system(N=N, k=k, eps=eps, pairing=pairing)
+def test_constants_match_dense_oracle(pairing, N, k, eps, mode):
+    system = make_system(N=N, k=k, eps=eps, pairing=pairing, mode=mode)
     consts = brezzi_constants(system)
     dense = dense_brezzi_constants(system)
-    assert consts.alpha0 == pytest.approx(dense["alpha0"], rel=1e-10)
+    # the absolute part only matters where alpha0 is 0 and the dense pencil returns roundoff
+    assert consts.alpha0 == pytest.approx(dense["alpha0"], rel=1e-10, abs=1e-12)
     assert consts.norm_A == pytest.approx(dense["norm_A"], rel=1e-10)
-    # per-subproblem SVDs against one whole-matrix SVD: equal up to rounding
+    # per-part SVDs against one whole-matrix SVD: equal up to rounding
     assert consts.k0 == pytest.approx(dense["k0"], rel=1e-12)
     assert consts.norm_B == pytest.approx(dense["norm_B"], rel=1e-12)
     assert consts.dim_kerB == dense["dim_kerB"] and consts.dim_kerBT == dense["dim_kerBT"]
@@ -488,10 +503,15 @@ def test_constants_match_dense_oracle(pairing, N, k, eps):
 def test_cokernel_splits_between_velocity_and_temperature(pairing, N, k, cokernels):
     # the equal pairing's 7-dimensional cokernel, which first derivatives
     # missing the top corner monomial cause, lies six dimensions against u
-    # (momentum part) and one against theta (energy part); enriched has none
+    # (momentum parts) and one against theta (energy parts), summed over
+    # the 8 mirror sectors; enriched has none
     system = make_system(N=N, k=k, pairing=pairing)
     structure = system.operator.structure
-    assert tuple(p.q.size - r for p, r in zip(structure.parts, structure.ranks)) == cokernels
+    assert structure.mirrored and len(structure.parts) == 16
+    split = [0, 0]
+    for p, r in zip(structure.parts, structure.ranks):
+        split[p.subproblem] += p.B.shape[0] - r
+    assert tuple(split) == cokernels
     assert brezzi_constants(system).dim_kerBT == sum(cokernels)
 
 
@@ -551,10 +571,12 @@ def test_kn_systems_share_one_structure():
     sp = build_spaces(1, 1, "full")
     systems = [assemble_system(sp, ModelParams(kn, 1.0, 0.1)) for kn in (1.0, 0.3, 0.1)]
     structure = systems[0].operator.structure
+    assert structure.mirrored and len(structure.parts) == 16
     svds = [part.whitened_svd for part in structure.parts]
     for system in systems:
         solve_mixed(system)
         assert system.operator.structure is structure
+        assert system.operator.factors is not None and system.operator.A is system.A
         assert all(part.whitened_svd is svd for part, svd in zip(structure.parts, svds))
         for name in ("B", "M_V", "M_Q"):
             assert getattr(system, name) is getattr(structure, name)
@@ -581,19 +603,28 @@ def assert_matches_dense_solution(sol, system):
     assert np.linalg.norm(sol.P - P) <= 1e-10 * np.linalg.norm(P)
 
 
-@pytest.mark.parametrize("pairing", PAIRINGS)
-@pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (1, 2)])
-@pytest.mark.parametrize("eps", [0.0, 0.1])
-def test_solve_matches_dense_oracle(pairing, N, k, eps):
-    # the block elimination against one dense solve of the whole saddle
-    # matrix, with the minimal M_Q-norm pressure on the equal pairing
-    system = make_system(N=N, k=k, eps=eps, pairing=pairing)
+@pytest.mark.parametrize(
+    "eps,N,k,pairing,mode",
+    with_ids(
+        [(eps, N, k, pairing, None) for eps in (0.0, 0.1) for N, k in ((1, 1), (2, 1), (1, 2)) for pairing in PAIRINGS]
+        + [(0.1, 1, 1, "enriched", "zero_mean"), (0.05, 1, 3, "equal", "zero_mean")]
+    ),
+)
+def test_solve_matches_dense_oracle(eps, N, k, pairing, mode):
+    # the per-sector solves against one dense solve of the whole saddle
+    # matrix, with the minimal M_Q-norm pressure on the equal pairing. Full
+    # pressure at epsilon_w = 0 is left out: its whole saddle matrix is
+    # singular, so neither solve has an answer to compare
+    system = make_system(N=N, k=k, eps=eps, pairing=pairing, mode=mode)
     for seed in (51, 52):
         loaded = random_consistent_load(system, seed)
         assert_matches_dense_solution(solve_mixed(loaded), loaded)
 
 
-def test_momentum_factor_is_shared_by_alpha0_and_every_load(monkeypatch):
+def test_each_part_and_sector_is_factored_once_for_every_load(monkeypatch):
+    # alpha0 factors each part's bordered matrix once and the first solve
+    # each sector's saddle matrix once; later loads factor nothing, and no
+    # LU is larger than the largest sector saddle matrix
     sizes = []
 
     def counting_lu(K):
@@ -606,20 +637,19 @@ def test_momentum_factor_is_shared_by_alpha0_and_every_load(monkeypatch):
     params = ModelParams()
     system = assemble_system(sp, params)
     structure = system.operator.structure
-    momentum = structure.parts[0].v.size + structure.ranks[0]
+    sector_sizes = [sl.stop - sl.start for sl in structure.V.sectors]
+    for p, r in zip(structure.parts, structure.ranks):
+        sector_sizes[p.sector] += r
     consts = brezzi_constants(system)
+    assert len(sizes) == 16 and len(system.operator.bordered) == 16
     solve_mixed(system, consts)
-    assert sizes.count(momentum) == 1
-    # energy alpha0 and the Schur complement of the solve: one LU each, and
-    # none of the whole saddle matrix, which is larger than n_V
-    assert len(sizes) == 3 and max(sizes) < sp.n_V
-    op = system.operator
-    assert op.factors[0] is op.bordered[0][0]
+    assert sorted(sizes[16:]) == sorted(sector_sizes)
+    assert max(sizes) == max(sector_sizes) < sp.n_V / 4
     rng = np.random.default_rng(53)
     for _ in range(3):
         sol = solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts)
         assert sol.bounds_hold
-    assert len(sizes) == 3
+    assert len(sizes) == 24
 
 
 def test_nonsymmetric_A_is_rejected_by_the_constants(sys_eps01):
@@ -646,7 +676,7 @@ def test_replaced_A_gets_a_private_operator_on_the_shared_structure():
     svds = [part.whitened_svd for part in op.structure.parts]
     replaced = dataclasses.replace(system, A=system.A.copy())
     private_op = saddlepoint._operator(replaced)
-    assert private_op is not op and private_op.structure is op.structure
+    assert private_op is not op and private_op.structure is op.structure and len(private_op.sectors) == 8
     assert brezzi_constants(replaced) == consts
     private = solve_mixed(replaced, consts)
     assert all(a is b for a, b in zip([part.whitened_svd for part in op.structure.parts], svds))
@@ -655,3 +685,27 @@ def test_replaced_A_gets_a_private_operator_on_the_shared_structure():
     assert np.array_equal(private.U, shared.U) and np.array_equal(private.P, shared.P)
     for name in ("residual_primal", "residual_constraint", "norm_U", "norm_P", "bound_U", "bound_P"):
         assert getattr(private, name) == getattr(shared, name)
+
+
+def test_non_invariant_matrices_take_the_single_sector_path():
+    # one diagonal entry of A, or one entry of B inside the momentum
+    # subproblem, breaks the mirror symmetry: that system gets one trivial
+    # sector of two parts and still matches the dense oracles
+    base = make_system(N=1, k=1, eps=0.1)
+    sp = base.spaces
+    A = base.A.copy()
+    A[sp.v_blocks["sigma"].start, sp.v_blocks["sigma"].start] += 0.5
+    B = base.B.copy()
+    B[sp.q_blocks["u"].start, sp.v_blocks["sigma"].start + 1] += 0.5
+    for edit in ({"A": A}, {"B": B}):
+        system = random_consistent_load(dataclasses.replace(base, **edit), 56)
+        op = saddlepoint._operator(system)
+        assert not op.structure.mirrored and len(op.sectors) == 1 and len(op.structure.parts) == 2
+        assert base.operator.structure.mirrored
+        consts = brezzi_constants(system)
+        dense = dense_brezzi_constants(system)
+        assert consts.alpha0 == pytest.approx(dense["alpha0"], rel=1e-10)
+        assert consts.norm_A == pytest.approx(dense["norm_A"], rel=1e-10)
+        assert consts.k0 == pytest.approx(dense["k0"], rel=1e-12)
+        assert consts.dim_kerB == dense["dim_kerB"] and consts.dim_kerBT == dense["dim_kerBT"]
+        assert_matches_dense_solution(solve_mixed(system), system)

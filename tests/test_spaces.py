@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from r13verify.spaces import Basis1D, BubbleBasis, ScalarBasis, build_spaces
+from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, build_spaces
+
+from helpers import mirror_maps
 
 
 def test_dimensions_full():
@@ -178,3 +180,39 @@ def test_bubble_h1_gram_spd():
     g = bb.h1_gram()
     assert_allclose(g, g.T, atol=1e-12)
     assert np.linalg.eigvalsh(g).min() > 0
+
+
+@pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (3, 2), (4, 3)])
+def test_basis1d_mirror_matches_tabulation(N, k):
+    b = Basis1D(N, k)
+    x = np.linspace(0.0, 1.0, 37)
+    pi, sign = b.mirror()
+    assert_allclose(b.evaluate(1.0 - x), b.evaluate(x)[:, pi] * sign, atol=1e-13)
+    T1, n_even = b.parity_basis()
+    assert_allclose(T1.T @ T1, np.eye(b.n), atol=1e-15)
+    # the first n_even parity functions are even, the rest odd
+    parity = np.where(np.arange(b.n) < n_even, 1.0, -1.0)
+    assert_allclose(b.evaluate(1.0 - x) @ T1, (b.evaluate(x) @ T1) * parity, atol=1e-13)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+def test_mirror_basis_diagonalizes_the_mirror_maps(pairing, N, k, mode):
+    # T^T Omega_a T = diag(+-1), the sign of each coordinate read off bit a
+    # of its sector; enriched (1,1) zero_mean has a fully even pressure
+    # class of one function, which the zero-mean constraint removes
+    spaces = build_spaces(N, k, mode, pairing)
+    dense = []
+    for blocks, n in ((spaces.mirror.V, spaces.n_V), (spaces.mirror.Q, spaces.n_Q)):
+        T, sector = np.zeros((n, n)), np.zeros(n, dtype=int)
+        for sl, transform, labels in blocks:
+            T[sl, sl] = transform(np.eye(sl.stop - sl.start))
+            sector[sl] = labels.ravel()
+        assert_allclose(T.T @ T, np.eye(n), atol=1e-13)
+        assert np.all(np.isfinite(T))
+        dense.append((T, sector))
+    for a, Omegas in enumerate(mirror_maps(spaces)):
+        for Omega, (T, sector) in zip(Omegas, dense):
+            signs = np.where(sector >> a & 1, -1.0, 1.0)
+            assert_allclose(T.T @ Omega @ T, np.diag(signs), atol=1e-12)
