@@ -136,6 +136,13 @@ def time_ladder(rungs, pairing: str, repeat: int) -> dict:
     return out
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_rung(text: str) -> tuple[int, int]:
     N, k = (int(x) for x in text.split(","))
     return N, k
@@ -148,7 +155,7 @@ def main(argv=None) -> None:
     ap.add_argument("--suites", nargs="*", default=list(ALL_SUITES), choices=ALL_SUITES)
     ap.add_argument("--rungs", nargs="*", type=parse_rung, default=list(LADDER), help="N,k pairs")
     ap.add_argument("--pairing", default="equal", choices=("equal", "enriched"))
-    ap.add_argument("--repeat", type=int, default=1, help="timed runs per suite and rung (median kept)")
+    ap.add_argument("--repeat", type=positive_int, default=1, help="timed runs per suite and rung (median kept)")
     args = ap.parse_args(argv)
 
     record = {

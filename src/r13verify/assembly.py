@@ -165,28 +165,21 @@ def _box(mask: np.ndarray) -> tuple:
 
 
 class Sectors:
-    """V or Q in parity coordinates, grouped by sector and inside each sector by subproblem.
+    """V or Q grouped by sector and inside each sector by subproblem.
 
     `basis` lists the field blocks as spaces.MirrorBasis does, as (slice,
-    transform, sector labels), with transform None for the identity;
-    `groups` joins neighbouring blocks that share a transform. The
-    sector coordinates list the parity coordinates sector by sector, momentum
-    before energy: `order` maps them to parity coordinates, `sectors` holds
-    each sector's slice of them and `split` the number of its momentum
-    coordinates. `boxes` gives per field block and sector the box of the
-    block's coordinates in the sector (its labels' shape), and the offset
-    and the size of the box in the sector, where its coordinates are
-    contiguous.
+    sector labels). The sector coordinates list the coordinates sector by
+    sector, momentum before energy: `order` maps them to coordinates,
+    `sectors` holds each sector's slice of them and `split` the number of
+    its momentum coordinates. `boxes` gives per field block and sector the
+    box of the block's coordinates in the sector (its labels' shape), and
+    the offset and the size of the box in the sector, where its coordinates
+    are contiguous.
     """
 
     def __init__(self, basis: list, momentum: np.ndarray, count: int):
         self.basis = basis
-        self.groups = []
-        for sl, T, _ in basis:
-            if self.groups and self.groups[-1][1] is T:
-                sl = slice(self.groups.pop()[0].start, sl.stop)
-            self.groups.append((sl, T))
-        labels = np.concatenate([lab.ravel() for _, _, lab in basis])
+        labels = np.concatenate([lab.ravel() for _, lab in basis])
         energy = np.ones(labels.size, dtype=int)
         energy[momentum] = 0
         self.order = np.lexsort((energy, labels))
@@ -196,7 +189,7 @@ class Sectors:
         local = np.empty(labels.size, dtype=int)
         local[self.order] = np.arange(labels.size) - bounds[labels[self.order]]
         self.boxes = []
-        for sl, _, lab in basis:
+        for sl, lab in basis:
             boxes = []
             for s in range(count):
                 mask = lab == s
@@ -206,39 +199,33 @@ class Sectors:
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """Sector coordinates of a vector."""
-        y = np.concatenate([x[sl] if T is None else T(x[sl], True) for sl, T in self.groups])
-        return y[self.order]
+        return x[self.order]
 
     def from_sectors(self, y: np.ndarray) -> np.ndarray:
         """The vector with sector coordinates y."""
-        z = np.empty_like(y)
-        z[self.order] = y
-        return np.concatenate([z[sl] if T is None else T(z[sl]) for sl, T in self.groups])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
 
 
 def _sector_blocks(M: np.ndarray, rows: Sectors, cols: Sectors) -> tuple[list, bool]:
-    """(diagonal sector blocks of T_r^T M T_c in sector coordinates, whether M is mirror-invariant).
+    """(diagonal sector blocks of M in sector coordinates, whether M is mirror-invariant).
 
     M counts as mirror-invariant when no entry the blocks leave out exceeds
     MIRROR_RTOL times their largest entry.
 
-    It takes one pair of field blocks of M at a time through the Kronecker
-    mode products, so neither T nor a transformed copy of M is ever formed
-    whole, and it skips the pairs that M does not couple. Each sector's
-    entries of a pair are one box of it, copied out by slices.
+    It takes one pair of field blocks of M at a time and skips the pairs
+    that M does not couple. Each sector's entries of a pair are one box of
+    it, copied out by slices.
     """
     out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rows.sectors, cols.sectors)]
     dropped = 0.0
-    for (rsl, rT, rlab), rboxes in zip(rows.basis, rows.boxes):
+    for (rsl, rlab), rboxes in zip(rows.basis, rows.boxes):
         coupled = M[rsl].any(axis=0)
-        for (csl, cT, clab), cboxes in zip(cols.basis, cols.boxes):
+        for (csl, clab), cboxes in zip(cols.basis, cols.boxes):
             if not coupled[csl].any():
                 continue
-            X = M[rsl, csl]
-            X = X.copy() if rT is None else rT(X, True)
-            if cT is not None:
-                X = cT(X.T, True).T
-            X = X.reshape(rlab.shape + clab.shape)
+            X = M[rsl, csl].reshape(rlab.shape + clab.shape).copy()
             for S, (rbox, roff, nr), (cbox, coff, nc) in zip(out, rboxes, cboxes):
                 piece = X[rbox + cbox]
                 S[roff : roff + nr, coff : coff + nc] = piece.reshape(nr, nc)
@@ -252,12 +239,12 @@ def _sector_blocks(M: np.ndarray, rows: Sectors, cols: Sectors) -> tuple[list, b
 class SaddlePart:
     """One (sector, subproblem) of a SaddleStructure.
 
-    It holds its blocks of B, M_V and M_Q in parity coordinates, its sector,
-    its subproblem (0 momentum, 1 energy), its slices v and q of the
-    structure's sector coordinates, and its slice `local` of its sector's V
-    coordinates. It builds on first use the block Cholesky
-    factors of its M_V and M_Q blocks and one SVD of its block of B in those
-    norms, of which it keeps U and the singular values.
+    It holds its blocks of B, M_V and M_Q, its sector, its subproblem (0
+    momentum, 1 energy), its slices v and q of the structure's sector
+    coordinates, and its slice `local` of its sector's V coordinates. It
+    builds on first use the block Cholesky factors of its M_V and M_Q
+    blocks and one SVD of its block of B in those norms, of which it keeps
+    U and the singular values.
     """
 
     B: np.ndarray
@@ -295,17 +282,17 @@ class SaddleStructure:
 
     Every operator assembled on the spaces shares them. They commute with
     the cube's three mirror reflections and never couple the momentum and
-    the energy subproblem (`subproblems`). In the spaces' MirrorBasis they
-    therefore split into 8 sectors, and each sector into its two
-    subproblems: 16 parts (SaddlePart), each about 1/16 of the whole. Every
-    derived quantity comes from the parts and is combined exactly: the
-    Cholesky factors of M_V and M_Q, and the SVD of B in those norms with
-    the one rank decision cut on it. A matrix with an off-sector entry
-    above MIRROR_RTOL times its largest sector entry, such as a hand-edited
-    B, is not mirror-invariant: then, or with mirrored False, the structure
-    has one trivial sector (T = I) of two parts, through the same code.
-    Construction raises when B, M_V or M_Q has a nonzero entry between the
-    subproblems.
+    the energy subproblem (`subproblems`). Every coordinate of V and Q has
+    its sector (the spaces' MirrorBasis), so they split into 8 sectors, and
+    each sector into its two subproblems: 16 parts (SaddlePart), each
+    about 1/16 of the whole. Every derived quantity comes from the parts
+    and is combined exactly: the Cholesky factors of M_V and M_Q, and the
+    SVD of B in those norms with the one rank decision cut on it. A matrix
+    with an off-sector entry above MIRROR_RTOL times its largest sector
+    entry, such as a hand-edited B, is not mirror-invariant: then, or with
+    mirrored False, the structure has one sector of two parts, through the
+    same code. Construction raises when B, M_V or M_Q has a nonzero entry
+    between the subproblems.
     """
 
     B: np.ndarray
@@ -327,7 +314,7 @@ class SaddleStructure:
         blocks = self._split(mirror.V, mirror.Q, 8, subs) if self.mirrored else None
         if blocks is None:
             self.mirrored = False
-            trivial = ([(sl, None, np.zeros(lab.size, dtype=int)) for sl, _, lab in b] for b in (mirror.V, mirror.Q))
+            trivial = ([(sl, np.zeros(lab.size, dtype=int)) for sl, lab in b] for b in (mirror.V, mirror.Q))
             blocks = self._split(*trivial, 1, subs)
         parts = []
         for s, (B_s, MV_s, MQ_s) in enumerate(zip(*blocks)):

@@ -209,7 +209,7 @@ def export_matrix_coo(M: np.ndarray, path: str | Path, drop_tol: float = 0.0) ->
     with open(path, "w") as fh:
         fh.write(f"% {M.shape[0]} {M.shape[1]}\n")
         for i, j in zip(*np.nonzero(np.abs(M) > drop_tol)):
-            fh.write(f"{i} {j} {M[i, j]!r}\n")
+            fh.write(f"{i} {j} {float(M[i, j])!r}\n")
 
 
 def export_fields_csv(spaces, U, P, path: str | Path) -> None:
@@ -231,10 +231,9 @@ def export_fields_csv(spaces, U, P, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.write("x,y,z,field,value\n")
         for name, vals in cols.items():
-            for q in range(pts.shape[0]):
-                fh.write(
-                    f"{pts[q, 0]!r},{pts[q, 1]!r},{pts[q, 2]!r},{name},{vals[q]!r}\n"
-                )
+            # Python floats: the repr of a numpy scalar is not a number
+            for (x, y, z), v in zip(pts.tolist(), vals.tolist()):
+                fh.write(f"{x!r},{y!r},{z!r},{name},{v!r}\n")
 
 
 # -- suites -------------------------------------------------------------------

@@ -311,8 +311,8 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     minimal pressure P = L_Q^-T U_r lam, through one map per sector each
     way (SaddleStructure.load_maps). F and G go to sector coordinates, each
     sector's saddle matrix is factored once per operator, and U and P come
-    back from sector coordinates: each further load costs two changes of
-    basis each way and per sector three small products and one LU
+    back from sector coordinates: each further load costs two permutations
+    each way and per sector three small products and one LU
     back-substitution. Residuals and the norms of U and P are taken with
     the original matrices.
     """

@@ -1,11 +1,13 @@
 """Tensor-product C0 polynomial spaces and quadrature on the unit box.
 
-The scalar basis per direction consists of the nodal hat functions of the
-uniform partition plus per-cell integrated-Legendre bubbles, so inter-cell
-continuity holds by construction and the global dimension per direction is
-k*N + 1. Gauss quadrature uses N+2 points per direction per cell by
-default, exact up to degree 2N+3, which covers every integrand assembled
-here with margin.
+The 1D basis consists of the nodal hat functions of the uniform partition
+plus per-cell integrated-Legendre bubbles, so inter-cell continuity holds
+by construction and the global dimension per direction is k*N + 1. The
+tensor-product bases use their parity combinations, each even or odd under
+x -> 1 - x, so every coefficient has a sign under each of the cube's three
+mirror reflections. Gauss quadrature uses N+2 points per direction per
+cell by default, exact up to degree 2N+3, which covers every integrand
+assembled here with margin.
 """
 
 from __future__ import annotations
@@ -167,7 +169,13 @@ def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
 
 
 class ScalarBasis:
-    """Tensor-product scalar basis on [0, 1]^dim with volume and face tabulations."""
+    """Tensor-product scalar basis on [0, 1]^dim with volume and face tabulations.
+
+    Its 1D factors are the parity functions b1.values @ T1 of the nodal
+    basis b1, (T1, n_even) = b1.parity_basis(): the first n_even even under
+    x -> 1 - x, the rest odd. Every volume and face tabulation, and so every
+    coefficient vector over this basis, is in these coordinates.
+    """
 
     def __init__(self, dim: int, degree: int, subdivisions: int, n_quad: int | None = None):
         if dim not in (2, 3):
@@ -178,7 +186,8 @@ class ScalarBasis:
         self.b1 = Basis1D(degree, subdivisions, n_quad)
         self.n = self.b1.n**dim
 
-        F, D = self.b1.values, self.b1.d1
+        self.T1, self.n_even = self.b1.parity_basis()
+        F, D = self.b1.values @ self.T1, self.b1.d1 @ self.T1
         self.weights = _kron_all([self.b1.weights[None, :]] * dim).ravel()
         grids = np.meshgrid(*([self.b1.nodes] * dim), indexing="ij")
         self.points = np.stack([g.ravel() for g in grids], axis=-1)
@@ -189,39 +198,36 @@ class ScalarBasis:
         self._cache: dict = {}
         self.faces: list[FaceData] = []
         if dim == 3:
-            self._build_faces()
+            self._build_faces(F, D)
 
-    def _build_faces(self) -> None:
+    def _build_faces(self, F: np.ndarray, D: np.ndarray) -> None:
         b = self.b1
-        F, D = b.values, b.d1
         for (axis, side), (n, t1, t2) in FACE_FRAMES.items():
             frame = Frame(n=np.array(n), t1=np.array(t1), t2=np.array(t2))
-            trace = b.at1 if side == 1 else b.at0
-            dtrace = b.d1_at1 if side == 1 else b.d1_at0
-            vals, pts, wts = [], [], []
-            for a in range(3):
+            trace = (b.at1 if side == 1 else b.at0) @ self.T1
+            dtrace = (b.d1_at1 if side == 1 else b.d1_at0) @ self.T1
+
+            def factor(a, ax=None):  # along axis a, for the derivative along ax
                 if a == axis:
-                    vals.append(trace[None, :])
-                    pts.append(np.array([float(side)]))
-                    wts.append(np.array([1.0]))
-                else:
-                    vals.append(F)
-                    pts.append(b.nodes)
-                    wts.append(b.weights)
-            phi = _kron_all(vals)
-            dphi = []
-            for ax in range(3):
-                facs = []
-                for a in range(3):
-                    if a == axis:
-                        facs.append((dtrace if ax == axis else trace)[None, :])
-                    else:
-                        facs.append(D if a == ax else F)
-                dphi.append(_kron_all(facs))
+                    return (dtrace if a == ax else trace)[None, :]
+                return D if a == ax else F
+
+            phi = _kron_all([factor(a) for a in range(3)])
+            dphi = np.stack([_kron_all([factor(a, ax) for a in range(3)]) for ax in range(3)])
+            pts = [np.array([float(side)]) if a == axis else b.nodes for a in range(3)]
+            wts = [np.array([1.0]) if a == axis else b.weights for a in range(3)]
             grids = np.meshgrid(*pts, indexing="ij")
             points = np.stack([g.ravel() for g in grids], axis=-1)
             weights = _kron_all([w[None, :] for w in wts]).ravel()
-            self.faces.append(FaceData(axis, side, frame, points, weights, phi, np.stack(dphi)))
+            self.faces.append(FaceData(axis, side, frame, points, weights, phi, dphi))
+
+    def sectors(self, field_signs) -> np.ndarray:
+        """Sector 0..7 of each basis function as the coefficient of one field
+        component that the mirror of axis a multiplies by field_signs[a], shaped
+        (n1, n1, n1): bit a is set when the product is odd under that mirror."""
+        odd = np.arange(self.b1.n) >= self.n_even
+        bits = [(odd ^ (sign < 0)).astype(int) << a for a, sign in enumerate(field_signs)]
+        return bits[0][:, None, None] + bits[1][None, :, None] + bits[2][None, None, :]
 
     # -- scalar pair matrices (cached) ------------------------------------
 
@@ -337,87 +343,55 @@ class BubbleBasis:
         return g
 
 
-class _Kron3:
-    """T1 (x) T1 (x) T1 applied along the first axis of an array, one mode product
-    per factor; the axis may stack several blocks of n1^3."""
-
-    def __init__(self, T1: np.ndarray):
-        self.T1 = T1
-
-    def __call__(self, X: np.ndarray, transpose: bool = False) -> np.ndarray:
-        T = self.T1.T if transpose else self.T1
-        n1 = T.shape[0]
-        trail = X.size // X.shape[0]
-        Y = X
-        for k in range(3):
-            Y = T @ Y.reshape(-1, n1, n1 ** (2 - k) * trail)
-        return Y.reshape(X.shape)
-
-
-def _sector_labels(n1: int, n_even: int, field_signs) -> np.ndarray:
-    """Sector 0..7 of each Kronecker product of 1D parity functions, as an
-    (n1, n1, n1) array: bit a is set when it is odd under the mirror of axis a."""
-    odd = np.arange(n1) >= n_even
-    bits = [(odd ^ (sign < 0)).astype(int) << a for a, sign in enumerate(field_signs)]
-    return bits[0][:, None, None] + bits[1][None, :, None] + bits[2][None, None, :]
-
-
 class MirrorBasis:
-    """Orthogonal coordinates of V and Q that the cube's three mirror reflections
-    map to plus or minus themselves.
+    """The sector of every coordinate of V and Q under the cube's three mirror reflections.
 
-    Reflecting x_a -> 1 - x_a maps the scalar basis to itself up to sign
-    (Basis1D.mirror), and it maps each stf component of sigma (in the basis
-    E), each vector component and each scalar field to plus or minus itself.
-    Pairing every 1D function with its image (Basis1D.parity_basis, one
-    Kronecker factor per axis) therefore gives coordinates with one sign per
-    reflection: a sector 0..7. For the zero-mean pressure a Householder
-    reflection inside the fully even class, where the integrals lie, spans
-    their orthogonal complement. `V` and `Q` list the field blocks as
-    (slice, transform, sectors): transform(x, True) maps the block's
-    coordinates x to parity coordinates and transform(y) maps them back, and
-    sectors gives the sector of each parity coordinate, shaped (n1, n1, n1)
-    for a Kronecker block and sorted for the pressure. Each sector's
-    coordinates in a block thus form a box of that shape.
+    Reflecting x_a -> 1 - x_a maps each parity function of the scalar bases
+    to plus or minus itself, and it maps each stf component of sigma (in
+    the basis E), each vector component and each scalar field to plus or
+    minus itself. Every coefficient of V and Q therefore has one sign per
+    reflection: a sector 0..7. `V` and `Q` list the field blocks as (slice,
+    sectors), shaped (n1, n1, n1) for a block over a scalar basis
+    (ScalarBasis.sectors) and `spaces.p_sectors` for the pressure. Each
+    sector's coordinates in a block thus form a box of that shape.
     """
 
     def __init__(self, spaces: DiscreteSpaces):
-        T1, even = spaces.scalar.b1.parity_basis()
-        Tq, even_q = spaces.scalar_pq.b1.parity_basis()
-        n1, m1 = T1.shape[0], Tq.shape[0]
-        n, m = n1**3, m1**3
+        sb, pb = spaces.scalar, spaces.scalar_pq
+        n, m = sb.n, pb.n
         axis_signs = [np.where(np.arange(3) == i, -1.0, 1.0) for i in range(3)]
         # the reflection of axis a maps E_b to sigma_signs[b, a] E_b; one that
         # did not would show as off-sector entries of the assembled matrices
         sigma_signs = np.array([[np.sum(s[:, None] * s[None, :] * Eb * Eb) for s in axis_signs] for Eb in spaces.E])
-        K, Kq = _Kron3(T1), _Kron3(Tq)
-        P, p_labels = self._pressure_basis(spaces, _kron_all([Tq] * 3), _sector_labels(m1, even_q, np.ones(3)))
         self.V = (
-            [(slice(a * n, (a + 1) * n), K, _sector_labels(n1, even, sigma_signs[a])) for a in range(5)]
-            + [(slice((5 + i) * n, (6 + i) * n), K, _sector_labels(n1, even, axis_signs[i])) for i in range(3)]
-            + [(spaces.v_blocks["p"], lambda X, transpose=False: (P.T if transpose else P) @ X, p_labels)]
+            [(slice(a * n, (a + 1) * n), sb.sectors(sigma_signs[a])) for a in range(5)]
+            + [(slice((5 + i) * n, (6 + i) * n), sb.sectors(axis_signs[i])) for i in range(3)]
+            + [(spaces.v_blocks["p"], spaces.p_sectors)]
         )
-        self.Q = [(slice(i * m, (i + 1) * m), Kq, _sector_labels(m1, even_q, axis_signs[i])) for i in range(3)]
-        self.Q.append((spaces.q_blocks["theta"], Kq, _sector_labels(m1, even_q, np.ones(3))))
+        self.Q = [(slice(i * m, (i + 1) * m), pb.sectors(axis_signs[i])) for i in range(3)]
+        self.Q.append((spaces.q_blocks["theta"], pb.sectors(np.ones(3))))
 
-    @staticmethod
-    def _pressure_basis(spaces, T3: np.ndarray, labels: np.ndarray):
-        """(Cp^T W, sorted sectors of W's columns) for an orthonormal parity
-        basis W of the span of Cp, its columns sorted by sector."""
-        labels = labels.ravel()
-        if spaces.pressure_mode == "zero_mean":
-            even = np.flatnonzero(labels == 0)
-            x = T3[:, even].T @ spaces.scalar_pq.integrals()
-            x /= np.linalg.norm(x)
-            u = x.copy()
-            u[0] += 1.0 if x[0] >= 0 else -1.0  # no cancellation, also where x = +-e_0
-            u /= np.linalg.norm(u)
-            T3 = T3.copy()
-            T3[:, even] -= 2.0 * np.outer(T3[:, even] @ u, u)  # column even[0] now spans the integrals
-            keep = np.delete(np.arange(labels.size), even[0])
-            T3, labels = T3[:, keep], labels[keep]
-        order = np.argsort(labels, kind="stable")
-        return spaces.Cp.T @ T3[:, order], labels[order]
+
+def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Cp, sectors of its columns): an orthonormal basis of the coefficients
+    orthogonal to the integrals, each column inside one sector, sorted by sector.
+
+    Odd functions integrate to zero, so the integrals lie in the fully even
+    class (sector 0). A Householder reflection of that class maps its first
+    coordinate onto them, and the rest of the class spans their orthogonal
+    complement there. Its sign never cancels, also where the integrals are
+    a multiple of that coordinate, such as a class of one function.
+    """
+    even = np.flatnonzero(sectors == 0)
+    x = integrals[even] / np.linalg.norm(integrals[even])
+    u = x.copy()
+    u[0] += 1.0 if x[0] >= 0 else -1.0
+    u /= np.linalg.norm(u)
+    C = np.eye(sectors.size)
+    C[np.ix_(even, even)] -= 2.0 * np.outer(u, u)  # column even[0] now spans the integrals
+    keep = np.delete(np.arange(sectors.size), even[0])
+    order = keep[np.argsort(sectors[keep], kind="stable")]
+    return C[:, order], sectors[order]
 
 
 PAIRINGS = ("equal", "enriched")
@@ -431,7 +405,11 @@ class DiscreteSpaces:
     basis `scalar`, p, u and theta in `scalar_pq`. The stress components
     live in the orthonormal stf coordinate basis, so the symmetry and trace
     constraints hold exactly. pressure_mode 'zero_mean' removes the global
-    constant pressure mode through an orthonormal coefficient transform.
+    constant pressure mode: the pressure coordinates are p = Cp q, with Cp
+    an orthonormal basis of the zero-mean coefficients whose columns each
+    lie in one mirror sector, sorted by sector, and `p_sectors` holds their
+    sectors (in 'full' mode Cp is the identity and `p_sectors` the scalar
+    sectors, shaped (n1, n1, n1)).
 
     pairing 'equal' uses one degree-N basis for every field (`scalar_pq` is
     `scalar`); its constraint has a 7-dimensional cokernel. pairing
@@ -460,15 +438,11 @@ class DiscreteSpaces:
         self.E = stf_basis(2, 3)  # (5, 3, 3) orthonormal stress component basis
 
         n, m = self.scalar.n, self.scalar_pq.n
+        scalar_sectors = self.scalar_pq.sectors(np.ones(3))
         if pressure_mode == "zero_mean":
-            w = self.scalar_pq.integrals()
-            v = w / np.linalg.norm(w)
-            u = v - np.eye(m)[0]
-            u /= np.linalg.norm(u)
-            H = np.eye(m) - 2.0 * np.outer(u, u)
-            self.Cp = H[:, 1:]
+            self.Cp, self.p_sectors = _zero_mean_basis(self.scalar_pq.integrals(), scalar_sectors.ravel())
         else:
-            self.Cp = np.eye(m)
+            self.Cp, self.p_sectors = np.eye(m), scalar_sectors
         self.n_scalar = n
         self.n_p = self.Cp.shape[1]
         self.n_V = 8 * n + self.n_p

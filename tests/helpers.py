@@ -143,23 +143,24 @@ def mirror_maps(spaces) -> list:
     """(Omega_V, Omega_Q) per axis a: the coefficient maps of the reflection x_a -> 1 - x_a.
 
     Built from tabulations only: the 1D map R solves phi(1 - x) = phi(x) R
-    by least squares at sample points, sigma's components mix by
+    by least squares at sample points, phi the 1D factors of a scalar basis
+    (its nodal functions times T1), sigma's components mix by
     <R E_b R, E_c> without assuming that the stress basis is mapped to
     itself, a vector component flips where it points along the axis, and
     the pressure map goes through the coefficient transform Cp.
     """
     x = np.linspace(0.0, 1.0, 41)
 
-    def reflection3d(b1, a):
-        R = np.linalg.lstsq(b1.evaluate(x), b1.evaluate(1.0 - x), rcond=None)[0]
+    def reflection3d(sb, a):
+        R = np.linalg.lstsq(sb.b1.evaluate(x) @ sb.T1, sb.b1.evaluate(1.0 - x) @ sb.T1, rcond=None)[0]
         out = np.ones((1, 1))
         for b in range(3):
-            out = np.kron(out, R if b == a else np.eye(b1.n))
+            out = np.kron(out, R if b == a else np.eye(sb.b1.n))
         return out
 
     maps = []
     for a in range(3):
-        R3, R3q = reflection3d(spaces.scalar.b1, a), reflection3d(spaces.scalar_pq.b1, a)
+        R3, R3q = reflection3d(spaces.scalar, a), reflection3d(spaces.scalar_pq, a)
         S = np.diag(np.where(np.arange(3) == a, -1.0, 1.0))
         Om5 = np.einsum("bij,ik,jl,ckl->bc", spaces.E, S, S, spaces.E)
         Omega_V = sla.block_diag(np.kron(Om5, R3), np.kron(S, R3), spaces.Cp.T @ R3q @ spaces.Cp)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from r13verify.assembly import SaddleStructure
 from r13verify.cli import main
@@ -13,6 +14,7 @@ from r13verify.report import (
     export_matrix_coo,
     run,
 )
+from r13verify.spaces import PAIRINGS
 
 
 def test_config_rejects_unknown_keys():
@@ -184,6 +186,7 @@ def test_export_matrix_coo(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "% 2 2"
     assert len(lines) == 4  # 3 nonzeros + header
+    assert [line.split() for line in lines[1:]] == [["0", "0", "1.0"], ["1", "0", "0.25"], ["1", "1", "3.0"]]
 
 
 def test_export_fields_csv(tmp_path):
@@ -203,6 +206,31 @@ def test_export_fields_csv(tmp_path):
     n_q = sp.scalar.weights.size
     n_fields = 6 + 3 + 3 + 2  # sigma upper triangle, s, u, p, theta
     assert len(lines) == 1 + n_q * n_fields
+
+    # the values: polynomials projected onto each pairing's own bases come
+    # back at the points; p = x - 1/2 has zero mean and enters through Cp
+    for pairing in PAIRINGS:
+        sp = build_spaces(2, 1, "zero_mean", pairing)
+        sb, pb = sp.scalar, sp.scalar_pq
+        U, P = np.zeros(sp.n_V), np.zeros(sp.n_Q)
+        U[sp.v_blocks["sigma"]][: sb.n] = sb.project(lambda q: q[:, 2] ** 2)
+        U[sp.v_blocks["s"]][sb.n : 2 * sb.n] = sb.project(lambda q: q[:, 0] * q[:, 1])
+        U[sp.v_blocks["p"]] = sp.Cp.T @ pb.project(lambda q: q[:, 0] - 0.5)
+        P[sp.q_blocks["u"]][: pb.n] = pb.project(lambda q: q[:, 1] * q[:, 2])
+        P[sp.q_blocks["theta"]] = pb.project(lambda q: 1.0 + q[:, 0])
+        export_fields_csv(sp, U, P, path)
+        values = {}
+        for line in path.read_text().strip().splitlines()[1:]:
+            *point, name, v = line.split(",")
+            values.setdefault(name, []).append([*map(float, point), float(v)])
+        x, y, z = sb.points.T
+        expected = {f"sigma_{i}{j}": z**2 * sp.E[0, i, j] for i in range(3) for j in range(i, 3)}
+        expected.update(s_0=0 * x, s_1=x * y, s_2=0 * x, u_0=y * z, u_1=0 * x, u_2=0 * x, p=x - 0.5, theta=1 + x)
+        assert set(values) == set(expected)
+        for name, rows in values.items():
+            rows = np.array(rows)
+            assert np.array_equal(rows[:, :3], sb.points)
+            assert_allclose(rows[:, 3], expected[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_every_checked_row_carries_tolerance(ellipticity_report):

@@ -688,13 +688,16 @@ def test_replaced_A_gets_a_private_operator_on_the_shared_structure():
 
 
 def test_non_invariant_matrices_take_the_single_sector_path():
-    # one diagonal entry of A, or one entry of B inside the momentum
-    # subproblem, breaks the mirror symmetry: that system gets one trivial
-    # sector of two parts and still matches the dense oracles
+    # a positive definite 2x2 on two sigma coordinates of different sectors
+    # in A, or one entry of B inside the momentum subproblem, breaks the
+    # mirror symmetry: that system gets one trivial sector of two parts and
+    # still matches the dense oracles
     base = make_system(N=1, k=1, eps=0.1)
     sp = base.spaces
+    labels = sp.mirror.V[0][1].ravel()  # sectors of sigma's first component
+    pair = sp.v_blocks["sigma"].start + np.array([0, np.flatnonzero(labels != labels[0])[0]])
     A = base.A.copy()
-    A[sp.v_blocks["sigma"].start, sp.v_blocks["sigma"].start] += 0.5
+    A[np.ix_(pair, pair)] += np.array([[0.5, 0.25], [0.25, 0.5]])
     B = base.B.copy()
     B[sp.q_blocks["u"].start, sp.v_blocks["sigma"].start + 1] += 0.5
     for edit in ({"A": A}, {"B": B}):

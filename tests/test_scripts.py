@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -56,3 +58,13 @@ def test_bench(monkeypatch, capsys, tmp_path):
     assert rung["verified"] and rung["constants"]["alpha0"] > 0
     # --repeat times each suite as often as each rung and keeps the median
     assert len(rec["suites"]["bc"]["wall_s_runs"]) == len(rung["total_s_runs"]) == 2
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_rejects_repeat_below_one(repeat, monkeypatch, capsys, tmp_path):
+    # no median of zero runs: argument parsing stops before any timing
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit):
+        run_script("bench.py", ["--out", str(out), "--label", "x", "--repeat", repeat], monkeypatch, capsys)
+    assert "--repeat: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from r13verify.assembly import Sectors, subproblems
 from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, build_spaces
 
 from helpers import mirror_maps
@@ -130,12 +131,21 @@ def test_projection_reproduces_polynomials():
 
 
 def test_zero_mean_transform():
-    sp = build_spaces(2, 2, "zero_mean")
-    assert sp.Cp.shape == (sp.n_scalar, sp.n_scalar - 1)
-    assert_allclose(sp.Cp.T @ sp.Cp, np.eye(sp.n_p), atol=1e-13)
-    w = sp.scalar.integrals()
-    # every admissible pressure has zero mean
-    assert np.linalg.norm(w @ sp.Cp) < 1e-12
+    # enriched (1,1) has a fully even pressure class of one function, where a
+    # cancelling Householder sign would divide 0 by 0
+    for pairing in PAIRINGS:
+        for N, k in ((1, 1), (2, 2)):
+            sp = build_spaces(N, k, "zero_mean", pairing)
+            m = sp.scalar_pq.n
+            assert sp.Cp.shape == (m, m - 1) and sp.n_p == m - 1
+            assert np.all(np.isfinite(sp.Cp))
+            assert_allclose(sp.Cp.T @ sp.Cp, np.eye(sp.n_p), atol=1e-13)
+            # every admissible pressure has zero mean
+            assert np.linalg.norm(sp.scalar_pq.integrals() @ sp.Cp) < 1e-12
+            # the columns are sorted by sector, and each lies inside its own sector
+            assert np.all(np.diff(sp.p_sectors) >= 0)
+            coordinate_sectors = sp.scalar_pq.sectors(np.ones(3)).ravel()
+            assert not np.any(sp.Cp[coordinate_sectors[:, None] != sp.p_sectors[None, :]])
 
 
 def test_integration_by_parts_scalar():
@@ -199,20 +209,25 @@ def test_basis1d_mirror_matches_tabulation(N, k):
 @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (1, 2)])
 @pytest.mark.parametrize("mode", ["zero_mean", "full"])
 def test_mirror_basis_diagonalizes_the_mirror_maps(pairing, N, k, mode):
-    # T^T Omega_a T = diag(+-1), the sign of each coordinate read off bit a
-    # of its sector; enriched (1,1) zero_mean has a fully even pressure
-    # class of one function, which the zero-mean constraint removes
+    # in the parity basis each mirror map Omega_a is diag(+-1), the sign of
+    # each coordinate read off bit a of its sector; enriched (1,1) zero_mean
+    # has a fully even pressure class of one function, which the zero-mean
+    # constraint removes
     spaces = build_spaces(N, k, mode, pairing)
-    dense = []
+    sectors = []
     for blocks, n in ((spaces.mirror.V, spaces.n_V), (spaces.mirror.Q, spaces.n_Q)):
-        T, sector = np.zeros((n, n)), np.zeros(n, dtype=int)
-        for sl, transform, labels in blocks:
-            T[sl, sl] = transform(np.eye(sl.stop - sl.start))
+        sector = np.full(n, -1)
+        for sl, labels in blocks:
             sector[sl] = labels.ravel()
-        assert_allclose(T.T @ T, np.eye(n), atol=1e-13)
-        assert np.all(np.isfinite(T))
-        dense.append((T, sector))
+        assert np.all((sector >= 0) & (sector < 8))
+        sectors.append(sector)
     for a, Omegas in enumerate(mirror_maps(spaces)):
-        for Omega, (T, sector) in zip(Omegas, dense):
-            signs = np.where(sector >> a & 1, -1.0, 1.0)
-            assert_allclose(T.T @ Omega @ T, np.diag(signs), atol=1e-12)
+        for Omega, sector in zip(Omegas, sectors):
+            assert_allclose(Omega, np.diag(np.where(sector >> a & 1, -1.0, 1.0)), atol=1e-12)
+    # the sector coordinates are a permutation of the coordinates
+    rng = np.random.default_rng(3)
+    for blocks, momentum in zip((spaces.mirror.V, spaces.mirror.Q), subproblems(spaces)[0]):
+        sec = Sectors(blocks, momentum, 8)
+        x = rng.standard_normal(sec.order.size)
+        assert np.array_equal(np.sort(sec.order), np.arange(x.size))
+        assert np.array_equal(sec.from_sectors(sec.to_sectors(x)), x)
