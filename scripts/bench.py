@@ -7,9 +7,12 @@
 The suites run one at a time through `r13verify.run` at the default
 configuration. Each ladder rung (N, k) builds fresh spaces and times four
 steps: `build_spaces`, `assemble_system`, `brezzi_constants` and
-`solve_mixed` on seeded wall data; the rung also records the constants and
+`solve_mixed` on seeded wall data; the rung also records the constants,
 whether the verified answer holds (alpha0 > 0, k0 > 0, solver residuals
-within the report's tolerance, stability bounds hold). Only public calls
+within the report's tolerance, stability bounds hold) and `peak_rss_mb`,
+the process's peak resident set size (ru_maxrss) after the rung: the
+memory a rung needs when it is the only one timed in its process, as with
+`--rungs N,k` and `--repeat 1`. Only public calls
 are used, so pointing PYTHONPATH at another checkout of the package times
 that checkout with the same script.
 
@@ -34,6 +37,7 @@ for _var in BLAS_THREAD_VARS:
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
@@ -121,6 +125,7 @@ def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
         "total_s": t4 - t0,
         "verified": bool(verified),
         "constants": {name: float(v) for name, v in vars(consts).items()},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # Linux reports KiB
     }
 
 
@@ -175,7 +180,10 @@ def main(argv=None) -> None:
         print(f"suite {name:12s} {s['wall_s']:8.3f} s")
     for name, r in record["ladder"]["rungs"].items():
         steps = " ".join(f"{k} {v:.3f}" for k, v in r["steps_s"].items())
-        print(f"rung {name:8s} n_V {r['n_V']:5d} total {r['total_s']:8.3f} s ({steps}) verified {r['verified']}")
+        print(
+            f"rung {name:8s} n_V {r['n_V']:5d} total {r['total_s']:8.3f} s ({steps}) "
+            f"peak {r['peak_rss_mb']:.0f} MB verified {r['verified']}"
+        )
 
 
 if __name__ == "__main__":

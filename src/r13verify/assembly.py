@@ -3,9 +3,9 @@
 The first-group form couples the heat-flux field with the stress/pressure
 pair; the constraint form pairs (sigma, s, p) against (u, theta). Boundary
 integrals reduce to componentwise face integrals because every cube face
-carries a constant axis-aligned frame. Matrix rows always index the test
-function of the grouped system; the standalone sub-form builders return
-matrices with rows indexing the first form argument.
+carries a constant axis-aligned frame. Each form is assembled straight
+into its mirror-sector blocks from the 1D factors of the scalar bases;
+matrix rows index the test function of the grouped system.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .ellipticity import OperatorSpec, gradient_coupling
-from .spaces import DiscreteSpaces, ScalarBasis
+from .spaces import DiscreteSpaces, ScalarBasis, dmat_names
 from .tensors import projection_matrix2, projection_matrix3
 
 STF_GRADIENT = OperatorSpec("stf2", "Stf", 3)  # Stf D sigma of the stress form
@@ -172,9 +172,9 @@ class Sectors:
     sector, momentum before energy: `order` maps them to coordinates,
     `sectors` holds each sector's slice of them and `split` the number of
     its momentum coordinates. `boxes` gives per field block and sector the
-    box of the block's coordinates in the sector (its labels' shape), and
-    the offset and the size of the box in the sector, where its coordinates
-    are contiguous.
+    offset and the size of the block's coordinates in the sector, where
+    they are contiguous, and `box_slices` their box in the shape of the
+    block's labels.
     """
 
     def __init__(self, basis: list, momentum: np.ndarray, count: int):
@@ -190,12 +190,14 @@ class Sectors:
         local[self.order] = np.arange(labels.size) - bounds[labels[self.order]]
         self.boxes = []
         for sl, lab in basis:
-            boxes = []
-            for s in range(count):
-                mask = lab == s
-                first = np.flatnonzero(mask.ravel())[:1]
-                boxes.append((_box(mask), int(local[sl][first[0]]) if first.size else 0, int(mask.sum())))
-            self.boxes.append(boxes)
+            present, first = np.unique(lab, return_index=True)
+            offset = np.zeros(count, dtype=int)
+            offset[present] = local[sl][first]
+            self.boxes.append(list(zip(offset.tolist(), np.bincount(lab.ravel(), minlength=count).tolist())))
+
+    @cached_property
+    def box_slices(self) -> list:
+        return [[_box(lab == s) for s in range(len(self.sectors))] for _, lab in self.basis]
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """Sector coordinates of a vector."""
@@ -220,13 +222,13 @@ def _sector_blocks(M: np.ndarray, rows: Sectors, cols: Sectors) -> tuple[list, b
     """
     out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rows.sectors, cols.sectors)]
     dropped = 0.0
-    for (rsl, rlab), rboxes in zip(rows.basis, rows.boxes):
+    for (rsl, rlab), rboxes, rslices in zip(rows.basis, rows.boxes, rows.box_slices):
         coupled = M[rsl].any(axis=0)
-        for (csl, clab), cboxes in zip(cols.basis, cols.boxes):
+        for (csl, clab), cboxes, cslices in zip(cols.basis, cols.boxes, cols.box_slices):
             if not coupled[csl].any():
                 continue
             X = M[rsl, csl].reshape(rlab.shape + clab.shape).copy()
-            for S, (rbox, roff, nr), (cbox, coff, nc) in zip(out, rboxes, cboxes):
+            for S, (roff, nr), (coff, nc), rbox, cbox in zip(out, rboxes, cboxes, rslices, cslices):
                 piece = X[rbox + cbox]
                 S[roff : roff + nr, coff : coff + nc] = piece.reshape(nr, nc)
                 piece[...] = 0.0
@@ -276,65 +278,78 @@ class SaddlePart:
         return self.whitened_svd[0][:, :rank].T @ self.cholesky[1].solve(self.B)
 
 
+def _scatter(blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
+    """The read-only dense matrix with each (block, rows, columns) at those sector coordinates."""
+    M = np.zeros((rows.order.size, cols.order.size))
+    for X, r, c in blocks:
+        M[np.ix_(rows.order[r], cols.order[c])] = X
+    M.setflags(write=False)
+    return M
+
+
 @dataclass(eq=False)
 class SaddleStructure:
     """B, M_V and M_Q of one spaces: the matrices that do not depend on ModelParams.
 
     Every operator assembled on the spaces shares them. They commute with
     the cube's three mirror reflections and never couple the momentum and
-    the energy subproblem (`subproblems`). Every coordinate of V and Q has
-    its sector (the spaces' MirrorBasis), so they split into 8 sectors, and
-    each sector into its two subproblems: 16 parts (SaddlePart), each
-    about 1/16 of the whole. Every derived quantity comes from the parts
-    and is combined exactly: the Cholesky factors of M_V and M_Q, and the
-    SVD of B in those norms with the one rank decision cut on it. A matrix
+    the energy subproblem (`subproblems`), so they split into 8 sectors
+    (the spaces' MirrorBasis) of two subproblems each: 16 parts
+    (SaddlePart). Every derived quantity comes from the parts and is
+    combined exactly: the Cholesky factors of M_V and M_Q, and the SVD of B
+    in those norms with the one rank decision cut on it. `assemble` builds
+    the parts from the 1D factors (`_sector_assemble`). `of` cuts them out
+    of given dense matrices and raises if one couples the subproblems; one
     with an off-sector entry above MIRROR_RTOL times its largest sector
-    entry, such as a hand-edited B, is not mirror-invariant: then, or with
-    mirrored False, the structure has one sector of two parts, through the
-    same code. Construction raises when B, M_V or M_Q has a nonzero entry
-    between the subproblems.
+    entry, such as a hand-edited B, or mirrored False, gives one sector of
+    two parts. The dense B, M_V and M_Q are those given to `of`, or else
+    scattered from the parts on first access and kept.
     """
 
-    B: np.ndarray
-    M_V: np.ndarray
-    M_Q: np.ndarray
     spaces: DiscreteSpaces
+    V: Sectors = field(repr=False)
+    Q: Sectors = field(repr=False)
+    parts: tuple = field(repr=False)
     mirrored: bool = True
-    V: Sectors = field(init=False, repr=False)
-    Q: Sectors = field(init=False, repr=False)
-    parts: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        subs = subproblems(self.spaces)
+    @classmethod
+    def assemble(cls, spaces: DiscreteSpaces) -> SaddleStructure:
+        mirror, ((mv, mq), _), cache = spaces.mirror, subproblems(spaces), {}
+        V, Q, fv, fq = Sectors(mirror.V, mv, 8), Sectors(mirror.Q, mq, 8), mirror.V_fields, mirror.Q_fields
+        B = _sector_assemble(_B_terms(spaces), Q, V, fq, fv, cache)
+        M_V = _sector_assemble(_norm_terms(len(fv), h1=True), V, V, fv, fv, cache)
+        M_Q = _sector_assemble(_norm_terms(len(fq), h1=False), Q, Q, fq, fq, cache)
+        return cls(spaces, V, Q, _parts(V, Q, (B, M_V, M_Q)))
+
+    @classmethod
+    def of(cls, B, M_V, M_Q, spaces: DiscreteSpaces, mirrored: bool = True) -> SaddleStructure:
+        subs, mirror = subproblems(spaces), spaces.mirror
         for (va, qa), (vb, qb) in itertools.permutations(subs, 2):
-            for M, rows, cols in ((self.B, qa, vb), (self.M_V, va, vb), (self.M_Q, qa, qb)):
+            for M, rows, cols in ((B, qa, vb), (M_V, va, vb), (M_Q, qa, qb)):
                 if any(np.any(M[r, c]) for _, r in _runs(rows) for _, c in _runs(cols)):
                     raise ValueError("B, M_V or M_Q couples the momentum and energy subproblems")
-        mirror = self.spaces.mirror
-        blocks = self._split(mirror.V, mirror.Q, 8, subs) if self.mirrored else None
-        if blocks is None:
-            self.mirrored = False
-            trivial = ([(sl, np.zeros(lab.size, dtype=int)) for sl, lab in b] for b in (mirror.V, mirror.Q))
-            blocks = self._split(*trivial, 1, subs)
-        parts = []
-        for s, (B_s, MV_s, MQ_s) in enumerate(zip(*blocks)):
-            vs, qs, kv, kq = self.V.sectors[s], self.Q.sectors[s], self.V.split[s], self.Q.split[s]
-            halves = ((slice(0, kv), slice(0, kq)), (slice(kv, vs.stop - vs.start), slice(kq, qs.stop - qs.start)))
-            for sub, (lv, lq) in enumerate(halves):
-                blk = (B_s[lq, lv].copy(), MV_s[lv, lv].copy(), MQ_s[lq, lq].copy())
-                parts.append(SaddlePart(*blk, s, sub, _shift(lv, vs.start), _shift(lq, qs.start), lv))
-        self.parts = tuple(parts)
+        bases = [(mirror.V, mirror.Q, 8)] if mirrored else []
+        bases.append(tuple([(sl, np.zeros(lab.size, dtype=int)) for sl, lab in b] for b in (mirror.V, mirror.Q)) + (1,))
+        for v_basis, q_basis, count in bases:
+            V, Q = Sectors(v_basis, subs[0][0], count), Sectors(q_basis, subs[0][1], count)
+            cut = [_sector_blocks(M, rows, cols) for M, rows, cols in ((B, Q, V), (M_V, V, V), (M_Q, Q, Q))]
+            if all(invariant for _, invariant in cut):
+                break
+        st = cls(spaces, V, Q, _parts(V, Q, [blocks for blocks, _ in cut]), count == 8)
+        st.__dict__.update(B=B, M_V=M_V, M_Q=M_Q)
+        return st
 
-    def _split(self, v_basis: list, q_basis: list, count: int, subs: tuple):
-        """Sector blocks of B, M_V and M_Q in these bases; None if one leaves an entry above MIRROR_RTOL."""
-        self.V, self.Q = Sectors(v_basis, subs[0][0], count), Sectors(q_basis, subs[0][1], count)
-        out = []
-        for M, rows, cols in ((self.B, self.Q, self.V), (self.M_V, self.V, self.V), (self.M_Q, self.Q, self.Q)):
-            blocks, invariant = _sector_blocks(M, rows, cols)
-            if not invariant:
-                return None
-            out.append(blocks)
-        return out
+    @cached_property
+    def B(self) -> np.ndarray:
+        return _scatter(((p.B, p.q, p.v) for p in self.parts), self.Q, self.V)
+
+    @cached_property
+    def M_V(self) -> np.ndarray:
+        return _scatter(((p.M_V, p.v, p.v) for p in self.parts), self.V, self.V)
+
+    @cached_property
+    def M_Q(self) -> np.ndarray:
+        return _scatter(((p.M_Q, p.q, p.q) for p in self.parts), self.Q, self.Q)
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -380,125 +395,246 @@ class SaddleStructure:
         return out
 
 
+def _parts(V: Sectors, Q: Sectors, blocks) -> tuple:
+    """The SaddleParts of the sector blocks (of B, M_V, M_Q), each sector split by subproblem."""
+    parts = []
+    for s, (B_s, MV_s, MQ_s) in enumerate(zip(*blocks)):
+        vs, qs, kv, kq = V.sectors[s], Q.sectors[s], V.split[s], Q.split[s]
+        halves = ((slice(0, kv), slice(0, kq)), (slice(kv, vs.stop - vs.start), slice(kq, qs.stop - qs.start)))
+        for sub, (lv, lq) in enumerate(halves):
+            blk = (B_s[lq, lv].copy(), MV_s[lv, lv].copy(), MQ_s[lq, lq].copy())
+            parts.append(SaddlePart(*blk, s, sub, _shift(lv, vs.start), _shift(lq, qs.start), lv))
+    return tuple(parts)
+
+
+def _symmetrize(blocks: list, split: list) -> list:
+    """Make each sector block symmetric to the bit on both subproblems, (S + S^T)/2,
+    and exactly skew between them, from its momentum-energy block."""
+    for S, k in zip(blocks, split):
+        for d in (slice(0, k), slice(k, None)):
+            S[d, d] = 0.5 * (S[d, d] + S[d, d].T)
+        S[k:, :k] = -S[:k, k:].T
+    return blocks
+
+
 @dataclass(eq=False)
 class SaddleOperator:
     """The primal form A of one (spaces, params) on the spaces' shared structure.
 
     `sectors` holds A's diagonal sector blocks in the structure's sector
     coordinates. `symmetric` records whether A is symmetric on the momentum
-    and on the energy subproblem and skew between them, read in views of
-    its blocks; when all three hold, as assembled, the sector blocks are
-    made so to the bit. An A that is not mirror-invariant (MIRROR_RTOL)
-    gets a private structure of one trivial sector. The operator keeps what
-    saddlepoint factors on first use, valid for this A and structure only:
-    in `bordered`, by part index, the LU of each part's bordered matrix
-    (alpha0), and in `factors` the LU of each sector's saddle matrix (the
-    solve). `saddlepoint._operator` decides who uses it.
+    and on the energy subproblem and skew between them; when all three
+    hold, the blocks are made so to the bit (`_symmetrize`). `assemble`
+    builds them from the 1D factors; `of` cuts them out of a given dense A,
+    reading `symmetric` in views of its blocks, and gives an A that is not
+    mirror-invariant a private structure of one sector. The dense A is the
+    one given to `of`, or else scattered from the blocks on first access
+    and kept. The operator keeps what saddlepoint factors on first use,
+    valid for this A and structure only: in `bordered`, by part index, the
+    LU of each part's bordered matrix (alpha0), and in `factors` the LU of
+    each sector's saddle matrix (the solve).
     """
 
-    A: np.ndarray
     structure: SaddleStructure
-    symmetric: tuple = field(init=False)
-    sectors: list = field(init=False, repr=False)
+    sectors: list = field(repr=False)
+    symmetric: tuple = (True, True, True)
     bordered: dict = field(default_factory=dict, repr=False)
     factors: list | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        A, st = self.A, self.structure
+    @classmethod
+    def assemble(cls, structure: SaddleStructure, params: ModelParams) -> SaddleOperator:
+        V, fields = structure.V, structure.spaces.mirror.V_fields
+        blocks = _sector_assemble(_A_terms(structure.spaces, params), V, V, fields, fields, {})
+        return cls(structure, _symmetrize(blocks, V.split))
+
+    @classmethod
+    def of(cls, A: np.ndarray, structure: SaddleStructure) -> SaddleOperator:
+        st = structure
         runs = [[g for _, g in _runs(v)] for v, _ in subproblems(st.spaces)]
-        self.symmetric = (
+        symmetric = (
             *(all(np.array_equal(A[a, b], A[b, a].T) for a in part for b in part) for part in runs),
             not any(np.any(A[a, b] + A[b, a].T) for a in runs[0] for b in runs[1]),
         )
         blocks, invariant = _sector_blocks(A, st.V, st.V)
         if not invariant:
-            self.structure = st = SaddleStructure(st.B, st.M_V, st.M_Q, st.spaces, mirrored=False)
+            st = SaddleStructure.of(st.B, st.M_V, st.M_Q, st.spaces, mirrored=False)
             blocks, _ = _sector_blocks(A, st.V, st.V)
-        if all(self.symmetric):
-            for S, k in zip(blocks, st.V.split):
-                for d in (slice(0, k), slice(k, None)):
-                    S[d, d] = 0.5 * (S[d, d] + S[d, d].T)
-                S[k:, :k] = -S[:k, k:].T
-        self.sectors = blocks
+        op = cls(st, _symmetrize(blocks, st.V.split) if all(symmetric) else blocks, symmetric)
+        op.__dict__["A"] = A
+        return op
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        V = self.structure.V
+        return _scatter(((S, sl, sl) for S, sl in zip(self.sectors, V.sectors)), V, V)
+
+
+# -- sector assembly from 1D factors ----------------------------------------
+
+SWAPS = {"m": 0, "k": 0, "P": 0, "d": 1, "dt": 1, "Q": 1}  # 1 where a 1D factor swaps parity
+MASS = ("m", "m", "m")
+
+
+def _vmat_names(b: int) -> tuple:
+    return tuple("d" if a == b else "m" for a in range(3))
+
+
+def _add(terms: dict, r: int, c: int, coef: float, names: tuple) -> None:
+    if coef != 0.0:
+        pair = terms.setdefault((r, c), {})
+        pair[names] = pair.get(names, 0.0) + coef
+
+
+def _add_faces(terms: dict, r: int, c: int, coefs: list) -> None:
+    """Add the face integrals of phi_I psi_J times coefs[f][i, j] over the faces f = 2 axis + side
+    to the pair (r + i, c + j): per axis, (c0 + c1) P + (c1 - c0) Q along it, the mass along the others."""
+    for axis in range(3):
+        c0, c1 = coefs[2 * axis], coefs[2 * axis + 1]
+        for name, C in (("P", c0 + c1), ("Q", c1 - c0)):
+            for i, j in zip(*np.nonzero(np.abs(C) > 1e-15)):
+                _add(terms, r + i, c + j, C[i, j], tuple(name if a == axis else "m" for a in range(3)))
+
+
+def _A_terms(spaces: DiscreteSpaces, params: ModelParams) -> dict:
+    """A over the V field blocks (sigma 0-4, s 5-7, p 8) as {(r, c): {1D factor names: coef}}:
+    the stress form d, the pressure's boundary terms f and h, the heat-flux form a, and
+    of the skew pair only the (sigma, s) coupling c^T (`_symmetrize` sets -c)."""
+    kn, chi, eps = params.kn, params.chi_tilde, params.epsilon_w
+    terms: dict = {}
+    H = gradient_coupling(STF_GRADIENT)
+    for a, k, b, l in zip(*np.nonzero(np.abs(H) > 1e-15)):
+        _add(terms, a, b, kn * H[a, k, b, l], dmat_names(k, l))
+    for a in range(5):
+        _add(terms, a, a, 0.5 / kn, MASS)
+    for i in range(3):
+        for al in range(3):
+            _add(terms, 5 + i, 5 + i, 0.5 * (24.0 / 25.0) * kn, dmat_names(al, al))
+        _add(terms, 5 + i, 5 + i, (4.0 / 15.0) / kn, MASS)
+        for j in range(3):
+            _add(terms, 5 + i, 5 + j, 0.5 * (24.0 / 25.0) * kn, dmat_names(j, i))
+            _add(terms, 5 + i, 5 + j, (12.0 / 25.0) * kn, dmat_names(i, j))
+        for a in range(5):
+            for al in range(3):
+                _add(terms, a, 5 + i, (2.0 / 5.0) * spaces.E[a, i, al], _vmat_names(al))
+    walls: dict = {(0, 0): [], (5, 5): [], (0, 5): []}  # per face, the coefficients of its field pairs
+    for fd, w in zip(spaces.faces, spaces.stress_face_weights):
+        n, t1, t2 = fd.frame.n, fd.frame.t1, fd.frame.t2
+        pairs = ((9.0 / 8.0 + eps) * chi, w["nn"]), (chi, w["t1t1"] + 0.5 * w["nn"]), (chi, w["t1t2"])
+        pairs += (1.0 / chi, w["nt1"]), (1.0 / chi, w["nt2"])
+        walls[0, 0].append(sum(c * np.outer(v, v) for c, v in pairs))
+        tangential = np.outer(t1, t1) + np.outer(t2, t2)
+        walls[5, 5].append(0.5 / chi * np.outer(n, n) + (12.0 / 25.0) * chi * tangential)
+        walls[0, 5].append(-(3.0 / 20.0) * np.outer(w["nn"], n) - (np.outer(w["nt1"], t1) + np.outer(w["nt2"], t2)) / 5.0)
+    if eps * chi != 0.0:
+        walls[8, 0] = [eps * chi * w["nn"][None, :] for w in spaces.stress_face_weights]
+        walls[0, 8] = [x.T for x in walls[8, 0]]
+        walls[8, 8] = [np.full((1, 1), eps * chi)] * 6
+    for (r, c), coefs in walls.items():
+        _add_faces(terms, r, c, coefs)
+    return terms
+
+
+def _B_terms(spaces: DiscreteSpaces) -> dict:
+    """B over the Q field blocks (u 0-2, theta 3) and V's: -e, -g^T and -b."""
+    terms: dict = {}
+    for i in range(3):
+        for a in range(5):
+            for al in range(3):
+                _add(terms, i, a, -spaces.E[a, i, al], _vmat_names(al))
+        _add(terms, i, 8, -1.0, _vmat_names(i))
+        _add(terms, 3, 5 + i, -1.0, _vmat_names(i))
+    return terms
+
+
+def _norm_terms(count: int, h1: bool) -> dict:
+    """The H1 (h1 True) or L2 gram on each of count field blocks."""
+    names = [MASS] + [dmat_names(a, a) for a in range(3 if h1 else 0)]
+    return {(r, r): dict.fromkeys(names, 1.0) for r in range(count)}
+
+
+def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_fields, cache: dict) -> list:
+    """Diagonal sector blocks of the sum of coef times the Kronecker product of the named
+    1D factors (ScalarBasis.factors) over the field-block pairs (r, c) of terms.
+
+    Field blocks are (scalar basis, mask, R) as spaces.MirrorBasis lists
+    them. In sector s the rows of r have the parities s ^ mask_r, so each
+    factor gives one parity sub-block per axis; a term lands there when
+    its factors swap parity on the axes of mask_r ^ mask_c, and is else
+    off-sector and zero in exact arithmetic. Per (r, c) and sector, one
+    stack of products (shared through cache) meets the coefficients in one
+    product. R maps the zero-mean pressure's sector-0 coordinates.
+    """
+    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rows.sectors, cols.sectors)]
+    for (r, c), pair in terms.items():
+        (X, mr, Rr), (Y, mc, Rc) = row_fields[r], col_fields[c]
+        names = tuple(nm for nm in pair if sum(SWAPS[x] << a for a, x in enumerate(nm)) == mr ^ mc)
+        if not names:
+            continue
+        coefs, fac, pair_key = np.array([pair[nm] for nm in names]), X.factors(Y), (id(X), id(Y))
+        stacks = cache.setdefault((pair_key, names), {})  # by row parities
+        for s, S, (ro, nr), (co, nc) in zip(range(len(out)), out, rows.boxes[r], cols.boxes[c]):
+            pr, pc = s ^ mr, s ^ mc
+            if pr not in stacks:
+                for nm in names:  # its product of the 1D sub-blocks of the row and column parities
+                    if (pair_key, nm, pr) not in cache:
+                        f = [fac[nm[a]][X.parity[pr >> a & 1], Y.parity[pc >> a & 1]] for a in range(3)]
+                        K = f[0][:, None, None, :, None, None] * f[1][None, :, None, None, :, None]
+                        K = K * f[2][None, None, :, None, None, :]
+                        cache[pair_key, nm, pr] = K.reshape(K.shape[0] * K.shape[1] * K.shape[2], -1)
+                K = np.array([cache[pair_key, nm, pr] for nm in names])
+                stacks[pr] = (K.reshape(len(names), -1), K.shape[1:])
+            K, shape = stacks[pr]
+            blk = (coefs @ K).reshape(shape)
+            if s == 0 and Rr is not None:
+                blk = Rr.T @ blk
+            if s == 0 and Rc is not None:
+                blk = blk @ Rc
+            S[ro : ro + nr, co : co + nc] = blk
+    return out
+
+
+class _SharedMatrix:
+    """A matrix field of MixedSystem: the array set on the system, or else the dense
+    matrix of its operator (read by `read`), scattered on first access and kept there."""
+
+    def __init__(self, name, read):
+        self.name, self.read = name, read
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            return self
+        M = system.__dict__.get(self.name)
+        return self.read(system.operator) if M is None else M
+
+    def __set__(self, system, M):
+        system.__dict__[self.name] = None if M is self else M
 
 
 @dataclass
 class MixedSystem:
-    """Assembled saddle-point data: forms, norm matrices, loads, parameters."""
+    """Assembled saddle-point data: loads, parameters, spaces and the shared operator.
 
-    A: np.ndarray
-    B: np.ndarray
-    M_V: np.ndarray
-    M_Q: np.ndarray
+    A, B, M_V and M_Q are the system's own where it is given them (as by
+    `dataclasses.replace(system, A=...)`), else the operator's dense
+    matrices, read-only and scattered from its sector blocks on first
+    access. Constants and solves read the sector blocks, not these.
+    """
+
     F: np.ndarray
     G: np.ndarray
     params: ModelParams
     spaces: DiscreteSpaces
     operator: SaddleOperator | None = field(default=None, repr=False, compare=False)
+    A: np.ndarray = field(default=_SharedMatrix("A", lambda op: op.A), repr=False)
+    B: np.ndarray = field(default=_SharedMatrix("B", lambda op: op.structure.B), repr=False)
+    M_V: np.ndarray = field(default=_SharedMatrix("M_V", lambda op: op.structure.M_V), repr=False)
+    M_Q: np.ndarray = field(default=_SharedMatrix("M_Q", lambda op: op.structure.M_Q), repr=False)
 
-
-# -- frame component weights -----------------------------------------------
-
-
-def _add(M, bi, bj, nr, nc, blk):
-    M[bi * nr : (bi + 1) * nr, bj * nc : (bj + 1) * nc] += blk
-
-
-# -- sub-forms ---------------------------------------------------------------
-
-
-def _form_a(spaces, params):
-    """Heat-flux form: rows and columns over the 3-component vector block."""
-    sb = spaces.scalar
-    n = sb.n
-    kn, chi = params.kn, params.chi_tilde
-    A = np.zeros((3 * n, 3 * n))
-    grad_sum = sum(sb.dmat(al, al) for al in range(3))
-    for i in range(3):
-        for j in range(3):
-            blk = np.zeros((n, n))
-            if i == j:
-                blk += 0.5 * (24.0 / 25.0) * kn * grad_sum
-            blk += 0.5 * (24.0 / 25.0) * kn * sb.dmat(j, i)
-            blk += (12.0 / 25.0) * kn * sb.dmat(i, j)
-            if i == j:
-                blk += (4.0 / 15.0) / kn * sb.mass()
-            _add(A, i, j, n, n, blk)
-    for f, fd in enumerate(sb.faces):
-        Mf = sb.face_mass(f)
-        nvec, t1, t2 = fd.frame.n, fd.frame.t1, fd.frame.t2
-        for i in range(3):
-            for j in range(3):
-                w = 0.5 / chi * nvec[i] * nvec[j]
-                w += (12.0 / 25.0) * chi * (t1[i] * t1[j] + t2[i] * t2[j])
-                if w != 0.0:
-                    _add(A, i, j, n, n, w * Mf)
-    return A
-
-
-def _form_c(spaces, params):
-    """Coupling form c(r, sigma): rows vector block, columns stress block."""
-    sb = spaces.scalar
-    n = sb.n
-    E = spaces.E
-    C = np.zeros((3 * n, 5 * n))
-    for i in range(3):
-        for a in range(5):
-            blk = np.zeros((n, n))
-            for al in range(3):
-                if E[a, i, al] != 0.0:
-                    blk += (2.0 / 5.0) * E[a, i, al] * sb.vmat(al).T
-            _add(C, i, a, n, n, blk)
-    for f, (fd, w) in enumerate(zip(sb.faces, spaces.stress_face_weights)):
-        Mf = sb.face_mass(f)
-        nvec, t1, t2 = fd.frame.n, fd.frame.t1, fd.frame.t2
-        for i in range(3):
-            for a in range(5):
-                coeff = -(3.0 / 20.0) * nvec[i] * w["nn"][a]
-                coeff -= (1.0 / 5.0) * (t1[i] * w["nt1"][a] + t2[i] * w["nt2"][a])
-                if coeff != 0.0:
-                    _add(C, i, a, n, n, coeff * Mf)
-    return C
+    def shares(self, name: str, owner) -> bool:
+        """Whether the matrix `name` is owner's (the operator's A or the structure's
+        B, M_V, M_Q): the system was given none, or the one owner holds."""
+        M = self.__dict__.get(name)
+        return M is None or M is owner.__dict__.get(name)
 
 
 def projected_gradient_gram(op: OperatorSpec, sb: ScalarBasis, weight: float = 1.0) -> np.ndarray:
@@ -508,181 +644,49 @@ def projected_gradient_gram(op: OperatorSpec, sb: ScalarBasis, weight: float = 1
     of the operator's domain basis (for stf fields, the stress basis E).
     """
     H = gradient_coupling(op)
-    nc, n = H.shape[0], sb.n
-    G = np.zeros((nc * n, nc * n))
-    for a in range(nc):
-        for b in range(nc):
-            blk = G[a * n : (a + 1) * n, b * n : (b + 1) * n]
-            for k in range(op.dim):
-                for l in range(op.dim):
-                    if abs(H[a, k, b, l]) > 1e-15:
-                        blk += weight * H[a, k, b, l] * sb.dmat(k, l)
-    return G
+    H = np.where(np.abs(H) > 1e-15, weight * H, 0.0)
+    return sum(np.kron(H[:, k, :, l], sb.dmat(k, l)) for k in range(op.dim) for l in range(op.dim))
 
 
-def _form_d(spaces, params):
-    """Stress form: rows and columns over the 5-component stf block."""
-    sb = spaces.scalar
-    n = sb.n
-    kn, chi, eps = params.kn, params.chi_tilde, params.epsilon_w
-    D = projected_gradient_gram(STF_GRADIENT, sb, kn)
-    for a in range(5):
-        _add(D, a, a, n, n, 0.5 / kn * sb.mass())
-    for f, w in enumerate(spaces.stress_face_weights):
-        Mf = sb.face_mass(f)
-        w_tot = w["t1t1"] + 0.5 * w["nn"]
-        comp = (9.0 / 8.0) * chi * np.outer(w["nn"], w["nn"])
-        comp += chi * np.outer(w_tot, w_tot)
-        comp += chi * np.outer(w["t1t2"], w["t1t2"])
-        comp += (1.0 / chi) * (np.outer(w["nt1"], w["nt1"]) + np.outer(w["nt2"], w["nt2"]))
-        comp += eps * chi * np.outer(w["nn"], w["nn"])
-        for a in range(5):
-            for b in range(5):
-                if abs(comp[a, b]) > 1e-15:
-                    _add(D, a, b, n, n, comp[a, b] * Mf)
-    return D
+def _shared_operator(spaces: DiscreteSpaces, params: ModelParams) -> SaddleOperator:
+    """The operator of (spaces, params) on the spaces' structure, each assembled once."""
+    st = spaces.structure and spaces.structure()
+    if st is None:
+        st = SaddleStructure.assemble(spaces)
+        spaces.structure = weakref.ref(st)
+    op = spaces.operators.get(params)
+    if op is None:
+        op = spaces.operators[params] = SaddleOperator.assemble(st, params)
+    return op
 
 
-def _form_b(spaces, params):
-    """b(theta, r): rows scalar block, columns vector block."""
-    sb, pb = spaces.scalar, spaces.scalar_pq
-    n = sb.n
-    B = np.zeros((pb.n, 3 * n))
-    for j in range(3):
-        B[:, j * n : (j + 1) * n] = pb.vmat(j, sb)
-    return B
-
-
-def _form_e(spaces, params):
-    """e(u, psi): rows vector block, columns stress block."""
-    sb, pb = spaces.scalar, spaces.scalar_pq
-    n, m = sb.n, pb.n
-    E = spaces.E
-    M = np.zeros((3 * m, 5 * n))
-    for i in range(3):
-        for a in range(5):
-            blk = np.zeros((m, n))
-            for al in range(3):
-                if E[a, i, al] != 0.0:
-                    blk += E[a, i, al] * pb.vmat(al, sb)
-            _add(M, i, a, m, n, blk)
-    return M
-
-
-def _form_f(spaces, params):
-    """f(p, psi): rows constrained pressure block, columns stress block."""
-    sb, pb = spaces.scalar, spaces.scalar_pq
-    n = sb.n
-    coeff = params.epsilon_w * params.chi_tilde
-    raw = np.zeros((pb.n, 5 * n))
-    if coeff != 0.0:
-        for f, w in enumerate(spaces.stress_face_weights):
-            Mf = pb.face_mass(f, sb)
-            for a in range(5):
-                if abs(w["nn"][a]) > 1e-15:
-                    raw[:, a * n : (a + 1) * n] += coeff * w["nn"][a] * Mf
-    return spaces.Cp.T @ raw
-
-
-def _form_g(spaces, params):
-    """g(p, v): rows constrained pressure block, columns velocity block."""
-    pb = spaces.scalar_pq
-    m = pb.n
-    raw = np.zeros((m, 3 * m))
-    for i in range(3):
-        raw[:, i * m : (i + 1) * m] = pb.vmat(i).T
-    return spaces.Cp.T @ raw
-
-
-def _form_h(spaces, params):
-    """h(p, q): boundary pressure mass, constrained coordinates."""
-    pb = spaces.scalar_pq
-    coeff = params.epsilon_w * params.chi_tilde
-    raw = np.zeros((pb.n, pb.n))
-    if coeff != 0.0:
-        for f in range(len(pb.faces)):
-            raw += coeff * pb.face_mass(f)
-    return spaces.Cp.T @ raw @ spaces.Cp
-
-
-def _form_dbar(spaces, params):
-    """Stress/pressure form with the total-pressure boundary term: [[d, f^T], [f, h]]."""
-    Fm = _form_f(spaces, params)
-    return np.block([[_form_d(spaces, params), Fm.T], [Fm, _form_h(spaces, params)]])
-
-
-def _assemble_A(spaces, params):
-    n = spaces.n_scalar
-    nV = spaces.n_V
-    vb = spaces.v_blocks
-    A = np.zeros((nV, nV))
-    # the symmetric forms a, d and h enter as (M + M^T)/2, symmetric to the
-    # bit, so the symmetric part of A equals A on each subproblem's block
-    for block, form in (("s", _form_a), ("sigma", _form_d), ("p", _form_h)):
-        M = form(spaces, params)
-        A[vb[block], vb[block]] = 0.5 * (M + M.T)
-    C = _form_c(spaces, params)
-    A[vb["sigma"], vb["s"]] = C.T
-    A[vb["s"], vb["sigma"]] = -C
-    Fm = _form_f(spaces, params)
-    A[vb["sigma"], vb["p"]] = Fm.T
-    A[vb["p"], vb["sigma"]] = Fm
-    return A
-
-
-def _assemble_B(spaces, params):
-    qb, vb = spaces.q_blocks, spaces.v_blocks
-    B = np.zeros((spaces.n_Q, spaces.n_V))
-    B[qb["u"], vb["sigma"]] = -_form_e(spaces, params)
-    B[qb["u"], vb["p"]] = -_form_g(spaces, params).T
-    B[qb["theta"], vb["s"]] = -_form_b(spaces, params)
-    return B
-
-
-def _assemble_MV(spaces):
-    sb = spaces.scalar
-    n = sb.n
-    h1 = sb.h1()
-    M = np.zeros((spaces.n_V, spaces.n_V))
-    for a in range(5):
-        _add(M, a, a, n, n, h1)
-    off = 5 * n
-    for i in range(3):
-        M[off + i * n : off + (i + 1) * n, off + i * n : off + (i + 1) * n] = h1
-    M[spaces.v_blocks["p"], spaces.v_blocks["p"]] = spaces.Cp.T @ spaces.scalar_pq.h1() @ spaces.Cp
-    return M
-
-
-def _assemble_MQ(spaces):
-    pb = spaces.scalar_pq
-    n = pb.n
-    mass = pb.mass()
-    M = np.zeros((spaces.n_Q, spaces.n_Q))
-    for i in range(4):
-        _add(M, i, i, n, n, mass)
-    return M
+# form id: (sign, matrix, row block, column block) of the cut; g is its cut transposed
+FORMS = {
+    "a": (1, "A", "s", "s"), "c": (-1, "A", "s", "sigma"), "d": (1, "A", "sigma", "sigma"),
+    "f": (1, "A", "p", "sigma"), "h": (1, "A", "p", "p"), "dbar": (1, "A", "stress", "stress"),
+    "b": (-1, "B", "theta", "s"), "e": (-1, "B", "u", "sigma"), "g": (-1, "B", "u", "p"),
+    "A": (1, "A", "V", "V"), "B": (1, "B", "Q", "V"), "MV": (1, "M_V", "V", "V"), "MQ": (1, "M_Q", "Q", "Q"),
+}
 
 
 def assemble_form(form_id: str, spaces: DiscreteSpaces, params: ModelParams) -> np.ndarray:
-    """Assemble one bilinear form or norm matrix by identifier."""
-    builders = {
-        "a": _form_a,
-        "b": _form_b,
-        "c": _form_c,
-        "d": _form_d,
-        "e": _form_e,
-        "f": _form_f,
-        "g": _form_g,
-        "h": _form_h,
-        "dbar": _form_dbar,
-        "A": _assemble_A,
-        "B": _assemble_B,
-        "MV": lambda sp, pa: _assemble_MV(sp),
-        "MQ": lambda sp, pa: _assemble_MQ(sp),
-    }
-    if form_id not in builders:
+    """One bilinear form or norm matrix by identifier (FORMS), read-only.
+
+    "A", "B", "MV" and "MQ" are the dense matrices of the shared operator of
+    (spaces, params). Each sub-form is the block of A or B it fills, or its
+    negation, with rows indexing the first form argument and the pressure
+    in the constrained coordinates: dbar = [[d, f^T], [f, h]].
+    """
+    if form_id not in FORMS:
         raise ValueError(f"unknown form_id {form_id!r}")
-    return builders[form_id](spaces, params)
+    sign, name, rows, cols = FORMS[form_id]
+    op = _shared_operator(spaces, params)
+    vb = spaces.v_blocks
+    blocks = {**vb, **spaces.q_blocks, "stress": np.r_[vb["sigma"], vb["p"]], "V": slice(None), "Q": slice(None)}
+    M = (op.A if name == "A" else getattr(op.structure, name))[blocks[rows]][:, blocks[cols]]
+    M = -(M.T if form_id == "g" else M) if sign < 0 else M
+    M.setflags(write=False)
+    return M
 
 
 # -- load functionals --------------------------------------------------------
@@ -694,43 +698,29 @@ def assemble_load(
     sources: VolumeSources | None = None,
     bdata: BoundaryData | None = None,
 ):
-    """Right-hand sides (F, G) from wall data and volume sources."""
-    sources = sources or VolumeSources()
+    """Right-hand sides (F, G) from wall data and volume sources (tabulated only if given)."""
     bdata = bdata or BoundaryData()
     sb, pb = spaces.scalar, spaces.scalar_pq
     n, m = sb.n, pb.n
     chi, eps = params.chi_tilde, params.epsilon_w
 
-    F = np.zeros(spaces.n_V)
-    G = np.zeros(spaces.n_Q)
-    pts = sb.points
-    wq = sb.weights
-    m_vals = sources.mass(pts)
-    b_vals = sources.body(pts)
-    r_vals = sources.energy(pts)
-
-    raw_p = pb.phi.T @ (wq * m_vals)
+    F, G, raw_p = np.zeros(spaces.n_V), np.zeros(spaces.n_Q), np.zeros(m)
+    if sources is not None:
+        pts, wq = sb.points, sb.weights
+        m_vals, r_vals = sources.mass(pts), sources.energy(pts)
+        raw_p = pb.phi.T @ (wq * m_vals)
+        G[spaces.q_blocks["u"]] = -(pb.phi.T @ (wq[:, None] * sources.body(pts))).T.ravel()
+        G[spaces.q_blocks["theta"]] = -(pb.phi.T @ (wq * (r_vals - m_vals)))
+    F_sigma, F_s = F[spaces.v_blocks["sigma"]].reshape(5, n), F[spaces.v_blocks["s"]].reshape(3, n)
     for f, (fd, w) in enumerate(zip(sb.faces, spaces.stress_face_weights)):
         fint = sb.face_integrals(f)
-        nvec = fd.frame.n
         eff_un = bdata.u_n_w[f] - eps * chi * bdata.p_w[f]
-        # wall temperature drives the heat-flux test functions
-        for i in range(3):
-            F[spaces.v_blocks["s"]][i * n : (i + 1) * n] += -bdata.theta_w[f] * nvec[i] * fint
-        # wall velocity and pressure drive the stress test functions
-        for a in range(5):
-            coeff = (
-                bdata.u_t1_w[f] * w["nt1"][a]
-                + bdata.u_t2_w[f] * w["nt2"][a]
-                + eff_un * w["nn"][a]
-            )
-            F[spaces.v_blocks["sigma"]][a * n : (a + 1) * n] += -coeff * fint
+        # wall temperature drives the heat-flux test functions, wall velocity
+        # and pressure the stress test functions
+        F_s -= np.outer(bdata.theta_w[f] * fd.frame.n, fint)
+        F_sigma -= np.outer(bdata.u_t1_w[f] * w["nt1"] + bdata.u_t2_w[f] * w["nt2"] + eff_un * w["nn"], fint)
         raw_p -= eff_un * pb.face_integrals(f)
     F[spaces.v_blocks["p"]] = spaces.Cp.T @ raw_p
-
-    for i in range(3):
-        G[spaces.q_blocks["u"]][i * m : (i + 1) * m] = -(pb.phi.T @ (wq * b_vals[:, i]))
-    G[spaces.q_blocks["theta"]] = -(pb.phi.T @ (wq * (r_vals - m_vals)))
     return F, G
 
 
@@ -740,38 +730,15 @@ def assemble_system(
     sources: VolumeSources | None = None,
     bdata: BoundaryData | None = None,
 ) -> MixedSystem:
-    """Assemble the loads of the mixed problem on its shared matrices.
+    """Assemble the loads of the mixed problem on its shared operator.
 
-    B, M_V and M_Q are assembled once per spaces and A once per (spaces,
-    params); all are read-only. Every system built on the spaces shares
-    one structure, and every system built on the same parameters one
-    operator, while one of them is alive.
+    The sector blocks of B, M_V and M_Q are assembled once per spaces and
+    those of A once per (spaces, params), from the 1D factors, and shared
+    by every system on them while one is alive; the dense matrices are
+    built only when read (MixedSystem).
     """
-    st = spaces.structure and spaces.structure()
-    if st is None:
-        B, M_V, M_Q = _assemble_B(spaces, params), _assemble_MV(spaces), _assemble_MQ(spaces)
-        for M in (B, M_V, M_Q):
-            M.setflags(write=False)
-        st = SaddleStructure(B, M_V, M_Q, spaces)
-        spaces.structure = weakref.ref(st)
-    op = spaces.operators.get(params)
-    if op is None:
-        A = _assemble_A(spaces, params)
-        A.setflags(write=False)
-        op = SaddleOperator(A=A, structure=st)
-        spaces.operators[params] = op
     F, G = assemble_load(spaces, params, sources, bdata)
-    return MixedSystem(
-        A=op.A,
-        B=st.B,
-        M_V=st.M_V,
-        M_Q=st.M_Q,
-        F=F,
-        G=G,
-        params=params,
-        spaces=spaces,
-        operator=op,
-    )
+    return MixedSystem(F=F, G=G, params=params, spaces=spaces, operator=_shared_operator(spaces, params))
 
 
 # -- closures and wall-relation residuals ------------------------------------

@@ -57,16 +57,14 @@ class MixedSolution:
 
 
 def _operator(system: MixedSystem) -> SaddleOperator:
-    """The system's shared operator while the system carries its A, B, M_V and M_Q; else a
-    private one, on the shared structure when only A was replaced. Each public call resolves
-    the operator here once; everything below reads it and its cached factors unchecked."""
+    """The system's shared operator while the system reads its A, B, M_V and M_Q from it;
+    else a private one, cut from the system's dense matrices, on the shared structure when
+    only A was replaced. Each public call resolves the operator here once; everything
+    below reads it and its cached factors unchecked."""
     op = system.operator
-    st = op and op.structure
-    if st is None or not (system.B is st.B and system.M_V is st.M_V and system.M_Q is st.M_Q):
-        st = SaddleStructure(system.B, system.M_V, system.M_Q, system.spaces)
-    elif system.A is op.A:
-        return op
-    return SaddleOperator(system.A, st)
+    if op is None or not all(system.shares(name, op.structure) for name in ("B", "M_V", "M_Q")):
+        return SaddleOperator.of(system.A, SaddleStructure.of(system.B, system.M_V, system.M_Q, system.spaces))
+    return op if system.shares("A", op) else SaddleOperator.of(system.A, op.structure)
 
 
 def _lanczos_max(apply, n: int) -> float:
@@ -268,7 +266,7 @@ def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     op = _operator(system)
     st = op.structure
     rank = sum(st.ranks)
-    dim_kerB = system.B.shape[1] - rank
+    dim_kerB = st.V.order.size - rank
     if dim_kerB == 0:
         raise ValueError("trivial kernel")
     L_V = st.L_V
@@ -276,7 +274,7 @@ def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     return BrezziConstants(
         alpha0=_coercivity(op),
         k0=k0,
-        norm_A=_whitened_norm(_sector_product(op), system.A.shape[1], L_V, L_V),
+        norm_A=_whitened_norm(_sector_product(op), st.V.order.size, L_V, L_V),
         norm_B=float(st.whitened_svals[0]),  # the SVD behind k0
         dim_kerB=dim_kerB,
         dim_kerBT=dim_kerBT,
@@ -313,8 +311,8 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     sector's saddle matrix is factored once per operator, and U and P come
     back from sector coordinates: each further load costs two permutations
     each way and per sector three small products and one LU
-    back-substitution. Residuals and the norms of U and P are taken with
-    the original matrices.
+    back-substitution. The residuals and the norms of U and P are taken in
+    sector coordinates, with the operator's blocks of A and the parts'.
     """
     op = _operator(system)
     st = op.structure
@@ -328,13 +326,15 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     for lu, vs, qs, y_s, (_, Z) in zip(_sector_lus(op), st.V.sectors, st.Q.sectors, y, st.load_maps):
         x = _lu_solve(lu, np.concatenate([f[vs], y_s[: Z.shape[1]]]))
         u[vs], p[qs] = x[: vs.stop - vs.start], Z @ x[vs.stop - vs.start :]
-    U, P = st.V.from_sectors(u), st.Q.from_sectors(p)
-
-    res1 = np.linalg.norm(system.A @ U + system.B.T @ P - system.F)
-    res2 = np.linalg.norm(system.B @ U - system.G)
-    f_norm = np.linalg.norm(system.F)
-    res1 /= f_norm if f_norm > 0 else 1.0
-    res2 /= max(np.linalg.norm(system.G), 1.0)
+    r1, r2 = -f, -g  # the residuals, in sector coordinates
+    for A_s, vs in zip(op.sectors, st.V.sectors):
+        r1[vs] += A_s @ u[vs]
+    for part in st.parts:
+        r1[part.v] += part.B.T @ p[part.q]
+        r2[part.q] += part.B @ u[part.v]
+    f_norm = np.linalg.norm(f)
+    res1 = np.linalg.norm(r1) / (f_norm if f_norm > 0 else 1.0)
+    res2 = np.linalg.norm(r2) / max(np.linalg.norm(g), 1.0)
 
     bound_U = bound_P = None
     if constants is not None:
@@ -342,7 +342,9 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float((1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual)
-    norm_U, norm_P = float(np.sqrt(U @ system.M_V @ U)), float(np.sqrt(P @ system.M_Q @ P))
+    U, P = st.V.from_sectors(u), st.Q.from_sectors(p)
+    norm_U = float(np.sqrt(sum(u[i.v] @ i.M_V @ u[i.v] for i in st.parts)))
+    norm_P = float(np.sqrt(sum(p[i.q] @ i.M_Q @ p[i.q] for i in st.parts)))
     return MixedSolution(U, P, res1, res2, norm_U, norm_P, bound_U, bound_P)
 
 

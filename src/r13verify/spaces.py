@@ -149,16 +149,30 @@ class Basis1D:
 
 
 class FaceData:
-    """Quadrature and basis traces on one boundary face of the cube."""
+    """Quadrature and basis traces on one boundary face of the cube; phi and dphi are
+    tabulated on first use."""
 
-    def __init__(self, axis: int, side: int, frame: Frame, points, weights, phi, dphi):
-        self.axis = axis
-        self.side = side
-        self.frame = frame
-        self.points = points
-        self.weights = weights
-        self.phi = phi
-        self.dphi = dphi
+    def __init__(self, axis: int, side: int, frame: Frame, basis: ScalarBasis):
+        self.axis, self.side, self.frame, self._b1, self._T1 = axis, side, frame, basis.b1, basis.T1
+        b = basis.b1
+        pts = [np.array([float(side)]) if a == axis else b.nodes for a in range(3)]
+        self.points = np.stack([g.ravel() for g in np.meshgrid(*pts, indexing="ij")], axis=-1)
+        self.weights = _kron_all([np.ones((1, 1)) if a == axis else b.weights[None, :] for a in range(3)]).ravel()
+
+    def _along(self, a: int, ax: int | None = None) -> np.ndarray:
+        """The factor along axis a of the tabulation of the derivative along ax (None: the values)."""
+        b, T1, side = self._b1, self._T1, self.side
+        if a == self.axis:
+            return (((b.d1_at1 if side else b.d1_at0) if a == ax else (b.at1 if side else b.at0)) @ T1)[None, :]
+        return (b.d1 if a == ax else b.values) @ T1
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _kron_all([self._along(a) for a in range(3)])
+
+    @cached_property
+    def dphi(self) -> np.ndarray:
+        return np.stack([_kron_all([self._along(a, ax) for a in range(3)]) for ax in range(3)])
 
 
 def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
@@ -169,12 +183,15 @@ def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
 
 
 class ScalarBasis:
-    """Tensor-product scalar basis on [0, 1]^dim with volume and face tabulations.
+    """Tensor-product scalar basis on [0, 1]^dim.
 
     Its 1D factors are the parity functions b1.values @ T1 of the nodal
     basis b1, (T1, n_even) = b1.parity_basis(): the first n_even even under
-    x -> 1 - x, the rest odd. Every volume and face tabulation, and so every
-    coefficient vector over this basis, is in these coordinates.
+    x -> 1 - x, the rest odd. Every coefficient vector over this basis is in
+    these coordinates. The pair matrices (mass, dmat, h1, and any other
+    through `kron`) and the integrals are Kronecker products of the 1D
+    parity grams in `factors`, which the sector assembler reads as well.
+    The volume and face tabulations phi and dphi are built on first use.
     """
 
     def __init__(self, dim: int, degree: int, subdivisions: int, n_quad: int | None = None):
@@ -185,41 +202,26 @@ class ScalarBasis:
         self.subdivisions = subdivisions
         self.b1 = Basis1D(degree, subdivisions, n_quad)
         self.n = self.b1.n**dim
-
         self.T1, self.n_even = self.b1.parity_basis()
-        F, D = self.b1.values @ self.T1, self.b1.d1 @ self.T1
+        self.parity = (slice(0, self.n_even), slice(self.n_even, self.b1.n))  # even, odd 1D indices
         self.weights = _kron_all([self.b1.weights[None, :]] * dim).ravel()
         grids = np.meshgrid(*([self.b1.nodes] * dim), indexing="ij")
         self.points = np.stack([g.ravel() for g in grids], axis=-1)
-        self.phi = _kron_all([F] * dim)
-        self.dphi = np.stack(
-            [_kron_all([D if a == ax else F for a in range(dim)]) for ax in range(dim)]
-        )
         self._cache: dict = {}
         self.faces: list[FaceData] = []
         if dim == 3:
-            self._build_faces(F, D)
+            for (axis, side), (n, t1, t2) in FACE_FRAMES.items():
+                frame = Frame(n=np.array(n), t1=np.array(t1), t2=np.array(t2))
+                self.faces.append(FaceData(axis, side, frame, self))
 
-    def _build_faces(self, F: np.ndarray, D: np.ndarray) -> None:
-        b = self.b1
-        for (axis, side), (n, t1, t2) in FACE_FRAMES.items():
-            frame = Frame(n=np.array(n), t1=np.array(t1), t2=np.array(t2))
-            trace = (b.at1 if side == 1 else b.at0) @ self.T1
-            dtrace = (b.d1_at1 if side == 1 else b.d1_at0) @ self.T1
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _kron_all([self.b1.values @ self.T1] * self.dim)
 
-            def factor(a, ax=None):  # along axis a, for the derivative along ax
-                if a == axis:
-                    return (dtrace if a == ax else trace)[None, :]
-                return D if a == ax else F
-
-            phi = _kron_all([factor(a) for a in range(3)])
-            dphi = np.stack([_kron_all([factor(a, ax) for a in range(3)]) for ax in range(3)])
-            pts = [np.array([float(side)]) if a == axis else b.nodes for a in range(3)]
-            wts = [np.array([1.0]) if a == axis else b.weights for a in range(3)]
-            grids = np.meshgrid(*pts, indexing="ij")
-            points = np.stack([g.ravel() for g in grids], axis=-1)
-            weights = _kron_all([w[None, :] for w in wts]).ravel()
-            self.faces.append(FaceData(axis, side, frame, points, weights, phi, dphi))
+    @cached_property
+    def dphi(self) -> np.ndarray:
+        F, D = self.b1.values @ self.T1, self.b1.d1 @ self.T1
+        return np.stack([_kron_all([D if a == ax else F for a in range(self.dim)]) for ax in range(self.dim)])
 
     def sectors(self, field_signs) -> np.ndarray:
         """Sector 0..7 of each basis function as the coefficient of one field
@@ -229,30 +231,54 @@ class ScalarBasis:
         bits = [(odd ^ (sign < 0)).astype(int) << a for a, sign in enumerate(field_signs)]
         return bits[0][:, None, None] + bits[1][None, :, None] + bits[2][None, None, :]
 
-    # -- scalar pair matrices (cached) ------------------------------------
+    def factors(self, trial: ScalarBasis | None = None) -> dict:
+        """1D parity grams of this basis (rows) against trial (columns; default: this basis).
+
+        m = int phi psi, k = int phi' psi', d = int phi psi', dt = int phi' psi,
+        and the trace products phi(1) psi(1)^T = P + Q, phi(0) psi(0)^T = P - Q.
+        m, k and P keep parity, d, dt and Q swap it; their other entries,
+        zero in exact arithmetic, are set to zero; `int` holds the integrals of
+        the rows. Each gram is a nodal quadrature sum taken to parity
+        coordinates; trial shares the quadrature points.
+        """
+        trial = self if trial is None else trial
+        key = ("1d", id(trial))
+        if key not in self._cache:
+            X, Y, TX, TY = self.b1, trial.b1, self.T1, trial.T1
+            odd = np.arange(X.n) >= self.n_even
+            keep = odd[:, None] == (np.arange(Y.n) >= trial.n_even)[None, :]
+
+            def gram(u, v, mask):
+                g = TX.T @ (u.T @ (X.weights[:, None] * v)) @ TY * mask
+                return 0.5 * (g + g.T) if trial is self and u is v else g
+
+            trace = np.outer(X.at1 @ TX, Y.at1 @ TY)
+            self._cache[key] = {
+                "m": gram(X.values, Y.values, keep),
+                "k": gram(X.d1, Y.d1, keep),
+                "d": gram(X.values, Y.d1, ~keep),
+                "dt": gram(X.d1, Y.values, ~keep),
+                "P": trace * keep,
+                "Q": trace * ~keep,
+                "int": (X.values.T @ X.weights) @ TX * ~odd,
+            }
+        return self._cache[key]
+
+    def kron(self, names, trial: ScalarBasis | None = None) -> np.ndarray:
+        """Kronecker product of the 1D factors (`factors`) named per axis, cached."""
+        trial = self if trial is None else trial
+        key = (tuple(names), id(trial))
+        if key not in self._cache:
+            fac = self.factors(trial)
+            self._cache[key] = _kron_all([fac[name] for name in names])
+        return self._cache[key]
 
     def mass(self) -> np.ndarray:
-        if "mass" not in self._cache:
-            self._cache["mass"] = self.phi.T @ (self.weights[:, None] * self.phi)
-        return self._cache["mass"]
+        return self.kron(("m",) * self.dim)
 
     def dmat(self, a: int, b: int) -> np.ndarray:
         """Integral of (d_a phi_I)(d_b phi_J)."""
-        key = ("d", a, b)
-        if key not in self._cache:
-            self._cache[key] = self.dphi[a].T @ (self.weights[:, None] * self.dphi[b])
-        return self._cache[key]
-
-    def vmat(self, b: int, trial: ScalarBasis | None = None) -> np.ndarray:
-        """Integral of phi_I (d_b psi_J), psi from trial (default: this basis).
-
-        A trial basis must be tabulated on the same quadrature points.
-        """
-        trial = self if trial is None else trial
-        key = ("v", b) if trial is self else ("v", b, id(trial))
-        if key not in self._cache:
-            self._cache[key] = self.phi.T @ (self.weights[:, None] * trial.dphi[b])
-        return self._cache[key]
+        return self.kron(dmat_names(a, b, self.dim))
 
     def h1(self) -> np.ndarray:
         if "h1" not in self._cache:
@@ -261,24 +287,15 @@ class ScalarBasis:
 
     def integrals(self) -> np.ndarray:
         """Vector of integrals of each basis function."""
-        return self.phi.T @ self.weights
+        return _kron_all([self.factors()["int"][None, :]] * self.dim).ravel()
 
     def face_integrals(self, f: int) -> np.ndarray:
         """Vector of integrals of each basis function over face f."""
-        key = ("fi", f)
-        if key not in self._cache:
-            fd = self.faces[f]
-            self._cache[key] = fd.phi.T @ fd.weights
-        return self._cache[key]
-
-    def face_mass(self, f: int, trial: ScalarBasis | None = None) -> np.ndarray:
-        """Face integral of phi_I psi_J, psi from trial (default: this basis)."""
-        trial = self if trial is None else trial
-        key = ("fm", f) if trial is self else ("fm", f, id(trial))
-        if key not in self._cache:
-            fd = self.faces[f]
-            self._cache[key] = fd.phi.T @ (fd.weights[:, None] * trial.faces[f].phi)
-        return self._cache[key]
+        if ("fi", f) not in self._cache:
+            fd, integrals = self.faces[f], self.factors()["int"]
+            trace = (self.b1.at1 if fd.side else self.b1.at0) @ self.T1
+            self._cache["fi", f] = _kron_all([(trace if a == fd.axis else integrals)[None, :] for a in range(3)]).ravel()
+        return self._cache["fi", f]
 
     def project(self, fn) -> np.ndarray:
         """L2 projection of a callable fn(points) onto the basis (exact on members).
@@ -294,6 +311,13 @@ class ScalarBasis:
         Q, R = self._cache["qr"]
         f = np.sqrt(self.weights) * np.asarray(fn(self.points), dtype=float)
         return sla.solve_triangular(R, Q.T @ f)
+
+
+def dmat_names(a: int, b: int, dim: int = 3) -> tuple:
+    """1D factor names per axis of the integral of (d_a phi)(d_b psi)."""
+    if a == b:
+        return tuple("k" if c == a else "m" for c in range(dim))
+    return tuple("dt" if c == a else "d" if c == b else "m" for c in range(dim))
 
 
 class BubbleBasis:
@@ -354,6 +378,10 @@ class MirrorBasis:
     sectors), shaped (n1, n1, n1) for a block over a scalar basis
     (ScalarBasis.sectors) and `spaces.p_sectors` for the pressure. Each
     sector's coordinates in a block thus form a box of that shape.
+    `V_fields` and `Q_fields` hold per block (scalar basis, bit mask of the
+    axes whose mirror flips the component, R): R maps the zero-mean
+    pressure's sector-0 coordinates to the fully even functions, the only
+    sector where Cp is not the identity.
     """
 
     def __init__(self, spaces: DiscreteSpaces):
@@ -363,13 +391,16 @@ class MirrorBasis:
         # the reflection of axis a maps E_b to sigma_signs[b, a] E_b; one that
         # did not would show as off-sector entries of the assembled matrices
         sigma_signs = np.array([[np.sum(s[:, None] * s[None, :] * Eb * Eb) for s in axis_signs] for Eb in spaces.E])
-        self.V = (
-            [(slice(a * n, (a + 1) * n), sb.sectors(sigma_signs[a])) for a in range(5)]
-            + [(slice((5 + i) * n, (6 + i) * n), sb.sectors(axis_signs[i])) for i in range(3)]
-            + [(spaces.v_blocks["p"], spaces.p_sectors)]
-        )
-        self.Q = [(slice(i * m, (i + 1) * m), pb.sectors(axis_signs[i])) for i in range(3)]
-        self.Q.append((spaces.q_blocks["theta"], pb.sectors(np.ones(3))))
+        R = None
+        if spaces.pressure_mode == "zero_mean":
+            R = spaces.Cp[np.flatnonzero(pb.sectors(np.ones(3)).ravel() == 0)][:, spaces.p_sectors == 0]
+        fields_V = [(sb, sigma_signs[a]) for a in range(5)] + [(sb, axis_signs[i]) for i in range(3)]
+        fields_Q = [(pb, axis_signs[i]) for i in range(3)] + [(pb, np.ones(3))]
+        self.V = [(slice(a * n, (a + 1) * n), b.sectors(signs)) for a, (b, signs) in enumerate(fields_V)]
+        self.V.append((spaces.v_blocks["p"], spaces.p_sectors))
+        self.Q = [(slice(i * m, (i + 1) * m), b.sectors(signs)) for i, (b, signs) in enumerate(fields_Q)]
+        self.V_fields = [(b, int((signs < 0) @ [1, 2, 4]), None) for b, signs in fields_V] + [(pb, 0, R)]
+        self.Q_fields = [(b, int((signs < 0) @ [1, 2, 4]), None) for b, signs in fields_Q]
 
 
 def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,10 @@
 The tensor oracles are deliberately written as plain index loops, separate
 from any vectorized library code they are used to check. The Brezzi
 constants oracle uses full dense decompositions (SVD of B, eigh on ker B,
-SVD of the whitened forms), the path the library replaced by Lanczos.
+SVD of the whitened forms), the path the library replaced by Lanczos. The
+forms oracle assembles every form densely from quadrature sums over the
+tabulated basis functions, the path the library replaced by Kronecker
+products of 1D factors assembled straight into mirror-sector blocks.
 """
 
 import numpy as np
@@ -167,3 +170,119 @@ def mirror_maps(spaces) -> list:
         Omega_Q = sla.block_diag(np.kron(S, R3q), R3q)
         maps.append((Omega_V, Omega_Q))
     return maps
+
+
+# -- tabulated oracle of the assembled matrices -------------------------------
+
+
+class Tabulated:
+    """The pair matrices of a scalar basis as quadrature sums over its tabulations,
+    the way they were assembled before the Kronecker-product path."""
+
+    def __init__(self, sb):
+        self.sb = sb
+
+    def mass(self):
+        sb = self.sb
+        return sb.phi.T @ (sb.weights[:, None] * sb.phi)
+
+    def dmat(self, a, b):
+        sb = self.sb
+        return sb.dphi[a].T @ (sb.weights[:, None] * sb.dphi[b])
+
+    def vmat(self, b, trial=None):
+        sb = self.sb
+        trial = sb if trial is None else trial
+        return sb.phi.T @ (sb.weights[:, None] * trial.dphi[b])
+
+    def h1(self):
+        return self.mass() + sum(self.dmat(a, a) for a in range(self.sb.dim))
+
+    def face_mass(self, f, trial=None):
+        fd = self.sb.faces[f]
+        trial = self.sb if trial is None else trial
+        return fd.phi.T @ (fd.weights[:, None] * trial.faces[f].phi)
+
+
+def _blk(M, bi, bj, nr, nc):
+    return M[bi * nr : (bi + 1) * nr, bj * nc : (bj + 1) * nc]
+
+
+def oracle_forms(spaces, params) -> dict:
+    """Every sub-form and assembled matrix of assembly.assemble_form, built from
+    tabulated quadrature sums (Tabulated) into dense matrices."""
+    from r13verify.assembly import STF_GRADIENT
+    from r13verify.ellipticity import gradient_coupling
+
+    sb, pb = spaces.scalar, spaces.scalar_pq
+    ts, tp = Tabulated(sb), Tabulated(pb)
+    n, m = sb.n, pb.n
+    E, Cp, weights = spaces.E, spaces.Cp, spaces.stress_face_weights
+    frames = [fd.frame for fd in sb.faces]
+    kn, chi, eps = params.kn, params.chi_tilde, params.epsilon_w
+    grad_sum = sum(ts.dmat(al, al) for al in range(3))
+
+    a = np.zeros((3 * n, 3 * n))
+    for i in range(3):
+        for j in range(3):
+            blk = _blk(a, i, j, n, n)
+            if i == j:
+                blk += 0.5 * (24.0 / 25.0) * kn * grad_sum + (4.0 / 15.0) / kn * ts.mass()
+            blk += 0.5 * (24.0 / 25.0) * kn * ts.dmat(j, i) + (12.0 / 25.0) * kn * ts.dmat(i, j)
+            for f, fr in enumerate(frames):
+                w = 0.5 / chi * fr.n[i] * fr.n[j] + (12.0 / 25.0) * chi * (fr.t1[i] * fr.t1[j] + fr.t2[i] * fr.t2[j])
+                blk += w * ts.face_mass(f)
+
+    c = np.zeros((3 * n, 5 * n))
+    for i in range(3):
+        for al_a in range(5):
+            blk = _blk(c, i, al_a, n, n)
+            for al in range(3):
+                blk += (2.0 / 5.0) * E[al_a, i, al] * ts.vmat(al).T
+            for f, (fr, w) in enumerate(zip(frames, weights)):
+                coeff = -(3.0 / 20.0) * fr.n[i] * w["nn"][al_a] - (1.0 / 5.0) * (fr.t1[i] * w["nt1"][al_a] + fr.t2[i] * w["nt2"][al_a])
+                blk += coeff * ts.face_mass(f)
+
+    H = gradient_coupling(STF_GRADIENT)
+    d = np.zeros((5 * n, 5 * n))
+    for x in range(5):
+        for y in range(5):
+            blk = _blk(d, x, y, n, n)
+            for k in range(3):
+                for l in range(3):
+                    if abs(H[x, k, y, l]) > 1e-15:
+                        blk += kn * H[x, k, y, l] * ts.dmat(k, l)
+        _blk(d, x, x, n, n)[...] += 0.5 / kn * ts.mass()
+    for f, w in enumerate(weights):
+        w_tot = w["t1t1"] + 0.5 * w["nn"]
+        comp = (9.0 / 8.0 + eps) * chi * np.outer(w["nn"], w["nn"]) + chi * np.outer(w_tot, w_tot)
+        comp += chi * np.outer(w["t1t2"], w["t1t2"])
+        comp += (1.0 / chi) * (np.outer(w["nt1"], w["nt1"]) + np.outer(w["nt2"], w["nt2"]))
+        d += np.kron(comp, ts.face_mass(f))
+
+    raw_f, raw_h = np.zeros((m, 5 * n)), np.zeros((m, m))
+    for f, w in enumerate(weights):
+        raw_f += eps * chi * np.kron(w["nn"][None, :], tp.face_mass(f, sb))
+        raw_h += eps * chi * tp.face_mass(f)
+    f_form, h = Cp.T @ raw_f, Cp.T @ raw_h @ Cp
+    b = np.hstack([tp.vmat(j, sb) for j in range(3)])
+    e = np.zeros((3 * m, 5 * n))
+    for i in range(3):
+        for x in range(5):
+            for al in range(3):
+                _blk(e, i, x, m, n)[...] += E[x, i, al] * tp.vmat(al, sb)
+    g = Cp.T @ np.hstack([tp.vmat(i).T for i in range(3)])
+
+    vb, qb = spaces.v_blocks, spaces.q_blocks
+    A = np.zeros((spaces.n_V, spaces.n_V))
+    for block, M in (("s", a), ("sigma", d), ("p", h)):
+        A[vb[block], vb[block]] = 0.5 * (M + M.T)
+    A[vb["sigma"], vb["s"]], A[vb["s"], vb["sigma"]] = c.T, -c
+    A[vb["sigma"], vb["p"]], A[vb["p"], vb["sigma"]] = f_form.T, f_form
+    B = np.zeros((spaces.n_Q, spaces.n_V))
+    B[qb["u"], vb["sigma"]], B[qb["u"], vb["p"]], B[qb["theta"], vb["s"]] = -e, -g.T, -b
+    MV = sla.block_diag(*[ts.h1()] * 8, Cp.T @ tp.h1() @ Cp)
+    MQ = sla.block_diag(*[tp.mass()] * 4)
+    dbar = np.block([[d, f_form.T], [f_form, h]])
+    return {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f_form, "g": g, "h": h, "dbar": dbar,
+            "A": A, "B": B, "MV": MV, "MQ": MQ}

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from r13verify import assembly
 from r13verify.assembly import (
     BoundaryData,
     ModelParams,
@@ -16,7 +19,7 @@ from r13verify.assembly import (
 from r13verify.spaces import PAIRINGS, build_spaces
 from r13verify.tensors import project2
 
-from helpers import mirror_maps
+from helpers import mirror_maps, oracle_forms
 
 PARAMS = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
 PARAMS0 = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.0)
@@ -214,15 +217,76 @@ def test_assembled_A_is_exactly_symmetric_per_subproblem(pairing, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_assembled_matrices_commute_with_the_cube_mirrors(pairing, N, k, mode, eps):
     # the premise of the mirror sectors: Omega^T M Omega = M for each of the
-    # three reflections, with Omega built from tabulations alone
+    # three reflections, with Omega and the matrices (the dense oracle) built
+    # from tabulations alone
     spaces = build_spaces(N, k, mode, pairing)
     params = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=eps)
-    mats = {name: assemble_form(name, spaces, params) for name in ("A", "B", "MV", "MQ")}
+    mats = oracle_forms(spaces, params)
     for Omega_V, Omega_Q in mirror_maps(spaces):
         for name, left, right in (("A", Omega_V, Omega_V), ("B", Omega_Q, Omega_V),
                                   ("MV", Omega_V, Omega_V), ("MQ", Omega_Q, Omega_Q)):
             M = mats[name]
             assert np.abs(left.T @ M @ right - M).max() <= 1e-13 * np.abs(M).max(), name
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+def test_sector_blocks_match_the_tabulated_oracle(pairing, N, k, mode):
+    # the blocks assembled from 1D factors against the sector blocks cut out
+    # of the dense matrices of tabulated quadrature sums
+    spaces = build_spaces(N, k, mode, pairing)
+    for eps in (0.0, 0.1):
+        params = ModelParams(kn=0.7, chi_tilde=1.3, epsilon_w=eps)
+        oracle = oracle_forms(spaces, params)
+        op = assemble_system(spaces, params).operator
+        st = op.structure
+        blocks, invariant = assembly._sector_blocks(oracle["A"], st.V, st.V)
+        assert invariant and len(blocks) == len(op.sectors) == 8
+        for S, X in zip(op.sectors, blocks):
+            assert np.abs(S - X).max() <= 1e-13 * np.abs(oracle["A"]).max()
+        cuts = {name: assembly._sector_blocks(oracle[key], rows, cols)
+                for name, key, rows, cols in (("B", "B", st.Q, st.V), ("M_V", "MV", st.V, st.V), ("M_Q", "MQ", st.Q, st.Q))}
+        for part in st.parts:
+            lv = part.local
+            lq = slice(part.q.start - st.Q.sectors[part.sector].start, part.q.stop - st.Q.sectors[part.sector].start)
+            for name, (rows, cols) in (("B", (lq, lv)), ("M_V", (lv, lv)), ("M_Q", (lq, lq))):
+                blocks, invariant = cuts[name]
+                assert invariant
+                M, X = getattr(part, name), blocks[part.sector][rows, cols]
+                assert np.abs(M - X).max() <= 1e-13 * np.abs(oracle[name.replace("_", "")]).max(), name
+        if eps == 0.0:
+            assert not np.any(assemble_form("f", spaces, params)) and not np.any(assemble_form("h", spaces, params))
+
+
+def test_verified_answer_stays_in_the_sector_blocks(monkeypatch):
+    # assembly, constants and a bounds-checked solve at equal (3,1) build no
+    # dense n_V x n_V or n_Q x n_V matrix (no scatter, no dense cut, a traced
+    # peak below two of them) and no tabulation; reading system.A afterwards
+    # scatters the blocks once, equal to the tabulated oracle
+    from r13verify.saddlepoint import brezzi_constants, solve_mixed
+
+    dense = []
+    for name in ("_scatter", "_sector_blocks"):
+        monkeypatch.setattr(assembly, name, lambda *args, _name=name: dense.append(_name))
+    spaces = build_spaces(3, 1, "zero_mean")
+    tracemalloc.start()
+    try:
+        system = assemble_system(spaces, PARAMS0, None, BoundaryData(theta_w=np.linspace(0.0, 1.0, 6)))
+        assert solve_mixed(system, brezzi_constants(system)).bounds_hold
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense == [] and peak < 2 * 8 * spaces.n_V**2
+    op = system.operator
+    assert not {"A", "B", "M_V", "M_Q"} & (op.__dict__.keys() | op.structure.__dict__.keys())
+    for basis in (spaces.scalar, *spaces.faces):
+        assert not {"phi", "dphi"} & basis.__dict__.keys()
+    monkeypatch.undo()
+    A = system.A
+    assert A is op.A and A is system.A and not A.flags.writeable
+    oracle = oracle_forms(spaces, PARAMS0)["A"]
+    assert np.abs(A - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)

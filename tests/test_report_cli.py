@@ -86,14 +86,13 @@ def test_constants_and_solve_suites_share_one_structure(monkeypatch):
     # params) system; one run builds its structure once, and the solve
     # suite alone still builds it
     built = []
-    post_init = SaddleStructure.__post_init__
+    init = SaddleStructure.__init__
 
-    def counting(self):
-        sp = self.spaces
-        built.append((sp.degree, sp.subdivisions, sp.pressure_mode))
-        post_init(self)
+    def counting(self, spaces, *args, **kwargs):
+        built.append((spaces.degree, spaces.subdivisions, spaces.pressure_mode))
+        init(self, spaces, *args, **kwargs)
 
-    monkeypatch.setattr(SaddleStructure, "__post_init__", counting)
+    monkeypatch.setattr(SaddleStructure, "__init__", counting)
     rep = run(RunConfig(suites=("constants", "solve")))
     assert built.count((2, 1, "zero_mean")) == 1
     assert {r.suite for r in rep.rows} == {"constants", "solve"}

@@ -712,3 +712,14 @@ def test_non_invariant_matrices_take_the_single_sector_path():
         assert consts.k0 == pytest.approx(dense["k0"], rel=1e-12)
         assert consts.dim_kerB == dense["dim_kerB"] and consts.dim_kerBT == dense["dim_kerBT"]
         assert_matches_dense_solution(solve_mixed(system), system)
+
+
+def test_axis_permuted_sectors_agree_to_rounding():
+    # sectors 1, 2 and 4 (one odd axis each) are images of each other under
+    # the cube's axis permutations, so their energy parts have the same
+    # whitened singular values in exact arithmetic; blocks built from shared
+    # 1D factors keep them equal to 1e-12 of the largest at equal (5,1)
+    structure = make_system(N=5, k=1).operator.structure
+    svals = [p.whitened_svd[1] for p in structure.parts if p.subproblem == 1 and p.sector in (1, 2, 4)]
+    top = max(s[0] for s in svals)
+    assert max(np.abs(a - b).max() for a in svals for b in svals) <= 1e-12 * top

@@ -56,6 +56,8 @@ def test_bench(monkeypatch, capsys, tmp_path):
     [rung] = rec["ladder"]["rungs"].values()
     assert set(rung["steps_s"]) == {"build_spaces", "assemble_system", "brezzi_constants", "solve_mixed"}
     assert rung["verified"] and rung["constants"]["alpha0"] > 0
+    # the process's peak resident set so far, in MB: at least the interpreter with numpy
+    assert 10.0 < rung["peak_rss_mb"] < 1e5
     # --repeat times each suite as often as each rung and keeps the median
     assert len(rec["suites"]["bc"]["wall_s_runs"]) == len(rung["total_s_runs"]) == 2
 

@@ -149,11 +149,13 @@ def test_zero_mean_transform():
 
 
 def test_integration_by_parts_scalar():
-    # int f' g + int f g' = f g | boundary, wired through volume tabulations
+    # int f' g + int f g' = f g | boundary: the Kronecker-built gram of
+    # phi_I d_x phi_J against the tabulated face traces
     sb = ScalarBasis(3, 2, 2)
     rng = np.random.default_rng(1)
     cf, cg = rng.standard_normal(sb.n), rng.standard_normal(sb.n)
-    lhs = cf @ sb.vmat(0) @ cg + cg @ sb.vmat(0) @ cf
+    vmat = sb.kron(("d", "m", "m"))
+    lhs = cf @ vmat @ cg + cg @ vmat @ cf
     # boundary term over the two x-faces
     rhs = 0.0
     for f_id, fd in enumerate(sb.faces):
