@@ -4,8 +4,11 @@
     python scripts/bench.py --out BENCH.json --label after
     PYTHONPATH=<other checkout>/src python scripts/bench.py --out BENCH.json --label before
 
-The suites run one at a time through `r13verify.run` at the default
-configuration. Each ladder rung (N, k) builds fresh spaces and times four
+The `report` record times one `r13verify.run` of all six suites at the
+default configuration, as perfbench's report-default workload does, and
+records `peak_rss_mb` after it; it runs first, so that figure is the
+report's own. The suites then run one at a time. Each ladder rung (N, k)
+builds fresh spaces and times four
 steps: `build_spaces`, `assemble_system`, `brezzi_constants` and
 `solve_mixed` on seeded wall data; the rung also records the constants,
 whether the verified answer holds (alpha0 > 0, k0 > 0, solver residuals
@@ -16,9 +19,9 @@ memory a rung needs when it is the only one timed in its process, as with
 are used, so pointing PYTHONPATH at another checkout of the package times
 that checkout with the same script.
 
-With --repeat n, each suite and each rung is timed n times; the record keeps
-the median as `wall_s` (suites) or `total_s` (rungs) and the n times beside
-it as `wall_s_runs` or `total_s_runs`.
+With --repeat n, the report, each suite and each rung are timed n times; the
+record keeps the median as `wall_s` (report, suites) or `total_s` (rungs) and
+the n times beside it as `wall_s_runs` or `total_s_runs`.
 
 BLAS is pinned to one thread when the script starts a fresh interpreter.
 The record carries the Python, numpy, scipy and BLAS versions, the thread
@@ -78,21 +81,31 @@ def provenance() -> dict:
     }
 
 
+def time_run(suites, repeat: int) -> dict:
+    runs = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        rep = r13verify.run(r13verify.RunConfig(suites=suites))
+        runs.append(time.perf_counter() - t0)
+    return {
+        "wall_s": statistics.median(runs),
+        "wall_s_runs": runs,
+        "rows": len(rep.rows),
+        "failed": [r.quantity for r in rep.failed_rows()],
+    }
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far (ru_maxrss; Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def time_report(repeat: int) -> dict:
+    return {**time_run(ALL_SUITES, repeat), "peak_rss_mb": peak_rss_mb()}
+
+
 def time_suites(suites, repeat: int) -> dict:
-    out = {}
-    for suite in suites:
-        runs = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            rep = r13verify.run(r13verify.RunConfig(suites=(suite,)))
-            runs.append(time.perf_counter() - t0)
-        out[suite] = {
-            "wall_s": statistics.median(runs),
-            "wall_s_runs": runs,
-            "rows": len(rep.rows),
-            "failed": [r.quantity for r in rep.failed_rows()],
-        }
-    return out
+    return {suite: time_run((suite,), repeat) for suite in suites}
 
 
 def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
@@ -125,7 +138,7 @@ def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
         "total_s": t4 - t0,
         "verified": bool(verified),
         "constants": {name: float(v) for name, v in vars(consts).items()},
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # Linux reports KiB
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 
@@ -160,11 +173,12 @@ def main(argv=None) -> None:
     ap.add_argument("--suites", nargs="*", default=list(ALL_SUITES), choices=ALL_SUITES)
     ap.add_argument("--rungs", nargs="*", type=parse_rung, default=list(LADDER), help="N,k pairs")
     ap.add_argument("--pairing", default="equal", choices=("equal", "enriched"))
-    ap.add_argument("--repeat", type=positive_int, default=1, help="timed runs per suite and rung (median kept)")
+    ap.add_argument("--repeat", type=positive_int, default=1, help="timed runs per report, suite, rung (median kept)")
     args = ap.parse_args(argv)
 
     record = {
         "provenance": provenance(),
+        "report": time_report(args.repeat),
         "suites": time_suites(args.suites, args.repeat),
         "ladder": {
             "pairing": args.pairing,
@@ -176,6 +190,8 @@ def main(argv=None) -> None:
     data = json.loads(path.read_text()) if path.exists() else {}
     data[args.label] = record
     path.write_text(json.dumps(data, indent=2) + "\n")
+    rep = record["report"]
+    print(f"report {rep['wall_s']:8.3f} s rows {rep['rows']} peak {rep['peak_rss_mb']:.0f} MB")
     for name, s in record["suites"].items():
         print(f"suite {name:12s} {s['wall_s']:8.3f} s")
     for name, r in record["ladder"]["rungs"].items():

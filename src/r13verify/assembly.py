@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .ellipticity import OperatorSpec, gradient_coupling
-from .spaces import DiscreteSpaces, ScalarBasis, dmat_names
+from .spaces import DiscreteSpaces, _kron_all, dmat_names
 from .tensors import projection_matrix2, projection_matrix3
 
 STF_GRADIENT = OperatorSpec("stf2", "Stf", 3)  # Stf D sigma of the stress form
@@ -315,11 +315,13 @@ class SaddleStructure:
     @classmethod
     def assemble(cls, spaces: DiscreteSpaces) -> SaddleStructure:
         mirror, ((mv, mq), _), cache = spaces.mirror, subproblems(spaces), {}
-        V, Q, fv, fq = Sectors(mirror.V, mv, 8), Sectors(mirror.Q, mq, 8), mirror.V_fields, mirror.Q_fields
-        B = _sector_assemble(_B_terms(spaces), Q, V, fq, fv, cache)
-        M_V = _sector_assemble(_norm_terms(len(fv), h1=True), V, V, fv, fv, cache)
-        M_Q = _sector_assemble(_norm_terms(len(fq), h1=False), Q, Q, fq, fq, cache)
-        return cls(spaces, V, Q, _parts(V, Q, (B, M_V, M_Q)))
+        fv, fq = mirror.V_fields, mirror.Q_fields
+        Vp, Qp = _by_subproblem(mirror.V, mv, 8), _by_subproblem(mirror.Q, mq, 8)
+        B = _sector_assemble(_B_terms(spaces), Qp, Vp, fq, fv, cache, per_sector=2)
+        M_V = _sector_assemble(_norm_terms(len(fv), h1=True), Vp, Vp, fv, fv, cache, per_sector=2)
+        M_Q = _sector_assemble(_norm_terms(len(fq), h1=False), Qp, Qp, fq, fq, cache, per_sector=2)
+        V = Sectors(mirror.V, mv, 8)
+        return cls(spaces, V, Sectors(mirror.Q, mq, 8), _parts(V, Vp, Qp, (B, M_V, M_Q)))
 
     @classmethod
     def of(cls, B, M_V, M_Q, spaces: DiscreteSpaces, mirrored: bool = True) -> SaddleStructure:
@@ -331,11 +333,12 @@ class SaddleStructure:
         bases = [(mirror.V, mirror.Q, 8)] if mirrored else []
         bases.append(tuple([(sl, np.zeros(lab.size, dtype=int)) for sl, lab in b] for b in (mirror.V, mirror.Q)) + (1,))
         for v_basis, q_basis, count in bases:
-            V, Q = Sectors(v_basis, subs[0][0], count), Sectors(q_basis, subs[0][1], count)
-            cut = [_sector_blocks(M, rows, cols) for M, rows, cols in ((B, Q, V), (M_V, V, V), (M_Q, Q, Q))]
+            Vp, Qp = _by_subproblem(v_basis, subs[0][0], count), _by_subproblem(q_basis, subs[0][1], count)
+            cut = [_sector_blocks(M, rows, cols) for M, rows, cols in ((B, Qp, Vp), (M_V, Vp, Vp), (M_Q, Qp, Qp))]
             if all(invariant for _, invariant in cut):
                 break
-        st = cls(spaces, V, Q, _parts(V, Q, [blocks for blocks, _ in cut]), count == 8)
+        V, Q = Sectors(v_basis, subs[0][0], count), Sectors(q_basis, subs[0][1], count)
+        st = cls(spaces, V, Q, _parts(V, Vp, Qp, [blocks for blocks, _ in cut]), count == 8)
         st.__dict__.update(B=B, M_V=M_V, M_Q=M_Q)
         return st
 
@@ -395,16 +398,18 @@ class SaddleStructure:
         return out
 
 
-def _parts(V: Sectors, Q: Sectors, blocks) -> tuple:
-    """The SaddleParts of the sector blocks (of B, M_V, M_Q), each sector split by subproblem."""
-    parts = []
-    for s, (B_s, MV_s, MQ_s) in enumerate(zip(*blocks)):
-        vs, qs, kv, kq = V.sectors[s], Q.sectors[s], V.split[s], Q.split[s]
-        halves = ((slice(0, kv), slice(0, kq)), (slice(kv, vs.stop - vs.start), slice(kq, qs.stop - qs.start)))
-        for sub, (lv, lq) in enumerate(halves):
-            blk = (B_s[lq, lv].copy(), MV_s[lv, lv].copy(), MQ_s[lq, lq].copy())
-            parts.append(SaddlePart(*blk, s, sub, _shift(lv, vs.start), _shift(lq, qs.start), lv))
-    return tuple(parts)
+def _by_subproblem(basis: list, momentum: np.ndarray, count: int) -> Sectors:
+    """Sectors of the field blocks in basis with slot 2 s for the momentum and 2 s + 1 for the
+    energy coordinates of sector s: the parts' coordinates, in the order of the count sectors."""
+    return Sectors([(sl, 2 * lab + (not np.isin(sl.start, momentum))) for sl, lab in basis], momentum, 2 * count)
+
+
+def _parts(V: Sectors, Vp: Sectors, Qp: Sectors, blocks) -> tuple:
+    """The SaddleParts of the part blocks (of B, M_V, M_Q) on the slots of Vp and Qp."""
+    return tuple(
+        SaddlePart(*blk, i // 2, i % 2, v, q, _shift(v, -V.sectors[i // 2].start))
+        for i, (blk, v, q) in enumerate(zip(zip(*blocks), Vp.sectors, Qp.sectors))
+    )
 
 
 def _symmetrize(blocks: list, split: list) -> list:
@@ -500,10 +505,7 @@ def _A_terms(spaces: DiscreteSpaces, params: ModelParams) -> dict:
     the stress form d, the pressure's boundary terms f and h, the heat-flux form a, and
     of the skew pair only the (sigma, s) coupling c^T (`_symmetrize` sets -c)."""
     kn, chi, eps = params.kn, params.chi_tilde, params.epsilon_w
-    terms: dict = {}
-    H = gradient_coupling(STF_GRADIENT)
-    for a, k, b, l in zip(*np.nonzero(np.abs(H) > 1e-15)):
-        _add(terms, a, b, kn * H[a, k, b, l], dmat_names(k, l))
+    terms = _gradient_terms(STF_GRADIENT, kn, {})
     for a in range(5):
         _add(terms, a, a, 0.5 / kn, MASS)
     for i in range(3):
@@ -546,13 +548,22 @@ def _B_terms(spaces: DiscreteSpaces) -> dict:
     return terms
 
 
-def _norm_terms(count: int, h1: bool) -> dict:
+def _norm_terms(count: int, h1: bool, dim: int = 3) -> dict:
     """The H1 (h1 True) or L2 gram on each of count field blocks."""
-    names = [MASS] + [dmat_names(a, a) for a in range(3 if h1 else 0)]
+    names = [("m",) * dim] + [dmat_names(a, a, dim) for a in range(dim if h1 else 0)]
     return {(r, r): dict.fromkeys(names, 1.0) for r in range(count)}
 
 
-def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_fields, cache: dict) -> list:
+def _gradient_terms(op: OperatorSpec, weight: float, terms: dict) -> dict:
+    """Add to terms the gram of weight * P[field otimes grad] over the component blocks of
+    op's field: block (a, b) is the sum over (k, l) of weight H[a,k,b,l] dmat(k, l)."""
+    H = gradient_coupling(op)
+    for a, k, b, l in zip(*np.nonzero(np.abs(H) > 1e-15)):
+        _add(terms, a, b, weight * H[a, k, b, l], dmat_names(k, l, op.dim))
+    return terms
+
+
+def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_fields, cache, per_sector=1) -> list:
     """Diagonal sector blocks of the sum of coef times the Kronecker product of the named
     1D factors (ScalarBasis.factors) over the field-block pairs (r, c) of terms.
 
@@ -562,7 +573,9 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_
     its factors swap parity on the axes of mask_r ^ mask_c, and is else
     off-sector and zero in exact arithmetic. Per (r, c) and sector, one
     stack of products (shared through cache) meets the coefficients in one
-    product. R maps the zero-mean pressure's sector-0 coordinates.
+    product. R maps the zero-mean pressure's sector-0 coordinates. With
+    per_sector p, rows and cols hold p consecutive slots per sector (as
+    `_by_subproblem` does), and each slot gets its own block.
     """
     out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rows.sectors, cols.sectors)]
     for (r, c), pair in terms.items():
@@ -572,15 +585,16 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_
             continue
         coefs, fac, pair_key = np.array([pair[nm] for nm in names]), X.factors(Y), (id(X), id(Y))
         stacks = cache.setdefault((pair_key, names), {})  # by row parities
-        for s, S, (ro, nr), (co, nc) in zip(range(len(out)), out, rows.boxes[r], cols.boxes[c]):
+        for slot, S, (ro, nr), (co, nc) in zip(range(len(out)), out, rows.boxes[r], cols.boxes[c]):
+            s = slot // per_sector
             pr, pc = s ^ mr, s ^ mc
+            if not nr * nc:
+                continue
             if pr not in stacks:
                 for nm in names:  # its product of the 1D sub-blocks of the row and column parities
                     if (pair_key, nm, pr) not in cache:
-                        f = [fac[nm[a]][X.parity[pr >> a & 1], Y.parity[pc >> a & 1]] for a in range(3)]
-                        K = f[0][:, None, None, :, None, None] * f[1][None, :, None, None, :, None]
-                        K = K * f[2][None, None, :, None, None, :]
-                        cache[pair_key, nm, pr] = K.reshape(K.shape[0] * K.shape[1] * K.shape[2], -1)
+                        f = [fac[x][X.parity[pr >> a & 1], Y.parity[pc >> a & 1]] for a, x in enumerate(nm)]
+                        cache[pair_key, nm, pr] = _kron_all(f)
                 K = np.array([cache[pair_key, nm, pr] for nm in names])
                 stacks[pr] = (K.reshape(len(names), -1), K.shape[1:])
             K, shape = stacks[pr]
@@ -635,17 +649,6 @@ class MixedSystem:
         B, M_V, M_Q): the system was given none, or the one owner holds."""
         M = self.__dict__.get(name)
         return M is None or M is owner.__dict__.get(name)
-
-
-def projected_gradient_gram(op: OperatorSpec, sb: ScalarBasis, weight: float = 1.0) -> np.ndarray:
-    """Gram of weight * P[field otimes grad] over the component blocks of sb.
-
-    Block (a, b) is sum_kl weight H[a,k,b,l] dmat(k, l) with the coupling H
-    of the operator's domain basis (for stf fields, the stress basis E).
-    """
-    H = gradient_coupling(op)
-    H = np.where(np.abs(H) > 1e-15, weight * H, 0.0)
-    return sum(np.kron(H[:, k, :, l], sb.dmat(k, l)) for k in range(op.dim) for l in range(op.dim))
 
 
 def _shared_operator(spaces: DiscreteSpaces, params: ModelParams) -> SaddleOperator:

@@ -252,43 +252,76 @@ def _structured_isotropic(n: int, d: int) -> np.ndarray:
     return xis / np.sqrt(2.0)
 
 
+def _frequencies(d: int, plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
+    """(real rows, whole batch) of the sampled frequencies: real unit directions,
+    generic complex directions, random isotropic directions and the structured
+    isotropic family, in this order; the batch holds the real rows as complex."""
+    rng = np.random.default_rng(plan.seed)
+    real = _real_sphere(rng, plan.n_real, d)
+    rest = _complex_sphere(rng, plan.n_complex, d), _isotropic_samples(rng, plan.n_isotropic, d)
+    return real, np.concatenate([real.astype(complex), *rest, _structured_isotropic(plan.n_structured, d)])
+
+
+def screened_eigenvalues(coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of the Gram S(xi)^H S(xi) = sum_jk conj(xi_j) xi_k S_j^T S_k at each
+    row of xis: one real product with the S_j^T S_k forms every Gram, one batched eigvalsh
+    (real for real xis) decomposes them."""
+    d, _, n = coeffs.shape
+    G = np.einsum("jan,kap->jknp", coeffs, coeffs).reshape(d * d, n * n)
+    w = (xis.conj()[:, :, None] * xis[:, None, :]).reshape(-1, d * d)
+    grams = w @ G if np.isrealobj(w) else w.real @ G + 1j * (w.imag @ G)
+    return np.linalg.eigvalsh(grams.reshape(-1, n, n))[:, 0]
+
+
+def screen_bound(coeffs: np.ndarray) -> float:
+    """A-priori bound delta = 64 (m + n + d^2) eps s on |screened eigenvalue - sigma_min^2| at
+    unit xi, for S(xi) of m x n and s = sum_j |S_j|_F^2 >= |S(xi)|_F^2: forming the Gram errs by
+    about (m + d^2) eps s, eigvalsh by p(n) eps |Gram|_2 with p(n) of order n (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002). The 64 covers the complex products and the
+    constant in p(n); sampled errors stay below 0.2 (m + n + d^2) eps s."""
+    d, m, n = coeffs.shape
+    return 64.0 * (m + n + d * d) * np.finfo(float).eps * float(np.sum(coeffs**2))
+
+
 def check_ellipticity(op: OperatorSpec, plan: SamplingPlan | None = None) -> EllipticityCheck:
     """Sample-based R- and C-ellipticity certificates from one frequency batch.
 
-    The batch holds, in this order, real unit directions, generic complex
+    The batch (`_frequencies`) holds real unit directions, generic complex
     directions, random isotropic directions and the structured isotropic
     family. The complex verdict reads the whole batch, the real verdict
     its first plan.n_real rows. A verdict is elliptic when the minimal
     singular value over its samples (at |xi| = 1) stays above the 1e-8
     threshold; otherwise the minimizer and a kernel vector are returned
-    as witness.
+    as witness. A Gram screen decides what needs an exact SVD (`_verdict`).
     """
     plan = plan or SamplingPlan()
-    rng = np.random.default_rng(plan.seed)
-    real = _real_sphere(rng, plan.n_real, op.dim)
-    xis = np.concatenate(
-        [
-            real.astype(complex),
-            _complex_sphere(rng, plan.n_complex, op.dim),
-            _isotropic_samples(rng, plan.n_isotropic, op.dim),
-            _structured_isotropic(plan.n_structured, op.dim),
-        ],
-        axis=0,
-    )
+    real, xis = _frequencies(op.dim, plan)
     coeffs = symbol_coefficients(op)
-    # the real rows are decomposed as real matrices, the rest as complex
-    batches = (np.tensordot(x, coeffs, axes=1) for x in (real, xis[plan.n_real :]))
-    smins = np.concatenate([np.linalg.svd(mats, compute_uv=False)[:, -1] for mats in batches])
+    # the real rows are screened as real Grams, the rest as complex
+    lam = np.concatenate([screened_eigenvalues(coeffs, x) for x in (real, xis[plan.n_real :])])
+    delta = screen_bound(coeffs)
     return EllipticityCheck(
-        real=_verdict(op, coeffs, real, smins[: plan.n_real]),
-        complex=_verdict(op, coeffs, xis, smins),
+        real=_verdict(op, coeffs, real, lam[: plan.n_real], delta, plan.n_real),
+        complex=_verdict(op, coeffs, xis, lam, delta, plan.n_real),
     )
 
 
-def _verdict(op: OperatorSpec, coeffs: np.ndarray, xis: np.ndarray, smins: np.ndarray) -> EllipticityVerdict:
-    """Verdict over sampled symbols, given the smallest singular value of each."""
-    idx = int(np.argmin(smins))
-    smin = float(smins[idx])
+def _verdict(
+    op: OperatorSpec, coeffs: np.ndarray, xis: np.ndarray, lam: np.ndarray, delta: float, n_real: int
+) -> EllipticityVerdict:
+    """Verdict over sampled symbols from their screened Gram eigenvalues lam, each within delta
+    of sigma_min^2. If min lam - delta clears the threshold squared, so does every sample: the
+    verdict is elliptic, and the SVD of the argmin of lam gives the minimum. Otherwise every sample
+    with lam <= max(min lam, threshold^2) + 2 delta gets an exact SVD; the rest lie above both the
+    threshold and the least sigma_min, so verdict, minimum and witness come from exact values.
+    Rows below n_real (real frequencies) are decomposed as real matrices."""
+    tau2, lmin = SINGULAR_VALUE_THRESHOLD**2, float(lam.min())
+    rows = np.flatnonzero(lam <= max(lmin, tau2) + 2.0 * delta) if lmin - delta < tau2 else np.argmin(lam)[None]
+    smins = np.empty(rows.size)
+    for sel, x in ((rows < n_real, xis.real), (rows >= n_real, xis)):
+        if sel.any():
+            smins[sel] = np.linalg.svd(np.tensordot(x[rows[sel]], coeffs, axes=1), compute_uv=False)[:, -1]
+    idx, smin = int(rows[np.argmin(smins)]), float(smins.min())
     elliptic = smin >= SINGULAR_VALUE_THRESHOLD
     witness = residual = None
     if not elliptic:

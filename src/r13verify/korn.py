@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import STF_GRADIENT, ModelParams, assemble_form, projected_gradient_gram
+from .assembly import STF_GRADIENT, ModelParams, Sectors
+from .assembly import _gradient_terms, _norm_terms, _sector_assemble, _shared_operator
 from .ellipticity import SINGULAR_VALUE_THRESHOLD, OperatorSpec, domain_basis, lh_constant, projector
-from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis
+from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis, mirror_masks
 
 # relative slack of a coercivity chain: the form may undershoot a bound by
 # this fraction of max(|form|, 1) before the chain counts as violated
@@ -65,45 +66,56 @@ class RightInverseResult:
     range_residual: float
 
 
-def _field_basis(op: OperatorSpec, spaces: DiscreteSpaces) -> ScalarBasis:
-    """The spaces' scalar basis, or its plane (z-independent) version for op.dim == 2."""
-    if op.dim == 3:
-        return spaces.scalar
-    if op.dim == 2:
-        return ScalarBasis(2, spaces.degree, spaces.subdivisions)
-    raise ValueError("dim must be 2 or 3")
+def _field_sectors(op: OperatorSpec, sb: ScalarBasis) -> tuple[Sectors, list]:
+    """The sectors of op's field, one block over sb per domain basis tensor, and its field
+    blocks (scalar basis, mirror mask, None) as `_sector_assemble` reads them."""
+    masks = mirror_masks(domain_basis(op))
+    blocks = [(slice(a * sb.n, (a + 1) * sb.n), sb.sectors(mask)) for a, mask in enumerate(masks)]
+    return Sectors(blocks, np.zeros(0, dtype=int), 2**op.dim), [(sb, mask, None) for mask in masks]
 
 
-def _field_grams(op: OperatorSpec, sb: ScalarBasis):
-    """(H1 gram, L2 gram, projected-gradient gram) over the component blocks."""
-    nc = domain_basis(op).shape[0]
-    return np.kron(np.eye(nc), sb.h1()), np.kron(np.eye(nc), sb.mass()), projected_gradient_gram(op, sb)
+def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list, list]:
+    """(sectors, H1 blocks, L2 + projected-gradient blocks) of the Korn pencil on the spaces'
+    scalar basis, or for op.dim == 2 on the plane basis of the spaces' degree.
+
+    The grams commute with the box's mirrors, so they are their diagonal
+    sector blocks, assembled from the 1D factors; built once per operator
+    and kept with the spaces.
+    """
+    if op not in spaces.korn:
+        sb = spaces.scalar if op.dim == 3 else ScalarBasis(op.dim, spaces.degree, spaces.subdivisions)
+        S, fields, cache = *_field_sectors(op, sb), {}
+        h1, l2 = (_norm_terms(len(fields), is_h1, op.dim) for is_h1 in (True, False))
+        grams = [_sector_assemble(t, S, S, fields, fields, cache) for t in (h1, _gradient_terms(op, 1.0, l2))]
+        spaces.korn[op] = (S, *grams)
+    return spaces.korn[op]
 
 
-def _korn_estimate(op: OperatorSpec, degree: int, grams) -> KornEstimate:
-    G_h1, G_l2, G_op = grams
-    vals, vecs = sla.eigh(G_h1, G_l2 + G_op)
-    c = float(vals[-1])
-    return KornEstimate(
-        op=op,
-        degree=degree,
-        constant=c,
-        sum_convention_bound=float(np.sqrt(c)),
-        extremizer=vecs[:, -1],
-    )
+def _quadratic(blocks: list, sectors: Sectors, x: np.ndarray) -> float:
+    """x^T M x for the block-diagonal M with the given sector blocks."""
+    y = sectors.to_sectors(x)
+    return float(sum(y[sl] @ M @ y[sl] for M, sl in zip(blocks, sectors.sectors)))
 
 
 def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     """Discrete Korn constant for sym-gradient on vectors or Stf-gradient on stf fields.
 
-    For op.dim == 2 the fields are plane (z-independent) and live on the
-    unit square with the planar trace coefficient; this is the diagnostic
+    The largest eigenvalue of the pencil over its 2^dim mirror sectors; the
+    extremizer is the top eigenvector of the sector that attains it. For
+    op.dim == 2 the fields are plane (z-independent) and live on the unit
+    square with the planar trace coefficient; this is the diagnostic
     configuration where the complex-ellipticity failure shows up as growth
     of the constant with the degree.
     """
     if (op.domain, op.codomain) not in (("vectors", "sym"), ("stf2", "Stf")):
         raise ValueError(f"unsupported operator {(op.domain, op.codomain)!r}")
-    return _korn_estimate(op, spaces.degree, _field_grams(op, _field_basis(op, spaces)))
+    S, h1, lower = _korn_grams(op, spaces)
+    pencils = [sla.eigh(G_h1, G_low) for G_h1, G_low in zip(h1, lower)]
+    s = max(range(len(pencils)), key=lambda i: pencils[i][0][-1])  # the first sector attaining it
+    vals, vecs = pencils[s]
+    y = np.zeros(S.order.size)
+    y[S.sectors[s]] = vecs[:, -1]
+    return KornEstimate(op, spaces.degree, float(vals[-1]), float(np.sqrt(vals[-1])), S.from_sectors(y))
 
 
 def operator_kernel_dimension(
@@ -116,16 +128,20 @@ def operator_kernel_dimension(
     polynomial degree (6 rigid motions for the symmetrized gradient, 35
     conformal-Killing-type fields for the stf gradient on stf fields at
     d = 3 from degree 4 on). The planar stf gradient is the counterexample
-    and shows the unbounded growth 2N + 2 instead.
+    and shows the unbounded growth 2N + 2 instead. The count is summed over
+    the gram's mirror sectors, each cut at tol times max(largest eigenvalue, 1).
     """
-    vals = np.linalg.eigvalsh(projected_gradient_gram(op, ScalarBasis(op.dim, degree, subdivisions)))
-    return int(np.sum(vals < tol * max(vals[-1], 1.0)))
+    S, fields = _field_sectors(op, ScalarBasis(op.dim, degree, subdivisions))
+    vals = [np.linalg.eigvalsh(G) for G in _sector_assemble(_gradient_terms(op, 1.0, {}), S, S, fields, fields, {})]
+    cut = tol * max(max(v[-1] for v in vals), 1.0)
+    return int(sum(np.sum(v < cut) for v in vals))
 
 
 def korn_rayleigh(op: OperatorSpec, spaces: DiscreteSpaces, coeffs: np.ndarray) -> float:
     """Rayleigh quotient of the Korn pencil at a given coefficient vector."""
-    G_h1, G_l2, G_op = _field_grams(op, _field_basis(op, spaces))
-    return float((coeffs @ G_h1 @ coeffs) / (coeffs @ (G_l2 + G_op) @ coeffs))
+    S, h1, lower = _korn_grams(op, spaces)
+    x = np.asarray(coeffs).ravel()
+    return _quadratic(h1, S, x) / _quadratic(lower, S, x)
 
 
 def coercivity_chain_check(
@@ -138,38 +154,37 @@ def coercivity_chain_check(
     'stress': each field is a pair (sigma, p), and dbar((sigma, p), same)
     is checked against min{Kn, 1/(2 Kn)} times the Stf-gradient seminorm
     sum. The Korn lower bound divides by the discrete Korn constant to
-    reach the full H1 norm. The form, the grams and the Korn constant are
-    built once per call.
+    reach the full H1 norm. The forms are read from the sector blocks of
+    the spaces' shared operator, the seminorms from the Korn grams'.
     """
-    kn = params.kn
+    kn, vb = params.kn, spaces.v_blocks
     if kind == "heat":
         xs = [np.asarray(s).ravel() for s in fields]
-        form = assemble_form("a", spaces, params)
-        op = OperatorSpec("vectors", "sym", 3)
+        rows, op = vb["s"], OperatorSpec("vectors", "sym", 3)
         cmin = min((24.0 / 25.0) * kn, (4.0 / 15.0) / kn)
     elif kind == "stress":
         xs = [np.concatenate([np.asarray(sig).ravel(), np.asarray(p).ravel()]) for sig, p in fields]
-        form = assemble_form("dbar", spaces, params)
-        op = STF_GRADIENT
+        rows, op = np.r_[vb["sigma"], vb["p"]], STF_GRADIENT
         cmin = min(kn, 0.5 / kn)
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
 
-    grams = _field_grams(op, spaces.scalar)
-    G_h1, G_l2, G_op = grams
-    G_sum = G_l2 + G_op
-    korn = _korn_estimate(op, spaces.degree, grams).constant
+    A = _shared_operator(spaces, params)
+    S, h1, lower = _korn_grams(op, spaces)
+    korn = korn_constant(op, spaces).constant
     reports = []
     for x in xs:
-        xf = x[: G_l2.shape[0]]
-        seminorm_sum = float(xf @ G_sum @ xf)
+        U = np.zeros(spaces.n_V)
+        U[rows] = x
+        xf = x[: S.order.size]
+        seminorm_sum = _quadratic(lower, S, xf)
         reports.append(
             ChainReport(
-                form_value=float(x @ form @ x),
+                form_value=_quadratic(A.sectors, A.structure.V, U),
                 seminorm_sum=seminorm_sum,
                 min_coefficient=cmin,
                 lower_bound=cmin * seminorm_sum,
-                korn_lower_bound=cmin / korn * float(xf @ G_h1 @ xf),
+                korn_lower_bound=cmin / korn * _quadratic(h1, S, xf),
             )
         )
     return reports
@@ -239,9 +254,8 @@ def div_right_inverse(u_coeffs: np.ndarray, proj: str, spaces: DiscreteSpaces) -
         for k in range(3):
             acc += bb.dphi[k].T @ (w * tau[:, i, k])
         r[i * bb.n : (i + 1) * bb.n] = acc - bb.phi.T @ (w * u_vals[:, i])
-    Gh1 = np.kron(np.eye(3), bb.h1_gram())
-    ch = sla.cho_factor(Gh1)
-    weak_residual = float(np.sqrt(r @ sla.cho_solve(ch, r)))
+    R = r.reshape(3, bb.n)  # the H1 gram is the scalar one per component: one factor serves all three
+    weak_residual = float(np.sqrt(np.sum(R.T * sla.cho_solve(sla.cho_factor(bb.h1_gram()), R.T))))
 
     v_vals = np.einsum("iI,qI->qi", vb, bb.phi)
     energy_gap = abs(tau_l2_sq - float(np.sum(w * np.einsum("qi,qi->q", u_vals, v_vals))))

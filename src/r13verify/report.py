@@ -304,13 +304,14 @@ def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport, base) -> None:
 
 def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     degrees = sorted({1, 2, 3, cfg.degree})
+    full = {N: build_spaces(N, cfg.subdivisions, "full") for N in sorted({*degrees, max(cfg.degree, 2), 4})}
     for label, op in (
         ("sym_vec", OperatorSpec("vectors", "sym", 3)),
         ("stf_stf", OperatorSpec("stf2", "Stf", 3)),
     ):
         prev = 0.0
         for N in degrees:
-            sp = build_spaces(N, cfg.subdivisions, "full")
+            sp = full[N]
             est = korn_constant(op, sp)
             ok = np.isfinite(est.constant) and est.constant > 0 and est.constant >= prev - 1e-9
             rep.add("korn", f"korn_{label}_N{N}", est.constant, None, bool(ok))
@@ -322,7 +323,7 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     planar = OperatorSpec("stf2", "Stf", 2)
     vals = []
     for N in degrees:
-        est = korn_constant(planar, build_spaces(N, cfg.subdivisions, "full"))
+        est = korn_constant(planar, full[N])
         vals.append(est.constant)
         rep.add("korn", f"korn_planar_N{N}", est.constant, None, bool(np.isfinite(est.constant)))
     rep.add("korn", "korn_planar_growth", vals[-1] / vals[0], None, None)
@@ -357,7 +358,7 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     )
 
     # divergence right-inverses at the configured degree
-    sp_ri = build_spaces(max(cfg.degree, 2), cfg.subdivisions, "full")
+    sp_ri = full[max(cfg.degree, 2)]
     u = np.zeros((3, sp_ri.n_scalar))
     u[0] = sp_ri.scalar.project(lambda q: np.ones(q.shape[0]))
     for proj in ("identity", "stf"):
@@ -376,7 +377,7 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     # stability under degree refinement, past the low-degree parity staircase
     ratios = {}
     for N in (3, 4):
-        spN = build_spaces(N, cfg.subdivisions, "full")
+        spN = full[N]
         uN = np.zeros((3, spN.n_scalar))
         uN[0] = spN.scalar.project(lambda q: np.ones(q.shape[0]))
         ratios[N] = div_right_inverse(uN, "stf", spN).bound_ratio

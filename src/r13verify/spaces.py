@@ -13,7 +13,7 @@ assembled here with margin.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg as sla
@@ -176,9 +176,10 @@ class FaceData:
 
 
 def _kron_all(mats: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product of 2D arrays, left to right (np.kron's values, without its overhead)."""
     out = mats[0]
     for m in mats[1:]:
-        out = np.kron(out, m)
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(out.shape[0] * m.shape[0], -1)
     return out
 
 
@@ -188,9 +189,9 @@ class ScalarBasis:
     Its 1D factors are the parity functions b1.values @ T1 of the nodal
     basis b1, (T1, n_even) = b1.parity_basis(): the first n_even even under
     x -> 1 - x, the rest odd. Every coefficient vector over this basis is in
-    these coordinates. The pair matrices (mass, dmat, h1, and any other
-    through `kron`) and the integrals are Kronecker products of the 1D
-    parity grams in `factors`, which the sector assembler reads as well.
+    these coordinates. Its pair matrices and integrals are Kronecker
+    products of the 1D parity grams in `factors`, from which the sector
+    assembler builds them.
     The volume and face tabulations phi and dphi are built on first use.
     """
 
@@ -223,13 +224,12 @@ class ScalarBasis:
         F, D = self.b1.values @ self.T1, self.b1.d1 @ self.T1
         return np.stack([_kron_all([D if a == ax else F for a in range(self.dim)]) for ax in range(self.dim)])
 
-    def sectors(self, field_signs) -> np.ndarray:
-        """Sector 0..7 of each basis function as the coefficient of one field
-        component that the mirror of axis a multiplies by field_signs[a], shaped
-        (n1, n1, n1): bit a is set when the product is odd under that mirror."""
+    def sectors(self, mask: int) -> np.ndarray:
+        """Sector 0..2^dim - 1 of each basis function as the coefficient of one
+        field component that the mirror of axis a flips where bit a of mask is
+        set, shaped (n1,) * dim: bit a is set when the product is odd under that mirror."""
         odd = np.arange(self.b1.n) >= self.n_even
-        bits = [(odd ^ (sign < 0)).astype(int) << a for a, sign in enumerate(field_signs)]
-        return bits[0][:, None, None] + bits[1][None, :, None] + bits[2][None, None, :]
+        return sum(np.ix_(*[(odd ^ bool(mask >> a & 1)).astype(int) << a for a in range(self.dim)]))
 
     def factors(self, trial: ScalarBasis | None = None) -> dict:
         """1D parity grams of this basis (rows) against trial (columns; default: this basis).
@@ -263,27 +263,6 @@ class ScalarBasis:
                 "int": (X.values.T @ X.weights) @ TX * ~odd,
             }
         return self._cache[key]
-
-    def kron(self, names, trial: ScalarBasis | None = None) -> np.ndarray:
-        """Kronecker product of the 1D factors (`factors`) named per axis, cached."""
-        trial = self if trial is None else trial
-        key = (tuple(names), id(trial))
-        if key not in self._cache:
-            fac = self.factors(trial)
-            self._cache[key] = _kron_all([fac[name] for name in names])
-        return self._cache[key]
-
-    def mass(self) -> np.ndarray:
-        return self.kron(("m",) * self.dim)
-
-    def dmat(self, a: int, b: int) -> np.ndarray:
-        """Integral of (d_a phi_I)(d_b phi_J)."""
-        return self.kron(dmat_names(a, b, self.dim))
-
-    def h1(self) -> np.ndarray:
-        if "h1" not in self._cache:
-            self._cache["h1"] = self.mass() + sum(self.dmat(a, a) for a in range(self.dim))
-        return self._cache["h1"]
 
     def integrals(self) -> np.ndarray:
         """Vector of integrals of each basis function."""
@@ -387,20 +366,26 @@ class MirrorBasis:
     def __init__(self, spaces: DiscreteSpaces):
         sb, pb = spaces.scalar, spaces.scalar_pq
         n, m = sb.n, pb.n
-        axis_signs = [np.where(np.arange(3) == i, -1.0, 1.0) for i in range(3)]
-        # the reflection of axis a maps E_b to sigma_signs[b, a] E_b; one that
-        # did not would show as off-sector entries of the assembled matrices
-        sigma_signs = np.array([[np.sum(s[:, None] * s[None, :] * Eb * Eb) for s in axis_signs] for Eb in spaces.E])
+        axes = mirror_masks(np.eye(3))
         R = None
         if spaces.pressure_mode == "zero_mean":
-            R = spaces.Cp[np.flatnonzero(pb.sectors(np.ones(3)).ravel() == 0)][:, spaces.p_sectors == 0]
-        fields_V = [(sb, sigma_signs[a]) for a in range(5)] + [(sb, axis_signs[i]) for i in range(3)]
-        fields_Q = [(pb, axis_signs[i]) for i in range(3)] + [(pb, np.ones(3))]
-        self.V = [(slice(a * n, (a + 1) * n), b.sectors(signs)) for a, (b, signs) in enumerate(fields_V)]
+            R = spaces.Cp[np.flatnonzero(pb.sectors(0).ravel() == 0)][:, spaces.p_sectors == 0]
+        fields_V = [(sb, mask) for mask in mirror_masks(spaces.E) + axes]
+        fields_Q = [(pb, mask) for mask in axes + [0]]
+        self.V = [(slice(a * n, (a + 1) * n), b.sectors(mask)) for a, (b, mask) in enumerate(fields_V)]
         self.V.append((spaces.v_blocks["p"], spaces.p_sectors))
-        self.Q = [(slice(i * m, (i + 1) * m), b.sectors(signs)) for i, (b, signs) in enumerate(fields_Q)]
-        self.V_fields = [(b, int((signs < 0) @ [1, 2, 4]), None) for b, signs in fields_V] + [(pb, 0, R)]
-        self.Q_fields = [(b, int((signs < 0) @ [1, 2, 4]), None) for b, signs in fields_Q]
+        self.Q = [(slice(i * m, (i + 1) * m), b.sectors(mask)) for i, (b, mask) in enumerate(fields_Q)]
+        self.V_fields = [(b, mask, None) for b, mask in fields_V] + [(pb, 0, R)]
+        self.Q_fields = [(b, mask, None) for b, mask in fields_Q]
+
+
+def mirror_masks(basis: np.ndarray) -> list[int]:
+    """Per orthonormal basis tensor X of shape (d,) * r, the bit mask of the axes whose mirror
+    maps X to -X (it flips the sign of X's entries once per index equal to the axis). A basis
+    tensor not mapped to plus or minus itself would show as off-sector entries when assembled."""
+    d = basis.shape[1]
+    signs = [reduce(np.multiply.outer, [1.0 - 2.0 * np.eye(d)[a]] * (basis.ndim - 1)) for a in range(d)]
+    return [sum(int(np.sum(s * X * X) < 0) << a for a, s in enumerate(signs)) for X in basis]
 
 
 def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,7 +454,7 @@ class DiscreteSpaces:
         self.E = stf_basis(2, 3)  # (5, 3, 3) orthonormal stress component basis
 
         n, m = self.scalar.n, self.scalar_pq.n
-        scalar_sectors = self.scalar_pq.sectors(np.ones(3))
+        scalar_sectors = self.scalar_pq.sectors(0)
         if pressure_mode == "zero_mean":
             self.Cp, self.p_sectors = _zero_mean_basis(self.scalar_pq.integrals(), scalar_sectors.ravel())
         else:
@@ -489,6 +474,7 @@ class DiscreteSpaces:
         # MixedSystem assembled on these spaces holds it
         self.structure = None
         self.operators = weakref.WeakValueDictionary()
+        self.korn = {}  # per OperatorSpec, the sector grams of its Korn pencil (korn._korn_grams)
 
     @cached_property
     def stress_face_weights(self) -> list[dict]:

@@ -6,7 +6,9 @@ constants oracle uses full dense decompositions (SVD of B, eigh on ker B,
 SVD of the whitened forms), the path the library replaced by Lanczos. The
 forms oracle assembles every form densely from quadrature sums over the
 tabulated basis functions, the path the library replaced by Kronecker
-products of 1D factors assembled straight into mirror-sector blocks.
+products of 1D factors assembled straight into mirror-sector blocks. The
+Korn grams oracle forms the whole dense Kronecker products, and the
+ellipticity oracle takes an SVD of every sampled symbol.
 """
 
 import numpy as np
@@ -137,6 +139,55 @@ def dense_mixed_solution(system, tol: float = 1e-10):
     MQ = system.M_Q
     P = P - Y @ np.linalg.solve(Y.T @ MQ @ Y, Y.T @ MQ @ P)
     return U, P
+
+
+# -- dense Kronecker oracle of the Korn grams ----------------------------------
+
+
+def kron_gram(sb, names) -> np.ndarray:
+    """Dense pair matrix of a scalar basis: the Kronecker product of its 1D parity
+    factors (ScalarBasis.factors) named per axis, e.g. "mmm" for the mass."""
+    out = np.ones((1, 1))
+    for name in names:
+        out = np.kron(out, sb.factors()[name])
+    return out
+
+
+def dense_korn_grams(op, sb):
+    """(H1, L2, projected-gradient) grams of op's field over sb as whole dense matrices,
+    the component blocks in domain-basis order: the H1 and L2 grams as kron(I, .), the
+    gradient gram with block (a, b) = sum_kl H[a,k,b,l] dmat(k, l)."""
+    from r13verify.ellipticity import domain_basis, gradient_coupling
+    from r13verify.spaces import dmat_names
+
+    d, nc = sb.dim, domain_basis(op).shape[0]
+    dmat = {(k, l): kron_gram(sb, dmat_names(k, l, d)) for k in range(d) for l in range(d)}
+    H = gradient_coupling(op)
+    H = np.where(np.abs(H) > 1e-15, H, 0.0)
+    grad = sum(np.kron(H[:, k, :, l], dmat[k, l]) for k in range(d) for l in range(d))
+    mass = kron_gram(sb, "m" * d)
+    h1 = mass + sum(dmat[a, a] for a in range(d))
+    return np.kron(np.eye(nc), h1), np.kron(np.eye(nc), mass), grad
+
+
+# -- SVD-only oracle of the ellipticity verdicts -------------------------------
+
+
+def svd_ellipticity_oracle(op, xis, n_real):
+    """(least singular value, its row, witness residual) over the symbols at xis by an SVD
+    of every one, the real rows (the first n_real) as real matrices: the path the Gram
+    screen replaced."""
+    from r13verify.ellipticity import symbol_coefficients
+
+    coeffs = symbol_coefficients(op)
+    smins = np.concatenate([
+        np.linalg.svd(np.tensordot(xis[:n_real].real, coeffs, axes=1), compute_uv=False)[:, -1],
+        np.linalg.svd(np.tensordot(xis[n_real:], coeffs, axes=1), compute_uv=False)[:, -1],
+    ])
+    idx = int(np.argmin(smins))
+    mat = np.tensordot(xis[idx], coeffs, axes=1)
+    coords = np.linalg.svd(mat)[2][-1].conj()
+    return float(smins[idx]), idx, float(np.linalg.norm(mat @ coords) / np.linalg.norm(coords))
 
 
 # -- mirror maps of the unit cube ---------------------------------------------

@@ -19,7 +19,7 @@ from r13verify.assembly import (
 from r13verify.spaces import PAIRINGS, build_spaces
 from r13verify.tensors import project2
 
-from helpers import mirror_maps, oracle_forms
+from helpers import dense_korn_grams, mirror_maps, oracle_forms
 
 PARAMS = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
 PARAMS0 = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.0)
@@ -307,12 +307,11 @@ def test_form_d_kn_slope_is_korn_gradient_gram(sp):
     # Kn = 2 minus Kn = 1 difference isolates the Stf-gradient Gram of the
     # Korn pencil that the stress coercivity chain divides by
     from r13verify.ellipticity import OperatorSpec
-    from r13verify.korn import _field_grams
 
     d2 = assemble_form("d", sp, ModelParams(kn=2.0, chi_tilde=1.0, epsilon_w=0.1))
     d1 = assemble_form("d", sp, PARAMS)
-    _, _, G_op = _field_grams(OperatorSpec("stf2", "Stf", 3), sp.scalar)
-    expected = G_op - 0.25 * np.kron(np.eye(5), sp.scalar.mass())
+    _, G_l2, G_op = dense_korn_grams(OperatorSpec("stf2", "Stf", 3), sp.scalar)
+    expected = G_op - 0.25 * G_l2
     assert_allclose(d2 - d1, expected, rtol=0, atol=1e-12)
 
 

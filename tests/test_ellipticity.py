@@ -16,11 +16,15 @@ from r13verify.ellipticity import (
     general_d_prefactors,
     lh_constant,
     projector,
+    screen_bound,
+    screened_eigenvalues,
+    symbol_coefficients,
     symbol_matrix,
 )
+from r13verify.ellipticity import _frequencies
 from r13verify.tensors import project2
 
-from helpers import random_stf2, stf_gradient_symbol_direct
+from helpers import random_stf2, stf_gradient_symbol_direct, svd_ellipticity_oracle
 
 STF_GRAD = {d: OperatorSpec("stf2", "Stf", d) for d in (2, 3, 4, 5)}
 FAST_PLAN = SamplingPlan(n_real=512, n_complex=512, n_isotropic=256, n_structured=128, seed=7)
@@ -269,3 +273,47 @@ def test_lh_constant_dev():
     for d in (2, 3, 4, 5):
         lam = lh_constant(OperatorSpec("vectors", "dev", d))
         assert lam == pytest.approx(np.sqrt(1.0 - 1.0 / d), abs=1e-14)
+
+
+SCREENED_OPS = [*STF_GRAD.values(), OperatorSpec("vectors", "sym", 3), OperatorSpec("full2", "Sym", 3)]
+
+
+@pytest.mark.parametrize("op", SCREENED_OPS, ids=lambda op: f"{op.domain}-{op.codomain}-d{op.dim}")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gram_screen_within_a_hundredth_of_its_bound(op, seed):
+    # every sample's screened eigenvalue is within delta / 100 of its exact sigma_min^2
+    plan = SamplingPlan(seed=seed)
+    real, xis = _frequencies(op.dim, plan)
+    coeffs = symbol_coefficients(op)
+    delta = screen_bound(coeffs)
+    for x in (real, xis[plan.n_real :]):
+        smin = np.linalg.svd(np.tensordot(x, coeffs, axes=1), compute_uv=False)[:, -1]
+        assert np.abs(screened_eigenvalues(coeffs, x) - smin**2).max() <= delta / 100
+
+
+@pytest.mark.parametrize("op", [STF_GRAD[2], OperatorSpec("full2", "Sym", 3)], ids=["stf-d2", "full2-Sym-d3"])
+def test_fallback_matches_svd_only_oracle(op):
+    # the screen cannot certify these, so the minimum, its frequency and the
+    # witness come from exact SVDs, as they did when every sample had one
+    real, xis = _frequencies(op.dim, FAST_PLAN)
+    check = check_ellipticity(op, FAST_PLAN)
+    smin, idx, residual = svd_ellipticity_oracle(op, xis, FAST_PLAN.n_real)
+    assert not check.complex.elliptic
+    assert check.complex.min_singular_value == smin
+    assert np.array_equal(check.complex.xi_min, xis[idx])
+    assert check.complex.witness_residual == residual
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_certified_minimum_is_an_exact_svd(d):
+    # a certified batch reports the exact singular value at the screen's argmin,
+    # within the bound of the sampled minimum the oracle finds
+    op = STF_GRAD[d]
+    real, xis = _frequencies(d, FAST_PLAN)
+    coeffs = symbol_coefficients(op)
+    vc = check_ellipticity(op, FAST_PLAN).complex
+    exact = np.linalg.svd(np.tensordot(vc.xi_min, coeffs, axes=1), compute_uv=False)[-1]
+    smin, _, _ = svd_ellipticity_oracle(op, xis, FAST_PLAN.n_real)
+    assert vc.elliptic and vc.witness is None
+    assert vc.min_singular_value == pytest.approx(exact, rel=1e-14)
+    assert 0 <= vc.min_singular_value**2 - smin**2 <= 2 * screen_bound(coeffs)

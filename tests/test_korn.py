@@ -13,6 +13,8 @@ from r13verify.korn import (
 )
 from r13verify.spaces import build_spaces
 
+from helpers import dense_korn_grams
+
 SYM_VEC = OperatorSpec("vectors", "sym", 3)
 STF_STF = OperatorSpec("stf2", "Stf", 3)
 STF_STF_2D = OperatorSpec("stf2", "Stf", 2)
@@ -231,3 +233,68 @@ def test_operator_kernel_dimension_dichotomy():
     # planar case: no saturation, the kernel grows as 2N + 2
     dims2 = [operator_kernel_dimension(STF_STF_2D, N) for N in (1, 2, 3, 4, 5)]
     assert dims2 == [2 * N + 2 for N in (1, 2, 3, 4, 5)]
+    # the sector counts sum to the count of the whole dense gram, cut at the same level
+    from r13verify.spaces import ScalarBasis
+
+    for op, N in ((SYM_VEC, 2), (STF_STF, 4), (STF_STF_2D, 3)):
+        vals = np.linalg.eigvalsh(dense_korn_grams(op, ScalarBasis(op.dim, N, 1))[2])
+        assert operator_kernel_dimension(op, N) == np.sum(vals < 1e-10 * max(vals[-1], 1.0))
+
+
+def _dense(op, sp):
+    """The korn module's sector grams of op on sp as whole matrices in field coordinates."""
+    from r13verify.korn import _korn_grams
+
+    S, h1, lower = _korn_grams(op, sp)
+    out = []
+    for blocks in (h1, lower):
+        M = np.zeros((S.order.size,) * 2)
+        for B, sl in zip(blocks, S.sectors):
+            M[np.ix_(S.order[sl], S.order[sl])] = B
+        out.append(M)
+    return out
+
+
+@pytest.mark.parametrize(
+    "op, degrees", [(SYM_VEC, (1, 2, 3, 4, 5)), (STF_STF, (1, 2, 3, 4, 5)), (STF_STF_2D, (1, 2, 3, 4))]
+)
+def test_sector_korn_grams_match_dense_kronecker_oracle(op, degrees):
+    # the grams commute with the mirrors: their sector blocks, scattered back,
+    # are the whole dense Kronecker grams, off-sector entries included
+    from r13verify.spaces import ScalarBasis
+
+    for N in degrees:
+        sp = build_spaces(N, 1, "full")
+        sb = sp.scalar if op.dim == 3 else ScalarBasis(2, N, 1)
+        G_h1, G_l2, G_op = dense_korn_grams(op, sb)
+        h1, lower = _dense(op, sp)
+        for got, want in ((h1, G_h1), (lower, G_l2 + G_op)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (op, N)
+
+
+@pytest.mark.parametrize("op", [SYM_VEC, STF_STF, STF_STF_2D])
+def test_sector_korn_constant_matches_dense_pencil(op):
+    import scipy.linalg as sla
+    from r13verify.spaces import ScalarBasis
+
+    for N in (1, 2, 3):
+        sp = build_spaces(N, 1, "full")
+        G_h1, G_l2, G_op = dense_korn_grams(op, sp.scalar if op.dim == 3 else ScalarBasis(2, N, 1))
+        want = sla.eigh(G_h1, G_l2 + G_op, eigvals_only=True)[-1]
+        est = korn_constant(op, sp)
+        assert abs(est.constant - want) <= 1e-12 * want
+        # the extremizer, scattered back from its sector, attains it on the dense pencil
+        x = est.extremizer
+        assert abs((x @ G_h1 @ x) / (x @ (G_l2 + G_op) @ x) - want) <= 1e-12 * want
+        assert korn_rayleigh(op, sp, x) == pytest.approx(est.constant, rel=1e-12)
+
+
+def test_korn_grams_built_once_per_operator_and_spaces():
+    # korn_constant and korn_rayleigh on one spaces share one gram build
+    from r13verify.korn import _korn_grams
+
+    sp = build_spaces(2, 1, "full")
+    est = korn_constant(STF_STF, sp)
+    grams = _korn_grams(STF_STF, sp)
+    korn_rayleigh(STF_STF, sp, est.extremizer)
+    assert _korn_grams(STF_STF, sp) is grams and set(sp.korn) == {STF_STF}

@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import statistics
 import sys
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def test_bench(monkeypatch, capsys, tmp_path):
     args = ["--out", str(out), "--suites", "bc", "--rungs", "1,1"]
     run_script("bench.py", [*args, "--label", "first"], monkeypatch, capsys)
     rows = run_script("bench.py", [*args, "--label", "second", "--repeat", "2"], monkeypatch, capsys)
-    assert rows[0][:2] == ["suite", "bc"]
+    assert rows[0][0] == "report" and rows[1][:2] == ["suite", "bc"]
     data = json.loads(out.read_text())
     assert set(data) == {"first", "second"}
     rec = data["second"]
@@ -60,6 +61,11 @@ def test_bench(monkeypatch, capsys, tmp_path):
     assert 10.0 < rung["peak_rss_mb"] < 1e5
     # --repeat times each suite as often as each rung and keeps the median
     assert len(rec["suites"]["bc"]["wall_s_runs"]) == len(rung["total_s_runs"]) == 2
+    # the report record: one run of all six suites per repeat, the default report's rows
+    report = rec["report"]
+    assert len(report["wall_s_runs"]) == 2 and report["wall_s"] == statistics.median(report["wall_s_runs"])
+    assert report["rows"] == 95 and report["failed"] == ["dim_kerBT_N2_eps0.0_kn1.0"]
+    assert 10.0 < report["peak_rss_mb"] <= rung["peak_rss_mb"]
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])
