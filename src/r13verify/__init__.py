@@ -43,7 +43,6 @@ from .saddlepoint import (
     brezzi_constants,
     infsup_constant,
     limit_consistency,
-    operator_norm,
     solve_mixed,
 )
 from .spaces import DiscreteSpaces, build_spaces

@@ -10,7 +10,6 @@ matrix rows index the test function of the grouped system.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -96,22 +95,12 @@ class BlockCholesky:
     """Lower Cholesky factor of a block-diagonal symmetric positive definite matrix.
 
     One dense factor per diagonal block, each paired with the indices of its
-    rows; built from a matrix, the blocks are the finest contiguous diagonal
-    blocks of its nonzero pattern.
+    rows.
     """
 
     def __init__(self, blocks):
         # (indices, lower factor) pairs; Fortran order, as LAPACK takes them
         self.blocks = tuple((idx, np.asfortranarray(L)) for idx, L in blocks)
-
-    @classmethod
-    def of(cls, M: np.ndarray) -> BlockCholesky:
-        n = M.shape[0]
-        last = n - 1 - np.argmax(M[:, ::-1] != 0, axis=1)  # last nonzero column of each row
-        ends = np.flatnonzero(np.maximum.accumulate(last) <= np.arange(n)) + 1
-        return cls(
-            (slice(a, b), sla.cholesky(M[a:b, a:b], lower=True)) for a, b in zip(np.r_[0, ends[:-1]], ends)
-        )
 
     def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
         """L^-1 x, or L^-T x for trans=1; x is a vector or a matrix of columns.
@@ -140,45 +129,23 @@ def subproblems(spaces: DiscreteSpaces) -> tuple:
     return (np.r_[vb["sigma"], vb["p"]], np.r_[qb["u"]]), (np.r_[vb["s"]], np.r_[qb["theta"]])
 
 
-def _runs(idx: np.ndarray) -> list[tuple[slice, slice]]:
-    """(local, global) slices of the contiguous runs of an increasing index array."""
-    cuts = np.r_[0, np.flatnonzero(np.diff(idx) != 1) + 1, idx.size]
-    return [(slice(a, b), slice(idx[a], idx[b - 1] + 1)) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-MIRROR_RTOL = 1e-12  # largest off-sector entry of a mirror-invariant matrix, relative to its largest sector entry
-
-
 def _shift(sl: slice, offset: int) -> slice:
     return slice(sl.start + offset, sl.stop + offset)
-
-
-def _box(mask: np.ndarray) -> tuple:
-    """The slices of the box that the True entries of mask fill."""
-    idx = np.nonzero(mask)
-    if not idx[0].size:
-        return (slice(0, 0),) * mask.ndim
-    box = tuple(slice(i.min(), i.max() + 1) for i in idx)
-    if mask[box].size != idx[0].size:
-        raise ValueError("a sector of a field block is not a box of its coordinates")
-    return box
 
 
 class Sectors:
     """V or Q grouped by sector and inside each sector by subproblem.
 
-    `basis` lists the field blocks as spaces.MirrorBasis does, as (slice,
-    sector labels). The sector coordinates list the coordinates sector by
-    sector, momentum before energy: `order` maps them to coordinates,
-    `sectors` holds each sector's slice of them and `split` the number of
-    its momentum coordinates. `boxes` gives per field block and sector the
-    offset and the size of the block's coordinates in the sector, where
-    they are contiguous, and `box_slices` their box in the shape of the
-    block's labels.
+    It is built from the field blocks as spaces.MirrorBasis lists them, as
+    (slice, sector labels). The sector coordinates list the coordinates
+    sector by sector, momentum before energy: `order` maps them to
+    coordinates, `sectors` holds each sector's slice of them and `split`
+    the number of its momentum coordinates. `boxes` gives per field block
+    and sector the offset and the size of the block's coordinates in the
+    sector, where they are contiguous.
     """
 
     def __init__(self, basis: list, momentum: np.ndarray, count: int):
-        self.basis = basis
         labels = np.concatenate([lab.ravel() for _, lab in basis])
         energy = np.ones(labels.size, dtype=int)
         energy[momentum] = 0
@@ -195,10 +162,6 @@ class Sectors:
             offset[present] = local[sl][first]
             self.boxes.append(list(zip(offset.tolist(), np.bincount(lab.ravel(), minlength=count).tolist())))
 
-    @cached_property
-    def box_slices(self) -> list:
-        return [[_box(lab == s) for s in range(len(self.sectors))] for _, lab in self.basis]
-
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """Sector coordinates of a vector."""
         return x[self.order]
@@ -208,33 +171,6 @@ class Sectors:
         x = np.empty_like(y)
         x[self.order] = y
         return x
-
-
-def _sector_blocks(M: np.ndarray, rows: Sectors, cols: Sectors) -> tuple[list, bool]:
-    """(diagonal sector blocks of M in sector coordinates, whether M is mirror-invariant).
-
-    M counts as mirror-invariant when no entry the blocks leave out exceeds
-    MIRROR_RTOL times their largest entry.
-
-    It takes one pair of field blocks of M at a time and skips the pairs
-    that M does not couple. Each sector's entries of a pair are one box of
-    it, copied out by slices.
-    """
-    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rows.sectors, cols.sectors)]
-    dropped = 0.0
-    for (rsl, rlab), rboxes, rslices in zip(rows.basis, rows.boxes, rows.box_slices):
-        coupled = M[rsl].any(axis=0)
-        for (csl, clab), cboxes, cslices in zip(cols.basis, cols.boxes, cols.box_slices):
-            if not coupled[csl].any():
-                continue
-            X = M[rsl, csl].reshape(rlab.shape + clab.shape).copy()
-            for S, (roff, nr), (coff, nc), rbox, cbox in zip(out, rboxes, cboxes, rslices, cslices):
-                piece = X[rbox + cbox]
-                S[roff : roff + nr, coff : coff + nc] = piece.reshape(nr, nc)
-                piece[...] = 0.0
-            dropped = max(dropped, float(np.abs(X).max()))
-    kept = max((float(np.abs(S).max()) for S in out if S.size), default=0.0)
-    return out, dropped <= MIRROR_RTOL * kept
 
 
 @dataclass(eq=False)
@@ -298,19 +234,14 @@ class SaddleStructure:
     (SaddlePart). Every derived quantity comes from the parts and is
     combined exactly: the Cholesky factors of M_V and M_Q, and the SVD of B
     in those norms with the one rank decision cut on it. `assemble` builds
-    the parts from the 1D factors (`_sector_assemble`). `of` cuts them out
-    of given dense matrices and raises if one couples the subproblems; one
-    with an off-sector entry above MIRROR_RTOL times its largest sector
-    entry, such as a hand-edited B, or mirrored False, gives one sector of
-    two parts. The dense B, M_V and M_Q are those given to `of`, or else
-    scattered from the parts on first access and kept.
+    the parts from the 1D factors (`_sector_assemble`). The dense B, M_V
+    and M_Q are scattered from the parts on first access and kept.
     """
 
     spaces: DiscreteSpaces
     V: Sectors = field(repr=False)
     Q: Sectors = field(repr=False)
     parts: tuple = field(repr=False)
-    mirrored: bool = True
 
     @classmethod
     def assemble(cls, spaces: DiscreteSpaces) -> SaddleStructure:
@@ -322,25 +253,6 @@ class SaddleStructure:
         M_Q = _sector_assemble(_norm_terms(len(fq), h1=False), Qp, Qp, fq, fq, cache, per_sector=2)
         V = Sectors(mirror.V, mv, 8)
         return cls(spaces, V, Sectors(mirror.Q, mq, 8), _parts(V, Vp, Qp, (B, M_V, M_Q)))
-
-    @classmethod
-    def of(cls, B, M_V, M_Q, spaces: DiscreteSpaces, mirrored: bool = True) -> SaddleStructure:
-        subs, mirror = subproblems(spaces), spaces.mirror
-        for (va, qa), (vb, qb) in itertools.permutations(subs, 2):
-            for M, rows, cols in ((B, qa, vb), (M_V, va, vb), (M_Q, qa, qb)):
-                if any(np.any(M[r, c]) for _, r in _runs(rows) for _, c in _runs(cols)):
-                    raise ValueError("B, M_V or M_Q couples the momentum and energy subproblems")
-        bases = [(mirror.V, mirror.Q, 8)] if mirrored else []
-        bases.append(tuple([(sl, np.zeros(lab.size, dtype=int)) for sl, lab in b] for b in (mirror.V, mirror.Q)) + (1,))
-        for v_basis, q_basis, count in bases:
-            Vp, Qp = _by_subproblem(v_basis, subs[0][0], count), _by_subproblem(q_basis, subs[0][1], count)
-            cut = [_sector_blocks(M, rows, cols) for M, rows, cols in ((B, Qp, Vp), (M_V, Vp, Vp), (M_Q, Qp, Qp))]
-            if all(invariant for _, invariant in cut):
-                break
-        V, Q = Sectors(v_basis, subs[0][0], count), Sectors(q_basis, subs[0][1], count)
-        st = cls(spaces, V, Q, _parts(V, Vp, Qp, [blocks for blocks, _ in cut]), count == 8)
-        st.__dict__.update(B=B, M_V=M_V, M_Q=M_Q)
-        return st
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -427,14 +339,11 @@ class SaddleOperator:
     """The primal form A of one (spaces, params) on the spaces' shared structure.
 
     `sectors` holds A's diagonal sector blocks in the structure's sector
-    coordinates. `symmetric` records whether A is symmetric on the momentum
-    and on the energy subproblem and skew between them; when all three
-    hold, the blocks are made so to the bit (`_symmetrize`). `assemble`
-    builds them from the 1D factors; `of` cuts them out of a given dense A,
-    reading `symmetric` in views of its blocks, and gives an A that is not
-    mirror-invariant a private structure of one sector. The dense A is the
-    one given to `of`, or else scattered from the blocks on first access
-    and kept. The operator keeps what saddlepoint factors on first use,
+    coordinates. `assemble` builds them from the 1D factors and makes each
+    symmetric to the bit on the momentum and the energy subproblem and
+    exactly skew between them, as A is (`_symmetrize`); alpha0 relies on
+    that. The dense A is scattered from the blocks on first access and
+    kept. The operator keeps what saddlepoint factors on first use,
     valid for this A and structure only: in `bordered`, by part index, the
     LU of each part's bordered matrix (alpha0), and in `factors` the LU of
     each sector's saddle matrix (the solve).
@@ -442,7 +351,6 @@ class SaddleOperator:
 
     structure: SaddleStructure
     sectors: list = field(repr=False)
-    symmetric: tuple = (True, True, True)
     bordered: dict = field(default_factory=dict, repr=False)
     factors: list | None = field(default=None, repr=False)
 
@@ -451,22 +359,6 @@ class SaddleOperator:
         V, fields = structure.V, structure.spaces.mirror.V_fields
         blocks = _sector_assemble(_A_terms(structure.spaces, params), V, V, fields, fields, {})
         return cls(structure, _symmetrize(blocks, V.split))
-
-    @classmethod
-    def of(cls, A: np.ndarray, structure: SaddleStructure) -> SaddleOperator:
-        st = structure
-        runs = [[g for _, g in _runs(v)] for v, _ in subproblems(st.spaces)]
-        symmetric = (
-            *(all(np.array_equal(A[a, b], A[b, a].T) for a in part for b in part) for part in runs),
-            not any(np.any(A[a, b] + A[b, a].T) for a in runs[0] for b in runs[1]),
-        )
-        blocks, invariant = _sector_blocks(A, st.V, st.V)
-        if not invariant:
-            st = SaddleStructure.of(st.B, st.M_V, st.M_Q, st.spaces, mirrored=False)
-            blocks, _ = _sector_blocks(A, st.V, st.V)
-        op = cls(st, _symmetrize(blocks, st.V.split) if all(symmetric) else blocks, symmetric)
-        op.__dict__["A"] = A
-        return op
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -607,48 +499,37 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_
     return out
 
 
-class _SharedMatrix:
-    """A matrix field of MixedSystem: the array set on the system, or else the dense
-    matrix of its operator (read by `read`), scattered on first access and kept there."""
-
-    def __init__(self, name, read):
-        self.name, self.read = name, read
-
-    def __get__(self, system, owner=None):
-        if system is None:
-            return self
-        M = system.__dict__.get(self.name)
-        return self.read(system.operator) if M is None else M
-
-    def __set__(self, system, M):
-        system.__dict__[self.name] = None if M is self else M
-
-
 @dataclass
 class MixedSystem:
     """Assembled saddle-point data: loads, parameters, spaces and the shared operator.
 
-    A, B, M_V and M_Q are the system's own where it is given them (as by
-    `dataclasses.replace(system, A=...)`), else the operator's dense
-    matrices, read-only and scattered from its sector blocks on first
-    access. Constants and solves read the sector blocks, not these.
+    The system's matrices are its operator's: A, B, M_V and M_Q are
+    read-only properties, the dense matrices scattered from the operator's
+    sector blocks on first read. Constants and solves read the sector
+    blocks, not these.
     """
 
     F: np.ndarray
     G: np.ndarray
     params: ModelParams
     spaces: DiscreteSpaces
-    operator: SaddleOperator | None = field(default=None, repr=False, compare=False)
-    A: np.ndarray = field(default=_SharedMatrix("A", lambda op: op.A), repr=False)
-    B: np.ndarray = field(default=_SharedMatrix("B", lambda op: op.structure.B), repr=False)
-    M_V: np.ndarray = field(default=_SharedMatrix("M_V", lambda op: op.structure.M_V), repr=False)
-    M_Q: np.ndarray = field(default=_SharedMatrix("M_Q", lambda op: op.structure.M_Q), repr=False)
+    operator: SaddleOperator = field(repr=False, compare=False)
 
-    def shares(self, name: str, owner) -> bool:
-        """Whether the matrix `name` is owner's (the operator's A or the structure's
-        B, M_V, M_Q): the system was given none, or the one owner holds."""
-        M = self.__dict__.get(name)
-        return M is None or M is owner.__dict__.get(name)
+    @property
+    def A(self) -> np.ndarray:
+        return self.operator.A
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.operator.structure.B
+
+    @property
+    def M_V(self) -> np.ndarray:
+        return self.operator.structure.M_V
+
+    @property
+    def M_Q(self) -> np.ndarray:
+        return self.operator.structure.M_Q
 
 
 def _shared_operator(spaces: DiscreteSpaces, params: ModelParams) -> SaddleOperator:

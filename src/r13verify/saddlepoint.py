@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, SaddleStructure
+from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
 
@@ -54,17 +54,6 @@ class MixedSolution:
         if self.bound_U is None or self.bound_P is None:
             raise ValueError("stability bounds were not computed for this solve")
         return self.norm_U <= self.bound_U and self.norm_P <= self.bound_P
-
-
-def _operator(system: MixedSystem) -> SaddleOperator:
-    """The system's shared operator while the system reads its A, B, M_V and M_Q from it;
-    else a private one, cut from the system's dense matrices, on the shared structure when
-    only A was replaced. Each public call resolves the operator here once; everything
-    below reads it and its cached factors unchecked."""
-    op = system.operator
-    if op is None or not all(system.shares(name, op.structure) for name in ("B", "M_V", "M_Q")):
-        return SaddleOperator.of(system.A, SaddleStructure.of(system.B, system.M_V, system.M_Q, system.spaces))
-    return op if system.shares("A", op) else SaddleOperator.of(system.A, op.structure)
 
 
 def _lanczos_max(apply, n: int) -> float:
@@ -107,15 +96,6 @@ def _whitened_norm(product, n: int, L_left: BlockCholesky, L_right: BlockCholesk
         return L_right.solve(product(L_left.solve(y, trans=1), True))
 
     return float(np.sqrt(_lanczos_max(apply, n)))
-
-
-def operator_norm(form_matrix: np.ndarray, left_gram: np.ndarray, right_gram: np.ndarray) -> float:
-    """Largest generalized singular value of a form in the given norms."""
-
-    def product(x, trans):
-        return (form_matrix.T if trans else form_matrix) @ x
-
-    return _whitened_norm(product, form_matrix.shape[1], BlockCholesky.of(left_gram), BlockCholesky.of(right_gram))
 
 
 def _saddle_matrix(A: np.ndarray, constraints: list) -> np.ndarray:
@@ -192,11 +172,11 @@ def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's 
 def _coercivity(op: SaddleOperator) -> float:
     """alpha0 on ker B: 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V over the parts.
 
-    Raises unless A, read in views of its blocks, is symmetric on each
-    subproblem and skew between them, as assembled. Then ker B, M_V and
-    A's symmetric part split along the parts, so the coercivity
-    eigenproblem on ker B is the direct sum of one per part, and one
-    Lanczos run on the direct sum gives the smallest constant. On part i,
+    A is symmetric to the bit on each subproblem and skew between them, as
+    assembled (`assembly._symmetrize`), so ker B, M_V and A's symmetric
+    part split along the parts: the coercivity eigenproblem on ker B is
+    the direct sum of one per part, and one Lanczos run on the direct sum
+    gives the smallest constant. On part i,
     K_s = [[A_ii, C_i^T], [C_i, 0]] is its bordered matrix, with C_i of
     full row rank and kernel ker B_i. The operator equals
     L_V^T Z (Z^T A_ii Z)^-1 Z^T L_V for a basis Z of ker B_i, so its nonzero
@@ -206,11 +186,6 @@ def _coercivity(op: SaddleOperator) -> float:
     a kernel direction on which A vanishes: alpha0 = 0. A part whose B
     block is injective has no say.
     """
-    for name, symmetric in zip(("momentum", "energy"), op.symmetric):
-        if not symmetric:
-            raise ValueError(f"A is not symmetric on the {name} subproblem")
-    if not op.symmetric[2]:
-        raise ValueError("the symmetric part of A couples the momentum and energy subproblems")
     st = op.structure
     terms, n = [], 0
     for i, p in enumerate(st.parts):
@@ -238,9 +213,9 @@ def infsup_constant(system: MixedSystem):
     k0 is the smallest singular value of B in the natural norms, taken off
     the nullspace of B transpose; dim_kerBT counts the singular values
     below the fixed cutoff KERNEL_RTOL (the report's `kernel_rank_cutoff`)
-    and is expected to be zero. The structure comes from `_operator`.
+    and is expected to be zero.
     """
-    st = _operator(system).structure
+    st = system.operator.structure
     return _infsup(st.whitened_svals, sum(st.ranks))
 
 
@@ -251,19 +226,17 @@ def _infsup(svals: np.ndarray, rank: int):
 def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     """All measured constants of the assembled system.
 
-    Each comes from the structure's parts, (mirror sector x subproblem),
-    16 of them on a mirror-invariant system and 2 in its one trivial
-    sector otherwise, and is combined exactly. One SVD of each part's block
-    of B in the natural norms, cut once at KERNEL_RTOL (the report's
+    Each comes from the structure's 16 parts (mirror sector x subproblem)
+    and is combined exactly. One SVD of each part's block of B in the
+    natural norms, cut once at KERNEL_RTOL (the report's
     `kernel_rank_cutoff`) times the whole B's largest singular value, gives
     k0 and dim ker B^T from the union of the singular values, |B|, dim
     ker B as a sum, and the constraint of full row rank behind each part's
-    alpha0. alpha0, the minimum over the parts, needs A symmetric on each
-    subproblem. |A| is the largest over the sectors' blocks of A with the
-    parts' factors of M_V. alpha0 and |A| take one Lanczos run each over
-    the direct sum. The operator comes from `_operator`.
+    alpha0. alpha0 is the minimum over the parts, |A| the largest over the
+    sectors' blocks of A with the parts' factors of M_V; they take one
+    Lanczos run each over the direct sum.
     """
-    op = _operator(system)
+    op = system.operator
     st = op.structure
     rank = sum(st.ranks)
     dim_kerB = st.V.order.size - rank
@@ -279,11 +252,6 @@ def brezzi_constants(system: MixedSystem) -> BrezziConstants:
         dim_kerB=dim_kerB,
         dim_kerBT=dim_kerBT,
     )
-
-
-def dual_norm(vec: np.ndarray, gram: np.ndarray) -> float:
-    """Discrete dual norm sqrt(vec^T gram^-1 vec)."""
-    return float(np.linalg.norm(BlockCholesky.of(gram).solve(vec)))
 
 
 def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -> MixedSolution:
@@ -314,7 +282,7 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     back-substitution. The residuals and the norms of U and P are taken in
     sector coordinates, with the operator's blocks of A and the parts'.
     """
-    op = _operator(system)
+    op = system.operator
     st = op.structure
     f, g = st.V.to_sectors(system.F), st.Q.to_sectors(system.G)
     y = [Y @ g[qs] for (Y, _), qs in zip(st.load_maps, st.Q.sectors)]

@@ -233,42 +233,29 @@ def test_assembled_matrices_commute_with_the_cube_mirrors(pairing, N, k, mode, e
 @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (1, 2), (2, 2)])
 @pytest.mark.parametrize("mode", ["zero_mean", "full"])
 def test_sector_blocks_match_the_tabulated_oracle(pairing, N, k, mode):
-    # the blocks assembled from 1D factors against the sector blocks cut out
-    # of the dense matrices of tabulated quadrature sums
+    # the dense matrices scattered from the blocks assembled from 1D factors
+    # against the dense matrices of tabulated quadrature sums
     spaces = build_spaces(N, k, mode, pairing)
     for eps in (0.0, 0.1):
         params = ModelParams(kn=0.7, chi_tilde=1.3, epsilon_w=eps)
         oracle = oracle_forms(spaces, params)
-        op = assemble_system(spaces, params).operator
-        st = op.structure
-        blocks, invariant = assembly._sector_blocks(oracle["A"], st.V, st.V)
-        assert invariant and len(blocks) == len(op.sectors) == 8
-        for S, X in zip(op.sectors, blocks):
-            assert np.abs(S - X).max() <= 1e-13 * np.abs(oracle["A"]).max()
-        cuts = {name: assembly._sector_blocks(oracle[key], rows, cols)
-                for name, key, rows, cols in (("B", "B", st.Q, st.V), ("M_V", "MV", st.V, st.V), ("M_Q", "MQ", st.Q, st.Q))}
-        for part in st.parts:
-            lv = part.local
-            lq = slice(part.q.start - st.Q.sectors[part.sector].start, part.q.stop - st.Q.sectors[part.sector].start)
-            for name, (rows, cols) in (("B", (lq, lv)), ("M_V", (lv, lv)), ("M_Q", (lq, lq))):
-                blocks, invariant = cuts[name]
-                assert invariant
-                M, X = getattr(part, name), blocks[part.sector][rows, cols]
-                assert np.abs(M - X).max() <= 1e-13 * np.abs(oracle[name.replace("_", "")]).max(), name
+        system = assemble_system(spaces, params)
+        for name in ("A", "B", "M_V", "M_Q"):
+            X = oracle[name.replace("_", "")]
+            assert np.abs(getattr(system, name) - X).max() <= 1e-13 * np.abs(X).max(), name
         if eps == 0.0:
             assert not np.any(assemble_form("f", spaces, params)) and not np.any(assemble_form("h", spaces, params))
 
 
 def test_verified_answer_stays_in_the_sector_blocks(monkeypatch):
     # assembly, constants and a bounds-checked solve at equal (3,1) build no
-    # dense n_V x n_V or n_Q x n_V matrix (no scatter, no dense cut, a traced
+    # dense n_V x n_V or n_Q x n_V matrix (no scatter, a traced
     # peak below two of them) and no tabulation; reading system.A afterwards
     # scatters the blocks once, equal to the tabulated oracle
     from r13verify.saddlepoint import brezzi_constants, solve_mixed
 
     dense = []
-    for name in ("_scatter", "_sector_blocks"):
-        monkeypatch.setattr(assembly, name, lambda *args, _name=name: dense.append(_name))
+    monkeypatch.setattr(assembly, "_scatter", lambda *args: dense.append("_scatter"))
     spaces = build_spaces(3, 1, "zero_mean")
     tracemalloc.start()
     try:
@@ -295,7 +282,7 @@ def test_sector_blocks_of_A_keep_its_exact_symmetry(pairing):
     # exactly skew between them, as A itself is assembled
     system = assemble_system(build_spaces(2, 1, "full", pairing), PARAMS)
     op = system.operator
-    assert op.structure.mirrored and all(op.symmetric) and len(op.sectors) == 8
+    assert len(op.sectors) == 8
     for S, k in zip(op.sectors, op.structure.V.split):
         for d in (slice(0, k), slice(k, None)):
             assert np.array_equal(S[d, d], S[d, d].T)

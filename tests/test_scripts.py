@@ -64,7 +64,7 @@ def test_bench(monkeypatch, capsys, tmp_path):
     # the report record: one run of all six suites per repeat, the default report's rows
     report = rec["report"]
     assert len(report["wall_s_runs"]) == 2 and report["wall_s"] == statistics.median(report["wall_s_runs"])
-    assert report["rows"] == 95 and report["failed"] == ["dim_kerBT_N2_eps0.0_kn1.0"]
+    assert report["rows"] == 93 and report["failed"] == ["dim_kerBT_N2_eps0.0_kn1.0"]
     assert 10.0 < report["peak_rss_mb"] <= rung["peak_rss_mb"]
 
 
