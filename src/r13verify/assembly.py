@@ -636,93 +636,48 @@ def compute_closures(sigma, s, spaces, params, face: int | None = None):
     quadrature points of one face), differentiating the polynomial
     basis exactly.
     """
-    sb = spaces.scalar
-    dphi = sb.dphi if face is None else sb.faces[face].dphi
-    gs = np.einsum("iI,kqI->qik", np.asarray(s), dphi)
-    gsig = np.einsum("aI,kqI->qak", np.asarray(sigma), dphi)
-    E = spaces.E
-    dsig = np.einsum("qak,aij->qijk", gsig, E)
+    U = np.concatenate([np.ravel(sigma), np.ravel(s), np.zeros(spaces.n_p)])
+    dsig, ds = (spaces.evaluate(name, U, grad=True, face=face) for name in ("sigma", "s"))
     P3 = projection_matrix3("Stf", 3)
-    nq = dsig.shape[0]
+    nq = ds.shape[0]
     m3 = -2.0 * params.kn * (dsig.reshape(nq, 27) @ P3.T).reshape(nq, 3, 3, 3)
     P2 = projection_matrix2("stf", 3)
-    R2 = -(24.0 / 5.0) * params.kn * (gs.reshape(nq, 9) @ P2.T).reshape(nq, 3, 3)
-    delta = -12.0 * params.kn * np.einsum("qii->q", gs)
+    R2 = -(24.0 / 5.0) * params.kn * (ds.reshape(nq, 9) @ P2.T).reshape(nq, 3, 3)
+    delta = -12.0 * params.kn * np.einsum("qii->q", ds)
     return m3, R2, delta
 
 
 def bc_residuals(U, P, spaces, params, bdata: BoundaryData | None = None):
     """L2 boundary norms of the seven Onsager wall relations.
 
-    The tangential stress and tangential R relations aggregate both
-    tangent directions into one norm each. u and theta traces come from
-    the discrete polynomial representatives (diagnostic only).
+    Each face takes every field into its frame by the matrix F with rows
+    (n, t1, t2), so index 0 is the normal and 1, 2 the tangents. The
+    tangential stress and tangential R relations aggregate both tangent
+    directions into one norm each. u and theta traces come from the
+    discrete polynomial representatives (diagnostic only).
     """
     bdata = bdata or BoundaryData()
     chi, eps = params.chi_tilde, params.epsilon_w
-    sig, s, p = spaces.split_V(np.asarray(U))
-    u, theta = spaces.split_Q(np.asarray(P))
-    sq = {k: 0.0 for k in range(1, 8)}
-    for f, (fd, w) in enumerate(zip(spaces.faces, spaces.stress_face_weights)):
-        phi, phi_pq = fd.phi, spaces.scalar_pq.faces[f].phi
-        wq = fd.weights
-        nvec, t1, t2 = fd.frame.n, fd.frame.t1, fd.frame.t2
-        sig_vals = {key: (w[key] @ sig) @ phi.T for key in w}
-        s_comp = {
-            "n": (nvec @ s) @ phi.T,
-            "t1": (t1 @ s) @ phi.T,
-            "t2": (t2 @ s) @ phi.T,
-        }
-        u_comp = {
-            "n": (nvec @ u) @ phi_pq.T,
-            "t1": (t1 @ u) @ phi_pq.T,
-            "t2": (t2 @ u) @ phi_pq.T,
-        }
-        p_vals = phi_pq @ p
-        th_vals = phi_pq @ theta
-        m3, R2, delta = compute_closures(sig, s, spaces, params, face=f)
-        m_nnn = np.einsum("qijk,i,j,k->q", m3, nvec, nvec, nvec)
-        m_nnt = {
-            1: np.einsum("qijk,i,j,k->q", m3, nvec, nvec, t1),
-            2: np.einsum("qijk,i,j,k->q", m3, nvec, nvec, t2),
-        }
-        m_nt1t1 = np.einsum("qijk,i,j,k->q", m3, nvec, t1, t1)
-        m_nt1t2 = np.einsum("qijk,i,j,k->q", m3, nvec, t1, t2)
-        R_nn = np.einsum("qij,i,j->q", R2, nvec, nvec)
-        R_nt = {
-            1: np.einsum("qij,i,j->q", R2, nvec, t1),
-            2: np.einsum("qij,i,j->q", R2, nvec, t2),
-        }
-
-        du = {i: u_comp[f"t{i}"] - getattr(bdata, f"u_t{i}_w")[f] for i in (1, 2)}
-        r1 = (u_comp["n"] - bdata.u_n_w[f]) - eps * chi * (
-            (p_vals - bdata.p_w[f]) + sig_vals["nn"]
+    sig_c, s_c, _ = spaces.split_V(np.asarray(U))
+    sq = np.zeros(7)
+    for f, fd in enumerate(spaces.faces):
+        F = np.array([fd.frame.n, fd.frame.t1, fd.frame.t2])
+        sig, s, p, u, th = (spaces.evaluate(name, U, P, face=f) for name in ("sigma", "s", "p", "u", "theta"))
+        m3, R2, delta = compute_closures(sig_c, s_c, spaces, params, face=f)
+        sig, R, s, u = F @ sig @ F.T, F @ R2 @ F.T, s @ F.T, u @ F.T
+        m = np.einsum("qijk,ai,bj,ck->qabc", m3, F, F, F)
+        du = u[:, 1:] - [bdata.u_t1_w[f], bdata.u_t2_w[f]]
+        dth, snn, Rnn = th - bdata.theta_w[f], sig[:, 0, 0], R[:, 0, 0]
+        res = (
+            (u[:, 0] - bdata.u_n_w[f]) - eps * chi * ((p - bdata.p_w[f]) + snn),
+            sig[:, 0, 1:] - chi * (du + 0.2 * s[:, 1:] + m[:, 0, 0, 1:]),
+            R[:, 0, 1:] - chi * (-du + 2.2 * s[:, 1:] - m[:, 0, 0, 1:]),
+            s[:, 0] - chi * (2.0 * dth + 0.5 * snn + 0.4 * Rnn + (2.0 / 15.0) * delta),
+            m[:, 0, 0, 0] - chi * (-0.4 * dth + 1.4 * snn - 0.08 * Rnn - (2.0 / 75.0) * delta),
+            (0.5 * m[:, 0, 0, 0] + m[:, 0, 1, 1]) - chi * (0.5 * snn + sig[:, 1, 1]),
+            m[:, 0, 1, 2] - chi * sig[:, 1, 2],
         )
-        r2 = [
-            sig_vals[f"nt{i}"] - chi * (du[i] + 0.2 * s_comp[f"t{i}"] + m_nnt[i])
-            for i in (1, 2)
-        ]
-        r3 = [
-            R_nt[i] - chi * (-du[i] + 2.2 * s_comp[f"t{i}"] - m_nnt[i])
-            for i in (1, 2)
-        ]
-        dth = th_vals - bdata.theta_w[f]
-        r4 = s_comp["n"] - chi * (
-            2.0 * dth + 0.5 * sig_vals["nn"] + 0.4 * R_nn + (2.0 / 15.0) * delta
-        )
-        r5 = m_nnn - chi * (
-            -0.4 * dth + 1.4 * sig_vals["nn"] - 0.08 * R_nn - (2.0 / 75.0) * delta
-        )
-        r6 = (0.5 * m_nnn + m_nt1t1) - chi * (0.5 * sig_vals["nn"] + sig_vals["t1t1"])
-        r7 = m_nt1t2 - chi * sig_vals["t1t2"]
-
-        sq[1] += np.sum(wq * r1**2)
-        sq[2] += sum(np.sum(wq * r**2) for r in r2)
-        sq[3] += sum(np.sum(wq * r**2) for r in r3)
-        sq[4] += np.sum(wq * r4**2)
-        sq[5] += np.sum(wq * r5**2)
-        sq[6] += np.sum(wq * r6**2)
-        sq[7] += np.sum(wq * r7**2)
+        sq += [np.sum(fd.weights * (r**2).T) for r in res]
     keys = [
         "normal_velocity",
         "tangential_stress",
@@ -732,4 +687,4 @@ def bc_residuals(U, P, spaces, params, bdata: BoundaryData | None = None):
         "m_nnn_t1t1",
         "m_nt1t2",
     ]
-    return {k: float(np.sqrt(sq[i + 1])) for i, k in enumerate(keys)}
+    return {k: float(np.sqrt(v)) for k, v in zip(keys, sq)}

@@ -3,15 +3,16 @@
 The Korn constant is the largest Rayleigh quotient |v|_H1^2 over
 (|v|_L2^2 + |Av|_L2^2), a lower bound for the continuous constant in the
 squared-sum convention; sqrt of it bounds the sum-of-norms convention
-from above. The right-inverse solves the auxiliary Dirichlet problem for
-the projected gradient on a bubble space, so the constructed tensor field
-lies in the projection's range exactly and satisfies the divergence
-identity weakly against the whole test space.
+from above. Both divergence right-inverses solve one auxiliary Dirichlet
+problem for the projected gradient on a bubble space (the scalar one with
+the identity projection), so the constructed field lies in the
+projection's range exactly and satisfies the divergence identity weakly
+against the whole test space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -190,84 +191,60 @@ def coercivity_chain_check(
     return reports
 
 
-def _bubble_vector_system(P2: np.ndarray, bb: BubbleBasis):
-    """Stiffness of the projected gradient on the vector bubble space."""
-    d = bb.dim
-    nb = bb.n
-    P4 = P2.reshape(d, d, d, d)
-    K = np.zeros((d * nb, d * nb))
-    w = bb.weights[:, None]
-    for i in range(d):
-        for j in range(d):
-            blk = np.zeros((nb, nb))
-            for b in range(d):
-                for e in range(d):
-                    if abs(P4[i, b, j, e]) > 1e-15:
-                        blk += P4[i, b, j, e] * (bb.dphi[b].T @ (w * bb.dphi[e]))
-            K[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = blk
-    return K
+def _auxiliary_dirichlet(u_vals: np.ndarray, P: np.ndarray, spaces: DiscreteSpaces) -> RightInverseResult:
+    """tau = P[D v] with -div tau = u weakly, from the auxiliary Dirichlet problem.
 
-
-def div_right_inverse(u_coeffs: np.ndarray, proj: str, spaces: DiscreteSpaces) -> RightInverseResult:
-    """Right inverse of the matrix divergence through the auxiliary problem.
-
-    Solves the Dirichlet system for the projected gradient on the
-    degree-(N+1) bubble space, returns tau = proj(D v) and the measured
-    quality indicators: H1-over-L2 bound ratio, weak divergence residual
-    over the test space, energy identity gap, and the re-projection
-    residual of tau (zero by construction up to rounding).
+    u_vals holds the c components of the data at the volume quadrature
+    points of spaces.scalar, (q, c), and P projects the flattened (c, 3)
+    gradient. v is the c-component potential on the degree-(N+1) bubble
+    space with (P[D v], D w) = (u, w) for every w there, and tau, shaped
+    (q, c, 3), its projected gradient at the same points. Returns v, tau
+    and the measured quality indicators: H1-over-L2 bound ratio, weak
+    divergence residual over the test space, energy identity gap, and the
+    re-projection residual of tau (zero by construction up to rounding).
     """
-    op = OperatorSpec("vectors", proj, 3)
-    if lh_constant(op) < SINGULAR_VALUE_THRESHOLD:  # the least real symbol singular value
-        raise ValueError("operator not elliptic")
-    sb = spaces.scalar
+    sb, c = spaces.scalar, u_vals.shape[1]
     bb = BubbleBasis(3, spaces.degree + 1, sb.b1.nodes, sb.b1.weights)
-    P2 = projector(op)
-
-    K = _bubble_vector_system(P2, bb)
-    u = np.asarray(u_coeffs).reshape(3, sb.n)
-    u_vals = np.einsum("iI,qI->qi", u, sb.phi)
-    rhs = np.concatenate([bb.phi.T @ (bb.weights * u_vals[:, i]) for i in range(3)])
-    v = sla.solve(K, rhs, assume_a="pos")
-    vb = v.reshape(3, bb.n)
+    w, P4 = bb.weights, P.reshape(c, 3, c, 3)
+    # the stiffness of the projected gradient: per derivative pair (b, e), the
+    # coefficient block P4[:, b, :, e] times the scalar gram of d_b and d_e
+    K = sum(np.kron(P4[:, b, :, e], bb.dphi[b].T @ (w[:, None] * bb.dphi[e])) for b in range(3) for e in range(3))
+    rhs = np.concatenate([bb.phi.T @ (w * u_vals[:, i]) for i in range(c)])
+    v = sla.solve(K, rhs, assume_a="pos").reshape(c, bb.n)
 
     # tau and its gradient at the quadrature points
-    dv = np.einsum("iI,kqI->qik", vb, bb.dphi)
+    dv = np.einsum("iI,kqI->qik", v, bb.dphi)
     nq = dv.shape[0]
-    tau = (dv.reshape(nq, 9) @ P2.T).reshape(nq, 3, 3)
-    ddv = np.zeros((nq, 3, 3, 3))
+    tau = (dv.reshape(nq, 3 * c) @ P.T).reshape(nq, c, 3)
+    ddv = np.zeros((nq, c, 3, 3))
     for a in range(3):
         for b in range(3):
-            key = (min(a, b), max(a, b))
-            ddv[:, :, a, b] = np.einsum("iI,qI->qi", vb, bb.d2phi[key])
-    dtau = np.einsum("xyik,qikc->qxyc", P2.reshape(3, 3, 3, 3), ddv)
+            ddv[:, :, a, b] = np.einsum("iI,qI->qi", v, bb.d2phi[min(a, b), max(a, b)])
+    dtau = np.einsum("xyik,qikc->qxyc", P4, ddv)
 
-    w = bb.weights
     tau_l2_sq = float(np.sum(w * np.einsum("qij,qij->q", tau, tau)))
     tau_h1_sq = tau_l2_sq + float(np.sum(w * np.einsum("qijc,qijc->q", dtau, dtau)))
     u_l2 = float(np.sqrt(np.sum(w * np.einsum("qi,qi->q", u_vals, u_vals))))
 
-    # weak divergence residual over the bubble test space
-    r = np.zeros(3 * bb.n)
-    for i in range(3):
-        acc = np.zeros(bb.n)
-        for k in range(3):
-            acc += bb.dphi[k].T @ (w * tau[:, i, k])
-        r[i * bb.n : (i + 1) * bb.n] = acc - bb.phi.T @ (w * u_vals[:, i])
-    R = r.reshape(3, bb.n)  # the H1 gram is the scalar one per component: one factor serves all three
+    # weak divergence residual over the bubble test space; the H1 gram is the
+    # scalar one per component, so one factor serves all c
+    R = np.array([
+        sum(bb.dphi[k].T @ (w * tau[:, i, k]) for k in range(3)) - bb.phi.T @ (w * u_vals[:, i])
+        for i in range(c)
+    ])
     weak_residual = float(np.sqrt(np.sum(R.T * sla.cho_solve(sla.cho_factor(bb.h1_gram()), R.T))))
 
-    v_vals = np.einsum("iI,qI->qi", vb, bb.phi)
+    v_vals = np.einsum("iI,qI->qi", v, bb.phi)
     energy_gap = abs(tau_l2_sq - float(np.sum(w * np.einsum("qi,qi->q", u_vals, v_vals))))
     energy_gap /= max(tau_l2_sq, 1e-30)
 
-    reproj = tau.reshape(nq, 9) @ P2.T - tau.reshape(nq, 9)
+    reproj = tau.reshape(nq, 3 * c) @ P.T - tau.reshape(nq, 3 * c)
     range_residual = float(
         np.sqrt(np.sum(w * np.einsum("qx,qx->q", reproj, reproj)))
         / max(np.sqrt(tau_l2_sq), 1e-30)
     )
     return RightInverseResult(
-        potential=vb,
+        potential=v,
         tau=tau,
         tau_l2=float(np.sqrt(tau_l2_sq)),
         tau_h1=float(np.sqrt(tau_h1_sq)),
@@ -278,46 +255,20 @@ def div_right_inverse(u_coeffs: np.ndarray, proj: str, spaces: DiscreteSpaces) -
     )
 
 
+def div_right_inverse(u_coeffs: np.ndarray, proj: str, spaces: DiscreteSpaces) -> RightInverseResult:
+    """Right inverse of the matrix divergence: tau = proj(D v), (q, 3, 3), from the
+    auxiliary Dirichlet problem for the projected gradient (`_auxiliary_dirichlet`)."""
+    op = OperatorSpec("vectors", proj, 3)
+    if lh_constant(op) < SINGULAR_VALUE_THRESHOLD:  # the least real symbol singular value
+        raise ValueError("operator not elliptic")
+    u = np.asarray(u_coeffs).reshape(3, spaces.scalar.n)
+    return _auxiliary_dirichlet(np.einsum("iI,qI->qi", u, spaces.scalar.phi), projector(op), spaces)
+
+
 def scalar_div_right_inverse(kappa_coeffs: np.ndarray, spaces: DiscreteSpaces) -> RightInverseResult:
-    """Vector field t = grad v with -div t = kappa weakly, from a scalar potential."""
-    sb = spaces.scalar
-    bb = BubbleBasis(3, spaces.degree + 1, sb.b1.nodes, sb.b1.weights)
-    w = bb.weights
-    K = np.zeros((bb.n, bb.n))
-    for k in range(3):
-        K += bb.dphi[k].T @ (w[:, None] * bb.dphi[k])
-    kap_vals = sb.phi @ np.asarray(kappa_coeffs).ravel()
-    rhs = bb.phi.T @ (w * kap_vals)
-    v = sla.solve(K, rhs, assume_a="pos")
-
-    t = np.einsum("I,kqI->qk", v, bb.dphi)
-    nq = t.shape[0]
-    dt = np.zeros((nq, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            key = (min(a, b), max(a, b))
-            dt[:, a, b] = bb.d2phi[key] @ v
-    t_l2_sq = float(np.sum(w * np.einsum("qk,qk->q", t, t)))
-    t_h1_sq = t_l2_sq + float(np.sum(w * np.einsum("qab,qab->q", dt, dt)))
-    kap_l2 = float(np.sqrt(np.sum(w * kap_vals**2)))
-
-    r = np.zeros(bb.n)
-    for k in range(3):
-        r += bb.dphi[k].T @ (w * t[:, k])
-    r -= bb.phi.T @ (w * kap_vals)
-    ch = sla.cho_factor(bb.h1_gram())
-    weak_residual = float(np.sqrt(r @ sla.cho_solve(ch, r)))
-
-    v_vals = bb.phi @ v
-    energy_gap = abs(t_l2_sq - float(np.sum(w * kap_vals * v_vals)))
-    energy_gap /= max(t_l2_sq, 1e-30)
-    return RightInverseResult(
-        potential=v,
-        tau=t,
-        tau_l2=float(np.sqrt(t_l2_sq)),
-        tau_h1=float(np.sqrt(t_h1_sq)),
-        bound_ratio=float(np.sqrt(t_h1_sq) / max(kap_l2, 1e-30)),
-        weak_residual=weak_residual,
-        energy_gap=energy_gap,
-        range_residual=0.0,
-    )
+    """Vector field t = grad v, (q, 3), with -div t = kappa weakly, from a scalar potential
+    v, (n_b,): the auxiliary Dirichlet problem with one component and P the identity."""
+    # BLAS here, einsum in div_right_inverse: the report's rinv rows are rounding
+    # noise, and each keeps its bits only with the contraction it was recorded with
+    res = _auxiliary_dirichlet((spaces.scalar.phi @ np.ravel(kappa_coeffs))[:, None], np.eye(3), spaces)
+    return replace(res, potential=res.potential[0], tau=res.tau[:, 0])

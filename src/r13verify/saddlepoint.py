@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator
+from .tensors import projection_matrix2
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
 
@@ -323,26 +324,15 @@ def limit_consistency(U: np.ndarray, P: np.ndarray, system: MixedSystem):
     res_Fourier = |s + (15/4) Kn grad theta| / max(|s|, Kn), all in L2,
     with u and theta taken from their discrete polynomial representatives.
     """
-    spaces = system.spaces
-    sb = spaces.scalar
-    kn = system.params.kn
-    sig, s, _ = spaces.split_V(np.asarray(U))
-    u, theta = spaces.split_Q(np.asarray(P))
-    w = sb.weights
+    spaces, kn = system.spaces, system.params.kn
+    w = spaces.scalar.weights
+    sig, s = (spaces.evaluate(name, U) for name in ("sigma", "s"))
+    du, grad_th = (spaces.evaluate(name, P=P, grad=True) for name in ("u", "theta"))
+    stf_du = (du.reshape(w.size, 9) @ projection_matrix2("stf", 3).T).reshape(sig.shape)
 
-    sig_vals = np.einsum("qa,aij->qij", np.einsum("aI,qI->qa", sig, sb.phi), spaces.E)
-    du = np.einsum("iI,kqI->qik", u, spaces.scalar_pq.dphi)
-    stf_du = 0.5 * (du + du.transpose(0, 2, 1))
-    stf_du -= (np.einsum("qii->q", du) / 3.0)[:, None, None] * np.eye(3)
-    ns_mis = sig_vals + 2.0 * kn * stf_du
-    ns_norm = np.sqrt(np.sum(w * np.einsum("qij,qij->q", ns_mis, ns_mis)))
-    sig_norm = np.sqrt(np.sum(w * np.einsum("qij,qij->q", sig_vals, sig_vals)))
-    res_ns = float(ns_norm / max(sig_norm, kn))
+    def l2(x):
+        return np.sqrt(np.sum(w * np.sum(x.reshape(w.size, -1) ** 2, axis=1)))
 
-    s_vals = np.einsum("iI,qI->qi", s, sb.phi)
-    grad_th = np.einsum("I,kqI->qk", theta, spaces.scalar_pq.dphi)
-    fo_mis = s_vals + (15.0 / 4.0) * kn * grad_th
-    fo_norm = np.sqrt(np.sum(w * np.einsum("qi,qi->q", fo_mis, fo_mis)))
-    s_norm = np.sqrt(np.sum(w * np.einsum("qi,qi->q", s_vals, s_vals)))
-    res_fourier = float(fo_norm / max(s_norm, kn))
+    res_ns = float(l2(sig + 2.0 * kn * stf_du) / max(l2(sig), kn))
+    res_fourier = float(l2(s + (15.0 / 4.0) * kn * grad_th) / max(l2(s), kn))
     return res_ns, res_fourier

@@ -512,6 +512,23 @@ class DiscreteSpaces:
         theta = P[self.q_blocks["theta"]]
         return u, theta
 
+    def evaluate(self, name: str, U=None, P=None, grad: bool = False, face: int | None = None) -> np.ndarray:
+        """Field `name` of the solution (U, P) at the volume quadrature points, or at those of
+        face `face`: sigma (q, 3, 3), s and u (q, 3), p and theta (q,). With grad, its
+        gradient, the derivative index last. sigma, s and p read U only, u and theta P only.
+
+        It reads phi, or dphi for grad, of the field's basis or of that basis's face, so it
+        tabulates only those.
+        """
+        if name in self.v_blocks:
+            coef = dict(zip(self.v_blocks, self.split_V(np.asarray(U))))[name]
+        else:
+            coef = dict(zip(self.q_blocks, self.split_Q(np.asarray(P))))[name]
+        basis = self.scalar if name in ("sigma", "s") else self.scalar_pq
+        tab = basis if face is None else basis.faces[face]
+        vals = np.einsum("...I,kqI->q...k", coef, tab.dphi) if grad else np.einsum("...I,qI->q...", coef, tab.phi)
+        return np.einsum("qa...,aij->qij...", vals, self.E) if name == "sigma" else vals
+
 
 def build_spaces(
     degree: int, subdivisions: int, pressure_mode: str = "zero_mean", pairing: str = "equal"

@@ -8,7 +8,8 @@ forms oracle assembles every form densely from quadrature sums over the
 tabulated basis functions, the path the library replaced by Kronecker
 products of 1D factors assembled straight into mirror-sector blocks. The
 Korn grams oracle forms the whole dense Kronecker products, and the
-ellipticity oracle takes an SVD of every sampled symbol.
+ellipticity oracle takes an SVD of every sampled symbol. The wall-relation
+oracle evaluates the Onsager relations one face point at a time.
 """
 
 import numpy as np
@@ -337,3 +338,53 @@ def oracle_forms(spaces, params) -> dict:
     dbar = np.block([[d, f_form.T], [f_form, h]])
     return {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f_form, "g": g, "h": h, "dbar": dbar,
             "A": A, "B": B, "MV": MV, "MQ": MQ}
+
+
+# -- point-by-point oracle of the wall relations -------------------------------
+
+
+def wall_residuals_oracle(U, P, spaces, params, bdata) -> dict:
+    """The seven Onsager wall-relation norms of assembly.bc_residuals, one face point at a time.
+
+    Every trace is a plain sum over the face tabulations (phi, dphi) of the
+    field's basis, the closures m, R and Delta are projected per point with
+    tensors.project3/project2, and every frame component comes from
+    tensors.frame_components/frame_components3.
+    """
+    from r13verify.tensors import frame_components, frame_components3, project2, project3
+
+    kn, chi, eps = params.kn, params.chi_tilde, params.epsilon_w
+    sig, s, p = spaces.split_V(np.asarray(U))
+    u, theta = spaces.split_Q(np.asarray(P))
+    sq = np.zeros(7)
+    for f, fd in enumerate(spaces.faces):
+        fq = spaces.scalar_pq.faces[f]
+        for q in range(fd.weights.size):
+            sig_q = sum((sig[a] @ fd.phi[q]) * spaces.E[a] for a in range(5))
+            dsig = np.zeros((3, 3, 3))
+            ds = np.zeros((3, 3))
+            for k in range(3):
+                dsig[:, :, k] = sum((sig[a] @ fd.dphi[k, q]) * spaces.E[a] for a in range(5))
+                for i in range(3):
+                    ds[i, k] = s[i] @ fd.dphi[k, q]
+            m = frame_components3(-2.0 * kn * project3(dsig, "Stf"), fd.frame)
+            R = frame_components(-(24.0 / 5.0) * kn * project2(ds, "stf"), fd.frame)
+            delta = -12.0 * kn * np.trace(ds)
+            sg = frame_components(sig_q, fd.frame)
+            sv = frame_components(np.array([s[i] @ fd.phi[q] for i in range(3)]), fd.frame)
+            uv = frame_components(np.array([u[i] @ fq.phi[q] for i in range(3)]), fd.frame)
+            dth = theta @ fq.phi[q] - bdata.theta_w[f]
+            du = {t: uv[t] - getattr(bdata, f"u_{t}_w")[f] for t in ("t1", "t2")}
+            r = [
+                [(uv["n"] - bdata.u_n_w[f]) - eps * chi * ((p @ fq.phi[q] - bdata.p_w[f]) + sg["nn"])],
+                [sg[f"n{t}"] - chi * (du[t] + 0.2 * sv[t] + m[f"nn{t}"]) for t in ("t1", "t2")],
+                [R[f"n{t}"] - chi * (-du[t] + 2.2 * sv[t] - m[f"nn{t}"]) for t in ("t1", "t2")],
+                [sv["n"] - chi * (2.0 * dth + 0.5 * sg["nn"] + 0.4 * R["nn"] + (2.0 / 15.0) * delta)],
+                [m["nnn"] - chi * (-0.4 * dth + 1.4 * sg["nn"] - 0.08 * R["nn"] - (2.0 / 75.0) * delta)],
+                [0.5 * m["nnn"] + m["nt1t1"] - chi * (0.5 * sg["nn"] + sg["t1t1"])],
+                [m["nt1t2"] - chi * sg["t1t2"]],
+            ]
+            for k, terms in enumerate(r):
+                sq[k] += fd.weights[q] * sum(x**2 for x in terms)
+    keys = ("normal_velocity", "tangential_stress", "tangential_R", "normal_heat_flux", "m_nnn", "m_nnn_t1t1", "m_nt1t2")
+    return dict(zip(keys, np.sqrt(sq)))

@@ -141,6 +141,8 @@ def test_right_inverse_identity_poisson(sp2):
     assert res.weak_residual <= 1e-10
     assert res.energy_gap <= 1e-10
     assert res.range_residual <= 1e-13
+    assert res.tau.shape == (sb.weights.size, 3, 3)
+    assert res.potential.shape == (3, sp2.degree**3)
 
 
 def test_right_inverse_stf_constant_data():
@@ -172,6 +174,11 @@ def test_scalar_right_inverse(sp2):
     assert res.weak_residual <= 1e-10
     assert res.energy_gap <= 1e-10
     assert res.bound_ratio > 0
+    # a vector field at the volume points from a scalar potential on the
+    # degree-(N+1) bubble space, which has N^3 functions
+    assert res.tau.shape == (sb.weights.size, 3)
+    assert res.potential.shape == (sp2.degree**3,)
+    assert res.range_residual == 0.0
 
 
 def test_scalar_right_inverse_stability():

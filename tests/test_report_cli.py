@@ -247,3 +247,12 @@ def test_export_single_format(tmp_path, ellipticity_report):
     assert cpath.read_text().startswith("suite,quantity,value,tolerance,pass")
     with pytest.raises(ValueError, match="unknown format"):
         export(ellipticity_report, "xml", tmp_path)
+
+
+def test_bc_rows_measure_a_driven_load():
+    # the bc suite solves a load that drives every field, so each wall residual
+    # reads the weak imposition of its relation, far above rounding
+    rows = run(RunConfig(suites=("bc",))).rows
+    assert len(rows) == 7
+    for row in rows:
+        assert row.value > 1e-6, row.quantity

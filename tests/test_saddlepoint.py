@@ -34,6 +34,7 @@ from helpers import (
     dense_mixed_solution,
     kernel_basis,
     kron_gram,
+    wall_residuals_oracle,
 )
 
 
@@ -280,12 +281,19 @@ def test_limit_manufactured_stokes_closure(sys_eps01):
 
 
 def test_bc_residuals_finite_on_solution():
-    bdata = BoundaryData(theta_w=np.ones(6))
-    system = make_system(N=2, eps=0.1, bdata=bdata)
-    sol = solve_mixed(system)
-    res = bc_residuals(sol.U, sol.P, system.spaces, system.params, bdata)
-    assert all(np.isfinite(v) for v in res.values())
-    assert any(v > 0 for v in res.values())
+    # on a load that drives every field (on theta_w = 1 alone the solution is
+    # theta = 1 and the residuals are rounding noise), every wall residual is
+    # well above rounding and matches the point-by-point oracle
+    bdata = limit_study_data()
+    for N, pairing in ((2, "equal"), (1, "enriched")):
+        system = make_system(N=N, eps=0.1, bdata=bdata, pairing=pairing)
+        sol = solve_mixed(system)
+        res = bc_residuals(sol.U, sol.P, system.spaces, system.params, bdata)
+        ref = wall_residuals_oracle(sol.U, sol.P, system.spaces, system.params, bdata)
+        assert list(res) == list(ref)
+        for key, val in res.items():
+            assert np.isfinite(val) and val > 1e-6, (pairing, key)
+            assert val == pytest.approx(ref[key], rel=1e-12, abs=0), (pairing, key)
 
 
 def test_kernel_basis_rejects_bad_tolerance(sys_eps0):

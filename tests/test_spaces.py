@@ -233,3 +233,65 @@ def test_mirror_basis_diagonalizes_the_mirror_maps(pairing, N, k, mode):
         x = rng.standard_normal(sec.order.size)
         assert np.array_equal(np.sort(sec.order), np.arange(x.size))
         assert np.array_equal(sec.from_sectors(sec.to_sectors(x)), x)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_evaluate_returns_projected_polynomials_and_their_gradients(pairing):
+    # polynomials projected onto each pairing's own bases come back, with their
+    # exact gradients, at the volume points and at one face's points; p = x - 1/2
+    # has zero mean and enters through Cp
+    sp = build_spaces(2, 1, "zero_mean", pairing)
+    sb, pb = sp.scalar, sp.scalar_pq
+    U, P = np.zeros(sp.n_V), np.zeros(sp.n_Q)
+    sig, s = U[sp.v_blocks["sigma"]].reshape(5, -1), U[sp.v_blocks["s"]].reshape(3, -1)
+    u, theta = P[sp.q_blocks["u"]].reshape(3, -1), P[sp.q_blocks["theta"]]
+    sig[0], sig[3] = sb.project(lambda q: q[:, 2] ** 2), sb.project(lambda q: q[:, 0] * q[:, 1])
+    s[1] = sb.project(lambda q: q[:, 0] * q[:, 1])
+    U[sp.v_blocks["p"]] = sp.Cp.T @ pb.project(lambda q: q[:, 0] - 0.5)
+    u[0], u[2] = pb.project(lambda q: q[:, 1] * q[:, 2]), pb.project(lambda q: q[:, 0] ** 2)
+    theta[:] = pb.project(lambda q: 1.0 + q[:, 0] * q[:, 2])
+
+    def exact(pts):
+        """Per field, (value, gradient): sums of a scalar polynomial, with its gradient
+        g(d_x, d_y, d_z), times a constant stress, vector or 1."""
+        x, y, z = pts.T
+        o, e = 0 * x, np.eye(3)
+
+        def g(*cols):
+            return np.stack(cols, axis=-1)
+
+        terms = {
+            "sigma": [(z**2, g(o, o, 2 * z), sp.E[0]), (x * y, g(y, x, o), sp.E[3])],
+            "s": [(x * y, g(y, x, o), e[1])],
+            "p": [(x - 0.5, g(1 + o, o, o), 1.0)],
+            "u": [(y * z, g(o, z, y), e[0]), (x**2, g(2 * x, o, o), e[2])],
+            "theta": [(1 + x * z, g(z, o, x), 1.0)],
+        }
+        return {
+            name: (sum(np.multiply.outer(v, T) for v, _, T in t),
+                   sum(np.moveaxis(np.multiply.outer(dv, T), 1, -1) for _, dv, T in t))
+            for name, t in terms.items()
+        }
+
+    for face, pts in ((None, sb.points), (3, sb.faces[3].points)):
+        for name, (val, grad) in exact(pts).items():
+            assert_allclose(sp.evaluate(name, U, P, face=face), val, rtol=0, atol=1e-12, err_msg=name)
+            assert_allclose(sp.evaluate(name, U, P, grad=True, face=face), grad, rtol=0, atol=1e-11, err_msg=name)
+
+
+def test_field_readers_tabulate_no_stress_gradients(tmp_path):
+    # the limit misfits read sigma and s, not their gradients, and the export
+    # reads no gradient at all: neither builds the volume dphi of the sigma/s basis
+    from r13verify.assembly import ModelParams, assemble_system
+    from r13verify.report import export_fields_csv, limit_study_boundary_data
+    from r13verify.saddlepoint import limit_consistency, solve_mixed
+
+    sp = build_spaces(1, 1, "full", "enriched")
+    system = assemble_system(sp, ModelParams(1.0, 1.0, 0.1), None, limit_study_boundary_data())
+    sol = solve_mixed(system)
+    assert "dphi" not in sp.scalar.__dict__
+    limit_consistency(sol.U, sol.P, system)
+    assert "dphi" not in sp.scalar.__dict__ and "dphi" in sp.scalar_pq.__dict__
+    sp = build_spaces(2, 1, "zero_mean")
+    export_fields_csv(sp, np.ones(sp.n_V), np.ones(sp.n_Q), tmp_path / "fields.csv")
+    assert "dphi" not in sp.scalar.__dict__
