@@ -7,9 +7,10 @@
 The `report` record times one `r13verify.run` of all six suites at the
 default configuration, as perfbench's report-default workload does, and
 records `peak_rss_mb` after it; it runs first, so that figure is the
-report's own. The suites then run one at a time. Each ladder rung (N, k)
-builds fresh spaces and times four
-steps: `build_spaces`, `assemble_system`, `brezzi_constants` and
+report's own. The suites then run one at a time. The report and each suite
+record `csv_sha256`, the digest of the last run's `report.csv` bytes, so two
+records show whether a change kept the report byte-identical. Each ladder
+rung (N, k) builds fresh spaces and times four steps: `build_spaces`, `assemble_system`, `brezzi_constants` and
 `solve_mixed` on seeded wall data; the rung also records the constants,
 whether the verified answer holds (alpha0 > 0, k0 > 0, solver residuals
 within the report's tolerance, stability bounds hold) and `peak_rss_mb`,
@@ -38,6 +39,7 @@ for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -92,6 +94,7 @@ def time_run(suites, repeat: int) -> dict:
         "wall_s_runs": runs,
         "rows": len(rep.rows),
         "failed": [r.quantity for r in rep.failed_rows()],
+        "csv_sha256": hashlib.sha256(rep.to_csv().encode()).hexdigest(),
     }
 
 

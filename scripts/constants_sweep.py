@@ -8,7 +8,6 @@ that nullspace.
 """
 
 import argparse
-import itertools
 
 from r13verify.assembly import ModelParams, assemble_system
 from r13verify.saddlepoint import brezzi_constants
@@ -25,15 +24,16 @@ def main():
 
     header = f"{'N':>2} {'eps':>5} {'Kn':>6} {'alpha0':>10} {'k0':>10} {'|A|':>10} {'|B|':>8} {'kerB':>5} {'kerBT':>5}"
     print(header)
-    for N, eps, kn in itertools.product(args.degrees, args.eps, args.kn):
-        mode = "zero_mean" if eps == 0.0 else "full"
-        sp = build_spaces(N, args.subdivisions, mode)
-        system = assemble_system(sp, ModelParams(kn, 1.0, eps))
-        c = brezzi_constants(system)
-        print(
-            f"{N:>2} {eps:>5.2f} {kn:>6.2f} {c.alpha0:>10.4e} {c.k0:>10.4e} "
-            f"{c.norm_A:>10.4e} {c.norm_B:>8.4f} {c.dim_kerB:>5} {c.dim_kerBT:>5}"
-        )
+    for N in args.degrees:
+        for eps in args.eps:
+            # one spaces per (N, eps): the Kn loop reuses its B, M_V, M_Q and their SVDs
+            sp = build_spaces(N, args.subdivisions, "zero_mean" if eps == 0.0 else "full")
+            for kn in args.kn:
+                c = brezzi_constants(assemble_system(sp, ModelParams(kn, 1.0, eps)))
+                print(
+                    f"{N:>2} {eps:>5.2f} {kn:>6.2f} {c.alpha0:>10.4e} {c.k0:>10.4e} "
+                    f"{c.norm_A:>10.4e} {c.norm_B:>8.4f} {c.dim_kerB:>5} {c.dim_kerBT:>5}"
+                )
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ matrix rows index the test function of the grouped system.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -227,18 +226,19 @@ def _scatter(blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
 class SaddleStructure:
     """B, M_V and M_Q of one spaces: the matrices that do not depend on ModelParams.
 
-    Every operator assembled on the spaces shares them. They commute with
-    the cube's three mirror reflections and never couple the momentum and
-    the energy subproblem (`subproblems`), so they split into 8 sectors
-    (the spaces' MirrorBasis) of two subproblems each: 16 parts
-    (SaddlePart). Every derived quantity comes from the parts and is
-    combined exactly: the Cholesky factors of M_V and M_Q, and the SVD of B
-    in those norms with the one rank decision cut on it. `assemble` builds
-    the parts from the 1D factors (`_sector_assemble`). The dense B, M_V
-    and M_Q are scattered from the parts on first access and kept.
+    The spaces keep it, and every operator assembled on them shares it. It
+    holds no reference back to the spaces, so reference counting frees it
+    with them. The matrices commute with the cube's three mirror
+    reflections and never couple the momentum and the energy subproblem
+    (`subproblems`), so they split into 8 sectors (the spaces'
+    MirrorBasis) of two subproblems each: 16 parts (SaddlePart). Every
+    derived quantity comes from the parts and is combined exactly: the
+    Cholesky factors of M_V and M_Q, and the SVD of B in those norms with
+    the one rank decision cut on it. `assemble` builds the parts from the
+    1D factors (`_sector_assemble`). The dense B, M_V and M_Q are
+    scattered from the parts on first access and kept.
     """
 
-    spaces: DiscreteSpaces
     V: Sectors = field(repr=False)
     Q: Sectors = field(repr=False)
     parts: tuple = field(repr=False)
@@ -252,7 +252,7 @@ class SaddleStructure:
         M_V = _sector_assemble(_norm_terms(len(fv), h1=True), Vp, Vp, fv, fv, cache, per_sector=2)
         M_Q = _sector_assemble(_norm_terms(len(fq), h1=False), Qp, Qp, fq, fq, cache, per_sector=2)
         V = Sectors(mirror.V, mv, 8)
-        return cls(spaces, V, Sectors(mirror.Q, mq, 8), _parts(V, Vp, Qp, (B, M_V, M_Q)))
+        return cls(V, Sectors(mirror.Q, mq, 8), _parts(V, Vp, Qp, (B, M_V, M_Q)))
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -355,9 +355,9 @@ class SaddleOperator:
     factors: list | None = field(default=None, repr=False)
 
     @classmethod
-    def assemble(cls, structure: SaddleStructure, params: ModelParams) -> SaddleOperator:
-        V, fields = structure.V, structure.spaces.mirror.V_fields
-        blocks = _sector_assemble(_A_terms(structure.spaces, params), V, V, fields, fields, {})
+    def assemble(cls, spaces: DiscreteSpaces, structure: SaddleStructure, params: ModelParams) -> SaddleOperator:
+        V, fields = structure.V, spaces.mirror.V_fields
+        blocks = _sector_assemble(_A_terms(spaces, params), V, V, fields, fields, {})
         return cls(structure, _symmetrize(blocks, V.split))
 
     @cached_property
@@ -503,10 +503,11 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_
 class MixedSystem:
     """Assembled saddle-point data: loads, parameters, spaces and the shared operator.
 
-    The system's matrices are its operator's: A, B, M_V and M_Q are
-    read-only properties, the dense matrices scattered from the operator's
-    sector blocks on first read. Constants and solves read the sector
-    blocks, not these.
+    The operator is the one its spaces keep for its params; only the loads
+    are the system's own. Its matrices are the operator's: A, B, M_V and
+    M_Q are read-only properties, the dense matrices scattered from the
+    operator's sector blocks on first read. Constants and solves read the
+    sector blocks, not these.
     """
 
     F: np.ndarray
@@ -533,15 +534,13 @@ class MixedSystem:
 
 
 def _shared_operator(spaces: DiscreteSpaces, params: ModelParams) -> SaddleOperator:
-    """The operator of (spaces, params) on the spaces' structure, each assembled once."""
-    st = spaces.structure and spaces.structure()
-    if st is None:
-        st = SaddleStructure.assemble(spaces)
-        spaces.structure = weakref.ref(st)
-    op = spaces.operators.get(params)
-    if op is None:
-        op = spaces.operators[params] = SaddleOperator.assemble(st, params)
-    return op
+    """The operator of (spaces, params) on the spaces' structure; the spaces keep both, each
+    assembled once."""
+    if spaces.structure is None:
+        spaces.structure = SaddleStructure.assemble(spaces)
+    if params not in spaces.operators:
+        spaces.operators[params] = SaddleOperator.assemble(spaces, spaces.structure, params)
+    return spaces.operators[params]
 
 
 # form id: (sign, matrix, row block, column block) of the cut; g is its cut transposed
@@ -617,9 +616,9 @@ def assemble_system(
     """Assemble the loads of the mixed problem on its shared operator.
 
     The sector blocks of B, M_V and M_Q are assembled once per spaces and
-    those of A once per (spaces, params), from the 1D factors, and shared
-    by every system on them while one is alive; the dense matrices are
-    built only when read (MixedSystem).
+    those of A once per (spaces, params), from the 1D factors, and kept by
+    the spaces, so every system on them shares them; the dense matrices
+    are built only when read (MixedSystem).
     """
     F, G = assemble_load(spaces, params, sources, bdata)
     return MixedSystem(F=F, G=G, params=params, spaces=spaces, operator=_shared_operator(spaces, params))

@@ -77,14 +77,14 @@ def _field_sectors(op: OperatorSpec, sb: ScalarBasis) -> tuple[Sectors, list]:
 
 def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list, list]:
     """(sectors, H1 blocks, L2 + projected-gradient blocks) of the Korn pencil on the spaces'
-    scalar basis, or for op.dim == 2 on the plane basis of the spaces' degree.
+    scalar basis, or for op.dim == 2 on the plane basis of that basis's degree.
 
     The grams commute with the box's mirrors, so they are their diagonal
     sector blocks, assembled from the 1D factors; built once per operator
     and kept with the spaces.
     """
     if op not in spaces.korn:
-        sb = spaces.scalar if op.dim == 3 else ScalarBasis(op.dim, spaces.degree, spaces.subdivisions)
+        sb = spaces.scalar if op.dim == 3 else ScalarBasis(op.dim, spaces.scalar.degree, spaces.subdivisions)
         S, fields, cache = *_field_sectors(op, sb), {}
         h1, l2 = (_norm_terms(len(fields), is_h1, op.dim) for is_h1 in (True, False))
         grams = [_sector_assemble(t, S, S, fields, fields, cache) for t in (h1, _gradient_terms(op, 1.0, l2))]
@@ -116,7 +116,7 @@ def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     vals, vecs = pencils[s]
     y = np.zeros(S.order.size)
     y[S.sectors[s]] = vecs[:, -1]
-    return KornEstimate(op, spaces.degree, float(vals[-1]), float(np.sqrt(vals[-1])), S.from_sectors(y))
+    return KornEstimate(op, spaces.scalar.degree, float(vals[-1]), float(np.sqrt(vals[-1])), S.from_sectors(y))
 
 
 def operator_kernel_dimension(
@@ -196,15 +196,16 @@ def _auxiliary_dirichlet(u_vals: np.ndarray, P: np.ndarray, spaces: DiscreteSpac
 
     u_vals holds the c components of the data at the volume quadrature
     points of spaces.scalar, (q, c), and P projects the flattened (c, 3)
-    gradient. v is the c-component potential on the degree-(N+1) bubble
-    space with (P[D v], D w) = (u, w) for every w there, and tau, shaped
-    (q, c, 3), its projected gradient at the same points. Returns v, tau
-    and the measured quality indicators: H1-over-L2 bound ratio, weak
-    divergence residual over the test space, energy identity gap, and the
-    re-projection residual of tau (zero by construction up to rounding).
+    gradient. v is the c-component potential on the bubble space one
+    degree above spaces.scalar with (P[D v], D w) = (u, w) for every w
+    there, and tau, shaped (q, c, 3), its projected gradient at the same
+    points. Returns v, tau and the measured quality indicators:
+    H1-over-L2 bound ratio, weak divergence residual over the test space,
+    energy identity gap, and the re-projection residual of tau (zero by
+    construction up to rounding).
     """
     sb, c = spaces.scalar, u_vals.shape[1]
-    bb = BubbleBasis(3, spaces.degree + 1, sb.b1.nodes, sb.b1.weights)
+    bb = BubbleBasis(3, sb.degree + 1, sb.b1.nodes, sb.b1.weights)
     w, P4 = bb.weights, P.reshape(c, 3, c, 3)
     # the stiffness of the projected gradient: per derivative pair (b, e), the
     # coefficient block P4[:, b, :, e] times the scalar gram of d_b and d_e

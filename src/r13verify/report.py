@@ -371,8 +371,9 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
 
 
 class _Base:
-    """The system at the configured degree, subdivisions, pressure mode and parameters,
-    and its constants, each built once per run on first read."""
+    """The unloaded system at the configured degree, subdivisions, pressure mode and
+    parameters, and its constants, each built once per run on first read. The
+    system's spaces keep its structure and operator, which the korn suite reads too."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -484,8 +485,8 @@ def run(config: RunConfig) -> VerificationReport:
 
     Every suite is called as suite(config, report, base). base (`_Base`)
     builds the configured system and its constants once per run on first
-    read: the korn suite shares its spaces and operator, the constants and
-    the solve suite its constants.
+    read: the korn suite shares its spaces, which keep the operator, and
+    the constants and the solve suite its constants.
     """
     rep = VerificationReport(config=asdict(config))
     rep.config["suites"] = list(config.suites)

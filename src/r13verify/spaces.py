@@ -12,7 +12,6 @@ assembled here with margin.
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property, reduce
 
 import numpy as np
@@ -60,7 +59,6 @@ class Basis1D:
 
         k, N = subdivisions, degree
         self._ref = _reference_functions(N)
-        self._ref_d1 = [f.deriv() for f in self._ref]
 
         # global layout: nodes 0..k first, then (N-1) bubbles per cell
         self.loc2glob = np.zeros((k, N + 1), dtype=int)
@@ -74,31 +72,26 @@ class Basis1D:
         ref_x = 0.5 * (ref_x + 1.0)  # to [0, 1]
         ref_w = 0.5 * ref_w
         h = 1.0 / k
-        nodes, weights = [], []
-        nq = self.n_quad_cell
-        self.values = np.zeros((k * nq, self.n))
-        self.d1 = np.zeros((k * nq, self.n))
-        for c in range(k):
-            nodes.append((c + ref_x) * h)
-            weights.append(ref_w * h)
-            for loc, g in enumerate(self.loc2glob[c]):
-                sl = slice(c * nq, (c + 1) * nq)
-                self.values[sl, g] = self._ref[loc](ref_x)
-                self.d1[sl, g] = self._ref_d1[loc](ref_x) * k
-        self.nodes = np.concatenate(nodes)
-        self.weights = np.concatenate(weights)
-
+        self.nodes = np.concatenate([(c + ref_x) * h for c in range(k)])
+        self.weights = np.tile(ref_w * h, k)
+        cells, t = np.repeat(np.arange(k), self.n_quad_cell), np.tile(ref_x, k)
+        self.values, self.d1 = self._tabulate(cells, t, 0), self._tabulate(cells, t, 1)
         # endpoint traces (only the outer hat functions are nonzero)
-        self.at0 = np.zeros(self.n)
-        self.at1 = np.zeros(self.n)
-        self.d1_at0 = np.zeros(self.n)
-        self.d1_at1 = np.zeros(self.n)
-        for loc, g in enumerate(self.loc2glob[0]):
-            self.at0[g] += self._ref[loc](0.0)
-            self.d1_at0[g] += self._ref_d1[loc](0.0) * k
-        for loc, g in enumerate(self.loc2glob[k - 1]):
-            self.at1[g] += self._ref[loc](1.0)
-            self.d1_at1[g] += self._ref_d1[loc](1.0) * k
+        ends, t = np.array([0, k - 1]), np.array([0.0, 1.0])
+        self.at0, self.at1 = self._tabulate(ends, t, 0)
+        self.d1_at0, self.d1_at1 = self._tabulate(ends, t, 1)
+
+    def _tabulate(self, cells: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
+        """All basis functions (or their derivative of the given order) at the local
+        coordinate t[i] in [0, 1] of cell cells[i], shaped (t.size, n)."""
+        out = np.zeros((t.size, self.n))
+        ref = [f.deriv(order) for f in self._ref]
+        scale = float(self.subdivisions) ** order
+        for c in np.unique(cells):
+            mask = cells == c
+            for loc, g in enumerate(self.loc2glob[c]):
+                out[mask, g] += ref[loc](t[mask]) * scale
+        return out
 
     def mirror(self) -> tuple[np.ndarray, np.ndarray]:
         """(pi, sign) of the reflection x -> 1 - x: phi_j(1 - x) = sign[j] phi_pi[j](x).
@@ -134,18 +127,8 @@ class Basis1D:
         """Tabulate all basis functions (or a derivative) at arbitrary points."""
         x = np.asarray(x, dtype=float)
         k = self.subdivisions
-        out = np.zeros((x.size, self.n))
         cells = np.clip((x * k).astype(int), 0, k - 1)
-        ref = [f.deriv(order) for f in self._ref]
-        scale = float(k) ** order
-        for c in range(k):
-            mask = cells == c
-            if not np.any(mask):
-                continue
-            t = x[mask] * k - c
-            for loc, g in enumerate(self.loc2glob[c]):
-                out[mask, g] += ref[loc](t) * scale
-        return out
+        return self._tabulate(cells, x * k - cells, order)
 
 
 class FaceData:
@@ -432,9 +415,13 @@ class DiscreteSpaces:
     'enriched' puts sigma and s at degree N+1 and keeps p, u and theta at
     degree N, both tabulated on the N+3 Gauss points per direction and
     cell of the degree-(N+1) basis; its constraint maps onto Q. The Korn
-    and right-inverse helpers read `scalar` and `degree` as one
-    equal-degree basis. `mirror` is the MirrorBasis of V and Q, built on
-    first use.
+    and right-inverse helpers read `scalar` alone, at its own degree.
+    `mirror` is the MirrorBasis of V and Q, built on first use.
+
+    The spaces own what is assembled on them and keep it as long as they
+    live: `structure`, the assembly.SaddleStructure (B, M_V, M_Q), and in
+    `operators`, per ModelParams used on them, its assembly.SaddleOperator
+    (A), each built on first use (assembly._shared_operator).
     """
 
     def __init__(self, degree: int, subdivisions: int, pressure_mode: str, pairing: str = "equal"):
@@ -469,11 +456,8 @@ class DiscreteSpaces:
             "p": slice(8 * n, 8 * n + self.n_p),
         }
         self.q_blocks = {"u": slice(0, 3 * m), "theta": slice(3 * m, 4 * m)}
-        # weak references to assembly.SaddleStructure (B, M_V, M_Q) and, per
-        # ModelParams, to assembly.SaddleOperator; each lives as long as some
-        # MixedSystem assembled on these spaces holds it
         self.structure = None
-        self.operators = weakref.WeakValueDictionary()
+        self.operators = {}
         self.korn = {}  # per OperatorSpec, the sector grams of its Korn pencil (korn._korn_grams)
 
     @cached_property

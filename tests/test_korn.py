@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -294,6 +296,27 @@ def test_sector_korn_constant_matches_dense_pencil(op):
         x = est.extremizer
         assert abs((x @ G_h1 @ x) / (x @ (G_l2 + G_op) @ x) - want) <= 1e-12 * want
         assert korn_rayleigh(op, sp, x) == pytest.approx(est.constant, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_enriched_helpers_read_the_scalar_degree(N):
+    # enriched (N, 1) expands sigma and s on the degree-(N+1) basis of equal (N+1, 1),
+    # on the same quadrature; the Korn and right-inverse helpers read only that basis,
+    # so both spaces give the same bits
+    enriched, equal = build_spaces(N, 1, "full", "enriched"), build_spaces(N + 1, 1, "full")
+    for op in (SYM_VEC, STF_STF, STF_STF_2D):
+        a, b = korn_constant(op, enriched), korn_constant(op, equal)
+        assert a.degree == b.degree == N + 1
+        assert a.constant == b.constant and np.array_equal(a.extremizer, b.extremizer)
+    rng = np.random.default_rng(N)
+    u, kappa = rng.standard_normal((3, equal.n_scalar)), rng.standard_normal(equal.n_scalar)
+    results = [
+        (div_right_inverse(u, "stf", sp), div_right_inverse(u, "sym", sp), scalar_div_right_inverse(kappa, sp))
+        for sp in (enriched, equal)
+    ]
+    for a, b in zip(*results):
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 def test_korn_grams_built_once_per_operator_and_spaces():

@@ -15,10 +15,12 @@ from r13verify.assembly import (
     BoundaryData,
     ModelParams,
     SaddleOperator,
+    SaddleStructure,
     VolumeSources,
     assemble_system,
     bc_residuals,
 )
+from r13verify.korn import coercivity_chain_check
 from r13verify.saddlepoint import (
     brezzi_constants,
     infsup_constant,
@@ -417,19 +419,61 @@ def test_a_systems_matrices_cannot_be_replaced(sys_eps0):
         system.B = np.zeros_like(sys_eps0.B)
 
 
-def test_operator_lives_only_as_long_as_its_systems():
+@pytest.fixture
+def assembled(monkeypatch):
+    """Counts of the SaddleStructure and SaddleOperator assemblies made in the test."""
+    counts = {"structure": 0, "operator": 0}
+    for name, cls in (("structure", SaddleStructure), ("operator", SaddleOperator)):
+
+        def counting(*args, name=name, assemble=cls.assemble):
+            counts[name] += 1
+            return assemble(*args)
+
+        monkeypatch.setattr(cls, "assemble", staticmethod(counting))
+    return counts
+
+
+def test_spaces_keep_their_structure_and_operators(assembled):
+    # the spaces own what is assembled on them: callers that keep no system
+    # alive still assemble the structure once and the operator once per params
     sp = build_spaces(1, 1, "zero_mean")
     params = ModelParams()
-    base = assemble_system(sp, params)
-    walled = assemble_system(sp, params, None, BoundaryData(theta_w=np.ones(6)))
-    doubled = dataclasses.replace(walled, F=2.0 * walled.F)
-    solve_mixed(doubled)
-    A_ref = weakref.ref(base.A)
-    assert len(sp.operators) == 1
-    del base, walled, doubled
-    gc.collect()
-    assert A_ref() is None
-    assert len(sp.operators) == 0
+    rng = np.random.default_rng(7)
+    coercivity_chain_check("heat", rng.standard_normal((2, 3, sp.n_scalar)), sp, params)
+    coercivity_chain_check("stress", [(rng.standard_normal((5, sp.n_scalar)), rng.standard_normal(sp.n_p))], sp, params)
+    assert assembled == {"structure": 1, "operator": 1}
+    assert list(sp.operators) == [params] and sp.operators[params].structure is sp.structure
+
+
+def test_constants_on_a_dropped_system_serve_later_loads(assembled):
+    # constants on a system that is then dropped, then loads on the same
+    # spaces: the solves read the structure, the operator and the whitened
+    # SVDs that the constants made
+    sp = build_spaces(2, 1, "zero_mean")
+    params = ModelParams()
+    consts = brezzi_constants(assemble_system(sp, params))
+    svds = [p.__dict__["whitened_svd"] for p in sp.structure.parts]
+    rng = np.random.default_rng(54)
+    for _ in range(3):
+        assert solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts).bounds_hold
+    assert assembled == {"structure": 1, "operator": 1}
+    assert all(p.whitened_svd is svd for p, svd in zip(sp.structure.parts, svds))
+
+
+def test_dropped_spaces_free_their_structure_without_gc():
+    # ownership runs one way (spaces -> structure and operators -> parts and
+    # factors), so reference counting frees them with the spaces: no cycle
+    # waits for the collector
+    gc.disable()
+    try:
+        sp = build_spaces(1, 1, "full")
+        system = assemble_system(sp, ModelParams(1.0, 1.0, 0.1), None, BoundaryData(theta_w=np.ones(6)))
+        solve_mixed(system, brezzi_constants(system))
+        refs = [weakref.ref(x) for x in (sp, sp.structure, system.operator, system.B)]
+        del sp, system
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_solve_rejects_singular_saddle_matrix(sys_eps0):
@@ -564,11 +608,10 @@ def test_kn_systems_share_one_structure():
         for name in ("B", "M_V", "M_Q"):
             assert getattr(system, name) is getattr(structure, name)
     assert len({id(s.A) for s in systems}) == 3
-    # the structure lives as long as a system holds it, like the operators
-    B_ref = weakref.ref(structure.B)
-    del systems, system, structure, svds
-    gc.collect()
-    assert B_ref() is None and sp.structure() is None
+    # the spaces keep the structure and one operator per params, with no system alive
+    operators = {s.params: s.operator for s in systems}
+    del systems, system
+    assert sp.structure is structure and sp.operators == operators
 
 
 def random_consistent_load(system, seed):

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end at small arguments."""
 
 import json
+import re
 import runpy
 import statistics
 import sys
@@ -65,6 +66,9 @@ def test_bench(monkeypatch, capsys, tmp_path):
     report = rec["report"]
     assert len(report["wall_s_runs"]) == 2 and report["wall_s"] == statistics.median(report["wall_s_runs"])
     assert report["rows"] == 93 and report["failed"] == ["dim_kerBT_N2_eps0.0_kn1.0"]
+    # the digest of the report's csv bytes: the same code writes the same report
+    assert re.fullmatch("[0-9a-f]{64}", report["csv_sha256"])
+    assert report["csv_sha256"] == data["first"]["report"]["csv_sha256"]
     assert 10.0 < report["peak_rss_mb"] <= rung["peak_rss_mb"]
 
 
