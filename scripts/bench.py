@@ -165,7 +165,13 @@ def positive_int(text: str) -> int:
 
 
 def parse_rung(text: str) -> tuple[int, int]:
-    N, k = (int(x) for x in text.split(","))
+    """An "N,k" rung: degree N >= 1 and k >= 1 subdivisions."""
+    try:
+        N, k = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N,k, got {text!r}") from None
+    if N < 1 or k < 1:
+        raise argparse.ArgumentTypeError(f"N and k must be at least 1, got {text!r}")
     return N, k
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .ellipticity import OperatorSpec, gradient_coupling
-from .spaces import DiscreteSpaces, _kron_all, dmat_names
+from .spaces import DiscreteSpaces, Sectors, _kron_all, dmat_names
 from .tensors import projection_matrix2, projection_matrix3
 
 STF_GRADIENT = OperatorSpec("stf2", "Stf", 3)  # Stf D sigma of the stress form
@@ -122,54 +122,8 @@ class BlockCholesky:
         return out
 
 
-def subproblems(spaces: DiscreteSpaces) -> tuple:
-    """(V indices, Q indices) of the momentum (sigma, p | u) and energy (s | theta) subproblems."""
-    vb, qb = spaces.v_blocks, spaces.q_blocks
-    return (np.r_[vb["sigma"], vb["p"]], np.r_[qb["u"]]), (np.r_[vb["s"]], np.r_[qb["theta"]])
-
-
 def _shift(sl: slice, offset: int) -> slice:
     return slice(sl.start + offset, sl.stop + offset)
-
-
-class Sectors:
-    """V or Q grouped by sector and inside each sector by subproblem.
-
-    It is built from the field blocks as spaces.MirrorBasis lists them, as
-    (slice, sector labels). The sector coordinates list the coordinates
-    sector by sector, momentum before energy: `order` maps them to
-    coordinates, `sectors` holds each sector's slice of them and `split`
-    the number of its momentum coordinates. `boxes` gives per field block
-    and sector the offset and the size of the block's coordinates in the
-    sector, where they are contiguous.
-    """
-
-    def __init__(self, basis: list, momentum: np.ndarray, count: int):
-        labels = np.concatenate([lab.ravel() for _, lab in basis])
-        energy = np.ones(labels.size, dtype=int)
-        energy[momentum] = 0
-        self.order = np.lexsort((energy, labels))
-        bounds = np.searchsorted(labels[self.order], np.arange(count + 1))
-        self.sectors = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.split = [int(np.sum(energy[self.order[sl]] == 0)) for sl in self.sectors]
-        local = np.empty(labels.size, dtype=int)
-        local[self.order] = np.arange(labels.size) - bounds[labels[self.order]]
-        self.boxes = []
-        for sl, lab in basis:
-            present, first = np.unique(lab, return_index=True)
-            offset = np.zeros(count, dtype=int)
-            offset[present] = local[sl][first]
-            self.boxes.append(list(zip(offset.tolist(), np.bincount(lab.ravel(), minlength=count).tolist())))
-
-    def to_sectors(self, x: np.ndarray) -> np.ndarray:
-        """Sector coordinates of a vector."""
-        return x[self.order]
-
-    def from_sectors(self, y: np.ndarray) -> np.ndarray:
-        """The vector with sector coordinates y."""
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
 
 
 @dataclass(eq=False)
@@ -178,10 +132,10 @@ class SaddlePart:
 
     It holds its blocks of B, M_V and M_Q, its sector, its subproblem (0
     momentum, 1 energy), its slices v and q of the structure's sector
-    coordinates, and its slice `local` of its sector's V coordinates. It
-    builds on first use the block Cholesky factors of its M_V and M_Q
-    blocks and one SVD of its block of B in those norms, of which it keeps
-    U and the singular values.
+    coordinates (from V.parts and Q.parts), and its slice `local` of its
+    sector's V coordinates. It builds on first use the block Cholesky
+    factors of its M_V and M_Q blocks and one SVD of its block of B in
+    those norms, of which it keeps U and the singular values.
     """
 
     B: np.ndarray
@@ -229,14 +183,14 @@ class SaddleStructure:
     The spaces keep it, and every operator assembled on them shares it. It
     holds no reference back to the spaces, so reference counting frees it
     with them. The matrices commute with the cube's three mirror
-    reflections and never couple the momentum and the energy subproblem
-    (`subproblems`), so they split into 8 sectors (the spaces'
-    MirrorBasis) of two subproblems each: 16 parts (SaddlePart). Every
+    reflections and never couple the momentum and the energy subproblem,
+    so they split into 8 sectors of two subproblems each: 16 parts
+    (SaddlePart), laid out by V and Q, the spaces' own Sectors. Every
     derived quantity comes from the parts and is combined exactly: the
     Cholesky factors of M_V and M_Q, and the SVD of B in those norms with
-    the one rank decision cut on it. `assemble` builds the parts from the
-    1D factors (`_sector_assemble`). The dense B, M_V and M_Q are
-    scattered from the parts on first access and kept.
+    the one rank decision cut on it. `assemble` builds the parts' blocks
+    from the 1D factors (`_sector_assemble` by part). The dense B, M_V and
+    M_Q are scattered from the parts on first access and kept.
     """
 
     V: Sectors = field(repr=False)
@@ -245,14 +199,11 @@ class SaddleStructure:
 
     @classmethod
     def assemble(cls, spaces: DiscreteSpaces) -> SaddleStructure:
-        mirror, ((mv, mq), _), cache = spaces.mirror, subproblems(spaces), {}
-        fv, fq = mirror.V_fields, mirror.Q_fields
-        Vp, Qp = _by_subproblem(mirror.V, mv, 8), _by_subproblem(mirror.Q, mq, 8)
-        B = _sector_assemble(_B_terms(spaces), Qp, Vp, fq, fv, cache, per_sector=2)
-        M_V = _sector_assemble(_norm_terms(len(fv), h1=True), Vp, Vp, fv, fv, cache, per_sector=2)
-        M_Q = _sector_assemble(_norm_terms(len(fq), h1=False), Qp, Qp, fq, fq, cache, per_sector=2)
-        V = Sectors(mirror.V, mv, 8)
-        return cls(V, Sectors(mirror.Q, mq, 8), _parts(V, Vp, Qp, (B, M_V, M_Q)))
+        (V, Q), cache = spaces.sectors, {}
+        B = _sector_assemble(_B_terms(spaces), Q, V, cache, by_part=True)
+        M_V = _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, cache, by_part=True)
+        M_Q = _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, cache, by_part=True)
+        return cls(V, Q, _parts(V, Q, (B, M_V, M_Q)))
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -310,24 +261,18 @@ class SaddleStructure:
         return out
 
 
-def _by_subproblem(basis: list, momentum: np.ndarray, count: int) -> Sectors:
-    """Sectors of the field blocks in basis with slot 2 s for the momentum and 2 s + 1 for the
-    energy coordinates of sector s: the parts' coordinates, in the order of the count sectors."""
-    return Sectors([(sl, 2 * lab + (not np.isin(sl.start, momentum))) for sl, lab in basis], momentum, 2 * count)
-
-
-def _parts(V: Sectors, Vp: Sectors, Qp: Sectors, blocks) -> tuple:
-    """The SaddleParts of the part blocks (of B, M_V, M_Q) on the slots of Vp and Qp."""
+def _parts(V: Sectors, Q: Sectors, blocks) -> tuple:
+    """The SaddleParts of the part blocks (of B, M_V, M_Q) on the parts of V and Q."""
     return tuple(
         SaddlePart(*blk, i // 2, i % 2, v, q, _shift(v, -V.sectors[i // 2].start))
-        for i, (blk, v, q) in enumerate(zip(zip(*blocks), Vp.sectors, Qp.sectors))
+        for i, (blk, v, q) in enumerate(zip(zip(*blocks), V.parts, Q.parts))
     )
 
 
-def _symmetrize(blocks: list, split: list) -> list:
+def _symmetrize(blocks: list, V: Sectors) -> list:
     """Make each sector block symmetric to the bit on both subproblems, (S + S^T)/2,
     and exactly skew between them, from its momentum-energy block."""
-    for S, k in zip(blocks, split):
+    for S, k in zip(blocks, (momentum.stop - momentum.start for momentum in V.parts[::2])):
         for d in (slice(0, k), slice(k, None)):
             S[d, d] = 0.5 * (S[d, d] + S[d, d].T)
         S[k:, :k] = -S[:k, k:].T
@@ -356,9 +301,8 @@ class SaddleOperator:
 
     @classmethod
     def assemble(cls, spaces: DiscreteSpaces, structure: SaddleStructure, params: ModelParams) -> SaddleOperator:
-        V, fields = structure.V, spaces.mirror.V_fields
-        blocks = _sector_assemble(_A_terms(spaces, params), V, V, fields, fields, {})
-        return cls(structure, _symmetrize(blocks, V.split))
+        V = structure.V
+        return cls(structure, _symmetrize(_sector_assemble(_A_terms(spaces, params), V, V, {}), V))
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -455,31 +399,31 @@ def _gradient_terms(op: OperatorSpec, weight: float, terms: dict) -> dict:
     return terms
 
 
-def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_fields, cache, per_sector=1) -> list:
-    """Diagonal sector blocks of the sum of coef times the Kronecker product of the named
-    1D factors (ScalarBasis.factors) over the field-block pairs (r, c) of terms.
+def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_part: bool = False) -> list:
+    """Diagonal sector blocks (by_part: part blocks) of the sum of coef times the Kronecker
+    product of the named 1D factors (ScalarBasis.factors) over the field-block pairs (r, c) of terms.
 
-    Field blocks are (scalar basis, mask, R) as spaces.MirrorBasis lists
-    them. In sector s the rows of r have the parities s ^ mask_r, so each
-    factor gives one parity sub-block per axis; a term lands there when
-    its factors swap parity on the axes of mask_r ^ mask_c, and is else
-    off-sector and zero in exact arithmetic. Per (r, c) and sector, one
-    stack of products (shared through cache) meets the coefficients in one
-    product. R maps the zero-mean pressure's sector-0 coordinates. With
-    per_sector p, rows and cols hold p consecutive slots per sector (as
-    `_by_subproblem` does), and each slot gets its own block.
+    The field blocks are those of rows.fields and cols.fields
+    (spaces.Sectors). In sector s the rows of r have the parities
+    s ^ mask_r, so each factor gives one parity sub-block per axis; a term
+    lands there when its factors swap parity on the axes of mask_r ^ mask_c,
+    and is else off-sector and zero in exact arithmetic. Per (r, c) and
+    sector, one stack of products (shared through cache) meets the
+    coefficients in one product. R maps the zero-mean pressure's sector-0
+    coordinates. With by_part, r and c lie in one subproblem and the term
+    lands in the block of part 2 s + subproblem.
     """
-    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rows.sectors, cols.sectors)]
+    rs, cs = (rows.parts, cols.parts) if by_part else (rows.sectors, cols.sectors)
+    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rs, cs)]
     for (r, c), pair in terms.items():
-        (X, mr, Rr), (Y, mc, Rc) = row_fields[r], col_fields[c]
+        (X, mr, Rr, _, ur), (Y, mc, Rc, _, _) = rows.fields[r], cols.fields[c]
         names = tuple(nm for nm in pair if sum(SWAPS[x] << a for a, x in enumerate(nm)) == mr ^ mc)
         if not names:
             continue
         coefs, fac, pair_key = np.array([pair[nm] for nm in names]), X.factors(Y), (id(X), id(Y))
         stacks = cache.setdefault((pair_key, names), {})  # by row parities
-        for slot, S, (ro, nr), (co, nc) in zip(range(len(out)), out, rows.boxes[r], cols.boxes[c]):
-            s = slot // per_sector
-            pr, pc = s ^ mr, s ^ mc
+        for s, ((ro, nr), (co, nc)) in enumerate(zip(rows.boxes[r], cols.boxes[c])):
+            pr, pc, i = s ^ mr, s ^ mc, 2 * s + ur if by_part else s
             if not nr * nc:
                 continue
             if pr not in stacks:
@@ -495,7 +439,8 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, row_fields, col_
                 blk = Rr.T @ blk
             if s == 0 and Rc is not None:
                 blk = blk @ Rc
-            S[ro : ro + nr, co : co + nc] = blk
+            ro, co = ro - rs[i].start, co - cs[i].start
+            out[i][ro : ro + nr, co : co + nc] = blk
     return out
 
 

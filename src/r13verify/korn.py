@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import STF_GRADIENT, ModelParams, Sectors
+from .assembly import STF_GRADIENT, ModelParams
 from .assembly import _gradient_terms, _norm_terms, _sector_assemble, _shared_operator
 from .ellipticity import SINGULAR_VALUE_THRESHOLD, OperatorSpec, domain_basis, lh_constant, projector
-from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis, mirror_masks
+from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis, Sectors, mirror_masks
 
 # relative slack of a coercivity chain: the form may undershoot a bound by
 # this fraction of max(|form|, 1) before the chain counts as violated
@@ -67,12 +67,9 @@ class RightInverseResult:
     range_residual: float
 
 
-def _field_sectors(op: OperatorSpec, sb: ScalarBasis) -> tuple[Sectors, list]:
-    """The sectors of op's field, one block over sb per domain basis tensor, and its field
-    blocks (scalar basis, mirror mask, None) as `_sector_assemble` reads them."""
-    masks = mirror_masks(domain_basis(op))
-    blocks = [(slice(a * sb.n, (a + 1) * sb.n), sb.sectors(mask)) for a, mask in enumerate(masks)]
-    return Sectors(blocks, np.zeros(0, dtype=int), 2**op.dim), [(sb, mask, None) for mask in masks]
+def _field_sectors(op: OperatorSpec, sb: ScalarBasis) -> Sectors:
+    """The sectors of op's field: one block over sb per domain basis tensor, one subproblem."""
+    return Sectors([(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(domain_basis(op))])
 
 
 def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list, list]:
@@ -85,9 +82,9 @@ def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list
     """
     if op not in spaces.korn:
         sb = spaces.scalar if op.dim == 3 else ScalarBasis(op.dim, spaces.scalar.degree, spaces.subdivisions)
-        S, fields, cache = *_field_sectors(op, sb), {}
-        h1, l2 = (_norm_terms(len(fields), is_h1, op.dim) for is_h1 in (True, False))
-        grams = [_sector_assemble(t, S, S, fields, fields, cache) for t in (h1, _gradient_terms(op, 1.0, l2))]
+        S, cache = _field_sectors(op, sb), {}
+        h1, l2 = (_norm_terms(len(S.fields), is_h1, op.dim) for is_h1 in (True, False))
+        grams = [_sector_assemble(t, S, S, cache) for t in (h1, _gradient_terms(op, 1.0, l2))]
         spaces.korn[op] = (S, *grams)
     return spaces.korn[op]
 
@@ -132,8 +129,8 @@ def operator_kernel_dimension(
     and shows the unbounded growth 2N + 2 instead. The count is summed over
     the gram's mirror sectors, each cut at tol times max(largest eigenvalue, 1).
     """
-    S, fields = _field_sectors(op, ScalarBasis(op.dim, degree, subdivisions))
-    vals = [np.linalg.eigvalsh(G) for G in _sector_assemble(_gradient_terms(op, 1.0, {}), S, S, fields, fields, {})]
+    S = _field_sectors(op, ScalarBasis(op.dim, degree, subdivisions))
+    vals = [np.linalg.eigvalsh(G) for G in _sector_assemble(_gradient_terms(op, 1.0, {}), S, S, {})]
     cut = tol * max(max(v[-1] for v in vals), 1.0)
     return int(sum(np.sum(v < cut) for v in vals))
 

@@ -225,15 +225,16 @@ class ScalarBasis:
         coordinates; trial shares the quadrature points.
         """
         trial = self if trial is None else trial
-        key = ("1d", id(trial))
+        key = ("1d", trial.degree, trial.subdivisions, trial.b1.n_quad_cell)  # not id(trial): ids are reused
         if key not in self._cache:
             X, Y, TX, TY = self.b1, trial.b1, self.T1, trial.T1
+            same = key[1:] == (self.degree, self.subdivisions, X.n_quad_cell)
             odd = np.arange(X.n) >= self.n_even
             keep = odd[:, None] == (np.arange(Y.n) >= trial.n_even)[None, :]
 
             def gram(u, v, mask):
                 g = TX.T @ (u.T @ (X.weights[:, None] * v)) @ TY * mask
-                return 0.5 * (g + g.T) if trial is self and u is v else g
+                return 0.5 * (g + g.T) if same and u is v else g
 
             trace = np.outer(X.at1 @ TX, Y.at1 @ TY)
             self._cache[key] = {
@@ -329,37 +330,52 @@ class BubbleBasis:
         return g
 
 
-class MirrorBasis:
-    """The sector of every coordinate of V and Q under the cube's three mirror reflections.
+class Sectors:
+    """V, Q or one Korn field in sector coordinates: by mirror sector, and inside each by subproblem.
 
-    Reflecting x_a -> 1 - x_a maps each parity function of the scalar bases
-    to plus or minus itself, and it maps each stf component of sigma (in
-    the basis E), each vector component and each scalar field to plus or
-    minus itself. Every coefficient of V and Q therefore has one sign per
-    reflection: a sector 0..7. `V` and `Q` list the field blocks as (slice,
-    sectors), shaped (n1, n1, n1) for a block over a scalar basis
-    (ScalarBasis.sectors) and `spaces.p_sectors` for the pressure. Each
-    sector's coordinates in a block thus form a box of that shape.
-    `V_fields` and `Q_fields` hold per block (scalar basis, bit mask of the
-    axes whose mirror flips the component, R): R maps the zero-mean
-    pressure's sector-0 coordinates to the fully even functions, the only
-    sector where Cp is not the identity.
+    It is built from the field blocks, which lie one after the other in the
+    coordinates, each given as (scalar basis, mask, R, labels, subproblem).
+    Bit a of mask is set where the mirror of axis a flips the component;
+    labels hold the sector 0..2^dim - 1 of each of the block's coordinates
+    under the box's mirrors (ScalarBasis.sectors, shaped (n1,) * dim, or
+    `p_sectors` for the pressure); R maps the zero-mean pressure's sector-0
+    coordinates to the fully even functions, the only sector where Cp is
+    not the identity (else None); subproblem is 0 (momentum) or 1 (energy).
+    The sector coordinates list the coordinates sector by sector, momentum
+    before energy: `order` maps them to coordinates, `sectors` holds each
+    sector's slice of them and `parts` the slice of each (sector,
+    subproblem) at index 2 sector + subproblem. `boxes` gives per field
+    block and sector the start, in sector coordinates, and the size of the
+    block's coordinates in the sector, where they are contiguous.
     """
 
-    def __init__(self, spaces: DiscreteSpaces):
-        sb, pb = spaces.scalar, spaces.scalar_pq
-        n, m = sb.n, pb.n
-        axes = mirror_masks(np.eye(3))
-        R = None
-        if spaces.pressure_mode == "zero_mean":
-            R = spaces.Cp[np.flatnonzero(pb.sectors(0).ravel() == 0)][:, spaces.p_sectors == 0]
-        fields_V = [(sb, mask) for mask in mirror_masks(spaces.E) + axes]
-        fields_Q = [(pb, mask) for mask in axes + [0]]
-        self.V = [(slice(a * n, (a + 1) * n), b.sectors(mask)) for a, (b, mask) in enumerate(fields_V)]
-        self.V.append((spaces.v_blocks["p"], spaces.p_sectors))
-        self.Q = [(slice(i * m, (i + 1) * m), b.sectors(mask)) for i, (b, mask) in enumerate(fields_Q)]
-        self.V_fields = [(b, mask, None) for b, mask in fields_V] + [(pb, 0, R)]
-        self.Q_fields = [(b, mask, None) for b, mask in fields_Q]
+    def __init__(self, fields: list):
+        self.fields = fields
+        count = 2 ** fields[0][0].dim
+        slots = np.concatenate([2 * lab.ravel() + sub for *_, lab, sub in fields])
+        self.order = np.argsort(slots, kind="stable")
+        bounds = np.searchsorted(slots[self.order], np.arange(2 * count + 1))
+        self.parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.sectors = [slice(a, b) for a, b in zip(bounds[:-1:2], bounds[2::2])]
+        at = np.empty(slots.size, dtype=int)
+        at[self.order] = np.arange(slots.size)  # the sector coordinate of each coordinate
+        self.boxes, start = [], 0
+        for *_, lab, _ in fields:
+            present, first = np.unique(lab, return_index=True)
+            offset = np.zeros(count, dtype=int)
+            offset[present] = at[start + first]
+            self.boxes.append(list(zip(offset.tolist(), np.bincount(lab.ravel(), minlength=count).tolist())))
+            start += lab.size
+
+    def to_sectors(self, x: np.ndarray) -> np.ndarray:
+        """Sector coordinates of a vector."""
+        return x[self.order]
+
+    def from_sectors(self, y: np.ndarray) -> np.ndarray:
+        """The vector with sector coordinates y."""
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
 
 
 def mirror_masks(basis: np.ndarray) -> list[int]:
@@ -416,7 +432,8 @@ class DiscreteSpaces:
     degree N, both tabulated on the N+3 Gauss points per direction and
     cell of the degree-(N+1) basis; its constraint maps onto Q. The Korn
     and right-inverse helpers read `scalar` alone, at its own degree.
-    `mirror` is the MirrorBasis of V and Q, built on first use.
+    `sectors` holds V and Q as Sectors, the one layout of their mirror
+    sectors and subproblems, built on first use.
 
     The spaces own what is assembled on them and keep it as long as they
     live: `structure`, the assembly.SaddleStructure (B, M_V, M_Q), and in
@@ -472,8 +489,16 @@ class DiscreteSpaces:
         return out
 
     @cached_property
-    def mirror(self) -> MirrorBasis:
-        return MirrorBasis(self)
+    def sectors(self) -> tuple[Sectors, Sectors]:
+        """(V, Q) as Sectors: the momentum subproblem holds sigma's components (in the
+        basis E) and p in V and u in Q, the energy subproblem s in V and theta in Q."""
+        sb, pb, axes = self.scalar, self.scalar_pq, mirror_masks(np.eye(3))
+        even = np.flatnonzero(pb.sectors(0).ravel() == 0)
+        R = self.Cp[even][:, self.p_sectors == 0] if self.pressure_mode == "zero_mean" else None
+        V = [(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(self.E)]
+        V += [(sb, mask, None, sb.sectors(mask), 1) for mask in axes] + [(pb, 0, R, self.p_sectors, 0)]
+        Q = [(pb, mask, None, pb.sectors(mask), 0) for mask in axes] + [(pb, 0, None, pb.sectors(0), 1)]
+        return Sectors(V), Sectors(Q)
 
     @property
     def faces(self) -> list[FaceData]:

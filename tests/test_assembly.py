@@ -14,7 +14,6 @@ from r13verify.assembly import (
     assemble_system,
     bc_residuals,
     compute_closures,
-    subproblems,
 )
 from r13verify.spaces import PAIRINGS, build_spaces
 from r13verify.tensors import project2
@@ -200,11 +199,11 @@ def test_assembled_A_is_exactly_symmetric_per_subproblem(pairing, eps):
     # symmetric part of A equals A on each diagonal block
     spaces = build_spaces(2, 1, "full", pairing)
     A = assemble_form("A", spaces, ModelParams(kn=0.3, chi_tilde=1.0, epsilon_w=eps))
-    (v0, _), (v1, _) = subproblems(spaces)
+    vb = spaces.v_blocks
+    v0, v1 = np.r_[vb["sigma"], vb["p"]], np.r_[vb["s"]]  # the momentum and the energy subproblem
     for v in (v0, v1):
         assert np.array_equal(A[np.ix_(v, v)], A[np.ix_(v, v)].T)
     assert np.array_equal(A[np.ix_(v0, v1)], -A[np.ix_(v1, v0)].T)
-    vb = spaces.v_blocks
     assert np.array_equal(A[vb["sigma"], vb["s"]], -A[vb["s"], vb["sigma"]].T)
     assert np.any(A[vb["sigma"], vb["s"]])
 
@@ -283,7 +282,8 @@ def test_sector_blocks_of_A_keep_its_exact_symmetry(pairing):
     system = assemble_system(build_spaces(2, 1, "full", pairing), PARAMS)
     op = system.operator
     assert len(op.sectors) == 8
-    for S, k in zip(op.sectors, op.structure.V.split):
+    for S, momentum in zip(op.sectors, op.structure.V.parts[::2]):
+        k = momentum.stop - momentum.start
         for d in (slice(0, k), slice(k, None)):
             assert np.array_equal(S[d, d], S[d, d].T)
         assert np.array_equal(S[k:, :k], -S[:k, k:].T) and np.any(S[k:, :k])

@@ -80,3 +80,13 @@ def test_bench_rejects_repeat_below_one(repeat, monkeypatch, capsys, tmp_path):
         run_script("bench.py", ["--out", str(out), "--label", "x", "--repeat", repeat], monkeypatch, capsys)
     assert "--repeat: must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rung", ["0,1", "2,0", "2,-1", "2", "1,2,3", "a,1"])
+def test_bench_rejects_bad_rungs(rung, monkeypatch, capsys, tmp_path):
+    # a rung that build_spaces would refuse stops argument parsing, before any timing
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit):
+        run_script("bench.py", ["--out", str(out), "--label", "x", "--rungs", "1,1", rung], monkeypatch, capsys)
+    assert "--rungs:" in capsys.readouterr().err
+    assert not out.exists()

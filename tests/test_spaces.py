@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from r13verify.assembly import Sectors, subproblems
+from r13verify.assembly import ModelParams, _B_terms, _norm_terms, _sector_assemble, assemble_system
 from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, build_spaces
 
 from helpers import kron_gram, mirror_maps
@@ -194,6 +194,17 @@ def test_bubble_h1_gram_spd():
     assert np.linalg.eigvalsh(g).min() > 0
 
 
+def test_factors_are_keyed_by_the_trial_basis_not_its_id():
+    # each trial is freed before the next is built, so a later trial may get the
+    # id of an earlier one; it must still get its own grams, equal to a fresh basis's
+    a, degrees = ScalarBasis(3, 2, 1), (1, 3, 1, 4, 2, 3)
+    grams = [a.factors(ScalarBasis(3, N, 1, n_quad=4))["m"] for N in degrees]
+    assert [m.shape for m in grams] == [(3, N + 1) for N in degrees]
+    for N, m in zip(degrees, grams):
+        assert np.array_equal(m, ScalarBasis(3, 2, 1).factors(ScalarBasis(3, N, 1, n_quad=4))["m"])
+    assert a.factors(ScalarBasis(3, 2, 1)) is a.factors()
+
+
 @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (3, 2), (4, 3)])
 def test_basis1d_mirror_matches_tabulation(N, k):
     b = Basis1D(N, k)
@@ -217,10 +228,10 @@ def test_mirror_basis_diagonalizes_the_mirror_maps(pairing, N, k, mode):
     # constraint removes
     spaces = build_spaces(N, k, mode, pairing)
     sectors = []
-    for blocks, n in ((spaces.mirror.V, spaces.n_V), (spaces.mirror.Q, spaces.n_Q)):
+    for S, n in zip(spaces.sectors, (spaces.n_V, spaces.n_Q)):
         sector = np.full(n, -1)
-        for sl, labels in blocks:
-            sector[sl] = labels.ravel()
+        for s, sl in enumerate(S.sectors):
+            sector[S.order[sl]] = s
         assert np.all((sector >= 0) & (sector < 8))
         sectors.append(sector)
     for a, Omegas in enumerate(mirror_maps(spaces)):
@@ -228,11 +239,48 @@ def test_mirror_basis_diagonalizes_the_mirror_maps(pairing, N, k, mode):
             assert_allclose(Omega, np.diag(np.where(sector >> a & 1, -1.0, 1.0)), atol=1e-12)
     # the sector coordinates are a permutation of the coordinates
     rng = np.random.default_rng(3)
-    for blocks, momentum in zip((spaces.mirror.V, spaces.mirror.Q), subproblems(spaces)[0]):
-        sec = Sectors(blocks, momentum, 8)
-        x = rng.standard_normal(sec.order.size)
-        assert np.array_equal(np.sort(sec.order), np.arange(x.size))
-        assert np.array_equal(sec.from_sectors(sec.to_sectors(x)), x)
+    for S in spaces.sectors:
+        x = rng.standard_normal(S.order.size)
+        assert np.array_equal(np.sort(S.order), np.arange(x.size))
+        assert np.array_equal(S.from_sectors(S.to_sectors(x)), x)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+def test_one_sector_layout_serves_sectors_and_parts(pairing, mode):
+    # the parts tile each sector s as part 2 s (momentum) then 2 s + 1 (energy);
+    # the momentum parts hold exactly sigma and p of V and u of Q; the blocks
+    # assembled by part are bitwise the part-diagonal sub-blocks of the blocks
+    # assembled by sector, whose other sub-blocks are zero
+    spaces = build_spaces(2, 1, mode, pairing)
+    V, Q = spaces.sectors
+    structure = assemble_system(spaces, ModelParams()).operator.structure
+    assert structure.V is V and structure.Q is Q
+    vb, qb = spaces.v_blocks, spaces.q_blocks
+    subproblems = ((np.r_[vb["sigma"], vb["p"]], np.r_[vb["s"]]), (np.r_[qb["u"]], np.r_[qb["theta"]]))
+    for S, coords in zip((V, Q), subproblems):
+        assert len(S.sectors) == 8 and len(S.parts) == 16
+        assert [p.start for p in S.parts[1:]] == [p.stop for p in S.parts[:-1]]
+        assert S.parts[0].start == 0 and S.parts[-1].stop == S.order.size
+        for s, sl in enumerate(S.sectors):
+            assert (S.parts[2 * s].start, S.parts[2 * s + 1].stop) == (sl.start, sl.stop)
+        for sub, want in enumerate(coords):
+            got = np.concatenate([S.order[sl] for sl in S.parts[sub::2]])
+            assert np.array_equal(np.sort(got), want)
+    h1, l2 = _norm_terms(len(V.fields), h1=True), _norm_terms(len(Q.fields), h1=False)
+    for terms, rows, cols in ((_B_terms(spaces), Q, V), (h1, V, V), (l2, Q, Q)):
+        by_sector = _sector_assemble(terms, rows, cols, {})
+        by_part = _sector_assemble(terms, rows, cols, {}, by_part=True)
+        assert len(by_part) == 16
+        for s, X in enumerate(by_sector):
+            r0, c0 = rows.sectors[s].start, cols.sectors[s].start
+            for i, j in ((2 * s, 2 * s), (2 * s, 2 * s + 1), (2 * s + 1, 2 * s), (2 * s + 1, 2 * s + 1)):
+                r, c = rows.parts[i], cols.parts[j]
+                block = X[r.start - r0 : r.stop - r0, c.start - c0 : c.stop - c0]
+                if i == j:
+                    assert np.array_equal(block, by_part[i])
+                else:
+                    assert not np.any(block)
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
