@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Wall time of each CLI suite and of the constants ladder, as one JSON record.
 
-    python scripts/bench.py --out BENCH.json --label after
+    PYTHONPATH=src python scripts/bench.py --out BENCH.json --label after
     PYTHONPATH=<other checkout>/src python scripts/bench.py --out BENCH.json --label before
+
+Run from the root of the checkout; without PYTHONPATH (or an installed
+package) the script stops at `import r13verify`.
 
 The `report` record times one `r13verify.run` of all six suites at the
 default configuration, as perfbench's report-default workload does, and
@@ -16,9 +19,10 @@ whether the verified answer holds (alpha0 > 0, k0 > 0, solver residuals
 within the report's tolerance, stability bounds hold) and `peak_rss_mb`,
 the process's peak resident set size (ru_maxrss) after the rung: the
 memory a rung needs when it is the only one timed in its process, as with
-`--rungs N,k` and `--repeat 1`. Only public calls
-are used, so pointing PYTHONPATH at another checkout of the package times
-that checkout with the same script.
+`--rungs N,k` and `--repeat 1`. Between two records of the same code the
+report's `peak_rss_mb` varies by a few MB, so a difference under about 3%
+is noise. Only public calls are used, so pointing PYTHONPATH at another
+checkout of the package times that checkout with the same script.
 
 With --repeat n, the report, each suite and each rung are timed n times; the
 record keeps the median as `wall_s` (report, suites) or `total_s` (rungs) and

@@ -185,12 +185,17 @@ class SaddleStructure:
     with them. The matrices commute with the cube's three mirror
     reflections and never couple the momentum and the energy subproblem,
     so they split into 8 sectors of two subproblems each: 16 parts
-    (SaddlePart), laid out by V and Q, the spaces' own Sectors. Every
-    derived quantity comes from the parts and is combined exactly: the
-    Cholesky factors of M_V and M_Q, and the SVD of B in those norms with
-    the one rank decision cut on it. `assemble` builds the parts' blocks
-    from the 1D factors (`_sector_assemble` by part). The dense B, M_V and
-    M_Q are scattered from the parts on first access and kept.
+    (SaddlePart), laid out by V and Q, the spaces' own Sectors. `assemble`
+    builds every part's blocks from the 1D factors (`_sector_assemble` by
+    part). The matrices also commute with the swaps of the cube's axes,
+    which map sectors 1, 2 and 4 onto each other and 3, 5 and 6: each
+    sector's blocks are those of its representative (0, 1, 3 or 7) carried
+    by the exact maps of V and Q (Sectors.maps). So every derived quantity
+    is computed on the 8 parts of the representatives alone, and each
+    representative counts once per sector of its orbit: the Cholesky
+    factors of M_V and M_Q, the SVD of B in those norms and the one rank
+    decision cut on it. The dense B, M_V and M_Q are scattered from all 16
+    parts on first access and kept.
     """
 
     V: Sectors = field(repr=False)
@@ -218,46 +223,68 @@ class SaddleStructure:
         return _scatter(((p.M_Q, p.q, p.q) for p in self.parts), self.Q, self.Q)
 
     @cached_property
+    def orbits(self) -> dict[int, list[int]]:
+        """Per representative sector, the sectors of its orbit, itself first."""
+        out: dict = {}
+        for s, r in enumerate(self.V.representative):
+            out.setdefault(r, []).append(s)
+        return out
+
+    @cached_property
+    def sources(self) -> tuple[int, ...]:
+        """Per part, the index of the representative's part that it is computed on."""
+        return tuple(2 * self.V.representative[p.sector] + p.subproblem for p in self.parts)
+
+    @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """Rank of each part's block of B, cut once at KERNEL_RTOL (1e-10, the report's
-        `kernel_rank_cutoff`) times the largest whitened singular value of the whole B:
-        the one rank decision behind every kernel, cokernel and constant."""
+        """Rank of each part's block of B, its representative's, cut once at KERNEL_RTOL
+        (1e-10, the report's `kernel_rank_cutoff`) times the largest whitened singular
+        value of the whole B: the one rank decision behind every kernel, cokernel and constant."""
         cut = KERNEL_RTOL * self.whitened_svals[0] if self.whitened_svals.size else 0.0
-        return tuple(int(np.sum(p.whitened_svd[1] > cut)) for p in self.parts)
+        return tuple(int(np.sum(self.parts[j].whitened_svd[1] > cut)) for j in self.sources)
 
     @cached_property
     def L_V(self) -> BlockCholesky:
-        """Block factor of M_V in sector coordinates, joined from the parts' factors."""
-        return BlockCholesky((_shift(sl, p.v.start), L) for p in self.parts for sl, L in p.cholesky[0].blocks)
+        """Block factor of M_V in the carried sector coordinates of V.carry, joined from
+        the representative parts' factors: each part holds its source's, in its own slice."""
+        return BlockCholesky((_shift(sl, p.v.start), L) for p, j in zip(self.parts, self.sources) for sl, L in self.parts[j].cholesky[0].blocks)
 
     @cached_property
     def whitened_svals(self) -> np.ndarray:
-        """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms."""
-        return np.sort(np.concatenate([p.whitened_svd[1] for p in self.parts]))[::-1]
+        """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms, each
+        representative part's once per sector of its orbit."""
+        return np.sort(np.concatenate([self.parts[j].whitened_svd[1] for j in self.sources]))[::-1]
 
     @cached_property
     def load_maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per sector, (Y, Z) on its Q coordinates, from its parts' U and L_Q.
+        """Per sector, (Y, Z) on its Q coordinates, from its representative's parts' U and L_Q.
 
         Y = [U_r^T; U_k^T] L_Q^-1 stacks the parts' rank rows, then their
         remaining rows: Y g holds a load's constraint rows, then its
         component against ker B^T, and |Y g| = |L_Q^-1 g|. Z = L_Q^-T U_r
-        maps the sector's multipliers to its pressure.
+        maps the sector's multipliers to its pressure. Another sector of
+        the orbit, reached by the orthogonal map Omega of Q (`to` of
+        Q.maps, an index gather), has Y Omega^T and Omega Z, composed once
+        here.
         """
-        out = []
-        for s, qs in enumerate(self.Q.sectors):
-            own = [(p, r) for p, r in zip(self.parts, self.ranks) if p.sector == s]
-            rank = sum(r for _, r in own)
+        out = [None] * len(self.Q.sectors)
+        for r, orbit in self.orbits.items():
+            qs = self.Q.sectors[r]
+            own = [(p, k) for p, k in zip(self.parts, self.ranks) if p.sector == r]
+            rank = sum(k for _, k in own)
             Y, Z = np.zeros((qs.stop - qs.start,) * 2), np.zeros((qs.stop - qs.start, rank))
             row, kernel_row = 0, rank
-            for p, r in own:
+            for p, k in own:
                 W = p.cholesky[1].solve(p.whitened_svd[0], trans=1)  # L_Q^-T U
                 lq = _shift(p.q, -qs.start)
-                Y[row : row + r, lq] = W[:, :r].T
-                Z[lq, row : row + r] = W[:, :r]
-                Y[kernel_row : kernel_row + W.shape[1] - r, lq] = W[:, r:].T
-                row, kernel_row = row + r, kernel_row + W.shape[1] - r
-            out.append((Y, Z))
+                Y[row : row + k, lq] = W[:, :k].T
+                Z[lq, row : row + k] = W[:, :k]
+                Y[kernel_row : kernel_row + W.shape[1] - k, lq] = W[:, k:].T
+                row, kernel_row = row + k, kernel_row + W.shape[1] - k
+            out[r] = (Y, Z)
+            for s in orbit[1:]:
+                to = self.Q.maps[s][0]
+                out[s] = (np.ascontiguousarray(to(Y.T).T), to(Z))
         return out
 
 
@@ -287,17 +314,21 @@ class SaddleOperator:
     coordinates. `assemble` builds them from the 1D factors and makes each
     symmetric to the bit on the momentum and the energy subproblem and
     exactly skew between them, as A is (`_symmetrize`); alpha0 relies on
-    that. The dense A is scattered from the blocks on first access and
-    kept. The operator keeps what saddlepoint factors on first use,
-    valid for this A and structure only: in `bordered`, by part index, the
-    LU of each part's bordered matrix (alpha0), and in `factors` the LU of
-    each sector's saddle matrix (the solve).
+    that. A commutes with the swaps of the cube's axes as B does, so each
+    sector's block is its representative's carried by the map of V
+    (SaddleStructure); all 8 blocks are kept, for the residuals and the
+    dense A, which is scattered from them on first access and kept. The
+    operator keeps what saddlepoint factors on first use, on the
+    representatives only and valid for this A and structure only: in
+    `bordered`, by part index, the LU of each representative part's
+    bordered matrix (alpha0), and in `factors`, by representative sector,
+    the LU of its saddle matrix (the solve of its whole orbit).
     """
 
     structure: SaddleStructure
     sectors: list = field(repr=False)
     bordered: dict = field(default_factory=dict, repr=False)
-    factors: list | None = field(default=None, repr=False)
+    factors: dict | None = field(default=None, repr=False)
 
     @classmethod
     def assemble(cls, spaces: DiscreteSpaces, structure: SaddleStructure, params: ModelParams) -> SaddleOperator:

@@ -6,9 +6,14 @@ alpha0 and |A| are extreme eigenvalues found by Lanczos on matrix-free
 operators, k0 and |B| dense singular values of the whitened constraint.
 The unit cube's three mirror reflections and the split into momentum and
 energy subproblem cut the system into 8 sectors of two parts each
-(assembly.SaddleStructure): every constant comes from the parts or the
-sectors and is combined exactly, and the solve factors each sector's
-saddle matrix once.
+(assembly.SaddleStructure). The swaps of the cube's axes map sectors 1, 2
+and 4 onto each other and 3, 5 and 6, by exact coefficient maps
+(spaces.Sectors.maps), so the representative sectors 0, 1, 3 and 7 and
+their 8 parts carry every factorization, SVD and Lanczos run: each
+constant comes from them, a representative counting once per sector of
+its orbit (1 for sectors 0 and 7, 3 for 1 and 3), and the solve factors
+the 4 representatives' saddle matrices once and solves each other sector
+through its representative's LU.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator
+from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, _shift
 from .tensors import projection_matrix2
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
@@ -85,20 +90,6 @@ def _lanczos_max(apply, n: int) -> float:
     raise RuntimeError(f"Lanczos did not converge in {Q.shape[0]} steps")
 
 
-def _whitened_norm(product, n: int, L_left: BlockCholesky, L_right: BlockCholesky) -> float:
-    """Largest singular value of X = L_left^-1 F L_right^-T, by Lanczos on X^T X.
-
-    product(x, trans) returns F x, or F^T x for trans True, with F n columns
-    wide. Each product takes four block triangular solves; X is never formed.
-    """
-
-    def apply(x):
-        y = L_left.solve(product(L_right.solve(x, trans=1), False))
-        return L_right.solve(product(L_left.solve(y, trans=1), True))
-
-    return float(np.sqrt(_lanczos_max(apply, n)))
-
-
 def _saddle_matrix(A: np.ndarray, constraints: list) -> np.ndarray:
     """[[A, C^T], [C, 0]] in Fortran order, to be factored in place. C stacks
     the constraints, given as (columns of A, rows of full rank) pairs."""
@@ -133,45 +124,55 @@ def _bordered_lu(op: SaddleOperator, i: int):
     return op.bordered[i]
 
 
-def _sector_lus(op: SaddleOperator) -> list:
-    """LU of each sector's saddle matrix [[A_s, C_s^T], [C_s, 0]], factored once per operator;
-    C_s stacks the constraints of the sector's parts."""
+def _sector_lus(op: SaddleOperator) -> dict:
+    """Per representative sector s, the LU of its saddle matrix [[A_s, C_s^T], [C_s, 0]],
+    factored once per operator; C_s stacks the constraints of the sector's parts."""
     if op.factors is None:
         st = op.structure
-        factors = [
-            _lu_in_place(
-                _saddle_matrix(A_s, [(p.local, p.constraint(r)) for p, r in zip(st.parts, st.ranks) if p.sector == s])
+        factors = {
+            s: _lu_in_place(
+                _saddle_matrix(op.sectors[s], [(p.local, p.constraint(r)) for p, r in zip(st.parts, st.ranks) if p.sector == s])
             )
-            for s, A_s in enumerate(op.sectors)
-        ]
-        rcond = min(rc for _, rc in factors)
+            for s in st.orbits
+        }
+        rcond = min(rc for _, rc in factors.values())
         if rcond == 0.0:
             raise ValueError("discrete pairing deficient: singular saddle matrix")
         if not rcond >= np.finfo(float).eps:  # scipy.linalg.solve's warning, once
             msg = f"An ill-conditioned saddle matrix detected: rcond = {rcond}."
             warnings.warn(msg, sla.LinAlgWarning, stacklevel=3)
-        op.factors = [lu for lu, _ in factors]
+        op.factors = {s: lu for s, (lu, _) in factors.items()}
     return op.factors
-
-
-def _sector_product(op: SaddleOperator):
-    """x -> A x or A^T x in sector coordinates, by the sector blocks of A."""
-
-    def product(x, trans):
-        out = np.empty(x.size)
-        for A_s, sl in zip(op.sectors, op.structure.V.sectors):
-            out[sl] = (A_s.T if trans else A_s) @ x[sl]
-        return out
-
-    return product
 
 
 def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's lu_solve costs more here
     return _getrs(*lu, b)[0]
 
 
+def _norm_A(op: SaddleOperator) -> float:
+    """|A| in the M_V norm: the largest singular value of X = L_V^-1 A L_V^-T, by Lanczos
+    on X^T X over the direct sum of the representative sectors. Each product takes four
+    block triangular solves per sector; X is never formed."""
+    st = op.structure
+    terms, n = [], 0
+    for s in st.orbits:
+        L = BlockCholesky((_shift(sl, p.local.start), F) for p in st.parts if p.sector == s for sl, F in p.cholesky[0].blocks)
+        terms.append((op.sectors[s], L, slice(n, n + op.sectors[s].shape[0])))
+        n = terms[-1][2].stop
+
+    def apply(x):
+        y = np.empty(n)
+        for A_s, L, sl in terms:
+            z = L.solve(A_s @ L.solve(x[sl], trans=1))
+            y[sl] = L.solve(A_s.T @ L.solve(z, trans=1))
+        return y
+
+    return float(np.sqrt(_lanczos_max(apply, n)))
+
+
 def _coercivity(op: SaddleOperator) -> float:
-    """alpha0 on ker B: 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V over the parts.
+    """alpha0 on ker B: 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V over the
+    representative parts.
 
     A is symmetric to the bit on each subproblem and skew between them, as
     assembled (`assembly._symmetrize`), so ker B, M_V and A's symmetric
@@ -185,13 +186,15 @@ def _coercivity(op: SaddleOperator) -> float:
     ker B_i (the coercivity eigenproblem of Chapelle & Bathe's inf-sup
     test). The forms make A_ii positive semidefinite. A singular K_s means
     a kernel direction on which A vanishes: alpha0 = 0. A part whose B
-    block is injective has no say.
+    block is injective has no say, nor does a part of another sector of
+    an orbit: its eigenproblem is its representative's, carried by the
+    orthogonal map of the axis swap.
     """
     st = op.structure
     terms, n = [], 0
     for i, p in enumerate(st.parts):
         nV = p.M_V.shape[0]
-        if st.ranks[i] < nV:
+        if st.sources[i] == i and st.ranks[i] < nV:
             lu, rcond = _bordered_lu(op, i)
             if not rcond >= np.finfo(float).eps:
                 return 0.0
@@ -227,15 +230,19 @@ def _infsup(svals: np.ndarray, rank: int):
 def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     """All measured constants of the assembled system.
 
-    Each comes from the structure's 16 parts (mirror sector x subproblem)
-    and is combined exactly. One SVD of each part's block of B in the
-    natural norms, cut once at KERNEL_RTOL (the report's
+    Each comes from the 8 parts (sector x subproblem) of the representative
+    sectors 0, 1, 3 and 7 and is combined exactly: the axis swaps carry
+    each representative onto the other sectors of its orbit by orthogonal
+    maps, so a representative counts once for sectors 0 and 7 and three
+    times for 1 and 3. One SVD of each representative part's block of B
+    in the natural norms, cut once at KERNEL_RTOL (the report's
     `kernel_rank_cutoff`) times the whole B's largest singular value, gives
-    k0 and dim ker B^T from the union of the singular values, |B|, dim
-    ker B as a sum, and the constraint of full row rank behind each part's
-    alpha0. alpha0 is the minimum over the parts, |A| the largest over the
-    sectors' blocks of A with the parts' factors of M_V; they take one
-    Lanczos run each over the direct sum.
+    k0 and dim ker B^T from the union of the singular values with those
+    multiplicities, |B|, dim ker B as a weighted sum, and the constraint of
+    full row rank behind each part's alpha0. alpha0 is the minimum over the
+    representative parts, |A| the largest over the representatives' blocks
+    of A with their parts' factors of M_V; they take one Lanczos run each
+    over the direct sum.
     """
     op = system.operator
     st = op.structure
@@ -243,12 +250,11 @@ def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     dim_kerB = st.V.order.size - rank
     if dim_kerB == 0:
         raise ValueError("trivial kernel")
-    L_V = st.L_V
     k0, dim_kerBT = _infsup(st.whitened_svals, rank)
     return BrezziConstants(
         alpha0=_coercivity(op),
         k0=k0,
-        norm_A=_whitened_norm(_sector_product(op), st.V.order.size, L_V, L_V),
+        norm_A=_norm_A(op),
         norm_B=float(st.whitened_svals[0]),  # the SVD behind k0
         dim_kerB=dim_kerB,
         dim_kerBT=dim_kerBT,
@@ -272,49 +278,61 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     with discrete dual norms and the quotient norm of P in the deficient
     case; without them the bound fields stay unset.
 
-    Each part's one SVD L_Q^-1 B_i L_V^-T = U S V^T, split at its rank into
-    U_r and U_k, gives the consistency test U_k^T L_Q^-1 G = 0, the
-    constraint rows U_r^T L_Q^-1 G and, from the multipliers lam, the
-    minimal pressure P = L_Q^-T U_r lam, through one map per sector each
-    way (SaddleStructure.load_maps). F and G go to sector coordinates, each
-    sector's saddle matrix is factored once per operator, and U and P come
-    back from sector coordinates: each further load costs two permutations
-    each way and per sector three small products and one LU
-    back-substitution. The residuals and the norms of U and P are taken in
-    sector coordinates, with the operator's blocks of A and the parts'.
+    Each representative part's one SVD L_Q^-1 B_i L_V^-T = U S V^T, split
+    at its rank into U_r and U_k, gives the consistency test
+    U_k^T L_Q^-1 G = 0, the constraint rows U_r^T L_Q^-1 G and, from the
+    multipliers lam, the minimal pressure P = L_Q^-T U_r lam, through one
+    map per sector each way (SaddleStructure.load_maps; another sector of
+    an orbit has its representative's composed with the map of Q). F and G
+    go to sector coordinates, and the 4 representative sectors' saddle
+    matrices are factored once per operator. Another sector of an orbit
+    is solved through its representative's LU: one gather over the whole
+    of F (`V.carry`, each sector's map of V joined once per structure, an
+    index gather plus the 2 x 2 mix of sigma's diagonal pair) carries each
+    sector's F to its representative's coordinates, and one gather carries
+    the solution back to U. Each further load costs two permutations and
+    two such gathers, and per sector three small products and one LU
+    back-substitution. The residuals and the norms of U and P are taken
+    in sector coordinates, with all 8 of the operator's blocks of A and
+    all 16 parts'.
     """
     op = system.operator
     st = op.structure
-    f, g = st.V.to_sectors(system.F), st.Q.to_sectors(system.G)
-    y = [Y @ g[qs] for (Y, _), qs in zip(st.load_maps, st.Q.sectors)]
+    V, Q = st.V, st.Q
+    (down, up), g = V.carry, Q.to_sectors(system.G)
+    y = [Y @ g[qs] for (Y, _), qs in zip(st.load_maps, Q.sectors)]
     defect = np.concatenate([y_s[Z.shape[1] :] for y_s, (_, Z) in zip(y, st.load_maps)])
     g_dual = np.linalg.norm(np.concatenate(y))  # |L_Q^-1 G|, the dual norm of G
     if np.linalg.norm(defect) > KERNEL_RTOL * max(g_dual, 1.0):
         raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {defect.size})")
-    u, p = np.empty(f.size), np.empty(g.size)
-    for lu, vs, qs, y_s, (_, Z) in zip(_sector_lus(op), st.V.sectors, st.Q.sectors, y, st.load_maps):
-        x = _lu_solve(lu, np.concatenate([f[vs], y_s[: Z.shape[1]]]))
-        u[vs], p[qs] = x[: vs.stop - vs.start], Z @ x[vs.stop - vs.start :]
-    r1, r2 = -f, -g  # the residuals, in sector coordinates
-    for A_s, vs in zip(op.sectors, st.V.sectors):
+    lus = _sector_lus(op)
+    f_carried, x_V, p = down(system.F), np.empty(V.order.size), np.empty(g.size)
+    for r, vs, qs, y_s, (_, Z) in zip(V.representative, V.sectors, Q.sectors, y, st.load_maps):
+        f_s = f_carried[vs]
+        x = _lu_solve(lus[r], np.concatenate([f_s, y_s[: Z.shape[1]]]))
+        x_V[vs], p[qs] = x[: f_s.size], Z @ x[f_s.size :]
+    U = up(x_V)
+    f, u = V.to_sectors(system.F), V.to_sectors(U)
+    r1, r2, norm_U, norm_P = -f, -g, 0.0, 0.0  # the residuals, in sector coordinates
+    for A_s, vs in zip(op.sectors, V.sectors):
         r1[vs] += A_s @ u[vs]
     for part in st.parts:
-        r1[part.v] += part.B.T @ p[part.q]
-        r2[part.q] += part.B @ u[part.v]
+        u_i, p_i = u[part.v], p[part.q]
+        r1[part.v] += part.B.T @ p_i
+        r2[part.q] += part.B @ u_i
+        norm_U += u_i @ (part.M_V @ u_i)
+        norm_P += p_i @ (part.M_Q @ p_i)
     f_norm = np.linalg.norm(f)
     res1 = np.linalg.norm(r1) / (f_norm if f_norm > 0 else 1.0)
     res2 = np.linalg.norm(r2) / max(np.linalg.norm(g), 1.0)
 
     bound_U = bound_P = None
     if constants is not None:
-        f_dual = np.linalg.norm(st.L_V.solve(f))
+        f_dual = np.linalg.norm(st.L_V.solve(f_carried))
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float((1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual)
-    U, P = st.V.from_sectors(u), st.Q.from_sectors(p)
-    norm_U = float(np.sqrt(sum(u[i.v] @ i.M_V @ u[i.v] for i in st.parts)))
-    norm_P = float(np.sqrt(sum(p[i.q] @ i.M_Q @ p[i.q] for i in st.parts)))
-    return MixedSolution(U, P, res1, res2, norm_U, norm_P, bound_U, bound_P)
+    return MixedSolution(U, Q.from_sectors(p), res1, res2, float(np.sqrt(norm_U)), float(np.sqrt(norm_P)), bound_U, bound_P)
 
 
 def limit_consistency(U: np.ndarray, P: np.ndarray, system: MixedSystem):

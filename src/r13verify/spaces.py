@@ -12,6 +12,7 @@ assembled here with margin.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -330,6 +331,37 @@ class BubbleBasis:
         return g
 
 
+AXIS_SWAPS = ((0, 1), (0, 2), (1, 2))  # the transpositions of the cube's axes
+
+
+def _swap_bits(s: int, a: int, b: int) -> int:
+    """Sector s with bits a and b exchanged: its image under the swap of axes a and b."""
+    return s ^ (((s >> a ^ s >> b) & 1) * (1 << a | 1 << b))
+
+
+def _label_ranks(lab: np.ndarray) -> np.ndarray:
+    """Per entry of lab, the number of earlier entries with the same label."""
+    order = np.argsort(lab, kind="stable")
+    rank = np.empty(lab.size, dtype=int)
+    rank[order] = np.arange(lab.size) - np.searchsorted(lab[order], lab[order])
+    return rank
+
+
+@dataclass(frozen=True, eq=False)
+class Gather:
+    """The linear map x -> sum_t weight[t] * x[index[t]] along x's first axis.
+
+    Each output mixes index.shape[0] inputs; a weight of 0 pads an output
+    that needs fewer. No dense matrix of the map is formed.
+    """
+
+    index: np.ndarray
+    weight: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("tn,tn...->n...", self.weight, x[self.index])
+
+
 class Sectors:
     """V, Q or one Korn field in sector coordinates: by mirror sector, and inside each by subproblem.
 
@@ -347,9 +379,24 @@ class Sectors:
     subproblem) at index 2 sector + subproblem. `boxes` gives per field
     block and sector the start, in sector coordinates, and the size of the
     block's coordinates in the sector, where they are contiguous.
+
+    `swaps` maps each transposition (a, b) of the cube's axes (AXIS_SWAPS)
+    to the orthogonal matrix W it induces on the field blocks: block c of
+    the swapped field is sum_r W[c, r] times block r with the axes a and b
+    of its coefficient grid exchanged. The swap maps sector s to s with
+    bits a and b exchanged, so the sectors with as many odd axes form one
+    orbit, and its `representative` is the one whose odd axes come first:
+    0, 1, 3 and 7 in 3D. For every other sector s, `maps[s]` holds the pair
+    of Gathers (to, back) of the swap that takes its representative r to
+    s: `to` gives s's sector-local coordinates from r's, `back` r's from
+    s's. Both are exact index gathers read off the blocks' label grids,
+    mixed by W; a map never touches sector 0, so R never enters. Without
+    swaps every sector is its own representative. The constructor raises
+    if a sector's part sizes differ from its representative's. `carry`
+    joins the maps into one gather each way over whole vectors.
     """
 
-    def __init__(self, fields: list):
+    def __init__(self, fields: list, swaps: dict | None = None):
         self.fields = fields
         count = 2 ** fields[0][0].dim
         slots = np.concatenate([2 * lab.ravel() + sub for *_, lab, sub in fields])
@@ -366,6 +413,74 @@ class Sectors:
             offset[present] = at[start + first]
             self.boxes.append(list(zip(offset.tolist(), np.bincount(lab.ravel(), minlength=count).tolist())))
             start += lab.size
+        self.swaps = swaps or {}
+        self.representative = [(1 << bin(s).count("1")) - 1 if self.swaps else s for s in range(count)]
+        sizes = np.diff(bounds).reshape(count, 2)
+        for s, r in enumerate(self.representative):
+            if not np.array_equal(sizes[s], sizes[r]):
+                raise ValueError(f"sector {s} has part sizes {sizes[s].tolist()}, its representative {r} {sizes[r].tolist()}")
+        self.maps = {}
+        if self.swaps:
+            self._build_maps(at)
+
+    def _build_maps(self, at: np.ndarray) -> None:
+        """Fill `maps` from each swap's map of the whole sector coordinates.
+
+        Each block's label grid (its labels, but for the zero-mean pressure's)
+        gives every coordinate a grid point: the k-th coordinate with a label
+        is the k-th point of the grid with that label (outside the zero-mean
+        pressure's sector 0, which no map reads, this is exact). The swap
+        reads, for a coordinate of block c, the grid point with the axes
+        exchanged in each block r that W mixes into c.
+        """
+        grids = [lab if lab.ndim == basis.dim else basis.sectors(mask) for basis, mask, _, lab, _ in self.fields]
+        where = np.full((len(grids), max(g.size for g in grids)), -1)  # the coordinate of each block's grid point
+        block, point, start = [], [], 0
+        for c, ((*_, lab, _), grid) in enumerate(zip(self.fields, grids)):
+            lab, by_label = lab.ravel(), np.argsort(grid.ravel(), kind="stable")
+            points = by_label[np.searchsorted(grid.ravel()[by_label], lab) + _label_ranks(lab)]
+            where[c, points] = start + np.arange(lab.size)
+            block.append(np.full(lab.size, c))
+            point.append(points)
+            start += lab.size
+        block, point = np.concatenate(block)[self.order], np.concatenate(point)[self.order]
+        swapped = {}
+        for axes, W in self.swaps.items():
+            moved = np.zeros(where.shape, dtype=int)
+            for c, grid in enumerate(grids):
+                moved[c, : grid.size] = np.arange(grid.size).reshape(grid.shape).swapaxes(*axes).ravel()
+            mixed = [np.flatnonzero(row) for row in W]
+            source = np.array([np.resize(r, max(map(len, mixed))) for r in mixed]).T  # padded by repeats
+            weight = np.array([W[c, r] * (np.arange(r.size) < len(m)) for c, (r, m) in enumerate(zip(source.T, mixed))]).T
+            coords = where[source[:, block], moved[block, point]]
+            swapped[axes] = (np.where(coords < 0, -1, at[coords]), weight[:, block])
+        for s, r in enumerate(self.representative):
+            if s != r:
+                index, weight = swapped[next(ab for ab in self.swaps if _swap_bits(r, *ab) == s)]
+                pair = []
+                for src, dst in ((r, s), (s, r)):
+                    i = index[:, self.sectors[dst]] - self.sectors[src].start
+                    if np.any(i < 0) or np.any(i >= self.sectors[src].stop - self.sectors[src].start):
+                        raise ValueError(f"the axis swap does not map sector {src} onto sector {dst}")
+                    pair.append(Gather(i, weight[:, self.sectors[dst]]))
+                self.maps[s] = tuple(pair)
+
+    @cached_property
+    def carry(self) -> tuple[Gather, Gather]:
+        """(down, up) over whole vectors: down(x) is x in sector coordinates with each
+        sector's slice carried to its representative's coordinates (`back` of maps),
+        and up(down(x)) = x (`to` of maps, then from_sectors)."""
+        size, slices = self.order.size, [self.sectors[s] for s in self.maps]
+        terms = max([g.index.shape[0] for pair in self.maps.values() for g in pair], default=1)
+        down, up = (Gather(np.zeros((terms, size), dtype=int), np.zeros((terms, size))) for _ in range(2))
+        down.index[0], down.weight[0] = self.order, 1.0
+        up.index[0, self.order], up.weight[0] = np.arange(size), 1.0
+        for sl, (to, back) in zip(slices, self.maps.values()):
+            t, rows = back.index.shape[0], self.order[sl]
+            down.weight[:, sl] = up.weight[:, rows] = 0.0
+            down.index[:t, sl], down.weight[:t, sl] = self.order[sl.start + back.index], back.weight
+            up.index[:t, rows], up.weight[:t, rows] = sl.start + to.index, to.weight
+        return down, up
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """Sector coordinates of a vector."""
@@ -491,14 +606,25 @@ class DiscreteSpaces:
     @cached_property
     def sectors(self) -> tuple[Sectors, Sectors]:
         """(V, Q) as Sectors: the momentum subproblem holds sigma's components (in the
-        basis E) and p in V and u in Q, the energy subproblem s in V and theta in Q."""
+        basis E) and p in V and u in Q, the energy subproblem s in V and theta in Q.
+
+        An axis swap P maps sigma to P sigma P^T, whose components mix by
+        <P E_b P^T, E_c> (a signed permutation but for a 2 x 2 rotation of
+        the two diagonal components), permutes the components of s and u,
+        and leaves p and theta scalar."""
         sb, pb, axes = self.scalar, self.scalar_pq, mirror_masks(np.eye(3))
         even = np.flatnonzero(pb.sectors(0).ravel() == 0)
         R = self.Cp[even][:, self.p_sectors == 0] if self.pressure_mode == "zero_mean" else None
         V = [(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(self.E)]
         V += [(sb, mask, None, sb.sectors(mask), 1) for mask in axes] + [(pb, 0, R, self.p_sectors, 0)]
         Q = [(pb, mask, None, pb.sectors(mask), 0) for mask in axes] + [(pb, 0, None, pb.sectors(0), 1)]
-        return Sectors(V), Sectors(Q)
+        swaps_V, swaps_Q = {}, {}
+        for a, b in AXIS_SWAPS:
+            P = np.eye(3)[[b if i == a else a if i == b else i for i in range(3)]]
+            stress = np.einsum("ki,bij,lj,ckl->cb", P, self.E, P, self.E)
+            swaps_V[a, b], swaps_Q[a, b] = np.eye(9), np.eye(4)
+            swaps_V[a, b][:5, :5], swaps_V[a, b][5:8, 5:8], swaps_Q[a, b][:3, :3] = stress, P, P
+        return Sectors(V, swaps_V), Sectors(Q, swaps_Q)
 
     @property
     def faces(self) -> list[FaceData]:

@@ -224,6 +224,41 @@ def mirror_maps(spaces) -> list:
     return maps
 
 
+def permutation_maps(spaces) -> dict:
+    """(Omega_V, Omega_Q) per axis swap (a, b): the coefficient maps of x -> P x, P exchanging x_a and x_b.
+
+    Built from tabulations only: the scalar map R solves phi(P x) = phi(x) R
+    by least squares at scattered sample points, phi the tensor product of
+    a scalar basis's 1D factors (its nodal functions times T1), one shared
+    factor per axis; sigma's components mix by <P E_b P, E_c>, a vector's
+    components are permuted by P, and the pressure map goes through the
+    coefficient transform Cp.
+    """
+    rng = np.random.default_rng(5)
+
+    def tabulate(sb, pts):
+        out = np.ones((pts.shape[0], 1))
+        for a in range(3):
+            F = sb.b1.evaluate(pts[:, a]) @ sb.T1
+            out = (out[:, :, None] * F[:, None, :]).reshape(pts.shape[0], -1)
+        return out
+
+    maps = {}
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        perm = [b if i == a else a if i == b else i for i in range(3)]
+        P = np.eye(3)[perm]
+        R3, R3q = (
+            np.linalg.lstsq(tabulate(sb, pts), tabulate(sb, pts[:, perm]), rcond=None)[0]
+            for sb in (spaces.scalar, spaces.scalar_pq)
+            for pts in [rng.random((3 * sb.n, 3))]
+        )
+        Om5 = np.einsum("ki,bij,lj,ckl->cb", P, spaces.E, P, spaces.E)
+        Omega_V = sla.block_diag(np.kron(Om5, R3), np.kron(P, R3), spaces.Cp.T @ R3q @ spaces.Cp)
+        Omega_Q = sla.block_diag(np.kron(P, R3q), R3q)
+        maps[a, b] = (Omega_V, Omega_Q)
+    return maps
+
+
 # -- tabulated oracle of the assembled matrices -------------------------------
 
 

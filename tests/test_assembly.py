@@ -15,10 +15,10 @@ from r13verify.assembly import (
     bc_residuals,
     compute_closures,
 )
-from r13verify.spaces import PAIRINGS, build_spaces
+from r13verify.spaces import PAIRINGS, _swap_bits, build_spaces
 from r13verify.tensors import project2
 
-from helpers import dense_korn_grams, mirror_maps, oracle_forms
+from helpers import dense_korn_grams, mirror_maps, oracle_forms, permutation_maps
 
 PARAMS = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
 PARAMS0 = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.0)
@@ -226,6 +226,47 @@ def test_assembled_matrices_commute_with_the_cube_mirrors(pairing, N, k, mode, e
                                   ("MV", Omega_V, Omega_V), ("MQ", Omega_Q, Omega_Q)):
             M = mats[name]
             assert np.abs(left.T @ M @ right - M).max() <= 1e-13 * np.abs(M).max(), name
+
+
+def dense_gather(g, shape):
+    """The dense matrix of a spaces.Gather."""
+    D = np.zeros(shape)
+    for index, weight in zip(g.index, g.weight):
+        np.add.at(D, (np.arange(shape[0]), index), weight)
+    return D
+
+
+@pytest.mark.parametrize(
+    "pairing,N,k",
+    [("equal", 1, 1), ("equal", 2, 1), ("enriched", 1, 1), ("enriched", 2, 1), ("enriched", 1, 2)],
+)
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+def test_assembled_matrices_commute_with_the_axis_swaps(pairing, N, k, mode):
+    # the premise of the representative sectors: Omega^T M Omega = M for each
+    # of the three swaps of the cube's axes, with Omega and the matrices (the
+    # dense oracle) built from tabulations alone; the library's maps between
+    # a representative r and each other sector s of its orbit are those
+    # Omega restricted to the sector coordinates of (s, r) and (r, s), and
+    # they take each sector's coordinates nowhere else
+    spaces = build_spaces(N, k, mode, pairing)
+    mats = oracle_forms(spaces, ModelParams(kn=0.7, chi_tilde=1.3, epsilon_w=0.1))
+    maps = permutation_maps(spaces)
+    for Omega_V, Omega_Q in maps.values():
+        for name, left, right in (("A", Omega_V, Omega_V), ("B", Omega_Q, Omega_V),
+                                  ("MV", Omega_V, Omega_V), ("MQ", Omega_Q, Omega_Q)):
+            M = mats[name]
+            assert np.abs(left.T @ M @ right - M).max() <= 1e-13 * np.abs(M).max(), name
+    for S, which in zip(spaces.sectors, (0, 1)):
+        assert S.representative == [0, 1, 1, 3, 1, 3, 3, 7] and sorted(S.maps) == [2, 4, 5, 6]
+        for s, (to, back) in S.maps.items():
+            r = S.representative[s]
+            (axes,) = [ab for ab in maps if _swap_bits(r, *ab) == s]
+            Omega = maps[axes][which][np.ix_(S.order, S.order)]
+            rs, ss = S.sectors[r], S.sectors[s]
+            for rows, cols, g in ((ss, rs, to), (rs, ss, back)):
+                D = dense_gather(g, (rows.stop - rows.start, cols.stop - cols.start))
+                assert np.abs(Omega[rows, cols] - D).max() <= 1e-12, (s, axes)
+                assert np.abs(Omega[rows]).sum() == pytest.approx(np.abs(D).sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)

@@ -448,16 +448,20 @@ def test_spaces_keep_their_structure_and_operators(assembled):
 def test_constants_on_a_dropped_system_serve_later_loads(assembled):
     # constants on a system that is then dropped, then loads on the same
     # spaces: the solves read the structure, the operator and the whitened
-    # SVDs that the constants made
+    # SVDs that the constants made, on the representative parts alone
     sp = build_spaces(2, 1, "zero_mean")
     params = ModelParams()
     consts = brezzi_constants(assemble_system(sp, params))
-    svds = [p.__dict__["whitened_svd"] for p in sp.structure.parts]
+    structure = sp.structure
+    representative = [i == j for i, j in enumerate(structure.sources)]
+    assert sum(representative) == 8
+    svds = [p.__dict__.get("whitened_svd") for p in structure.parts]
+    assert [svd is not None for svd in svds] == representative
     rng = np.random.default_rng(54)
     for _ in range(3):
         assert solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts).bounds_hold
     assert assembled == {"structure": 1, "operator": 1}
-    assert all(p.whitened_svd is svd for p, svd in zip(sp.structure.parts, svds))
+    assert [p.__dict__.get("whitened_svd") for p in structure.parts] == svds
 
 
 def test_dropped_spaces_free_their_structure_without_gc():
@@ -648,9 +652,10 @@ def test_solve_matches_dense_oracle(eps, N, k, pairing, mode):
 
 
 def test_each_part_and_sector_is_factored_once_for_every_load(monkeypatch):
-    # alpha0 factors each part's bordered matrix once and the first solve
-    # each sector's saddle matrix once; later loads factor nothing, and no
-    # LU is larger than the largest sector saddle matrix
+    # alpha0 factors each representative part's bordered matrix once (8 of
+    # the 16) and the first solve each representative sector's saddle
+    # matrix once (4 of the 8); later loads factor nothing, and no LU is
+    # larger than the largest sector saddle matrix
     sizes = []
 
     def counting_lu(K):
@@ -667,15 +672,54 @@ def test_each_part_and_sector_is_factored_once_for_every_load(monkeypatch):
     for p, r in zip(structure.parts, structure.ranks):
         sector_sizes[p.sector] += r
     consts = brezzi_constants(system)
-    assert len(sizes) == 16 and len(system.operator.bordered) == 16
+    assert len(sizes) == 8 and sorted(system.operator.bordered) == [0, 1, 2, 3, 6, 7, 14, 15]
     solve_mixed(system, consts)
-    assert sorted(sizes[16:]) == sorted(sector_sizes)
+    assert sorted(sizes[8:]) == sorted(sector_sizes[s] for s in (0, 1, 3, 7))
+    assert sorted(system.operator.factors) == [0, 1, 3, 7]
     assert max(sizes) == max(sector_sizes) < sp.n_V / 4
     rng = np.random.default_rng(53)
     for _ in range(3):
         sol = solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts)
         assert sol.bounds_hold
-    assert len(sizes) == 24
+    assert len(sizes) == 12
+
+
+def asymmetric_sources():
+    """Volume sources with no symmetry under the swaps of the cube's axes."""
+    return VolumeSources(
+        m_src=lambda q: q[:, 0] * q[:, 1] ** 2 - 0.3 * q[:, 2],
+        b=lambda q: np.stack([q[:, 1] * q[:, 2] ** 2, np.sin(q[:, 0]) + q[:, 2], q[:, 0] ** 2 - q[:, 1]], axis=1),
+        r_src=lambda q: q[:, 2] ** 3 + 0.5 * q[:, 0] * q[:, 1],
+    )
+
+
+@pytest.mark.parametrize("pairing,N,k", [("equal", 2, 1), ("enriched", 1, 2)])
+def test_sectors_solved_through_their_representative_match_the_dense_oracles(pairing, N, k):
+    # seeded walls plus sources that no axis swap maps to themselves, so
+    # sectors 1, 2 and 4 (and 3, 5 and 6) carry different loads; sectors 2,
+    # 4, 5 and 6 are solved through the LU of sector 1 or 3. The solve
+    # matches one dense solve of the whole saddle matrix (on the quotient by
+    # ker B^T for equal, whose load is first made consistent), and the
+    # constants the dense oracles
+    rng = np.random.default_rng(61)
+    system = make_system(N=N, k=k, eps=0.1, pairing=pairing, sources=asymmetric_sources(), bdata=seeded_walls(rng))
+    if pairing == "equal":
+        Y = cokernel_basis(system)
+        system.G = system.G - Y @ (Y.T @ system.G)
+    V = system.operator.structure.V
+    carried = V.carry[0](system.F)
+    loads = [carried[V.sectors[s]] for s in (1, 2, 4)] + [carried[V.sectors[s]] for s in (3, 5, 6)]
+    for a, b in ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)):
+        assert np.linalg.norm(loads[a] - loads[b]) > 1e-3 * np.linalg.norm(loads[a])
+    consts = brezzi_constants(system)
+    dense = dense_brezzi_constants(system)
+    for name in ("alpha0", "k0", "norm_A", "norm_B"):
+        assert getattr(consts, name) == pytest.approx(dense[name], rel=1e-12), name
+    assert consts.dim_kerB == dense["dim_kerB"] and consts.dim_kerBT == dense["dim_kerBT"] == (7 if pairing == "equal" else 0)
+    sol = solve_mixed(system, consts)
+    assert sol.residual_primal <= 1e-12 and sol.residual_constraint <= 1e-12 and sol.bounds_hold
+    assert_matches_dense_solution(sol, system)
+    assert sorted(system.operator.factors) == [0, 1, 3, 7]
 
 
 def test_axis_permuted_sectors_agree_to_rounding():

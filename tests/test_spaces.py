@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r13verify.assembly import ModelParams, _B_terms, _norm_terms, _sector_assemble, assemble_system
-from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, build_spaces
+from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, Sectors, build_spaces
 
 from helpers import kron_gram, mirror_maps
 
@@ -343,3 +343,37 @@ def test_field_readers_tabulate_no_stress_gradients(tmp_path):
     sp = build_spaces(2, 1, "zero_mean")
     export_fields_csv(sp, np.ones(sp.n_V), np.ones(sp.n_Q), tmp_path / "fields.csv")
     assert "dphi" not in sp.scalar.__dict__
+
+
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+def test_sectors_refuse_an_orbit_of_unequal_part_sizes(mode):
+    # V as the spaces build it, but one coordinate of the pressure moved
+    # from sector 2 to sector 4: sectors 2 and 4 no longer have the part
+    # sizes of their representative, sector 1, and the constructor says so
+    # before it builds any map; without the swaps the same fields build
+    sp = build_spaces(1, 1, mode)
+    V = sp.sectors[0]
+    *pressure, labels, sub = V.fields[-1]
+    moved = labels.copy()
+    moved.flat[np.flatnonzero(moved.ravel() == 2)[0]] = 4
+    fields = V.fields[:-1] + [(*pressure, moved, sub)]
+    with pytest.raises(ValueError, match="part sizes"):
+        Sectors(fields, V.swaps)
+    assert Sectors(fields).representative == list(range(8))
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+def test_carried_coordinates_round_trip(pairing, mode):
+    # down carries each sector's slice to its representative's coordinates
+    # (the identity on the representatives) and up brings it back: exact up
+    # to the rounding of sigma's 2 x 2 mix
+    sp = build_spaces(1, 2, mode, pairing)
+    x = np.random.default_rng(2).standard_normal(sp.n_V)
+    V = sp.sectors[0]
+    down, up = V.carry
+    y = down(x)
+    for r in (0, 1, 3, 7):
+        assert np.array_equal(y[V.sectors[r]], V.to_sectors(x)[V.sectors[r]])
+    assert_allclose(up(y), x, rtol=0, atol=1e-15 * np.abs(x).max())
+    assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), rel=1e-14)
