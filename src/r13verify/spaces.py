@@ -449,9 +449,12 @@ class Sectors:
             moved = np.zeros(where.shape, dtype=int)
             for c, grid in enumerate(grids):
                 moved[c, : grid.size] = np.arange(grid.size).reshape(grid.shape).swapaxes(*axes).ravel()
-            mixed = [np.flatnonzero(row) for row in W]
-            source = np.array([np.resize(r, max(map(len, mixed))) for r in mixed]).T  # padded by repeats
-            weight = np.array([W[c, r] * (np.arange(r.size) < len(m)) for c, (r, m) in enumerate(zip(source.T, mixed))]).T
+            terms = int(np.count_nonzero(W, axis=1).max())
+            source, weight = np.zeros((terms, len(W)), dtype=int), np.zeros((terms, len(W)))
+            for c, row in enumerate(W):
+                r = np.flatnonzero(row)
+                source[:, c] = r[0]  # a padding term reads the first source, with weight 0
+                source[: r.size, c], weight[: r.size, c] = r, row[r]
             coords = where[source[:, block], moved[block, point]]
             swapped[axes] = (np.where(coords < 0, -1, at[coords]), weight[:, block])
         for s, r in enumerate(self.representative):
