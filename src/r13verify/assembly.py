@@ -128,14 +128,16 @@ def _shift(sl: slice, offset: int) -> slice:
 
 @dataclass(eq=False)
 class SaddlePart:
-    """One (sector, subproblem) of a SaddleStructure.
+    """One (sector, subproblem) of a SaddleStructure, in carried sector coordinates.
 
     It holds its blocks of B, M_V and M_Q, its sector, its subproblem (0
-    momentum, 1 energy), its slices v and q of the structure's sector
-    coordinates (from V.parts and Q.parts), and its slice `local` of its
-    sector's V coordinates. It builds on first use the block Cholesky
-    factors of its M_V and M_Q blocks and one SVD of its block of B in
-    those norms, of which it keeps U and the singular values.
+    momentum, 1 energy) and its slice `local` of its sector's V
+    coordinates; its slot 2 sector + subproblem gives its slices of the
+    structure's sector coordinates, V.parts and Q.parts of that slot. A
+    part of a mapped sector is its representative's part itself. It builds
+    on first use the block Cholesky factors of its M_V and M_Q blocks and
+    one SVD of its block of B in those norms, of which it keeps U and the
+    singular values.
     """
 
     B: np.ndarray
@@ -143,8 +145,6 @@ class SaddlePart:
     M_Q: np.ndarray
     sector: int
     subproblem: int
-    v: slice
-    q: slice
     local: slice
 
     @cached_property
@@ -168,10 +168,12 @@ class SaddlePart:
 
 
 def _scatter(blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
-    """The read-only dense matrix with each (block, rows, columns) at those sector coordinates."""
+    """The read-only dense matrix with each (block, rows, columns) at those carried sector
+    coordinates, carried back to the coordinates on both sides."""
     M = np.zeros((rows.order.size, cols.order.size))
     for X, r, c in blocks:
-        M[np.ix_(rows.order[r], cols.order[c])] = X
+        M[r, c] = X
+    M = rows.from_sectors(cols.from_sectors(M.T).T)
     M.setflags(write=False)
     return M
 
@@ -184,18 +186,19 @@ class SaddleStructure:
     holds no reference back to the spaces, so reference counting frees it
     with them. The matrices commute with the cube's three mirror
     reflections and never couple the momentum and the energy subproblem,
-    so they split into 8 sectors of two subproblems each: 16 parts
-    (SaddlePart), laid out by V and Q, the spaces' own Sectors. `assemble`
-    builds every part's blocks from the 1D factors (`_sector_assemble` by
-    part). The matrices also commute with the swaps of the cube's axes,
-    which map sectors 1, 2 and 4 onto each other and 3, 5 and 6: each
-    sector's blocks are those of its representative (0, 1, 3 or 7) carried
-    by the exact maps of V and Q (Sectors.maps). So every derived quantity
-    is computed on the 8 parts of the representatives alone, and each
-    representative counts once per sector of its orbit: the Cholesky
-    factors of M_V and M_Q, the SVD of B in those norms and the one rank
-    decision cut on it. The dense B, M_V and M_Q are scattered from all 16
-    parts on first access and kept.
+    so they split into 8 sectors of two subproblems each: 16 part slots,
+    laid out by V and Q, the spaces' own Sectors. The matrices also
+    commute with the swaps of the cube's axes, which map sectors 1, 2 and
+    4 onto each other and 3, 5 and 6, so in V's and Q's carried sector
+    coordinates each sector's blocks are its representative's (0, 1, 3 or
+    7). `assemble` builds the 8 parts of the representatives from the 1D
+    factors (`_sector_assemble` by part), and the slots of sectors 2, 4, 5
+    and 6 hold their representative's parts themselves. So every derived
+    quantity is computed once per distinct part, and each counts once per
+    sector of its orbit: the Cholesky factors of M_V and M_Q, the SVD of B
+    in those norms and the one rank decision cut on it. The dense B, M_V
+    and M_Q are scattered from the 16 slots and carried back on first
+    access, and kept.
     """
 
     V: Sectors = field(repr=False)
@@ -208,98 +211,85 @@ class SaddleStructure:
         B = _sector_assemble(_B_terms(spaces), Q, V, cache, by_part=True)
         M_V = _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, cache, by_part=True)
         M_Q = _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, cache, by_part=True)
-        return cls(V, Q, _parts(V, Q, (B, M_V, M_Q)))
+        return cls(V, Q, _parts(V, (B, M_V, M_Q)))
 
     @cached_property
     def B(self) -> np.ndarray:
-        return _scatter(((p.B, p.q, p.v) for p in self.parts), self.Q, self.V)
+        return _scatter(((p.B, q, v) for p, q, v in zip(self.parts, self.Q.parts, self.V.parts)), self.Q, self.V)
 
     @cached_property
     def M_V(self) -> np.ndarray:
-        return _scatter(((p.M_V, p.v, p.v) for p in self.parts), self.V, self.V)
+        return _scatter(((p.M_V, v, v) for p, v in zip(self.parts, self.V.parts)), self.V, self.V)
 
     @cached_property
     def M_Q(self) -> np.ndarray:
-        return _scatter(((p.M_Q, p.q, p.q) for p in self.parts), self.Q, self.Q)
-
-    @cached_property
-    def orbits(self) -> dict[int, list[int]]:
-        """Per representative sector, the sectors of its orbit, itself first."""
-        out: dict = {}
-        for s, r in enumerate(self.V.representative):
-            out.setdefault(r, []).append(s)
-        return out
-
-    @cached_property
-    def sources(self) -> tuple[int, ...]:
-        """Per part, the index of the representative's part that it is computed on."""
-        return tuple(2 * self.V.representative[p.sector] + p.subproblem for p in self.parts)
+        return _scatter(((p.M_Q, q, q) for p, q in zip(self.parts, self.Q.parts)), self.Q, self.Q)
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """Rank of each part's block of B, its representative's, cut once at KERNEL_RTOL
-        (1e-10, the report's `kernel_rank_cutoff`) times the largest whitened singular
-        value of the whole B: the one rank decision behind every kernel, cokernel and constant."""
+        """Rank of each part's block of B, cut once at KERNEL_RTOL (1e-10, the report's
+        `kernel_rank_cutoff`) times the largest whitened singular value of the whole B:
+        the one rank decision behind every kernel, cokernel and constant."""
         cut = KERNEL_RTOL * self.whitened_svals[0] if self.whitened_svals.size else 0.0
-        return tuple(int(np.sum(self.parts[j].whitened_svd[1] > cut)) for j in self.sources)
+        return tuple(int(np.sum(p.whitened_svd[1] > cut)) for p in self.parts)
 
     @cached_property
     def L_V(self) -> BlockCholesky:
-        """Block factor of M_V in the carried sector coordinates of V.carry, joined from
-        the representative parts' factors: each part holds its source's, in its own slice."""
-        return BlockCholesky((_shift(sl, p.v.start), L) for p, j in zip(self.parts, self.sources) for sl, L in self.parts[j].cholesky[0].blocks)
+        """Block factor of M_V in the carried sector coordinates of V, joined from the parts'
+        factors, each in its slot's slice."""
+        return BlockCholesky((_shift(sl, v.start), L) for p, v in zip(self.parts, self.V.parts) for sl, L in p.cholesky[0].blocks)
 
     @cached_property
     def whitened_svals(self) -> np.ndarray:
         """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms, each
         representative part's once per sector of its orbit."""
-        return np.sort(np.concatenate([self.parts[j].whitened_svd[1] for j in self.sources]))[::-1]
+        return np.sort(np.concatenate([p.whitened_svd[1] for p in self.parts]))[::-1]
 
     @cached_property
     def load_maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per sector, (Y, Z) on its Q coordinates, from its representative's parts' U and L_Q.
+        """Per sector, (Y, Z) on its carried Q coordinates, from its parts' U and L_Q; a
+        mapped sector holds its representative's pair.
 
         Y = [U_r^T; U_k^T] L_Q^-1 stacks the parts' rank rows, then their
         remaining rows: Y g holds a load's constraint rows, then its
         component against ker B^T, and |Y g| = |L_Q^-1 g|. Z = L_Q^-T U_r
-        maps the sector's multipliers to its pressure. Another sector of
-        the orbit, reached by the orthogonal map Omega of Q (`to` of
-        Q.maps, an index gather), has Y Omega^T and Omega Z, composed once
-        here.
+        maps the sector's multipliers to its pressure.
         """
-        out = [None] * len(self.Q.sectors)
-        for r, orbit in self.orbits.items():
-            qs = self.Q.sectors[r]
-            own = [(p, k) for p, k in zip(self.parts, self.ranks) if p.sector == r]
-            rank = sum(k for _, k in own)
+        out = []
+        for s, r in enumerate(self.Q.representative):
+            if r != s:
+                out.append(out[r])
+                continue
+            qs, own = self.Q.sectors[s], [(2 * s + sub, self.parts[2 * s + sub]) for sub in (0, 1)]
+            rank = sum(self.ranks[i] for i, _ in own)
             Y, Z = np.zeros((qs.stop - qs.start,) * 2), np.zeros((qs.stop - qs.start, rank))
             row, kernel_row = 0, rank
-            for p, k in own:
-                W = p.cholesky[1].solve(p.whitened_svd[0], trans=1)  # L_Q^-T U
-                lq = _shift(p.q, -qs.start)
+            for i, p in own:
+                k, W = self.ranks[i], p.cholesky[1].solve(p.whitened_svd[0], trans=1)  # L_Q^-T U
+                lq = _shift(self.Q.parts[i], -qs.start)
                 Y[row : row + k, lq] = W[:, :k].T
                 Z[lq, row : row + k] = W[:, :k]
                 Y[kernel_row : kernel_row + W.shape[1] - k, lq] = W[:, k:].T
                 row, kernel_row = row + k, kernel_row + W.shape[1] - k
-            out[r] = (Y, Z)
-            for s in orbit[1:]:
-                to = self.Q.maps[s][0]
-                out[s] = (np.ascontiguousarray(to(Y.T).T), to(Z))
+            out.append((Y, Z))
         return out
 
 
-def _parts(V: Sectors, Q: Sectors, blocks) -> tuple:
-    """The SaddleParts of the part blocks (of B, M_V, M_Q) on the parts of V and Q."""
-    return tuple(
-        SaddlePart(*blk, i // 2, i % 2, v, q, _shift(v, -V.sectors[i // 2].start))
-        for i, (blk, v, q) in enumerate(zip(zip(*blocks), V.parts, Q.parts))
-    )
+def _parts(V: Sectors, blocks) -> tuple:
+    """The SaddleParts of the part blocks (of B, M_V, M_Q) in the 16 slots of V's parts; a
+    mapped sector's slot holds its representative's part."""
+    parts = []
+    for i, blk in enumerate(zip(*blocks)):
+        s, r = i // 2, V.representative[i // 2]
+        parts.append(parts[2 * r + i % 2] if r != s else SaddlePart(*blk, s, i % 2, _shift(V.parts[i], -V.sectors[s].start)))
+    return tuple(parts)
 
 
 def _symmetrize(blocks: list, V: Sectors) -> list:
-    """Make each sector block symmetric to the bit on both subproblems, (S + S^T)/2,
-    and exactly skew between them, from its momentum-energy block."""
-    for S, k in zip(blocks, (momentum.stop - momentum.start for momentum in V.parts[::2])):
+    """Make each representative's sector block symmetric to the bit on both subproblems,
+    (S + S^T)/2, and exactly skew between them, from its momentum-energy block."""
+    for s in sorted(set(V.representative)):
+        S, k = blocks[s], V.parts[2 * s].stop - V.parts[2 * s].start
         for d in (slice(0, k), slice(k, None)):
             S[d, d] = 0.5 * (S[d, d] + S[d, d].T)
         S[k:, :k] = -S[:k, k:].T
@@ -310,24 +300,22 @@ def _symmetrize(blocks: list, V: Sectors) -> list:
 class SaddleOperator:
     """The primal form A of one (spaces, params) on the spaces' shared structure.
 
-    `sectors` holds A's diagonal sector blocks in the structure's sector
-    coordinates. `assemble` builds them from the 1D factors and makes each
-    symmetric to the bit on the momentum and the energy subproblem and
-    exactly skew between them, as A is (`_symmetrize`); alpha0 relies on
-    that. A commutes with the swaps of the cube's axes as B does, so each
-    sector's block is its representative's carried by the map of V
-    (SaddleStructure); all 8 blocks are kept, for the residuals and the
-    dense A, which is scattered from them on first access and kept. The
-    operator keeps what saddlepoint factors on first use, on the
-    representatives only and valid for this A and structure only: in
-    `bordered`, by part index, the LU of each representative part's
-    bordered matrix (alpha0), and in `factors`, by representative sector,
-    the LU of its saddle matrix (the solve of its whole orbit).
+    `sectors` holds A's diagonal sector blocks in the structure's carried
+    sector coordinates. `assemble` builds the representatives' blocks from
+    the 1D factors and makes each symmetric to the bit on the momentum and
+    the energy subproblem and exactly skew between them, as A is
+    (`_symmetrize`); alpha0 relies on that. A commutes with the swaps of
+    the cube's axes as B does, so the slots of sectors 2, 4, 5 and 6 hold
+    their representative's block itself (SaddleStructure). The dense A is
+    scattered from the 8 slots and carried back on first access, then made
+    exactly symmetric and skew again, and kept. The operator keeps in
+    `factors`, by representative sector, the LU of its saddle matrix (the
+    solve of its whole orbit), factored by saddlepoint on first use and
+    valid for this A and structure only.
     """
 
     structure: SaddleStructure
     sectors: list = field(repr=False)
-    bordered: dict = field(default_factory=dict, repr=False)
     factors: dict | None = field(default=None, repr=False)
 
     @classmethod
@@ -338,7 +326,11 @@ class SaddleOperator:
     @cached_property
     def A(self) -> np.ndarray:
         V = self.structure.V
-        return _scatter(((S, sl, sl) for S, sl in zip(self.sectors, V.sectors)), V, V)
+        A = _scatter(((S, sl, sl) for S, sl in zip(self.sectors, V.sectors)), V, V)
+        energy = np.concatenate([np.full(lab.size, sub == 1) for *_, lab, sub in V.fields])
+        A = np.where(energy[:, None] == energy[None, :], 0.5 * (A + A.T), np.where(energy[:, None], -A.T, A))
+        A.setflags(write=False)
+        return A
 
 
 # -- sector assembly from 1D factors ----------------------------------------
@@ -442,10 +434,17 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_
     sector, one stack of products (shared through cache) meets the
     coefficients in one product. R maps the zero-mean pressure's sector-0
     coordinates. With by_part, r and c lie in one subproblem and the term
-    lands in the block of part 2 s + subproblem.
+    lands in the block of part 2 s + subproblem. Only the representative
+    sectors of rows (Sectors.representative) are assembled: in the carried
+    coordinates another sector's block is its representative's, and its
+    entry of the list is that same array.
     """
     rs, cs = (rows.parts, cols.parts) if by_part else (rows.sectors, cols.sectors)
-    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rs, cs)]
+    step = len(rs) // len(rows.sectors)
+    out = []
+    for i, (r, c) in enumerate(zip(rs, cs)):
+        rep = step * rows.representative[i // step] + i % step
+        out.append(out[rep] if rep != i else np.zeros((r.stop - r.start, c.stop - c.start)))
     for (r, c), pair in terms.items():
         (X, mr, Rr, _, ur), (Y, mc, Rc, _, _) = rows.fields[r], cols.fields[c]
         names = tuple(nm for nm in pair if sum(SWAPS[x] << a for a, x in enumerate(nm)) == mr ^ mc)
@@ -455,7 +454,7 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_
         stacks = cache.setdefault((pair_key, names), {})  # by row parities
         for s, ((ro, nr), (co, nc)) in enumerate(zip(rows.boxes[r], cols.boxes[c])):
             pr, pc, i = s ^ mr, s ^ mc, 2 * s + ur if by_part else s
-            if not nr * nc:
+            if not nr * nc or rows.representative[s] != s:
                 continue
             if pr not in stacks:
                 for nm in names:  # its product of the 1D sub-blocks of the row and column parities

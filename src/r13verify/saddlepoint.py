@@ -7,13 +7,15 @@ operators, k0 and |B| dense singular values of the whitened constraint.
 The unit cube's three mirror reflections and the split into momentum and
 energy subproblem cut the system into 8 sectors of two parts each
 (assembly.SaddleStructure). The swaps of the cube's axes map sectors 1, 2
-and 4 onto each other and 3, 5 and 6, by exact coefficient maps
-(spaces.Sectors.maps), so the representative sectors 0, 1, 3 and 7 and
-their 8 parts carry every factorization, SVD and Lanczos run: each
-constant comes from them, a representative counting once per sector of
-its orbit (1 for sectors 0 and 7, 3 for 1 and 3), and the solve factors
-the 4 representatives' saddle matrices once and solves each other sector
-through its representative's LU.
+and 4 onto each other and 3, 5 and 6, by exact coefficient maps, and the
+sector coordinates are carried by them (spaces.Sectors): there sectors 2,
+4, 5 and 6 are aliases, whose blocks and parts are those of their
+representative, 1 or 3, themselves. So the representative sectors 0, 1,
+3 and 7 and their 8 parts carry every factorization, SVD and Lanczos run:
+each constant comes from them, a representative counting once per sector
+of its orbit (1 for sectors 0 and 7, 3 for 1 and 3), and the solve
+factors the 4 representatives' saddle matrices once and solves each
+other sector through its representative's LU.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, _shift
+from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, SaddleStructure, _shift
 from .tensors import projection_matrix2
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
@@ -114,26 +116,18 @@ def _lu_in_place(K: np.ndarray):
     return (lu, piv), rcond
 
 
-def _bordered_lu(op: SaddleOperator, i: int):
-    """(LU, rcond) of part i's bordered matrix [[A_ii, C_i^T], [C_i, 0]], factored once per operator."""
-    if i not in op.bordered:
-        p = op.structure.parts[i]
-        A_ii = op.sectors[p.sector][p.local, p.local]
-        C_i = p.constraint(op.structure.ranks[i])
-        op.bordered[i] = _lu_in_place(_saddle_matrix(A_ii, [(slice(0, A_ii.shape[0]), C_i)]))
-    return op.bordered[i]
+def _representatives(st: SaddleStructure) -> list[tuple[int, list]]:
+    """Per representative sector s, ascending: (s, its two slots' (part, rank), momentum first)."""
+    return [(s, list(zip(st.parts[2 * s : 2 * s + 2], st.ranks[2 * s : 2 * s + 2]))) for s in sorted(set(st.V.representative))]
 
 
 def _sector_lus(op: SaddleOperator) -> dict:
     """Per representative sector s, the LU of its saddle matrix [[A_s, C_s^T], [C_s, 0]],
     factored once per operator; C_s stacks the constraints of the sector's parts."""
     if op.factors is None:
-        st = op.structure
         factors = {
-            s: _lu_in_place(
-                _saddle_matrix(op.sectors[s], [(p.local, p.constraint(r)) for p, r in zip(st.parts, st.ranks) if p.sector == s])
-            )
-            for s in st.orbits
+            s: _lu_in_place(_saddle_matrix(op.sectors[s], [(p.local, p.constraint(r)) for p, r in own]))
+            for s, own in _representatives(op.structure)
         }
         rcond = min(rc for _, rc in factors.values())
         if rcond == 0.0:
@@ -153,10 +147,9 @@ def _norm_A(op: SaddleOperator) -> float:
     """|A| in the M_V norm: the largest singular value of X = L_V^-1 A L_V^-T, by Lanczos
     on X^T X over the direct sum of the representative sectors. Each product takes four
     block triangular solves per sector; X is never formed."""
-    st = op.structure
     terms, n = [], 0
-    for s in st.orbits:
-        L = BlockCholesky((_shift(sl, p.local.start), F) for p in st.parts if p.sector == s for sl, F in p.cholesky[0].blocks)
+    for s, own in _representatives(op.structure):
+        L = BlockCholesky((_shift(sl, p.local.start), F) for p, _ in own for sl, F in p.cholesky[0].blocks)
         terms.append((op.sectors[s], L, slice(n, n + op.sectors[s].shape[0])))
         n = terms[-1][2].stop
 
@@ -190,16 +183,16 @@ def _coercivity(op: SaddleOperator) -> float:
     an orbit: its eigenproblem is its representative's, carried by the
     orthogonal map of the axis swap.
     """
-    st = op.structure
     terms, n = [], 0
-    for i, p in enumerate(st.parts):
-        nV = p.M_V.shape[0]
-        if st.sources[i] == i and st.ranks[i] < nV:
-            lu, rcond = _bordered_lu(op, i)
-            if not rcond >= np.finfo(float).eps:
-                return 0.0
-            terms.append((lu, p.cholesky[0], slice(n, n + nV), np.zeros(lu[0].shape[0])))
-            n += nV
+    for s, own in _representatives(op.structure):
+        for p, rank in own:
+            nV = p.M_V.shape[0]
+            if rank < nV:
+                lu, rcond = _lu_in_place(_saddle_matrix(op.sectors[s][p.local, p.local], [(slice(0, nV), p.constraint(rank))]))
+                if not rcond >= np.finfo(float).eps:
+                    return 0.0
+                terms.append((lu, p.cholesky[0], slice(n, n + nV), np.zeros(lu[0].shape[0])))
+                n += nV
 
     def apply(x):
         y = np.empty(n)
@@ -282,44 +275,40 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     at its rank into U_r and U_k, gives the consistency test
     U_k^T L_Q^-1 G = 0, the constraint rows U_r^T L_Q^-1 G and, from the
     multipliers lam, the minimal pressure P = L_Q^-T U_r lam, through one
-    map per sector each way (SaddleStructure.load_maps; another sector of
-    an orbit has its representative's composed with the map of Q). F and G
-    go to sector coordinates, and the 4 representative sectors' saddle
-    matrices are factored once per operator. Another sector of an orbit
-    is solved through its representative's LU: one gather over the whole
-    of F (`V.carry`, each sector's map of V joined once per structure, an
-    index gather plus the 2 x 2 mix of sigma's diagonal pair) carries each
-    sector's F to its representative's coordinates, and one gather carries
-    the solution back to U. Each further load costs two permutations and
-    two such gathers, and per sector three small products and one LU
-    back-substitution. The residuals and the norms of U and P are taken
-    in sector coordinates, with all 8 of the operator's blocks of A and
-    all 16 parts'.
+    map per representative sector each way (SaddleStructure.load_maps).
+    Everything runs in the carried sector coordinates (spaces.Sectors), in
+    which each sector's blocks are its representative's: F and G are
+    carried in once (an index gather, plus the 2 x 2 mix of sigma's
+    diagonal pair for F), the 4 representative sectors' saddle matrices
+    are factored once per operator, every sector is solved through its
+    representative's LU, and U and P are carried back once. Each further
+    load costs those four gathers and, per sector, three small products
+    and one LU back-substitution. The residuals and the norms of U and P
+    are taken in the carried coordinates, with the 8 slots of the
+    operator's blocks of A and the 16 slots of the parts, a mapped
+    sector's being its representative's.
     """
     op = system.operator
     st = op.structure
     V, Q = st.V, st.Q
-    (down, up), g = V.carry, Q.to_sectors(system.G)
+    f, g = V.to_sectors(system.F), Q.to_sectors(system.G)
     y = [Y @ g[qs] for (Y, _), qs in zip(st.load_maps, Q.sectors)]
     defect = np.concatenate([y_s[Z.shape[1] :] for y_s, (_, Z) in zip(y, st.load_maps)])
     g_dual = np.linalg.norm(np.concatenate(y))  # |L_Q^-1 G|, the dual norm of G
     if np.linalg.norm(defect) > KERNEL_RTOL * max(g_dual, 1.0):
         raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {defect.size})")
     lus = _sector_lus(op)
-    f_carried, x_V, p = down(system.F), np.empty(V.order.size), np.empty(g.size)
+    u, p = np.empty(f.size), np.empty(g.size)
     for r, vs, qs, y_s, (_, Z) in zip(V.representative, V.sectors, Q.sectors, y, st.load_maps):
-        f_s = f_carried[vs]
-        x = _lu_solve(lus[r], np.concatenate([f_s, y_s[: Z.shape[1]]]))
-        x_V[vs], p[qs] = x[: f_s.size], Z @ x[f_s.size :]
-    U = up(x_V)
-    f, u = V.to_sectors(system.F), V.to_sectors(U)
-    r1, r2, norm_U, norm_P = -f, -g, 0.0, 0.0  # the residuals, in sector coordinates
+        x = _lu_solve(lus[r], np.concatenate([f[vs], y_s[: Z.shape[1]]]))
+        u[vs], p[qs] = x[: vs.stop - vs.start], Z @ x[vs.stop - vs.start :]
+    r1, r2, norm_U, norm_P = -f, -g, 0.0, 0.0  # the residuals, in carried sector coordinates
     for A_s, vs in zip(op.sectors, V.sectors):
         r1[vs] += A_s @ u[vs]
-    for part in st.parts:
-        u_i, p_i = u[part.v], p[part.q]
-        r1[part.v] += part.B.T @ p_i
-        r2[part.q] += part.B @ u_i
+    for part, vp, qp in zip(st.parts, V.parts, Q.parts):
+        u_i, p_i = u[vp], p[qp]
+        r1[vp] += part.B.T @ p_i
+        r2[qp] += part.B @ u_i
         norm_U += u_i @ (part.M_V @ u_i)
         norm_P += p_i @ (part.M_Q @ p_i)
     f_norm = np.linalg.norm(f)
@@ -328,11 +317,12 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
 
     bound_U = bound_P = None
     if constants is not None:
-        f_dual = np.linalg.norm(st.L_V.solve(f_carried))
+        f_dual = np.linalg.norm(st.L_V.solve(f))
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float((1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual)
-    return MixedSolution(U, Q.from_sectors(p), res1, res2, float(np.sqrt(norm_U)), float(np.sqrt(norm_P)), bound_U, bound_P)
+    U, P = V.from_sectors(u), Q.from_sectors(p)
+    return MixedSolution(U, P, res1, res2, float(np.sqrt(norm_U)), float(np.sqrt(norm_P)), bound_U, bound_P)
 
 
 def limit_consistency(U: np.ndarray, P: np.ndarray, system: MixedSystem):

@@ -374,11 +374,11 @@ class Sectors:
     coordinates to the fully even functions, the only sector where Cp is
     not the identity (else None); subproblem is 0 (momentum) or 1 (energy).
     The sector coordinates list the coordinates sector by sector, momentum
-    before energy: `order` maps them to coordinates, `sectors` holds each
-    sector's slice of them and `parts` the slice of each (sector,
-    subproblem) at index 2 sector + subproblem. `boxes` gives per field
-    block and sector the start, in sector coordinates, and the size of the
-    block's coordinates in the sector, where they are contiguous.
+    before energy: `order` maps the slices to the coordinates they are
+    made of, `sectors` holds each sector's slice and `parts` the slice of
+    each (sector, subproblem) at index 2 sector + subproblem. `boxes` gives
+    per field block and sector the start, in sector coordinates, and the
+    size of the block's coordinates in the sector, where they are contiguous.
 
     `swaps` maps each transposition (a, b) of the cube's axes (AXIS_SWAPS)
     to the orthogonal matrix W it induces on the field blocks: block c of
@@ -386,14 +386,16 @@ class Sectors:
     of its coefficient grid exchanged. The swap maps sector s to s with
     bits a and b exchanged, so the sectors with as many odd axes form one
     orbit, and its `representative` is the one whose odd axes come first:
-    0, 1, 3 and 7 in 3D. For every other sector s, `maps[s]` holds the pair
-    of Gathers (to, back) of the swap that takes its representative r to
-    s: `to` gives s's sector-local coordinates from r's, `back` r's from
-    s's. Both are exact index gathers read off the blocks' label grids,
-    mixed by W; a map never touches sector 0, so R never enters. Without
-    swaps every sector is its own representative. The constructor raises
-    if a sector's part sizes differ from its representative's. `carry`
-    joins the maps into one gather each way over whole vectors.
+    0, 1, 3 and 7 in 3D. The sector coordinates are carried: every other
+    sector s holds its coordinates carried to its representative r's by
+    the swap that takes r to s, so its slice lists them in r's order and
+    a matrix that commutes with the swaps has r's block there.
+    `to_sectors` and `from_sectors` are that carry and its inverse, each
+    one Gather over whole vectors: an exact index gather read off the
+    blocks' label grids, mixed by W; no map touches sector 0, so R never
+    enters. Without swaps every sector is its own representative and the
+    carry is the plain permutation `order`. The constructor raises if a
+    sector's part sizes differ from its representative's.
     """
 
     def __init__(self, fields: list, swaps: dict | None = None):
@@ -419,81 +421,69 @@ class Sectors:
         for s, r in enumerate(self.representative):
             if not np.array_equal(sizes[s], sizes[r]):
                 raise ValueError(f"sector {s} has part sizes {sizes[s].tolist()}, its representative {r} {sizes[r].tolist()}")
-        self.maps = {}
-        if self.swaps:
-            self._build_maps(at)
+        self._down, self._up = self._carry(at)
 
-    def _build_maps(self, at: np.ndarray) -> None:
-        """Fill `maps` from each swap's map of the whole sector coordinates.
+    def _carry(self, at: np.ndarray) -> tuple[Gather, Gather]:
+        """(down, up): to_sectors and from_sectors, from each swap's map of the whole sector coordinates.
 
         Each block's label grid (its labels, but for the zero-mean pressure's)
         gives every coordinate a grid point: the k-th coordinate with a label
         is the k-th point of the grid with that label (outside the zero-mean
         pressure's sector 0, which no map reads, this is exact). The swap
         reads, for a coordinate of block c, the grid point with the axes
-        exchanged in each block r that W mixes into c.
+        exchanged in each block r that W mixes into c. down reads sector s's
+        slice of the carried coordinates through the swap from r's slice
+        (its coordinates lie in s's), up reads s's coordinates from r's.
         """
-        grids = [lab if lab.ndim == basis.dim else basis.sectors(mask) for basis, mask, _, lab, _ in self.fields]
-        where = np.full((len(grids), max(g.size for g in grids)), -1)  # the coordinate of each block's grid point
-        block, point, start = [], [], 0
-        for c, ((*_, lab, _), grid) in enumerate(zip(self.fields, grids)):
-            lab, by_label = lab.ravel(), np.argsort(grid.ravel(), kind="stable")
-            points = by_label[np.searchsorted(grid.ravel()[by_label], lab) + _label_ranks(lab)]
-            where[c, points] = start + np.arange(lab.size)
-            block.append(np.full(lab.size, c))
-            point.append(points)
-            start += lab.size
-        block, point = np.concatenate(block)[self.order], np.concatenate(point)[self.order]
         swapped = {}
-        for axes, W in self.swaps.items():
-            moved = np.zeros(where.shape, dtype=int)
-            for c, grid in enumerate(grids):
-                moved[c, : grid.size] = np.arange(grid.size).reshape(grid.shape).swapaxes(*axes).ravel()
-            terms = int(np.count_nonzero(W, axis=1).max())
-            source, weight = np.zeros((terms, len(W)), dtype=int), np.zeros((terms, len(W)))
-            for c, row in enumerate(W):
-                r = np.flatnonzero(row)
-                source[:, c] = r[0]  # a padding term reads the first source, with weight 0
-                source[: r.size, c], weight[: r.size, c] = r, row[r]
-            coords = where[source[:, block], moved[block, point]]
-            swapped[axes] = (np.where(coords < 0, -1, at[coords]), weight[:, block])
+        if self.swaps:
+            grids = [lab if lab.ndim == basis.dim else basis.sectors(mask) for basis, mask, _, lab, _ in self.fields]
+            where = np.full((len(grids), max(g.size for g in grids)), -1)  # the coordinate of each block's grid point
+            block, point, start = [], [], 0
+            for c, ((*_, lab, _), grid) in enumerate(zip(self.fields, grids)):
+                lab, by_label = lab.ravel(), np.argsort(grid.ravel(), kind="stable")
+                points = by_label[np.searchsorted(grid.ravel()[by_label], lab) + _label_ranks(lab)]
+                where[c, points] = start + np.arange(lab.size)
+                block.append(np.full(lab.size, c))
+                point.append(points)
+                start += lab.size
+            block, point = np.concatenate(block)[self.order], np.concatenate(point)[self.order]
+            for axes, W in self.swaps.items():
+                moved = np.zeros(where.shape, dtype=int)
+                for c, grid in enumerate(grids):
+                    moved[c, : grid.size] = np.arange(grid.size).reshape(grid.shape).swapaxes(*axes).ravel()
+                terms = int(np.count_nonzero(W, axis=1).max())
+                source, weight = np.zeros((terms, len(W)), dtype=int), np.zeros((terms, len(W)))
+                for c, row in enumerate(W):
+                    r = np.flatnonzero(row)
+                    source[:, c] = r[0]  # a padding term reads the first source, with weight 0
+                    source[: r.size, c], weight[: r.size, c] = r, row[r]
+                coords = where[source[:, block], moved[block, point]]
+                swapped[axes] = (np.where(coords < 0, -1, at[coords]), weight[:, block])
+        terms = max([index.shape[0] for index, _ in swapped.values()], default=1)
+        down, up = (Gather(np.zeros((terms, at.size), dtype=int), np.zeros((terms, at.size))) for _ in range(2))
+        down.index[0], up.index[0], down.weight[0], up.weight[0] = self.order, at, 1.0, 1.0
         for s, r in enumerate(self.representative):
-            if s != r:
-                index, weight = swapped[next(ab for ab in self.swaps if _swap_bits(r, *ab) == s)]
-                pair = []
-                for src, dst in ((r, s), (s, r)):
-                    i = index[:, self.sectors[dst]] - self.sectors[src].start
-                    if np.any(i < 0) or np.any(i >= self.sectors[src].stop - self.sectors[src].start):
-                        raise ValueError(f"the axis swap does not map sector {src} onto sector {dst}")
-                    pair.append(Gather(i, weight[:, self.sectors[dst]]))
-                self.maps[s] = tuple(pair)
-
-    @cached_property
-    def carry(self) -> tuple[Gather, Gather]:
-        """(down, up) over whole vectors: down(x) is x in sector coordinates with each
-        sector's slice carried to its representative's coordinates (`back` of maps),
-        and up(down(x)) = x (`to` of maps, then from_sectors)."""
-        size, slices = self.order.size, [self.sectors[s] for s in self.maps]
-        terms = max([g.index.shape[0] for pair in self.maps.values() for g in pair], default=1)
-        down, up = (Gather(np.zeros((terms, size), dtype=int), np.zeros((terms, size))) for _ in range(2))
-        down.index[0], down.weight[0] = self.order, 1.0
-        up.index[0, self.order], up.weight[0] = np.arange(size), 1.0
-        for sl, (to, back) in zip(slices, self.maps.values()):
-            t, rows = back.index.shape[0], self.order[sl]
-            down.weight[:, sl] = up.weight[:, rows] = 0.0
-            down.index[:t, sl], down.weight[:t, sl] = self.order[sl.start + back.index], back.weight
-            up.index[:t, rows], up.weight[:t, rows] = sl.start + to.index, to.weight
+            if s == r:
+                continue
+            index, weight = swapped[next(ab for ab in self.swaps if _swap_bits(r, *ab) == s)]
+            ss, rs, t = self.sectors[s], self.sectors[r], index.shape[0]
+            for src, dst in ((r, s), (s, r)):
+                i = index[:, self.sectors[dst]]
+                if np.any(i < self.sectors[src].start) or np.any(i >= self.sectors[src].stop):
+                    raise ValueError(f"the axis swap does not map sector {src} onto sector {dst}")
+            down.index[:t, ss], down.weight[:t, ss] = self.order[index[:, rs]], weight[:, rs]
+            rows = self.order[ss]
+            up.index[:t, rows], up.weight[:t, rows] = index[:, ss] - rs.start + ss.start, weight[:, ss]
         return down, up
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
-        """Sector coordinates of a vector."""
-        return x[self.order]
+        """The carried sector coordinates of a vector, or of each column of a matrix."""
+        return self._down(x)
 
     def from_sectors(self, y: np.ndarray) -> np.ndarray:
-        """The vector with sector coordinates y."""
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
+        """The vector (or matrix of columns) with carried sector coordinates y."""
+        return self._up(y)
 
 
 def mirror_masks(basis: np.ndarray) -> list[int]:

@@ -228,14 +228,6 @@ def test_assembled_matrices_commute_with_the_cube_mirrors(pairing, N, k, mode, e
             assert np.abs(left.T @ M @ right - M).max() <= 1e-13 * np.abs(M).max(), name
 
 
-def dense_gather(g, shape):
-    """The dense matrix of a spaces.Gather."""
-    D = np.zeros(shape)
-    for index, weight in zip(g.index, g.weight):
-        np.add.at(D, (np.arange(shape[0]), index), weight)
-    return D
-
-
 @pytest.mark.parametrize(
     "pairing,N,k",
     [("equal", 1, 1), ("equal", 2, 1), ("enriched", 1, 1), ("enriched", 2, 1), ("enriched", 1, 2)],
@@ -244,10 +236,11 @@ def dense_gather(g, shape):
 def test_assembled_matrices_commute_with_the_axis_swaps(pairing, N, k, mode):
     # the premise of the representative sectors: Omega^T M Omega = M for each
     # of the three swaps of the cube's axes, with Omega and the matrices (the
-    # dense oracle) built from tabulations alone; the library's maps between
-    # a representative r and each other sector s of its orbit are those
-    # Omega restricted to the sector coordinates of (s, r) and (r, s), and
-    # they take each sector's coordinates nowhere else
+    # dense oracle) built from tabulations alone; the library's carry, on
+    # the slice of each sector s of an orbit with representative r, is that
+    # Omega restricted to the sector coordinates of (r, s) (to_sectors) and
+    # of (s, r) (from_sectors), it reads nothing else there, and it is the
+    # plain permutation on the representatives
     spaces = build_spaces(N, k, mode, pairing)
     mats = oracle_forms(spaces, ModelParams(kn=0.7, chi_tilde=1.3, epsilon_w=0.1))
     maps = permutation_maps(spaces)
@@ -257,16 +250,36 @@ def test_assembled_matrices_commute_with_the_axis_swaps(pairing, N, k, mode):
             M = mats[name]
             assert np.abs(left.T @ M @ right - M).max() <= 1e-13 * np.abs(M).max(), name
     for S, which in zip(spaces.sectors, (0, 1)):
-        assert S.representative == [0, 1, 1, 3, 1, 3, 3, 7] and sorted(S.maps) == [2, 4, 5, 6]
-        for s, (to, back) in S.maps.items():
-            r = S.representative[s]
+        assert S.representative == [0, 1, 1, 3, 1, 3, 3, 7]
+        eye = np.eye(S.order.size)
+        down, up = S.to_sectors(eye), S.from_sectors(eye)  # (carried, coordinates), (coordinates, carried)
+        for s, r in enumerate(S.representative):
+            ss, rs = S.sectors[s], S.sectors[r]
+            if s == r:
+                assert np.array_equal(down[ss], eye[S.order[ss]])
+                continue
             (axes,) = [ab for ab in maps if _swap_bits(r, *ab) == s]
             Omega = maps[axes][which][np.ix_(S.order, S.order)]
-            rs, ss = S.sectors[r], S.sectors[s]
-            for rows, cols, g in ((ss, rs, to), (rs, ss, back)):
-                D = dense_gather(g, (rows.stop - rows.start, cols.stop - cols.start))
-                assert np.abs(Omega[rows, cols] - D).max() <= 1e-12, (s, axes)
-                assert np.abs(Omega[rows]).sum() == pytest.approx(np.abs(D).sum(), rel=1e-12)
+            for D, want, whole in ((down[ss][:, S.order[ss]], Omega[rs, ss], down[ss]),
+                                   (up[S.order[ss]][:, ss], Omega[ss, rs], up[S.order[ss]])):
+                assert np.abs(D - want).max() <= 1e-12, (s, axes)
+                assert np.abs(whole).sum() == pytest.approx(np.abs(D).sum(), rel=1e-12)
+                assert np.abs(D).sum() == pytest.approx(np.abs(want).sum(), rel=1e-12)
+
+
+def test_mapped_sectors_hold_their_representatives_blocks():
+    # the slots of sectors 2, 4, 5 and 6 hold their representative's blocks
+    # themselves, not copies: the operator 4 distinct blocks of A, the
+    # structure 8 distinct parts
+    system = assemble_system(build_spaces(1, 2, "zero_mean", "enriched"), PARAMS)
+    op = system.operator
+    st, rep = op.structure, op.structure.V.representative
+    assert len({id(A_s) for A_s in op.sectors}) == 4 and len({id(p) for p in st.parts}) == 8
+    for s, r in enumerate(rep):
+        assert op.sectors[s] is op.sectors[r]
+        for sub in (0, 1):
+            assert st.parts[2 * s + sub] is st.parts[2 * r + sub]
+            assert (st.parts[2 * s + sub].sector, st.parts[2 * s + sub].subproblem) == (r, sub)
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import types
 import warnings
 import weakref
 
@@ -15,8 +16,12 @@ from r13verify.assembly import (
     BoundaryData,
     ModelParams,
     SaddleOperator,
+    SaddlePart,
     SaddleStructure,
     VolumeSources,
+    _B_terms,
+    _norm_terms,
+    _sector_assemble,
     assemble_system,
     bc_residuals,
 )
@@ -27,7 +32,7 @@ from r13verify.saddlepoint import (
     limit_consistency,
     solve_mixed,
 )
-from r13verify.spaces import PAIRINGS, build_spaces
+from r13verify.spaces import PAIRINGS, Sectors, build_spaces
 
 from helpers import (
     cokernel_basis,
@@ -36,6 +41,7 @@ from helpers import (
     dense_mixed_solution,
     kernel_basis,
     kron_gram,
+    oracle_forms,
     wall_residuals_oracle,
 )
 
@@ -448,20 +454,20 @@ def test_spaces_keep_their_structure_and_operators(assembled):
 def test_constants_on_a_dropped_system_serve_later_loads(assembled):
     # constants on a system that is then dropped, then loads on the same
     # spaces: the solves read the structure, the operator and the whitened
-    # SVDs that the constants made, on the representative parts alone
+    # SVDs that the constants made, on the 8 distinct (representative) parts
     sp = build_spaces(2, 1, "zero_mean")
     params = ModelParams()
     consts = brezzi_constants(assemble_system(sp, params))
     structure = sp.structure
-    representative = [i == j for i, j in enumerate(structure.sources)]
-    assert sum(representative) == 8
-    svds = [p.__dict__.get("whitened_svd") for p in structure.parts]
-    assert [svd is not None for svd in svds] == representative
+    parts = list({id(p): p for p in structure.parts}.values())
+    assert len(parts) == 8
+    svds = [p.__dict__.get("whitened_svd") for p in parts]
+    assert all(svd is not None for svd in svds)
     rng = np.random.default_rng(54)
     for _ in range(3):
         assert solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts).bounds_hold
     assert assembled == {"structure": 1, "operator": 1}
-    assert [p.__dict__.get("whitened_svd") for p in structure.parts] == svds
+    assert [p.__dict__.get("whitened_svd") for p in parts] == svds
 
 
 def test_dropped_spaces_free_their_structure_without_gc():
@@ -669,10 +675,11 @@ def test_each_part_and_sector_is_factored_once_for_every_load(monkeypatch):
     system = assemble_system(sp, params)
     structure = system.operator.structure
     sector_sizes = [sl.stop - sl.start for sl in structure.V.sectors]
-    for p, r in zip(structure.parts, structure.ranks):
-        sector_sizes[p.sector] += r
+    for i, r in enumerate(structure.ranks):
+        sector_sizes[i // 2] += r
     consts = brezzi_constants(system)
-    assert len(sizes) == 8 and sorted(system.operator.bordered) == [0, 1, 2, 3, 6, 7, 14, 15]
+    bordered = [structure.parts[i].M_V.shape[0] + structure.ranks[i] for i in (0, 1, 2, 3, 6, 7, 14, 15)]
+    assert sizes == bordered
     solve_mixed(system, consts)
     assert sorted(sizes[8:]) == sorted(sector_sizes[s] for s in (0, 1, 3, 7))
     assert sorted(system.operator.factors) == [0, 1, 3, 7]
@@ -707,18 +714,21 @@ def test_sectors_solved_through_their_representative_match_the_dense_oracles(pai
         Y = cokernel_basis(system)
         system.G = system.G - Y @ (Y.T @ system.G)
     V = system.operator.structure.V
-    carried = V.carry[0](system.F)
+    carried = V.to_sectors(system.F)
     loads = [carried[V.sectors[s]] for s in (1, 2, 4)] + [carried[V.sectors[s]] for s in (3, 5, 6)]
     for a, b in ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)):
         assert np.linalg.norm(loads[a] - loads[b]) > 1e-3 * np.linalg.norm(loads[a])
+    # the dense oracles read the tabulated matrices, not the library's carried blocks
+    mats = oracle_forms(system.spaces, system.params)
+    tabulated = types.SimpleNamespace(A=mats["A"], B=mats["B"], M_V=mats["MV"], M_Q=mats["MQ"], F=system.F, G=system.G)
     consts = brezzi_constants(system)
-    dense = dense_brezzi_constants(system)
+    dense = dense_brezzi_constants(tabulated)
     for name in ("alpha0", "k0", "norm_A", "norm_B"):
         assert getattr(consts, name) == pytest.approx(dense[name], rel=1e-12), name
     assert consts.dim_kerB == dense["dim_kerB"] and consts.dim_kerBT == dense["dim_kerBT"] == (7 if pairing == "equal" else 0)
     sol = solve_mixed(system, consts)
     assert sol.residual_primal <= 1e-12 and sol.residual_constraint <= 1e-12 and sol.bounds_hold
-    assert_matches_dense_solution(sol, system)
+    assert_matches_dense_solution(sol, tabulated)
     assert sorted(system.operator.factors) == [0, 1, 3, 7]
 
 
@@ -726,8 +736,17 @@ def test_axis_permuted_sectors_agree_to_rounding():
     # sectors 1, 2 and 4 (one odd axis each) are images of each other under
     # the cube's axis permutations, so their energy parts have the same
     # whitened singular values in exact arithmetic; blocks built from shared
-    # 1D factors keep them equal to 1e-12 of the largest at equal (5,1)
-    structure = make_system(N=5, k=1).operator.structure
-    svals = [p.whitened_svd[1] for p in structure.parts if p.subproblem == 1 and p.sector in (1, 2, 4)]
+    # 1D factors keep them equal to 1e-12 of the largest at equal (5,1). Each
+    # sector is assembled on its own, in the layout without the axis swaps
+    spaces = build_spaces(5, 1, "zero_mean")
+    V, Q = (Sectors(S.fields) for S in spaces.sectors)
+    blocks = (
+        _sector_assemble(_B_terms(spaces), Q, V, {}, by_part=True),
+        _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, {}, by_part=True),
+        _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, {}, by_part=True),
+    )
+    parts = [SaddlePart(*(b[2 * s + 1] for b in blocks), s, 1, slice(None)) for s in (1, 2, 4)]
+    assert len({id(p.B) for p in parts}) == 3
+    svals = [p.whitened_svd[1] for p in parts]
     top = max(s[0] for s in svals)
     assert max(np.abs(a - b).max() for a in svals for b in svals) <= 1e-12 * top

@@ -237,12 +237,14 @@ def test_mirror_basis_diagonalizes_the_mirror_maps(pairing, N, k, mode):
     for a, Omegas in enumerate(mirror_maps(spaces)):
         for Omega, sector in zip(Omegas, sectors):
             assert_allclose(Omega, np.diag(np.where(sector >> a & 1, -1.0, 1.0)), atol=1e-12)
-    # the sector coordinates are a permutation of the coordinates
+    # the sectors' slices are a permutation of the coordinates, and without
+    # the axis swaps the sector coordinates are that permutation
     rng = np.random.default_rng(3)
     for S in spaces.sectors:
-        x = rng.standard_normal(S.order.size)
+        x, plain = rng.standard_normal(S.order.size), Sectors(S.fields)
         assert np.array_equal(np.sort(S.order), np.arange(x.size))
-        assert np.array_equal(S.from_sectors(S.to_sectors(x)), x)
+        assert np.array_equal(plain.to_sectors(x), x[S.order])
+        assert np.array_equal(plain.from_sectors(plain.to_sectors(x)), x)
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
@@ -251,7 +253,8 @@ def test_one_sector_layout_serves_sectors_and_parts(pairing, mode):
     # the parts tile each sector s as part 2 s (momentum) then 2 s + 1 (energy);
     # the momentum parts hold exactly sigma and p of V and u of Q; the blocks
     # assembled by part are bitwise the part-diagonal sub-blocks of the blocks
-    # assembled by sector, whose other sub-blocks are zero
+    # assembled by sector, whose other sub-blocks are zero, on every sector
+    # (the layout without the axis swaps, so each sector is assembled)
     spaces = build_spaces(2, 1, mode, pairing)
     V, Q = spaces.sectors
     structure = assemble_system(spaces, ModelParams()).operator.structure
@@ -268,10 +271,11 @@ def test_one_sector_layout_serves_sectors_and_parts(pairing, mode):
             got = np.concatenate([S.order[sl] for sl in S.parts[sub::2]])
             assert np.array_equal(np.sort(got), want)
     h1, l2 = _norm_terms(len(V.fields), h1=True), _norm_terms(len(Q.fields), h1=False)
+    V, Q = Sectors(V.fields), Sectors(Q.fields)
     for terms, rows, cols in ((_B_terms(spaces), Q, V), (h1, V, V), (l2, Q, Q)):
         by_sector = _sector_assemble(terms, rows, cols, {})
         by_part = _sector_assemble(terms, rows, cols, {}, by_part=True)
-        assert len(by_part) == 16
+        assert len(by_part) == 16 and len({id(X) for X in by_part}) == 16
         for s, X in enumerate(by_sector):
             r0, c0 = rows.sectors[s].start, cols.sectors[s].start
             for i, j in ((2 * s, 2 * s), (2 * s, 2 * s + 1), (2 * s + 1, 2 * s), (2 * s + 1, 2 * s + 1)):
@@ -365,15 +369,14 @@ def test_sectors_refuse_an_orbit_of_unequal_part_sizes(mode):
 @pytest.mark.parametrize("pairing", PAIRINGS)
 @pytest.mark.parametrize("mode", ["zero_mean", "full"])
 def test_carried_coordinates_round_trip(pairing, mode):
-    # down carries each sector's slice to its representative's coordinates
-    # (the identity on the representatives) and up brings it back: exact up
-    # to the rounding of sigma's 2 x 2 mix
+    # to_sectors carries each sector's slice to its representative's
+    # coordinates (the plain permutation on the representatives) and
+    # from_sectors brings it back: exact up to the rounding of sigma's 2 x 2 mix
     sp = build_spaces(1, 2, mode, pairing)
     x = np.random.default_rng(2).standard_normal(sp.n_V)
     V = sp.sectors[0]
-    down, up = V.carry
-    y = down(x)
+    y = V.to_sectors(x)
     for r in (0, 1, 3, 7):
-        assert np.array_equal(y[V.sectors[r]], V.to_sectors(x)[V.sectors[r]])
-    assert_allclose(up(y), x, rtol=0, atol=1e-15 * np.abs(x).max())
+        assert np.array_equal(y[V.sectors[r]], x[V.order[V.sectors[r]]])
+    assert_allclose(V.from_sectors(y), x, rtol=0, atol=1e-15 * np.abs(x).max())
     assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), rel=1e-14)
