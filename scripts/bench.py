@@ -31,7 +31,8 @@ the n times beside it as `wall_s_runs` or `total_s_runs`.
 BLAS is pinned to one thread when the script starts a fresh interpreter.
 The record carries the Python, numpy, scipy and BLAS versions, the thread
 settings and the git revision of the imported package, suffixed -dirty
-when it has uncommitted changes. A record replaces the one of the same
+when it has uncommitted changes, and `src_lines`, the line count of each
+of the package's modules (as `wc -l` counts them) and their `total`. A record replaces the one of the same
 label in the output file, so several labels (say the parent and the
 change) sit side by side.
 """
@@ -85,6 +86,12 @@ def provenance() -> dict:
         "cpu_count": os.cpu_count(),
         "git_sha": sha,
     }
+
+
+def src_lines() -> dict:
+    """Per module of the imported package, its line count (its newlines, as wc -l counts), and the total."""
+    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted(Path(r13verify.__file__).parent.glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def time_run(suites, repeat: int) -> dict:
@@ -191,6 +198,7 @@ def main(argv=None) -> None:
 
     record = {
         "provenance": provenance(),
+        "src_lines": src_lines(),
         "report": time_report(args.repeat),
         "suites": time_suites(args.suites, args.repeat),
         "ladder": {
@@ -205,6 +213,7 @@ def main(argv=None) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n")
     rep = record["report"]
     print(f"report {rep['wall_s']:8.3f} s rows {rep['rows']} peak {rep['peak_rss_mb']:.0f} MB")
+    print(f"src_lines {record['src_lines']['total']}")
     for name, s in record["suites"].items():
         print(f"suite {name:12s} {s['wall_s']:8.3f} s")
     for name, r in record["ladder"]["rungs"].items():

@@ -128,24 +128,19 @@ def _shift(sl: slice, offset: int) -> slice:
 
 @dataclass(eq=False)
 class SaddlePart:
-    """One (sector, subproblem) of a SaddleStructure, in carried sector coordinates.
+    """One (orbit, subproblem) of a SaddleStructure: its blocks of B, M_V and M_Q.
 
-    It holds its blocks of B, M_V and M_Q, its sector, its subproblem (0
-    momentum, 1 energy) and its slice `local` of its sector's V
-    coordinates; its slot 2 sector + subproblem gives its slices of the
-    structure's sector coordinates, V.parts and Q.parts of that slot. A
-    part of a mapped sector is its representative's part itself. It builds
-    on first use the block Cholesky factors of its M_V and M_Q blocks and
-    one SVD of its block of B in those norms, of which it keeps U and the
-    singular values.
+    A block is the same on every sector of the orbit, in the carried
+    sector coordinates; the structure holds the part at index
+    2 orbit + subproblem, and V.parts and Q.parts at that index give its
+    slices of a sector's coordinates. It builds on first use the Cholesky
+    factors of its M_V and M_Q blocks and one SVD of its block of B in
+    those norms, of which it keeps U and the singular values.
     """
 
     B: np.ndarray
     M_V: np.ndarray
     M_Q: np.ndarray
-    sector: int
-    subproblem: int
-    local: slice
 
     @cached_property
     def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
@@ -168,11 +163,12 @@ class SaddlePart:
 
 
 def _scatter(blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
-    """The read-only dense matrix with each (block, rows, columns) at those carried sector
-    coordinates, carried back to the coordinates on both sides."""
+    """The read-only dense matrix with each (block, orbit, rows, columns) on every sector of
+    the orbit, at those slices of the sector's carried coordinates, carried back on both sides."""
     M = np.zeros((rows.order.size, cols.order.size))
-    for X, r, c in blocks:
-        M[r, c] = X
+    for X, o, r, c in blocks:
+        for s in rows.orbits[o]:
+            M[_shift(r, rows.sectors[s].start), _shift(c, cols.sectors[s].start)] = X
     M = rows.from_sectors(cols.from_sectors(M.T).T)
     M.setflags(write=False)
     return M
@@ -186,19 +182,17 @@ class SaddleStructure:
     holds no reference back to the spaces, so reference counting frees it
     with them. The matrices commute with the cube's three mirror
     reflections and never couple the momentum and the energy subproblem,
-    so they split into 8 sectors of two subproblems each: 16 part slots,
-    laid out by V and Q, the spaces' own Sectors. The matrices also
-    commute with the swaps of the cube's axes, which map sectors 1, 2 and
-    4 onto each other and 3, 5 and 6, so in V's and Q's carried sector
-    coordinates each sector's blocks are its representative's (0, 1, 3 or
-    7). `assemble` builds the 8 parts of the representatives from the 1D
-    factors (`_sector_assemble` by part), and the slots of sectors 2, 4, 5
-    and 6 hold their representative's parts themselves. So every derived
-    quantity is computed once per distinct part, and each counts once per
-    sector of its orbit: the Cholesky factors of M_V and M_Q, the SVD of B
-    in those norms and the one rank decision cut on it. The dense B, M_V
-    and M_Q are scattered from the 16 slots and carried back on first
-    access, and kept.
+    so they split into 8 sectors of two subproblems each, and they commute
+    with the swaps of the cube's axes, which map the sectors of an orbit
+    onto each other: in V's and Q's carried sector coordinates (the
+    spaces' own Sectors) every sector of an orbit has the same blocks.
+    `parts` holds one SaddlePart per orbit and subproblem, 8 in all,
+    assembled from the 1D factors (`_sector_assemble` by part). So every
+    derived quantity is computed once per part and counts once per sector
+    of its orbit: the Cholesky factors of M_V and M_Q, the SVD of B in
+    those norms and the one rank decision cut on it. The dense B, M_V and
+    M_Q are scattered from the parts and carried back on first access, and
+    kept.
     """
 
     V: Sectors = field(repr=False)
@@ -211,19 +205,23 @@ class SaddleStructure:
         B = _sector_assemble(_B_terms(spaces), Q, V, cache, by_part=True)
         M_V = _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, cache, by_part=True)
         M_Q = _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, cache, by_part=True)
-        return cls(V, Q, _parts(V, (B, M_V, M_Q)))
+        return cls(V, Q, tuple(map(SaddlePart, B, M_V, M_Q)))
+
+    def _dense(self, name: str, rows: Sectors, cols: Sectors) -> np.ndarray:
+        blocks = ((getattr(p, name), i // 2, rows.parts[i], cols.parts[i]) for i, p in enumerate(self.parts))
+        return _scatter(blocks, rows, cols)
 
     @cached_property
     def B(self) -> np.ndarray:
-        return _scatter(((p.B, q, v) for p, q, v in zip(self.parts, self.Q.parts, self.V.parts)), self.Q, self.V)
+        return self._dense("B", self.Q, self.V)
 
     @cached_property
     def M_V(self) -> np.ndarray:
-        return _scatter(((p.M_V, v, v) for p, v in zip(self.parts, self.V.parts)), self.V, self.V)
+        return self._dense("M_V", self.V, self.V)
 
     @cached_property
     def M_Q(self) -> np.ndarray:
-        return _scatter(((p.M_Q, q, q) for p, q in zip(self.parts, self.Q.parts)), self.Q, self.Q)
+        return self._dense("M_Q", self.Q, self.Q)
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -234,21 +232,27 @@ class SaddleStructure:
         return tuple(int(np.sum(p.whitened_svd[1] > cut)) for p in self.parts)
 
     @cached_property
-    def L_V(self) -> BlockCholesky:
-        """Block factor of M_V in the carried sector coordinates of V, joined from the parts'
-        factors, each in its slot's slice."""
-        return BlockCholesky((_shift(sl, v.start), L) for p, v in zip(self.parts, self.V.parts) for sl, L in p.cholesky[0].blocks)
+    def rank(self) -> int:
+        """Rank of the whole B: each part's rank once per sector of its orbit."""
+        return sum(len(self.V.orbits[i // 2]) * r for i, r in enumerate(self.ranks))
+
+    @cached_property
+    def L_V(self) -> list[BlockCholesky]:
+        """Per orbit, the factor of M_V on a sector's carried V coordinates, joined from its
+        two parts' factors."""
+        blocks = [[(_shift(sl, v.start), L) for sl, L in p.cholesky[0].blocks] for p, v in zip(self.parts, self.V.parts)]
+        return [BlockCholesky(blocks[i] + blocks[i + 1]) for i in range(0, len(blocks), 2)]
 
     @cached_property
     def whitened_svals(self) -> np.ndarray:
-        """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms, each
-        representative part's once per sector of its orbit."""
-        return np.sort(np.concatenate([p.whitened_svd[1] for p in self.parts]))[::-1]
+        """Singular values of L_Q^-1 B L_V^-T, descending: B in the natural norms, each part's
+        once per sector of its orbit."""
+        svals = [np.tile(p.whitened_svd[1], len(self.V.orbits[i // 2])) for i, p in enumerate(self.parts)]
+        return np.sort(np.concatenate(svals))[::-1]
 
     @cached_property
     def load_maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per sector, (Y, Z) on its carried Q coordinates, from its parts' U and L_Q; a
-        mapped sector holds its representative's pair.
+        """Per orbit, (Y, Z) on a sector's carried Q coordinates, from its parts' U and L_Q.
 
         Y = [U_r^T; U_k^T] L_Q^-1 stacks the parts' rank rows, then their
         remaining rows: Y g holds a load's constraint rows, then its
@@ -256,17 +260,14 @@ class SaddleStructure:
         maps the sector's multipliers to its pressure.
         """
         out = []
-        for s, r in enumerate(self.Q.representative):
-            if r != s:
-                out.append(out[r])
-                continue
-            qs, own = self.Q.sectors[s], [(2 * s + sub, self.parts[2 * s + sub]) for sub in (0, 1)]
-            rank = sum(self.ranks[i] for i, _ in own)
-            Y, Z = np.zeros((qs.stop - qs.start,) * 2), np.zeros((qs.stop - qs.start, rank))
+        for o in range(len(self.Q.orbits)):
+            own = range(2 * o, 2 * o + 2)
+            n, rank = self.Q.parts[2 * o + 1].stop, sum(self.ranks[i] for i in own)
+            Y, Z = np.zeros((n, n)), np.zeros((n, rank))
             row, kernel_row = 0, rank
-            for i, p in own:
-                k, W = self.ranks[i], p.cholesky[1].solve(p.whitened_svd[0], trans=1)  # L_Q^-T U
-                lq = _shift(self.Q.parts[i], -qs.start)
+            for i in own:
+                k, W = self.ranks[i], self.parts[i].cholesky[1].solve(self.parts[i].whitened_svd[0], trans=1)  # L_Q^-T U
+                lq = self.Q.parts[i]
                 Y[row : row + k, lq] = W[:, :k].T
                 Z[lq, row : row + k] = W[:, :k]
                 Y[kernel_row : kernel_row + W.shape[1] - k, lq] = W[:, k:].T
@@ -275,21 +276,11 @@ class SaddleStructure:
         return out
 
 
-def _parts(V: Sectors, blocks) -> tuple:
-    """The SaddleParts of the part blocks (of B, M_V, M_Q) in the 16 slots of V's parts; a
-    mapped sector's slot holds its representative's part."""
-    parts = []
-    for i, blk in enumerate(zip(*blocks)):
-        s, r = i // 2, V.representative[i // 2]
-        parts.append(parts[2 * r + i % 2] if r != s else SaddlePart(*blk, s, i % 2, _shift(V.parts[i], -V.sectors[s].start)))
-    return tuple(parts)
-
-
 def _symmetrize(blocks: list, V: Sectors) -> list:
-    """Make each representative's sector block symmetric to the bit on both subproblems,
-    (S + S^T)/2, and exactly skew between them, from its momentum-energy block."""
-    for s in sorted(set(V.representative)):
-        S, k = blocks[s], V.parts[2 * s].stop - V.parts[2 * s].start
+    """Make each orbit's block symmetric to the bit on both subproblems, (S + S^T)/2, and
+    exactly skew between them, from its momentum-energy block."""
+    for S, momentum in zip(blocks, V.parts[::2]):
+        k = momentum.stop
         for d in (slice(0, k), slice(k, None)):
             S[d, d] = 0.5 * (S[d, d] + S[d, d].T)
         S[k:, :k] = -S[:k, k:].T
@@ -300,23 +291,22 @@ def _symmetrize(blocks: list, V: Sectors) -> list:
 class SaddleOperator:
     """The primal form A of one (spaces, params) on the spaces' shared structure.
 
-    `sectors` holds A's diagonal sector blocks in the structure's carried
-    sector coordinates. `assemble` builds the representatives' blocks from
-    the 1D factors and makes each symmetric to the bit on the momentum and
-    the energy subproblem and exactly skew between them, as A is
-    (`_symmetrize`); alpha0 relies on that. A commutes with the swaps of
-    the cube's axes as B does, so the slots of sectors 2, 4, 5 and 6 hold
-    their representative's block itself (SaddleStructure). The dense A is
-    scattered from the 8 slots and carried back on first access, then made
-    exactly symmetric and skew again, and kept. The operator keeps in
-    `factors`, by representative sector, the LU of its saddle matrix (the
-    solve of its whole orbit), factored by saddlepoint on first use and
-    valid for this A and structure only.
+    `sectors` holds one block of A per orbit, on a sector's carried
+    coordinates: A commutes with the swaps of the cube's axes as B does,
+    so it is the block of every sector of the orbit (SaddleStructure).
+    `assemble` builds them from the 1D factors and makes each symmetric to
+    the bit on the momentum and the energy subproblem and exactly skew
+    between them, as A is (`_symmetrize`); alpha0 relies on that. The
+    dense A is scattered from the orbits' blocks and carried back on first
+    access, then made exactly symmetric and skew again, and kept. The
+    operator keeps in `factors`, per orbit, the LU of its saddle matrix,
+    factored by saddlepoint on first use and valid for this A and
+    structure only.
     """
 
     structure: SaddleStructure
     sectors: list = field(repr=False)
-    factors: dict | None = field(default=None, repr=False)
+    factors: list | None = field(default=None, repr=False)
 
     @classmethod
     def assemble(cls, spaces: DiscreteSpaces, structure: SaddleStructure, params: ModelParams) -> SaddleOperator:
@@ -326,7 +316,7 @@ class SaddleOperator:
     @cached_property
     def A(self) -> np.ndarray:
         V = self.structure.V
-        A = _scatter(((S, sl, sl) for S, sl in zip(self.sectors, V.sectors)), V, V)
+        A = _scatter(((S, o, slice(0, len(S)), slice(0, len(S))) for o, S in enumerate(self.sectors)), V, V)
         energy = np.concatenate([np.full(lab.size, sub == 1) for *_, lab, sub in V.fields])
         A = np.where(energy[:, None] == energy[None, :], 0.5 * (A + A.T), np.where(energy[:, None], -A.T, A))
         A.setflags(write=False)
@@ -423,8 +413,9 @@ def _gradient_terms(op: OperatorSpec, weight: float, terms: dict) -> dict:
 
 
 def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_part: bool = False) -> list:
-    """Diagonal sector blocks (by_part: part blocks) of the sum of coef times the Kronecker
-    product of the named 1D factors (ScalarBasis.factors) over the field-block pairs (r, c) of terms.
+    """One block per orbit (by_part: per orbit and subproblem, at 2 orbit + subproblem) of the
+    sum of coef times the Kronecker product of the named 1D factors (ScalarBasis.factors) over
+    the field-block pairs (r, c) of terms.
 
     The field blocks are those of rows.fields and cols.fields
     (spaces.Sectors). In sector s the rows of r have the parities
@@ -433,18 +424,13 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_
     and is else off-sector and zero in exact arithmetic. Per (r, c) and
     sector, one stack of products (shared through cache) meets the
     coefficients in one product. R maps the zero-mean pressure's sector-0
-    coordinates. With by_part, r and c lie in one subproblem and the term
-    lands in the block of part 2 s + subproblem. Only the representative
-    sectors of rows (Sectors.representative) are assembled: in the carried
-    coordinates another sector's block is its representative's, and its
-    entry of the list is that same array.
+    coordinates. With by_part, r and c lie in one subproblem. Only each
+    orbit's representative is assembled: in the carried coordinates its
+    block is that of every sector of the orbit.
     """
-    rs, cs = (rows.parts, cols.parts) if by_part else (rows.sectors, cols.sectors)
-    step = len(rs) // len(rows.sectors)
-    out = []
-    for i, (r, c) in enumerate(zip(rs, cs)):
-        rep = step * rows.representative[i // step] + i % step
-        out.append(out[rep] if rep != i else np.zeros((r.stop - r.start, c.stop - c.start)))
+    rs, cs = (S.parts if by_part else [slice(0, p.stop) for p in S.parts[1::2]] for S in (rows, cols))
+    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rs, cs)]
+    orbit = {o[0]: j for j, o in enumerate(rows.orbits)}  # by representative
     for (r, c), pair in terms.items():
         (X, mr, Rr, _, ur), (Y, mc, Rc, _, _) = rows.fields[r], cols.fields[c]
         names = tuple(nm for nm in pair if sum(SWAPS[x] << a for a, x in enumerate(nm)) == mr ^ mc)
@@ -453,9 +439,9 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_
         coefs, fac, pair_key = np.array([pair[nm] for nm in names]), X.factors(Y), (id(X), id(Y))
         stacks = cache.setdefault((pair_key, names), {})  # by row parities
         for s, ((ro, nr), (co, nc)) in enumerate(zip(rows.boxes[r], cols.boxes[c])):
-            pr, pc, i = s ^ mr, s ^ mc, 2 * s + ur if by_part else s
-            if not nr * nc or rows.representative[s] != s:
+            if not nr * nc or s not in orbit:
                 continue
+            pr, pc, i = s ^ mr, s ^ mc, 2 * orbit[s] + ur if by_part else orbit[s]
             if pr not in stacks:
                 for nm in names:  # its product of the 1D sub-blocks of the row and column parities
                     if (pair_key, nm, pr) not in cache:
@@ -469,7 +455,7 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_
                 blk = Rr.T @ blk
             if s == 0 and Rc is not None:
                 blk = blk @ Rc
-            ro, co = ro - rs[i].start, co - cs[i].start
+            ro, co = ro - rows.sectors[s].start - rs[i].start, co - cols.sectors[s].start - cs[i].start
             out[i][ro : ro + nr, co : co + nc] = blk
     return out
 

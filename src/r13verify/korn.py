@@ -90,16 +90,16 @@ def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list
 
 
 def _quadratic(blocks: list, sectors: Sectors, x: np.ndarray) -> float:
-    """x^T M x for the block-diagonal M with the given sector blocks."""
-    y = sectors.to_sectors(x)
-    return float(sum(y[sl] @ M @ y[sl] for M, sl in zip(blocks, sectors.sectors)))
+    """x^T M x for the M with one block per orbit, on each of its sectors."""
+    return float(sum(y @ M @ y for M, Y in zip(blocks, sectors.split(sectors.to_sectors(x))) for y in Y))
 
 
 def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     """Discrete Korn constant for sym-gradient on vectors or Stf-gradient on stf fields.
 
-    The largest eigenvalue of the pencil over its 2^dim mirror sectors; the
-    extremizer is the top eigenvector of the sector that attains it. For
+    The largest eigenvalue of the pencil over its 2^dim mirror sectors, each
+    an orbit of its own (the field's Sectors have no swaps); the extremizer
+    is the top eigenvector of the sector that attains it. For
     op.dim == 2 the fields are plane (z-independent) and live on the unit
     square with the planar trace coefficient; this is the diagnostic
     configuration where the complex-ellipticity failure shows up as growth

@@ -5,17 +5,16 @@ as measurements of that system, not as bounds for the continuous problem.
 alpha0 and |A| are extreme eigenvalues found by Lanczos on matrix-free
 operators, k0 and |B| dense singular values of the whitened constraint.
 The unit cube's three mirror reflections and the split into momentum and
-energy subproblem cut the system into 8 sectors of two parts each
-(assembly.SaddleStructure). The swaps of the cube's axes map sectors 1, 2
-and 4 onto each other and 3, 5 and 6, by exact coefficient maps, and the
-sector coordinates are carried by them (spaces.Sectors): there sectors 2,
-4, 5 and 6 are aliases, whose blocks and parts are those of their
-representative, 1 or 3, themselves. So the representative sectors 0, 1,
-3 and 7 and their 8 parts carry every factorization, SVD and Lanczos run:
-each constant comes from them, a representative counting once per sector
-of its orbit (1 for sectors 0 and 7, 3 for 1 and 3), and the solve
-factors the 4 representatives' saddle matrices once and solves each
-other sector through its representative's LU.
+energy subproblem cut the system into 8 sectors of two parts each. The
+swaps of the cube's axes map the sectors of one orbit onto each other,
+by exact coefficient maps: {0}, {1, 2, 4}, {3, 5, 6} and {7}. In the
+carried sector coordinates (spaces.Sectors) every sector of an orbit has
+the same blocks, so the system holds one block of A per orbit and one
+part per orbit and subproblem (assembly.SaddleStructure), and every
+factorization, SVD and Lanczos run is made once per orbit. Each constant
+counts an orbit's values once per sector of it, and the solve factors
+one saddle matrix per orbit and solves the orbit's m sectors as m
+right-hand sides of it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, BlockCholesky, MixedSystem, SaddleOperator, SaddleStructure, _shift
+from .assembly import KERNEL_RTOL, MixedSystem, SaddleOperator
 from .tensors import projection_matrix2
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
@@ -116,26 +115,22 @@ def _lu_in_place(K: np.ndarray):
     return (lu, piv), rcond
 
 
-def _representatives(st: SaddleStructure) -> list[tuple[int, list]]:
-    """Per representative sector s, ascending: (s, its two slots' (part, rank), momentum first)."""
-    return [(s, list(zip(st.parts[2 * s : 2 * s + 2], st.ranks[2 * s : 2 * s + 2]))) for s in sorted(set(st.V.representative))]
-
-
-def _sector_lus(op: SaddleOperator) -> dict:
-    """Per representative sector s, the LU of its saddle matrix [[A_s, C_s^T], [C_s, 0]],
-    factored once per operator; C_s stacks the constraints of the sector's parts."""
+def _sector_lus(op: SaddleOperator) -> list:
+    """Per orbit, the LU of its saddle matrix [[A_o, C_o^T], [C_o, 0]], factored once per
+    operator; C_o stacks the constraints of the orbit's two parts."""
     if op.factors is None:
-        factors = {
-            s: _lu_in_place(_saddle_matrix(op.sectors[s], [(p.local, p.constraint(r)) for p, r in own]))
-            for s, own in _representatives(op.structure)
-        }
-        rcond = min(rc for _, rc in factors.values())
+        st = op.structure
+        factors = [
+            _lu_in_place(_saddle_matrix(A_o, [(st.V.parts[i], st.parts[i].constraint(st.ranks[i])) for i in (2 * o, 2 * o + 1)]))
+            for o, A_o in enumerate(op.sectors)
+        ]
+        rcond = min(rc for _, rc in factors)
         if rcond == 0.0:
             raise ValueError("discrete pairing deficient: singular saddle matrix")
         if not rcond >= np.finfo(float).eps:  # scipy.linalg.solve's warning, once
             msg = f"An ill-conditioned saddle matrix detected: rcond = {rcond}."
             warnings.warn(msg, sla.LinAlgWarning, stacklevel=3)
-        op.factors = {s: lu for s, (lu, _) in factors.items()}
+        op.factors = [lu for lu, _ in factors]
     return op.factors
 
 
@@ -145,13 +140,12 @@ def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's 
 
 def _norm_A(op: SaddleOperator) -> float:
     """|A| in the M_V norm: the largest singular value of X = L_V^-1 A L_V^-T, by Lanczos
-    on X^T X over the direct sum of the representative sectors. Each product takes four
-    block triangular solves per sector; X is never formed."""
+    on X^T X over the direct sum of the orbits' blocks, one sector of each. Each product
+    takes four block triangular solves per orbit; X is never formed."""
     terms, n = [], 0
-    for s, own in _representatives(op.structure):
-        L = BlockCholesky((_shift(sl, p.local.start), F) for p, _ in own for sl, F in p.cholesky[0].blocks)
-        terms.append((op.sectors[s], L, slice(n, n + op.sectors[s].shape[0])))
-        n = terms[-1][2].stop
+    for A_o, L in zip(op.sectors, op.structure.L_V):
+        terms.append((A_o, L, slice(n, n + len(A_o))))
+        n += len(A_o)
 
     def apply(x):
         y = np.empty(n)
@@ -164,35 +158,33 @@ def _norm_A(op: SaddleOperator) -> float:
 
 
 def _coercivity(op: SaddleOperator) -> float:
-    """alpha0 on ker B: 1 / lambda_max of x -> L_V^T [K_s^-1 (L_V x, 0)]_V over the
-    representative parts.
+    """alpha0 on ker B: 1 / lambda_max of x -> L_V^T [K_i^-1 (L_V x, 0)]_V over the parts.
 
     A is symmetric to the bit on each subproblem and skew between them, as
     assembled (`assembly._symmetrize`), so ker B, M_V and A's symmetric
     part split along the parts: the coercivity eigenproblem on ker B is
     the direct sum of one per part, and one Lanczos run on the direct sum
     gives the smallest constant. On part i,
-    K_s = [[A_ii, C_i^T], [C_i, 0]] is its bordered matrix, with C_i of
+    K_i = [[A_ii, C_i^T], [C_i, 0]] is its bordered matrix, with C_i of
     full row rank and kernel ker B_i. The operator equals
     L_V^T Z (Z^T A_ii Z)^-1 Z^T L_V for a basis Z of ker B_i, so its nonzero
     eigenvalues are the reciprocals of those of A_ii z = lambda M_V z on
     ker B_i (the coercivity eigenproblem of Chapelle & Bathe's inf-sup
-    test). The forms make A_ii positive semidefinite. A singular K_s means
+    test). The forms make A_ii positive semidefinite. A singular K_i means
     a kernel direction on which A vanishes: alpha0 = 0. A part whose B
-    block is injective has no say, nor does a part of another sector of
-    an orbit: its eigenproblem is its representative's, carried by the
-    orthogonal map of the axis swap.
+    block is injective has no say, and each part stands for every sector
+    of its orbit: their eigenproblems are one, carried by the orthogonal
+    maps of the axis swaps.
     """
-    terms, n = [], 0
-    for s, own in _representatives(op.structure):
-        for p, rank in own:
-            nV = p.M_V.shape[0]
-            if rank < nV:
-                lu, rcond = _lu_in_place(_saddle_matrix(op.sectors[s][p.local, p.local], [(slice(0, nV), p.constraint(rank))]))
-                if not rcond >= np.finfo(float).eps:
-                    return 0.0
-                terms.append((lu, p.cholesky[0], slice(n, n + nV), np.zeros(lu[0].shape[0])))
-                n += nV
+    st, terms, n = op.structure, [], 0
+    for i, (p, rank, lv) in enumerate(zip(st.parts, st.ranks, st.V.parts)):
+        nV = lv.stop - lv.start
+        if rank < nV:
+            lu, rcond = _lu_in_place(_saddle_matrix(op.sectors[i // 2][lv, lv], [(slice(0, nV), p.constraint(rank))]))
+            if not rcond >= np.finfo(float).eps:
+                return 0.0
+            terms.append((lu, p.cholesky[0], slice(n, n + nV), np.zeros(lu[0].shape[0])))
+            n += nV
 
     def apply(x):
         y = np.empty(n)
@@ -213,7 +205,7 @@ def infsup_constant(system: MixedSystem):
     and is expected to be zero.
     """
     st = system.operator.structure
-    return _infsup(st.whitened_svals, sum(st.ranks))
+    return _infsup(st.whitened_svals, st.rank)
 
 
 def _infsup(svals: np.ndarray, rank: int):
@@ -223,27 +215,26 @@ def _infsup(svals: np.ndarray, rank: int):
 def brezzi_constants(system: MixedSystem) -> BrezziConstants:
     """All measured constants of the assembled system.
 
-    Each comes from the 8 parts (sector x subproblem) of the representative
-    sectors 0, 1, 3 and 7 and is combined exactly: the axis swaps carry
-    each representative onto the other sectors of its orbit by orthogonal
-    maps, so a representative counts once for sectors 0 and 7 and three
-    times for 1 and 3. One SVD of each representative part's block of B
-    in the natural norms, cut once at KERNEL_RTOL (the report's
+    Each comes from the 8 parts (orbit x subproblem) and the 4 orbits'
+    blocks of A, and is combined exactly: the axis swaps carry a sector's
+    blocks onto the other sectors of its orbit by orthogonal maps, so an
+    orbit's values count once per sector of it (once for {0} and {7},
+    three times for {1, 2, 4} and {3, 5, 6}). One SVD of each part's
+    block of B in the natural norms, cut once at KERNEL_RTOL (the report's
     `kernel_rank_cutoff`) times the whole B's largest singular value, gives
     k0 and dim ker B^T from the union of the singular values with those
-    multiplicities, |B|, dim ker B as a weighted sum, and the constraint of
-    full row rank behind each part's alpha0. alpha0 is the minimum over the
-    representative parts, |A| the largest over the representatives' blocks
-    of A with their parts' factors of M_V; they take one Lanczos run each
-    over the direct sum.
+    multiplicities, |B|, dim ker B from the ranks so weighted, and the
+    constraint of full row rank behind each part's alpha0. alpha0 is the
+    minimum over the parts, |A| the largest over the orbits' blocks of A
+    with their factors of M_V; they take one Lanczos run each over the
+    direct sum.
     """
     op = system.operator
     st = op.structure
-    rank = sum(st.ranks)
-    dim_kerB = st.V.order.size - rank
+    dim_kerB = st.V.order.size - st.rank
     if dim_kerB == 0:
         raise ValueError("trivial kernel")
-    k0, dim_kerBT = _infsup(st.whitened_svals, rank)
+    k0, dim_kerBT = _infsup(st.whitened_svals, st.rank)
     return BrezziConstants(
         alpha0=_coercivity(op),
         k0=k0,
@@ -271,58 +262,56 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     with discrete dual norms and the quotient norm of P in the deficient
     case; without them the bound fields stay unset.
 
-    Each representative part's one SVD L_Q^-1 B_i L_V^-T = U S V^T, split
-    at its rank into U_r and U_k, gives the consistency test
-    U_k^T L_Q^-1 G = 0, the constraint rows U_r^T L_Q^-1 G and, from the
-    multipliers lam, the minimal pressure P = L_Q^-T U_r lam, through one
-    map per representative sector each way (SaddleStructure.load_maps).
-    Everything runs in the carried sector coordinates (spaces.Sectors), in
-    which each sector's blocks are its representative's: F and G are
-    carried in once (an index gather, plus the 2 x 2 mix of sigma's
-    diagonal pair for F), the 4 representative sectors' saddle matrices
-    are factored once per operator, every sector is solved through its
-    representative's LU, and U and P are carried back once. Each further
-    load costs those four gathers and, per sector, three small products
-    and one LU back-substitution. The residuals and the norms of U and P
-    are taken in the carried coordinates, with the 8 slots of the
-    operator's blocks of A and the 16 slots of the parts, a mapped
-    sector's being its representative's.
+    Each part's one SVD L_Q^-1 B_i L_V^-T = U S V^T, split at its rank
+    into U_r and U_k, gives the consistency test U_k^T L_Q^-1 G = 0, the
+    constraint rows U_r^T L_Q^-1 G and, from the multipliers lam, the
+    minimal pressure P = L_Q^-T U_r lam, through one map per orbit each way
+    (SaddleStructure.load_maps). Everything runs in the carried sector
+    coordinates (spaces.Sectors): F and G are carried in once (an index
+    gather, plus the 2 x 2 mix of sigma's diagonal pair for F), an
+    orbit's m sectors are the m columns of one load matrix, each orbit's
+    saddle matrix is factored once per operator and back-substituted once
+    per load for all m columns, and U and P are carried back once. The
+    residuals are matrix products with the orbits' blocks of A and the
+    parts' blocks of B, and |U| and |P| are |L_V^T u| and |L_Q^T p| with
+    the parts' factors; M_V and M_Q themselves are not read. The residual
+    of each row is relative to max(|load|, 1): F and G alike, so a load
+    of rounding size in one row does not inflate that row's residual.
     """
     op = system.operator
     st = op.structure
     V, Q = st.V, st.Q
     f, g = V.to_sectors(system.F), Q.to_sectors(system.G)
-    y = [Y @ g[qs] for (Y, _), qs in zip(st.load_maps, Q.sectors)]
-    defect = np.concatenate([y_s[Z.shape[1] :] for y_s, (_, Z) in zip(y, st.load_maps)])
-    g_dual = np.linalg.norm(np.concatenate(y))  # |L_Q^-1 G|, the dual norm of G
-    if np.linalg.norm(defect) > KERNEL_RTOL * max(g_dual, 1.0):
-        raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {defect.size})")
-    lus = _sector_lus(op)
-    u, p = np.empty(f.size), np.empty(g.size)
-    for r, vs, qs, y_s, (_, Z) in zip(V.representative, V.sectors, Q.sectors, y, st.load_maps):
-        x = _lu_solve(lus[r], np.concatenate([f[vs], y_s[: Z.shape[1]]]))
-        u[vs], p[qs] = x[: vs.stop - vs.start], Z @ x[vs.stop - vs.start :]
-    r1, r2, norm_U, norm_P = -f, -g, 0.0, 0.0  # the residuals, in carried sector coordinates
-    for A_s, vs in zip(op.sectors, V.sectors):
-        r1[vs] += A_s @ u[vs]
-    for part, vp, qp in zip(st.parts, V.parts, Q.parts):
-        u_i, p_i = u[vp], p[qp]
-        r1[vp] += part.B.T @ p_i
-        r2[qp] += part.B @ u_i
-        norm_U += u_i @ (part.M_V @ u_i)
-        norm_P += p_i @ (part.M_Q @ p_i)
-    f_norm = np.linalg.norm(f)
-    res1 = np.linalg.norm(r1) / (f_norm if f_norm > 0 else 1.0)
-    res2 = np.linalg.norm(r2) / max(np.linalg.norm(g), 1.0)
+    loads = [(F_o.T, G_o.T) for F_o, G_o in zip(V.split(f), Q.split(g))]  # per orbit, one column per sector
+    y = [Y @ G_o for (Y, _), (_, G_o) in zip(st.load_maps, loads)]
+    defect = sum(np.vdot(y_o[Z.shape[1] :], y_o[Z.shape[1] :]) for y_o, (_, Z) in zip(y, st.load_maps))
+    g_dual = np.sqrt(sum(np.vdot(y_o, y_o) for y_o in y))  # |L_Q^-1 G|, the dual norm of G
+    if np.sqrt(defect) > KERNEL_RTOL * max(g_dual, 1.0):
+        raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {g.size - st.rank})")
+    u, p, res1, res2, norm_U, norm_P = [], [], 0.0, 0.0, 0.0, 0.0  # the last four squared until the end
+    for o, (lu, A_o, (F_o, G_o), y_o, (_, Z)) in enumerate(zip(_sector_lus(op), op.sectors, loads, y, st.load_maps)):
+        X = _lu_solve(lu, np.vstack([F_o, y_o[: Z.shape[1]]]))
+        U_o, P_o = X[: len(A_o)], Z @ X[len(A_o) :]
+        R1, R2 = A_o @ U_o - F_o, -G_o
+        for i in (2 * o, 2 * o + 1):
+            part, lv, lq = st.parts[i], V.parts[i], Q.parts[i]
+            R1[lv] += part.B.T @ P_o[lq]
+            R2[lq] += part.B @ U_o[lv]
+            W_V, W_Q = (L.matvec(x, trans=1) for L, x in zip(part.cholesky, (U_o[lv], P_o[lq])))
+            norm_U, norm_P = norm_U + np.vdot(W_V, W_V), norm_P + np.vdot(W_Q, W_Q)
+        res1, res2 = res1 + np.vdot(R1, R1), res2 + np.vdot(R2, R2)
+        u.append(U_o.T.ravel())
+        p.append(P_o.T.ravel())
+    res1, res2 = np.sqrt(res1) / max(np.linalg.norm(f), 1.0), np.sqrt(res2) / max(np.linalg.norm(g), 1.0)
 
     bound_U = bound_P = None
     if constants is not None:
-        f_dual = np.linalg.norm(st.L_V.solve(f))
+        f_dual = np.sqrt(sum(np.vdot(W, W) for W in (L.solve(F_o) for L, (F_o, _) in zip(st.L_V, loads))))
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float((1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual)
-    U, P = V.from_sectors(u), Q.from_sectors(p)
-    return MixedSolution(U, P, res1, res2, float(np.sqrt(norm_U)), float(np.sqrt(norm_P)), bound_U, bound_P)
+    U, P = V.from_sectors(np.concatenate(u)), Q.from_sectors(np.concatenate(p))
+    return MixedSolution(U, P, float(res1), float(res2), float(np.sqrt(norm_U)), float(np.sqrt(norm_P)), bound_U, bound_P)
 
 
 def limit_consistency(U: np.ndarray, P: np.ndarray, system: MixedSystem):

@@ -363,7 +363,7 @@ class Gather:
 
 
 class Sectors:
-    """V, Q or one Korn field in sector coordinates: by mirror sector, and inside each by subproblem.
+    """V, Q or one Korn field in sector coordinates: by orbit of mirror sectors, by sector, by subproblem.
 
     It is built from the field blocks, which lie one after the other in the
     coordinates, each given as (scalar basis, mask, R, labels, subproblem).
@@ -373,39 +373,57 @@ class Sectors:
     `p_sectors` for the pressure); R maps the zero-mean pressure's sector-0
     coordinates to the fully even functions, the only sector where Cp is
     not the identity (else None); subproblem is 0 (momentum) or 1 (energy).
-    The sector coordinates list the coordinates sector by sector, momentum
-    before energy: `order` maps the slices to the coordinates they are
-    made of, `sectors` holds each sector's slice and `parts` the slice of
-    each (sector, subproblem) at index 2 sector + subproblem. `boxes` gives
-    per field block and sector the start, in sector coordinates, and the
-    size of the block's coordinates in the sector, where they are contiguous.
 
     `swaps` maps each transposition (a, b) of the cube's axes (AXIS_SWAPS)
     to the orthogonal matrix W it induces on the field blocks: block c of
     the swapped field is sum_r W[c, r] times block r with the axes a and b
     of its coefficient grid exchanged. The swap maps sector s to s with
     bits a and b exchanged, so the sectors with as many odd axes form one
-    orbit, and its `representative` is the one whose odd axes come first:
-    0, 1, 3 and 7 in 3D. The sector coordinates are carried: every other
+    orbit. `orbits` lists them, each led by its representative, the sector
+    whose odd axes come first: (0,), (1, 2, 4), (3, 5, 6) and (7,) in 3D.
+    Without swaps each sector is an orbit of its own, in order.
+
+    The sector coordinates list the coordinates orbit by orbit, sector by
+    sector inside an orbit and momentum before energy inside a sector:
+    `order` maps them to the coordinates they are made of, and `sectors`
+    holds the slice of each sector s at index s. They are carried: a
     sector s holds its coordinates carried to its representative r's by
-    the swap that takes r to s, so its slice lists them in r's order and
-    a matrix that commutes with the swaps has r's block there.
-    `to_sectors` and `from_sectors` are that carry and its inverse, each
-    one Gather over whole vectors: an exact index gather read off the
-    blocks' label grids, mixed by W; no map touches sector 0, so R never
-    enters. Without swaps every sector is its own representative and the
-    carry is the plain permutation `order`. The constructor raises if a
-    sector's part sizes differ from its representative's.
+    the swap that takes r to s, so it lists them in r's order, and a
+    matrix that commutes with the swaps has r's block on every sector of
+    the orbit. So the m sectors of an orbit are the m rows of one array
+    (`split`), and `parts` holds the slice of each subproblem inside any
+    sector of orbit o, at index 2 o + subproblem. `to_sectors` and
+    `from_sectors` are the carry and its inverse, each one Gather over
+    whole vectors: an exact index gather read off the blocks' label grids,
+    mixed by W; no map touches sector 0, so R never enters. Without swaps
+    the carry is the plain permutation `order`. `boxes` gives per field
+    block and sector the start, in sector coordinates, and the size of the
+    block's coordinates in the sector, where they are contiguous. The
+    constructor raises if a sector's part sizes differ from its
+    representative's.
     """
 
     def __init__(self, fields: list, swaps: dict | None = None):
-        self.fields = fields
-        count = 2 ** fields[0][0].dim
-        slots = np.concatenate([2 * lab.ravel() + sub for *_, lab, sub in fields])
+        self.fields, self.swaps = fields, swaps or {}
+        dim = fields[0][0].dim
+        count = 2**dim
+        if self.swaps:
+            self.orbits = [tuple(s for s in range(count) if bin(s).count("1") == k) for k in range(dim + 1)]
+        else:
+            self.orbits = [(s,) for s in range(count)]
+        place = np.argsort(np.concatenate(self.orbits))  # each sector's place in the listing
+        slots = np.concatenate([2 * place[lab.ravel()] + sub for *_, lab, sub in fields])
         self.order = np.argsort(slots, kind="stable")
         bounds = np.searchsorted(slots[self.order], np.arange(2 * count + 1))
-        self.parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.sectors = [slice(a, b) for a, b in zip(bounds[:-1:2], bounds[2::2])]
+        self.sectors = [slice(bounds[2 * j], bounds[2 * j + 2]) for j in place]
+        sizes = np.diff(bounds).reshape(count, 2)[place].tolist()  # by sector
+        self.parts = []
+        for orbit in self.orbits:
+            (momentum, energy), r = sizes[orbit[0]], orbit[0]
+            self.parts += [slice(0, momentum), slice(momentum, momentum + energy)]
+            for s in orbit[1:]:
+                if sizes[s] != sizes[r]:
+                    raise ValueError(f"sector {s} has part sizes {sizes[s]}, its representative {r} {sizes[r]}")
         at = np.empty(slots.size, dtype=int)
         at[self.order] = np.arange(slots.size)  # the sector coordinate of each coordinate
         self.boxes, start = [], 0
@@ -415,12 +433,6 @@ class Sectors:
             offset[present] = at[start + first]
             self.boxes.append(list(zip(offset.tolist(), np.bincount(lab.ravel(), minlength=count).tolist())))
             start += lab.size
-        self.swaps = swaps or {}
-        self.representative = [(1 << bin(s).count("1")) - 1 if self.swaps else s for s in range(count)]
-        sizes = np.diff(bounds).reshape(count, 2)
-        for s, r in enumerate(self.representative):
-            if not np.array_equal(sizes[s], sizes[r]):
-                raise ValueError(f"sector {s} has part sizes {sizes[s].tolist()}, its representative {r} {sizes[r].tolist()}")
         self._down, self._up = self._carry(at)
 
     def _carry(self, at: np.ndarray) -> tuple[Gather, Gather]:
@@ -463,9 +475,7 @@ class Sectors:
         terms = max([index.shape[0] for index, _ in swapped.values()], default=1)
         down, up = (Gather(np.zeros((terms, at.size), dtype=int), np.zeros((terms, at.size))) for _ in range(2))
         down.index[0], up.index[0], down.weight[0], up.weight[0] = self.order, at, 1.0, 1.0
-        for s, r in enumerate(self.representative):
-            if s == r:
-                continue
+        for r, s in ((orbit[0], s) for orbit in self.orbits for s in orbit[1:]):
             index, weight = swapped[next(ab for ab in self.swaps if _swap_bits(r, *ab) == s)]
             ss, rs, t = self.sectors[s], self.sectors[r], index.shape[0]
             for src, dst in ((r, s), (s, r)):
@@ -484,6 +494,11 @@ class Sectors:
     def from_sectors(self, y: np.ndarray) -> np.ndarray:
         """The vector (or matrix of columns) with carried sector coordinates y."""
         return self._up(y)
+
+    def split(self, y: np.ndarray) -> list[np.ndarray]:
+        """Per orbit, its m sectors' slices of the carried sector coordinates y as the m rows
+        of one array (views): a matrix that commutes with the swaps acts on each row alike."""
+        return [y[self.sectors[o[0]].start : self.sectors[o[-1]].stop].reshape(len(o), -1) for o in self.orbits]
 
 
 def mirror_masks(basis: np.ndarray) -> list[int]:

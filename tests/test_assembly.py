@@ -234,8 +234,8 @@ def test_assembled_matrices_commute_with_the_cube_mirrors(pairing, N, k, mode, e
 )
 @pytest.mark.parametrize("mode", ["zero_mean", "full"])
 def test_assembled_matrices_commute_with_the_axis_swaps(pairing, N, k, mode):
-    # the premise of the representative sectors: Omega^T M Omega = M for each
-    # of the three swaps of the cube's axes, with Omega and the matrices (the
+    # the premise of the orbits of sectors: Omega^T M Omega = M for each of
+    # the three swaps of the cube's axes, with Omega and the matrices (the
     # dense oracle) built from tabulations alone; the library's carry, on
     # the slice of each sector s of an orbit with representative r, is that
     # Omega restricted to the sector coordinates of (r, s) (to_sectors) and
@@ -250,10 +250,10 @@ def test_assembled_matrices_commute_with_the_axis_swaps(pairing, N, k, mode):
             M = mats[name]
             assert np.abs(left.T @ M @ right - M).max() <= 1e-13 * np.abs(M).max(), name
     for S, which in zip(spaces.sectors, (0, 1)):
-        assert S.representative == [0, 1, 1, 3, 1, 3, 3, 7]
+        assert S.orbits == [(0,), (1, 2, 4), (3, 5, 6), (7,)]
         eye = np.eye(S.order.size)
         down, up = S.to_sectors(eye), S.from_sectors(eye)  # (carried, coordinates), (coordinates, carried)
-        for s, r in enumerate(S.representative):
+        for r, s in ((orbit[0], s) for orbit in S.orbits for s in orbit):
             ss, rs = S.sectors[s], S.sectors[r]
             if s == r:
                 assert np.array_equal(down[ss], eye[S.order[ss]])
@@ -265,21 +265,6 @@ def test_assembled_matrices_commute_with_the_axis_swaps(pairing, N, k, mode):
                 assert np.abs(D - want).max() <= 1e-12, (s, axes)
                 assert np.abs(whole).sum() == pytest.approx(np.abs(D).sum(), rel=1e-12)
                 assert np.abs(D).sum() == pytest.approx(np.abs(want).sum(), rel=1e-12)
-
-
-def test_mapped_sectors_hold_their_representatives_blocks():
-    # the slots of sectors 2, 4, 5 and 6 hold their representative's blocks
-    # themselves, not copies: the operator 4 distinct blocks of A, the
-    # structure 8 distinct parts
-    system = assemble_system(build_spaces(1, 2, "zero_mean", "enriched"), PARAMS)
-    op = system.operator
-    st, rep = op.structure, op.structure.V.representative
-    assert len({id(A_s) for A_s in op.sectors}) == 4 and len({id(p) for p in st.parts}) == 8
-    for s, r in enumerate(rep):
-        assert op.sectors[s] is op.sectors[r]
-        for sub in (0, 1):
-            assert st.parts[2 * s + sub] is st.parts[2 * r + sub]
-            assert (st.parts[2 * s + sub].sector, st.parts[2 * s + sub].subproblem) == (r, sub)
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
@@ -331,13 +316,15 @@ def test_verified_answer_stays_in_the_sector_blocks(monkeypatch):
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
 def test_sector_blocks_of_A_keep_its_exact_symmetry(pairing):
-    # each sector block is symmetric to the bit on both subproblems and
-    # exactly skew between them, as A itself is assembled
+    # each orbit's block is symmetric to the bit on both subproblems and
+    # exactly skew between them, as A itself is assembled; the operator
+    # holds one block per orbit and the structure one part per orbit and
+    # subproblem
     system = assemble_system(build_spaces(2, 1, "full", pairing), PARAMS)
     op = system.operator
-    assert len(op.sectors) == 8
+    assert len(op.sectors) == 4 and len(op.structure.parts) == 8
     for S, momentum in zip(op.sectors, op.structure.V.parts[::2]):
-        k = momentum.stop - momentum.start
+        k = momentum.stop
         for d in (slice(0, k), slice(k, None)):
             assert np.array_equal(S[d, d], S[d, d].T)
         assert np.array_equal(S[k:, :k], -S[:k, k:].T) and np.any(S[k:, :k])

@@ -561,13 +561,14 @@ def test_cokernel_splits_between_velocity_and_temperature(pairing, N, k, cokerne
     # the equal pairing's 7-dimensional cokernel, which first derivatives
     # missing the top corner monomial cause, lies six dimensions against u
     # (momentum parts) and one against theta (energy parts), summed over
-    # the 8 mirror sectors; enriched has none
+    # the 8 mirror sectors, each part once per sector of its orbit; enriched
+    # has none
     system = make_system(N=N, k=k, pairing=pairing)
     structure = system.operator.structure
-    assert len(structure.parts) == 16
+    assert len(structure.parts) == 8
     split = [0, 0]
-    for p, r in zip(structure.parts, structure.ranks):
-        split[p.subproblem] += p.B.shape[0] - r
+    for i, (p, r) in enumerate(zip(structure.parts, structure.ranks)):
+        split[i % 2] += len(structure.V.orbits[i // 2]) * (p.B.shape[0] - r)
     assert tuple(split) == cokernels
     assert brezzi_constants(system).dim_kerBT == sum(cokernels)
 
@@ -576,7 +577,8 @@ def test_rank_cutoff_is_relative_to_the_whole_B(sys_eps0):
     # energy blocks 1e-12 times smaller lie wholly below the whole-B
     # cutoff, though a cutoff relative to its own part would keep its rank
     sp = sys_eps0.spaces
-    scaled = on_edited_blocks(sys_eps0, part=lambda p: {"B": 1e-12 * p.B} if p.subproblem == 1 else {})
+    energy = {id(p) for p in sys_eps0.operator.structure.parts[1::2]}
+    scaled = on_edited_blocks(sys_eps0, part=lambda p: {"B": 1e-12 * p.B} if id(p) in energy else {})
     consts = brezzi_constants(scaled)
     dense = dense_brezzi_constants(scaled)
     assert consts.dim_kerBT == dense["dim_kerBT"] == 6 + sp.scalar_pq.n
@@ -608,7 +610,7 @@ def test_kn_systems_share_one_structure():
     sp = build_spaces(1, 1, "full")
     systems = [assemble_system(sp, ModelParams(kn, 1.0, 0.1)) for kn in (1.0, 0.3, 0.1)]
     structure = systems[0].operator.structure
-    assert len(structure.parts) == 16
+    assert len(structure.parts) == 8
     svds = [part.whitened_svd for part in structure.parts]
     for system in systems:
         solve_mixed(system)
@@ -624,12 +626,12 @@ def test_kn_systems_share_one_structure():
     assert sp.structure is structure and sp.operators == operators
 
 
-def random_consistent_load(system, seed):
-    """A copy of the system with a random F and a G inside range(B)."""
+def random_consistent_load(system, seed, B=None):
+    """A copy of the system with a random F and a G inside range(B) (default: the system's B)."""
     rng = np.random.default_rng(seed)
     loaded = copy.copy(system)
     loaded.F = rng.standard_normal(system.spaces.n_V)
-    loaded.G = system.B @ rng.standard_normal(system.spaces.n_V)
+    loaded.G = (system.B if B is None else B) @ rng.standard_normal(system.spaces.n_V)
     return loaded
 
 
@@ -647,21 +649,38 @@ def assert_matches_dense_solution(sol, system):
     ),
 )
 def test_solve_matches_dense_oracle(eps, N, k, pairing, mode):
-    # the per-sector solves against one dense solve of the whole saddle
-    # matrix, with the minimal M_Q-norm pressure on the equal pairing. Full
-    # pressure at epsilon_w = 0 is left out: its whole saddle matrix is
-    # singular, so neither solve has an answer to compare
+    # the per-orbit solves against one dense solve of the whole saddle
+    # matrix, with the minimal M_Q-norm pressure on the equal pairing. The
+    # dense matrices are the tabulated oracle's, not the library's, which
+    # come through the same carry as the solve. Full pressure at
+    # epsilon_w = 0 is left out: its whole saddle matrix is singular, so
+    # neither solve has an answer to compare
     system = make_system(N=N, k=k, eps=eps, pairing=pairing, mode=mode)
+    mats = oracle_forms(system.spaces, system.params)
     for seed in (51, 52):
-        loaded = random_consistent_load(system, seed)
-        assert_matches_dense_solution(solve_mixed(loaded), loaded)
+        loaded = random_consistent_load(system, seed, mats["B"])
+        tabulated = types.SimpleNamespace(A=mats["A"], B=mats["B"], M_V=mats["MV"], M_Q=mats["MQ"], F=loaded.F, G=loaded.G)
+        assert_matches_dense_solution(solve_mixed(loaded), tabulated)
+
+
+def test_primal_residual_is_relative_to_at_least_one():
+    # a load driven by G alone with F of rounding size: both residual rows
+    # are relative to max(|load|, 1), so a tiny F does not inflate the
+    # primal residual (relative to |F| = 1e-20 it read about 5e3)
+    src = VolumeSources(b=lambda q: np.stack([q[:, 1], q[:, 2] ** 2, q[:, 0]], axis=1))
+    system = make_system(N=2, eps=0.1, sources=src, pairing="enriched", mode="full")
+    for scale in (0.0, 1e-20):
+        system.F = np.full(system.spaces.n_V, scale)
+        sol = solve_mixed(system)
+        assert sol.norm_U > 1e-3
+        assert sol.residual_primal <= 1e-12 and sol.residual_constraint <= 1e-12
 
 
 def test_each_part_and_sector_is_factored_once_for_every_load(monkeypatch):
-    # alpha0 factors each representative part's bordered matrix once (8 of
-    # the 16) and the first solve each representative sector's saddle
-    # matrix once (4 of the 8); later loads factor nothing, and no LU is
-    # larger than the largest sector saddle matrix
+    # alpha0 factors each of the 8 parts' bordered matrices once and the
+    # first solve each of the 4 orbits' saddle matrices once; later loads
+    # factor nothing, and no LU is larger than the largest orbit's saddle
+    # matrix, which is one sector's
     sizes = []
 
     def counting_lu(K):
@@ -674,16 +693,13 @@ def test_each_part_and_sector_is_factored_once_for_every_load(monkeypatch):
     params = ModelParams()
     system = assemble_system(sp, params)
     structure = system.operator.structure
-    sector_sizes = [sl.stop - sl.start for sl in structure.V.sectors]
-    for i, r in enumerate(structure.ranks):
-        sector_sizes[i // 2] += r
+    V, ranks = structure.V, structure.ranks
+    orbit_sizes = [V.parts[2 * o + 1].stop + ranks[2 * o] + ranks[2 * o + 1] for o in range(4)]
     consts = brezzi_constants(system)
-    bordered = [structure.parts[i].M_V.shape[0] + structure.ranks[i] for i in (0, 1, 2, 3, 6, 7, 14, 15)]
-    assert sizes == bordered
+    assert sizes == [p.M_V.shape[0] + r for p, r in zip(structure.parts, ranks)]
     solve_mixed(system, consts)
-    assert sorted(sizes[8:]) == sorted(sector_sizes[s] for s in (0, 1, 3, 7))
-    assert sorted(system.operator.factors) == [0, 1, 3, 7]
-    assert max(sizes) == max(sector_sizes) < sp.n_V / 4
+    assert sizes[8:] == orbit_sizes and len(system.operator.factors) == 4
+    assert max(sizes) == max(orbit_sizes) < sp.n_V / 4
     rng = np.random.default_rng(53)
     for _ in range(3):
         sol = solve_mixed(assemble_system(sp, params, None, seeded_walls(rng)), consts)
@@ -703,8 +719,8 @@ def asymmetric_sources():
 @pytest.mark.parametrize("pairing,N,k", [("equal", 2, 1), ("enriched", 1, 2)])
 def test_sectors_solved_through_their_representative_match_the_dense_oracles(pairing, N, k):
     # seeded walls plus sources that no axis swap maps to themselves, so
-    # sectors 1, 2 and 4 (and 3, 5 and 6) carry different loads; sectors 2,
-    # 4, 5 and 6 are solved through the LU of sector 1 or 3. The solve
+    # sectors 1, 2 and 4 (and 3, 5 and 6) carry different loads, solved as
+    # the columns of one load on their orbit's one LU. The solve
     # matches one dense solve of the whole saddle matrix (on the quotient by
     # ker B^T for equal, whose load is first made consistent), and the
     # constants the dense oracles
@@ -729,7 +745,7 @@ def test_sectors_solved_through_their_representative_match_the_dense_oracles(pai
     sol = solve_mixed(system, consts)
     assert sol.residual_primal <= 1e-12 and sol.residual_constraint <= 1e-12 and sol.bounds_hold
     assert_matches_dense_solution(sol, tabulated)
-    assert sorted(system.operator.factors) == [0, 1, 3, 7]
+    assert len(system.operator.factors) == 4
 
 
 def test_axis_permuted_sectors_agree_to_rounding():
@@ -745,7 +761,7 @@ def test_axis_permuted_sectors_agree_to_rounding():
         _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, {}, by_part=True),
         _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, {}, by_part=True),
     )
-    parts = [SaddlePart(*(b[2 * s + 1] for b in blocks), s, 1, slice(None)) for s in (1, 2, 4)]
+    parts = [SaddlePart(*(b[2 * s + 1] for b in blocks)) for s in (1, 2, 4)]
     assert len({id(p.B) for p in parts}) == 3
     svals = [p.whitened_svd[1] for p in parts]
     top = max(s[0] for s in svals)

@@ -50,11 +50,20 @@ def test_bench(monkeypatch, capsys, tmp_path):
     args = ["--out", str(out), "--suites", "bc", "--rungs", "1,1"]
     run_script("bench.py", [*args, "--label", "first"], monkeypatch, capsys)
     rows = run_script("bench.py", [*args, "--label", "second", "--repeat", "2"], monkeypatch, capsys)
-    assert rows[0][0] == "report" and rows[1][:2] == ["suite", "bc"]
+    assert rows[0][0] == "report" and rows[1][0] == "src_lines" and rows[2][:2] == ["suite", "bc"]
     data = json.loads(out.read_text())
     assert set(data) == {"first", "second"}
     rec = data["second"]
     assert {"python", "numpy", "scipy", "blas", "blas_threads"} <= set(rec["provenance"])
+    # the imported package's line count per module, as wc -l counts, and their total
+    import r13verify
+
+    modules = sorted(Path(r13verify.__file__).parent.glob("*.py"))
+    lines = rec["src_lines"]
+    assert list(lines) == [p.name for p in modules] + ["total"]
+    for p in modules:
+        assert lines[p.name] == len(p.read_text().splitlines()) > 0
+    assert lines["total"] == sum(lines[p.name] for p in modules) == int(rows[1][1])
     [rung] = rec["ladder"]["rungs"].values()
     assert set(rung["steps_s"]) == {"build_spaces", "assemble_system", "brezzi_constants", "solve_mixed"}
     assert rung["verified"] and rung["constants"]["alpha0"] > 0

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from r13verify.assembly import ModelParams, _B_terms, _norm_terms, _sector_assemble, assemble_system
-from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, Sectors, build_spaces
+from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, Sectors, _swap_bits, build_spaces
 
-from helpers import kron_gram, mirror_maps
+from helpers import kron_gram, mirror_maps, permutation_maps
 
 
 def test_dimensions_full():
@@ -243,18 +243,19 @@ def test_mirror_basis_diagonalizes_the_mirror_maps(pairing, N, k, mode):
     for S in spaces.sectors:
         x, plain = rng.standard_normal(S.order.size), Sectors(S.fields)
         assert np.array_equal(np.sort(S.order), np.arange(x.size))
-        assert np.array_equal(plain.to_sectors(x), x[S.order])
+        assert np.array_equal(plain.to_sectors(x), x[plain.order])
         assert np.array_equal(plain.from_sectors(plain.to_sectors(x)), x)
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
 @pytest.mark.parametrize("mode", ["zero_mean", "full"])
 def test_one_sector_layout_serves_sectors_and_parts(pairing, mode):
-    # the parts tile each sector s as part 2 s (momentum) then 2 s + 1 (energy);
-    # the momentum parts hold exactly sigma and p of V and u of Q; the blocks
-    # assembled by part are bitwise the part-diagonal sub-blocks of the blocks
-    # assembled by sector, whose other sub-blocks are zero, on every sector
-    # (the layout without the axis swaps, so each sector is assembled)
+    # the parts tile every sector of orbit o as part 2 o (momentum) then
+    # 2 o + 1 (energy); the momentum parts hold exactly sigma and p of V and
+    # u of Q; the blocks assembled by part are bitwise the part-diagonal
+    # sub-blocks of the blocks assembled by sector, whose other sub-blocks
+    # are zero, on every sector (the layout without the axis swaps, where
+    # each sector is an orbit of its own and assembled)
     spaces = build_spaces(2, 1, mode, pairing)
     V, Q = spaces.sectors
     structure = assemble_system(spaces, ModelParams()).operator.structure
@@ -262,14 +263,14 @@ def test_one_sector_layout_serves_sectors_and_parts(pairing, mode):
     vb, qb = spaces.v_blocks, spaces.q_blocks
     subproblems = ((np.r_[vb["sigma"], vb["p"]], np.r_[vb["s"]]), (np.r_[qb["u"]], np.r_[qb["theta"]]))
     for S, coords in zip((V, Q), subproblems):
-        assert len(S.sectors) == 8 and len(S.parts) == 16
-        assert [p.start for p in S.parts[1:]] == [p.stop for p in S.parts[:-1]]
-        assert S.parts[0].start == 0 and S.parts[-1].stop == S.order.size
-        for s, sl in enumerate(S.sectors):
-            assert (S.parts[2 * s].start, S.parts[2 * s + 1].stop) == (sl.start, sl.stop)
+        assert len(S.sectors) == 8 and len(S.parts) == 2 * len(S.orbits) == 8
+        for o, orbit in enumerate(S.orbits):
+            momentum, energy = S.parts[2 * o : 2 * o + 2]
+            assert momentum.start == 0 and momentum.stop == energy.start
+            assert all(S.sectors[s].stop - S.sectors[s].start == energy.stop for s in orbit)
         for sub, want in enumerate(coords):
-            got = np.concatenate([S.order[sl] for sl in S.parts[sub::2]])
-            assert np.array_equal(np.sort(got), want)
+            got = [S.order[S.sectors[s]][S.parts[2 * o + sub]] for o, orbit in enumerate(S.orbits) for s in orbit]
+            assert np.array_equal(np.sort(np.concatenate(got)), want)
     h1, l2 = _norm_terms(len(V.fields), h1=True), _norm_terms(len(Q.fields), h1=False)
     V, Q = Sectors(V.fields), Sectors(Q.fields)
     for terms, rows, cols in ((_B_terms(spaces), Q, V), (h1, V, V), (l2, Q, Q)):
@@ -277,10 +278,8 @@ def test_one_sector_layout_serves_sectors_and_parts(pairing, mode):
         by_part = _sector_assemble(terms, rows, cols, {}, by_part=True)
         assert len(by_part) == 16 and len({id(X) for X in by_part}) == 16
         for s, X in enumerate(by_sector):
-            r0, c0 = rows.sectors[s].start, cols.sectors[s].start
             for i, j in ((2 * s, 2 * s), (2 * s, 2 * s + 1), (2 * s + 1, 2 * s), (2 * s + 1, 2 * s + 1)):
-                r, c = rows.parts[i], cols.parts[j]
-                block = X[r.start - r0 : r.stop - r0, c.start - c0 : c.stop - c0]
+                block = X[rows.parts[i], cols.parts[j]]
                 if i == j:
                     assert np.array_equal(block, by_part[i])
                 else:
@@ -363,7 +362,40 @@ def test_sectors_refuse_an_orbit_of_unequal_part_sizes(mode):
     fields = V.fields[:-1] + [(*pressure, moved, sub)]
     with pytest.raises(ValueError, match="part sizes"):
         Sectors(fields, V.swaps)
-    assert Sectors(fields).representative == list(range(8))
+    assert Sectors(fields).orbits == [(s,) for s in range(8)]
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+def test_orbits_lie_side_by_side_as_the_rows_of_one_array(pairing, mode):
+    # the sector coordinates list the orbits 0 | 1 2 4 | 3 5 6 | 7, each
+    # orbit's sectors adjacent; row j of an orbit's array is sector
+    # orbit[j]'s carried slice, the swap's coefficient map (built from
+    # tabulations) taking it onto the representative's coordinates; without
+    # the swaps the order is the stable sort by (sector, subproblem), so
+    # korn's grams keep their rows
+    sp = build_spaces(1, 2, mode, pairing)
+    rng, maps = np.random.default_rng(4), permutation_maps(sp)
+    for S, which in zip(sp.sectors, (0, 1)):
+        assert S.orbits == [(0,), (1, 2, 4), (3, 5, 6), (7,)]
+        listed = [S.sectors[s] for orbit in S.orbits for s in orbit]
+        assert listed[0].start == 0 and listed[-1].stop == S.order.size
+        assert all(a.stop == b.start for a, b in zip(listed[:-1], listed[1:]))
+        x = rng.standard_normal(S.order.size)
+        rows = S.split(S.to_sectors(x))
+        assert [Y.shape[0] for Y in rows] == [1, 3, 3, 1]
+        for orbit, Y in zip(S.orbits, rows):
+            want = x[S.order[S.sectors[orbit[0]]]]
+            assert np.array_equal(Y[0], want)
+            for j, s in enumerate(orbit[1:], 1):
+                (axes,) = [ab for ab in maps if _swap_bits(orbit[0], *ab) == s]
+                want = (maps[axes][which] @ x)[S.order[S.sectors[orbit[0]]]]
+                assert np.abs(Y[j] - want).max() <= 1e-12 * np.abs(x).max(), (s, axes)
+        plain = Sectors(S.fields)
+        slots = np.concatenate([2 * lab.ravel() + sub for *_, lab, sub in S.fields])
+        assert np.array_equal(plain.order, np.argsort(slots, kind="stable"))
+        assert plain.orbits == [(s,) for s in range(8)]
+        assert [Y.shape[0] for Y in plain.split(x)] == [1] * 8
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
