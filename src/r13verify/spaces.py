@@ -418,10 +418,10 @@ class Sectors:
         self.sectors = [slice(bounds[2 * j], bounds[2 * j + 2]) for j in place]
         sizes = np.diff(bounds).reshape(count, 2)[place].tolist()  # by sector
         self.parts = []
-        for orbit in self.orbits:
-            (momentum, energy), r = sizes[orbit[0]], orbit[0]
+        for r, *others in self.orbits:
+            momentum, energy = sizes[r]
             self.parts += [slice(0, momentum), slice(momentum, momentum + energy)]
-            for s in orbit[1:]:
+            for s in others:
                 if sizes[s] != sizes[r]:
                     raise ValueError(f"sector {s} has part sizes {sizes[s]}, its representative {r} {sizes[r]}")
         at = np.empty(slots.size, dtype=int)

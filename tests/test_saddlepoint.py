@@ -454,12 +454,11 @@ def test_spaces_keep_their_structure_and_operators(assembled):
 def test_constants_on_a_dropped_system_serve_later_loads(assembled):
     # constants on a system that is then dropped, then loads on the same
     # spaces: the solves read the structure, the operator and the whitened
-    # SVDs that the constants made, on the 8 distinct (representative) parts
+    # SVDs that the constants made, on the 8 parts (one per orbit and subproblem)
     sp = build_spaces(2, 1, "zero_mean")
     params = ModelParams()
     consts = brezzi_constants(assemble_system(sp, params))
-    structure = sp.structure
-    parts = list({id(p): p for p in structure.parts}.values())
+    parts = sp.structure.parts
     assert len(parts) == 8
     svds = [p.__dict__.get("whitened_svd") for p in parts]
     assert all(svd is not None for svd in svds)
