@@ -1,10 +1,10 @@
 """Symbol maps of first-order operators and their ellipticity classification.
 
-An operator acts as a projection of the gradient, P[field x nabla]. Its
-symbol at frequency xi is the linear map X -> P[X otimes xi]. The operator
-is R-elliptic (C-elliptic) when the symbol is injective for every nonzero
-real (complex) xi; the two notions differ exactly on the isotropic cone
-xi . xi = 0, which the C verdict therefore always samples explicitly.
+An operator acts as a projection of the gradient, P[field x nabla]. Its symbol at frequency xi
+is the linear map X -> P[X otimes xi]. The operator is R-elliptic (C-elliptic) when the symbol
+is injective for every nonzero real (complex) xi; the two notions differ exactly on the
+isotropic cone xi . xi = 0, which the C verdict therefore always samples explicitly. Samples are
+screened in row blocks by their Gram's least eigenvalue or one Cholesky.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ RANK2_CODOMAINS = ("sym", "skew", "dev", "stf", "identity")
 RANK3_CODOMAINS = ("Sym", "Dev", "Stf")
 
 SINGULAR_VALUE_THRESHOLD = 1e-8
+GRAM_BLOCK = 1024  # rows screened at once; the row count picks BLAS's product kernel, so it sets Gram bits
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class SymbolMatrix:
 class SamplingPlan:
     """Frequency sampling counts for the ellipticity check.
 
-    Only the n_real real directions enter the R verdict. The C verdict
+    Only the n_real >= 1 real directions enter the R verdict. The C verdict
     adds the complex and isotropic strata and the structured family
     (1, i cos phi, i sin phi, 0, ...), which is always sampled so the
     isotropic cone cannot be missed by chance.
@@ -76,6 +77,12 @@ class SamplingPlan:
     n_isotropic: int = 2048
     n_structured: int = 1024
     seed: int = 0
+
+    def __post_init__(self):
+        for name, minimum in (("n_real", 1), ("n_complex", 0), ("n_isotropic", 0), ("n_structured", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -262,15 +269,22 @@ def _frequencies(d: int, plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
     return real, np.concatenate([real.astype(complex), *rest, _structured_isotropic(plan.n_structured, d)])
 
 
-def screened_eigenvalues(coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of the Gram S(xi)^H S(xi) = sum_jk conj(xi_j) xi_k S_j^T S_k at each
-    row of xis: one real product with the S_j^T S_k forms every Gram, one batched eigvalsh
-    (real for real xis) decomposes them."""
+def _gram_blocks(coeffs: np.ndarray, xis: np.ndarray, starts):
+    """(rows, Grams S(xi)^H S(xi) = sum_jk conj(xi_j) xi_k S_j^T S_k) per GRAM_BLOCK rows from each start."""
     d, _, n = coeffs.shape
     G = np.einsum("jan,kap->jknp", coeffs, coeffs).reshape(d * d, n * n)
-    w = (xis.conj()[:, :, None] * xis[:, None, :]).reshape(-1, d * d)
-    grams = w @ G if np.isrealobj(w) else w.real @ G + 1j * (w.imag @ G)
-    return np.linalg.eigvalsh(grams.reshape(-1, n, n))[:, 0]
+    for rows in (slice(i, i + GRAM_BLOCK) for i in starts):
+        w = (xis[rows].conj()[:, :, None] * xis[rows][:, None, :]).reshape(-1, d * d)
+        yield rows, (w @ G if np.isrealobj(w) else w.real @ G + 1j * (w.imag @ G)).reshape(-1, n, n)
+
+
+def screened_eigenvalues(coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of the Gram S(xi)^H S(xi) at each row of xis, within delta (`screen_bound`)
+    of sigma_min^2: one batched eigvalsh per GRAM_BLOCK rows, so one block's Grams live at a time."""
+    lam = np.empty(len(xis))
+    for rows, grams in _gram_blocks(coeffs, xis, range(0, len(xis), GRAM_BLOCK)):
+        lam[rows] = np.linalg.eigvalsh(grams)[:, 0]
+    return lam
 
 
 def screen_bound(coeffs: np.ndarray) -> float:
@@ -286,35 +300,56 @@ def screen_bound(coeffs: np.ndarray) -> float:
 def check_ellipticity(op: OperatorSpec, plan: SamplingPlan | None = None) -> EllipticityCheck:
     """Sample-based R- and C-ellipticity certificates from one frequency batch.
 
-    The batch (`_frequencies`) holds real unit directions, generic complex
-    directions, random isotropic directions and the structured isotropic
-    family. The complex verdict reads the whole batch, the real verdict
-    its first plan.n_real rows. A verdict is elliptic when the minimal
-    singular value over its samples (at |xi| = 1) stays above the 1e-8
-    threshold; otherwise the minimizer and a kernel vector are returned
-    as witness. A Gram screen decides what needs an exact SVD (`_verdict`).
+    The batch (`_frequencies`) holds real unit directions, generic complex directions, random
+    isotropic directions and the structured isotropic family. The complex verdict reads the whole
+    batch, the real verdict its first plan.n_real rows. A verdict is elliptic when the minimal
+    singular value over its samples (at |xi| = 1) stays above the threshold tau = 1e-8; otherwise the
+    minimizer and a kernel vector are returned as witness. A Gram screen decides what needs an exact
+    SVD (`_verdict`). It screens every real row, then the complex rows GRAM_BLOCK at a time from the
+    last block back, so the structured family sets the running minimum U first. If all Grams H of a
+    block pass one batched Cholesky of H - mu I, mu = max(U, tau^2) + 4 delta + delta_c, then
+    lambda_min(H) >= mu - delta_c: delta_c = 64 (n + 1) n eps (s + mu - delta_c) bounds a completed
+    Cholesky's backward error (Higham 2002, Thm 10.3; Demmel, LAPACK Working Note 14, 1989). The
+    block gets lam = mu - delta_c, no eigvalsh: its screened values would top max(U, tau^2) + 3 delta,
+    past `_verdict`'s cut, so verdicts match screening every row; the walk order moves only speed.
     """
     plan = plan or SamplingPlan()
     real, xis = _frequencies(op.dim, plan)
     coeffs = symbol_coefficients(op)
-    # the real rows are screened as real Grams, the rest as complex
-    lam = np.concatenate([screened_eigenvalues(coeffs, x) for x in (real, xis[plan.n_real :])])
     delta = screen_bound(coeffs)
+    lam, _ = _screen(coeffs, real, xis, delta)
     return EllipticityCheck(
         real=_verdict(op, coeffs, real, lam[: plan.n_real], delta, plan.n_real),
         complex=_verdict(op, coeffs, xis, lam, delta, plan.n_real),
     )
 
 
+def _screen(coeffs: np.ndarray, real: np.ndarray, xis: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, certified rows) over xis, whose first rows are `real`, as `check_ellipticity` sets out."""
+    lam, certified = np.empty(len(xis)), np.zeros(len(xis), dtype=bool)
+    lam[: len(real)] = screened_eigenvalues(coeffs, real)
+    n, s, low = coeffs.shape[2], float(np.sum(coeffs**2)), float(lam[: len(real)].min())
+    for rows, grams in _gram_blocks(coeffs, xis, reversed(range(len(real), len(xis), GRAM_BLOCK))):
+        bound = max(low, SINGULAR_VALUE_THRESHOLD**2) + 4.0 * delta
+        try:  # shifted by mu = bound + delta_c
+            np.linalg.cholesky(grams - (bound + 64.0 * (n + 1) * n * np.finfo(float).eps * (s + bound)) * np.eye(n))
+        except np.linalg.LinAlgError:
+            lam[rows] = np.linalg.eigvalsh(grams)[:, 0]
+            low = min(low, float(lam[rows].min()))
+        else:
+            lam[rows], certified[rows] = bound, True
+    return lam, certified
+
+
 def _verdict(
     op: OperatorSpec, coeffs: np.ndarray, xis: np.ndarray, lam: np.ndarray, delta: float, n_real: int
 ) -> EllipticityVerdict:
-    """Verdict over sampled symbols from their screened Gram eigenvalues lam, each within delta
-    of sigma_min^2. If min lam - delta clears the threshold squared, so does every sample: the
-    verdict is elliptic, and the SVD of the argmin of lam gives the minimum. Otherwise every sample
-    with lam <= max(min lam, threshold^2) + 2 delta gets an exact SVD; the rest lie above both the
-    threshold and the least sigma_min, so verdict, minimum and witness come from exact values.
-    Rows below n_real (real frequencies) are decomposed as real matrices."""
+    """Verdict over sampled symbols from lam, per row the screened Gram eigenvalue (within delta of
+    sigma_min^2) or, on `_screen`'s certified rows, a bound lam - delta <= sigma_min^2 above the cut.
+    If min lam - delta clears the threshold squared, so does every sample: the verdict is elliptic,
+    and the SVD of the argmin of lam gives the minimum. Otherwise every sample with lam <= the cut
+    max(min lam, threshold^2) + 2 delta gets an exact SVD; the rest lie above the threshold and the
+    least sigma_min, so verdict, minimum and witness come from exact values (real rows as real)."""
     tau2, lmin = SINGULAR_VALUE_THRESHOLD**2, float(lam.min())
     rows = np.flatnonzero(lam <= max(lmin, tau2) + 2.0 * delta) if lmin - delta < tau2 else np.argmin(lam)[None]
     smins = np.empty(rows.size)

@@ -174,17 +174,25 @@ def dense_korn_grams(op, sb):
 # -- SVD-only oracle of the ellipticity verdicts -------------------------------
 
 
-def svd_ellipticity_oracle(op, xis, n_real):
-    """(least singular value, its row, witness residual) over the symbols at xis by an SVD
-    of every one, the real rows (the first n_real) as real matrices: the path the Gram
-    screen replaced."""
+def svd_smins(op, xis, n_real):
+    """Least singular value of the symbol at each row of xis by an SVD of every one, the
+    real rows (the first n_real) as real matrices: the path the Gram screen replaced."""
     from r13verify.ellipticity import symbol_coefficients
 
     coeffs = symbol_coefficients(op)
-    smins = np.concatenate([
+    return np.concatenate([
         np.linalg.svd(np.tensordot(xis[:n_real].real, coeffs, axes=1), compute_uv=False)[:, -1],
         np.linalg.svd(np.tensordot(xis[n_real:], coeffs, axes=1), compute_uv=False)[:, -1],
     ])
+
+
+def svd_ellipticity_oracle(op, xis, n_real):
+    """(least singular value, its row, witness residual) over the symbols at xis from
+    `svd_smins`."""
+    from r13verify.ellipticity import symbol_coefficients
+
+    coeffs = symbol_coefficients(op)
+    smins = svd_smins(op, xis, n_real)
     idx = int(np.argmin(smins))
     mat = np.tensordot(xis[idx], coeffs, axes=1)
     coords = np.linalg.svd(mat)[2][-1].conj()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from r13verify.ellipticity import (
     RANK2_CODOMAINS,
+    SINGULAR_VALUE_THRESHOLD,
     OperatorSpec,
     SamplingPlan,
     apply_symbol,
@@ -21,10 +23,10 @@ from r13verify.ellipticity import (
     symbol_coefficients,
     symbol_matrix,
 )
-from r13verify.ellipticity import _frequencies
+from r13verify.ellipticity import _frequencies, _screen, _verdict
 from r13verify.tensors import project2
 
-from helpers import random_stf2, stf_gradient_symbol_direct, svd_ellipticity_oracle
+from helpers import random_stf2, stf_gradient_symbol_direct, svd_ellipticity_oracle, svd_smins
 
 STF_GRAD = {d: OperatorSpec("stf2", "Stf", d) for d in (2, 3, 4, 5)}
 FAST_PLAN = SamplingPlan(n_real=512, n_complex=512, n_isotropic=256, n_structured=128, seed=7)
@@ -252,6 +254,29 @@ def test_operator_spec_validation():
         OperatorSpec("vectors", "sym", 1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_real", 0),
+        ("n_real", 2.5),
+        ("n_complex", -1),
+        ("n_isotropic", -3),
+        ("n_structured", -1),
+        ("n_complex", True),
+        ("seed", -1),
+        ("seed", "0"),
+    ],
+)
+def test_sampling_plan_validation(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SamplingPlan(**{field: value})
+
+
+def test_sampling_plan_accepts_numpy_counts_and_empty_complex_strata():
+    plan = SamplingPlan(n_real=np.int64(3), n_complex=0, n_isotropic=0, n_structured=0, seed=np.int32(1))
+    assert check_ellipticity(STF_GRAD[3], plan).real.n_samples == 3
+
+
 def test_contraction_identity_general_d():
     # triple xi-contraction of the symbol reproduces the full-contraction
     # prefactor d/(d+2) from the rational table, for complex arguments
@@ -317,3 +342,61 @@ def test_certified_minimum_is_an_exact_svd(d):
     assert vc.elliptic and vc.witness is None
     assert vc.min_singular_value == pytest.approx(exact, rel=1e-14)
     assert 0 <= vc.min_singular_value**2 - smin**2 <= 2 * screen_bound(coeffs)
+
+
+@pytest.mark.parametrize("plan", [FAST_PLAN, SamplingPlan()], ids=["fast", "default"])
+@pytest.mark.parametrize("op", SCREENED_OPS, ids=lambda op: f"{op.domain}-{op.codomain}-d{op.dim}")
+def test_cholesky_certificate_is_sound_and_keeps_every_verdict(op, plan):
+    # rows the shifted Cholesky certifies lie above the verdict's cut, and the verdicts
+    # equal those read from screened eigenvalues of every row, to the bit
+    real, xis = _frequencies(op.dim, plan)
+    coeffs = symbol_coefficients(op)
+    delta = screen_bound(coeffs)
+    lam, certified = _screen(coeffs, real, xis, delta)
+    full = np.concatenate([screened_eigenvalues(coeffs, real), screened_eigenvalues(coeffs, xis[plan.n_real :])])
+    assert not certified[: plan.n_real].any()
+    assert np.array_equal(lam[~certified], full[~certified])
+    cut = max(float(full.min()), SINGULAR_VALUE_THRESHOLD**2) + 2 * delta
+    if certified.any():
+        exact = svd_smins(op, xis[certified], 0) ** 2
+        assert min(exact.min(), full[certified].min(), lam[certified].min()) > cut
+    check = check_ellipticity(op, plan)
+    for got, want in (
+        (check.real, _verdict(op, coeffs, real, full[: plan.n_real], delta, plan.n_real)),
+        (check.complex, _verdict(op, coeffs, xis, full, delta, plan.n_real)),
+    ):
+        assert got.elliptic == want.elliptic and got.n_samples == want.n_samples
+        assert got.min_singular_value == want.min_singular_value
+        assert np.array_equal(got.xi_min, want.xi_min)
+        assert got.witness_residual == want.witness_residual
+        assert (got.witness is None) == (want.witness is None)
+        assert got.witness is None or np.array_equal(got.witness, want.witness)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_cholesky_certificate_skips_the_generic_complex_rows(d):
+    plan = SamplingPlan()
+    real, xis = _frequencies(d, plan)
+    coeffs = symbol_coefficients(STF_GRAD[d])
+    _, certified = _screen(coeffs, real, xis, screen_bound(coeffs))
+    assert certified[plan.n_real : plan.n_real + plan.n_complex].all()
+
+
+def test_ellipticity_check_traced_peak_stays_within_a_few_gram_blocks():
+    # one 1,024-row block of complex 14 x 14 Grams is 3.2 MB; the whole stack was 22 MB
+    tracemalloc.start()
+    try:
+        check_ellipticity(STF_GRAD[5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_sampled_complex_minimum_is_the_isotropic_prefactor(d):
+    # the least sampled sigma_min^2 of the stf gradient is the isotropic-stratum
+    # prefactor c_case2 = (d - 2) / (3 (d + 2)): 1/15, 1/9 and 1/7
+    coeffs = symbol_coefficients(STF_GRAD[d])
+    vc = check_ellipticity(STF_GRAD[d]).complex
+    assert abs(vc.min_singular_value**2 - float(general_d_prefactors(d).c_case2)) <= 2 * screen_bound(coeffs)
