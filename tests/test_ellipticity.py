@@ -383,7 +383,7 @@ def test_cholesky_certificate_skips_the_generic_complex_rows(d):
 
 
 def test_ellipticity_check_traced_peak_stays_within_a_few_gram_blocks():
-    # one 1,024-row block of complex 14 x 14 Grams is 3.2 MB; the whole stack was 22 MB
+    # one 1,024-row block of complex 14 x 14 Grams is 3.2 MB, all 7,168 complex rows at once 22 MB
     tracemalloc.start()
     try:
         check_ellipticity(STF_GRAD[5])
