@@ -25,6 +25,10 @@ from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis, Sectors, mirror_ma
 # relative slack of a coercivity chain: the form may undershoot a bound by
 # this fraction of max(|form|, 1) before the chain counts as violated
 CHAIN_VIOLATION_RTOL = 1e-12
+# fields per column block of a coercivity chain: a constant, not an option, since the
+# block's shape picks OpenBLAS's product kernel, and only at one width (the last
+# block zero-padded) does each field's result keep its bits whatever its batch
+CHAIN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,12 @@ def _quadratic(blocks: list, sectors: Sectors, x: np.ndarray) -> float:
     return float(sum(y @ M @ y for M, Y in zip(blocks, sectors.split(sectors.to_sectors(x))) for y in Y))
 
 
+def _column_quadratics(blocks: list, split: list) -> np.ndarray:
+    """x^T M x for each column x of a matrix, given as its carried sector coordinates split
+    by orbit (Sectors.split), for the M with one block per orbit, on each of its sectors."""
+    return sum(np.einsum("ib,ib->b", Y, M @ Y) for M, orbit in zip(blocks, split) for Y in orbit)
+
+
 def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     """Discrete Korn constant for sym-gradient on vectors or Stf-gradient on stf fields.
 
@@ -139,7 +149,12 @@ def korn_rayleigh(op: OperatorSpec, spaces: DiscreteSpaces, coeffs: np.ndarray) 
     """Rayleigh quotient of the Korn pencil at a given coefficient vector."""
     S, h1, lower = _korn_grams(op, spaces)
     x = np.asarray(coeffs).ravel()
-    return _quadratic(h1, S, x) / _quadratic(lower, S, x)
+    if x.size != S.order.size:
+        raise ValueError(f"coefficient vector has {x.size} entries, expected {S.order.size}")
+    num, den = _quadratic(h1, S, x), _quadratic(lower, S, x)
+    if den == 0.0:
+        raise ValueError("the Rayleigh quotient of a zero coefficient vector is undefined")
+    return num / den
 
 
 def coercivity_chain_check(
@@ -147,44 +162,57 @@ def coercivity_chain_check(
 ) -> list[ChainReport]:
     """Evaluate one coercivity chain for each of a sequence of discrete fields.
 
-    kind 'heat': each field is s, and a(s, s) is checked against
-    min{(24/25) Kn, (4/15)/Kn} times the sym-gradient seminorm sum; kind
-    'stress': each field is a pair (sigma, p), and dbar((sigma, p), same)
-    is checked against min{Kn, 1/(2 Kn)} times the Stf-gradient seminorm
-    sum. The Korn lower bound divides by the discrete Korn constant to
-    reach the full H1 norm. The forms are read from the sector blocks of
-    the spaces' shared operator, the seminorms from the Korn grams'.
+    kind 'heat': each field is s, shaped (3, n_scalar) or flattened, and
+    a(s, s) is checked against min{(24/25) Kn, (4/15)/Kn} times the
+    sym-gradient seminorm sum; kind 'stress': each field is a pair
+    (sigma, p), sigma shaped (5, n_scalar) and p (n_p,), and
+    dbar((sigma, p), same) is checked against min{Kn, 1/(2 Kn)} times the
+    Stf-gradient seminorm sum. A field of another shape raises a
+    ValueError before any is evaluated. The Korn lower bound divides by
+    the discrete Korn constant to reach the full H1 norm.
+
+    The fields are the columns of blocks of CHAIN_BLOCK, the last one
+    zero-padded. Per block, one carry of U to the shared operator's sector
+    coordinates gives the forms from its orbit blocks, and one carry of
+    the Korn field's rows gives both seminorms from the Korn grams'. The
+    width is fixed because the product kernel, and so the bits, depend on
+    it: at one width a field's report does not depend on its batch.
     """
-    kn, vb = params.kn, spaces.v_blocks
+    n, kn, vb = spaces.n_scalar, params.kn, spaces.v_blocks
     if kind == "heat":
-        xs = [np.asarray(s).ravel() for s in fields]
+        xs = [np.asarray(s) for s in fields]
+        for i, s in enumerate(xs):
+            if s.shape not in ((3, n), (3 * n,)):
+                raise ValueError(f"heat field {i} has shape {s.shape}, expected (3, {n}) or ({3 * n},)")
+        xs = [s.ravel() for s in xs]
         rows, op = vb["s"], OperatorSpec("vectors", "sym", 3)
         cmin = min((24.0 / 25.0) * kn, (4.0 / 15.0) / kn)
     elif kind == "stress":
-        xs = [np.concatenate([np.asarray(sig).ravel(), np.asarray(p).ravel()]) for sig, p in fields]
+        xs = []
+        for i, (sig, p) in enumerate(fields):
+            sig, p = np.asarray(sig), np.asarray(p)
+            if sig.shape != (5, n) or p.shape != (spaces.n_p,):
+                raise ValueError(
+                    f"stress field {i} has sigma {sig.shape} and p {p.shape}, expected (5, {n}) and ({spaces.n_p},)"
+                )
+            xs.append(np.concatenate([sig.ravel(), p]))
         rows, op = np.r_[vb["sigma"], vb["p"]], STF_GRADIENT
         cmin = min(kn, 0.5 / kn)
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
 
     A = _shared_operator(spaces, params)
-    S, h1, lower = _korn_grams(op, spaces)
+    V, (S, h1, lower) = A.structure.V, _korn_grams(op, spaces)
     korn = korn_constant(op, spaces).constant
     reports = []
-    for x in xs:
-        U = np.zeros(spaces.n_V)
-        U[rows] = x
-        xf = x[: S.order.size]
-        seminorm_sum = _quadratic(lower, S, xf)
-        reports.append(
-            ChainReport(
-                form_value=_quadratic(A.sectors, A.structure.V, U),
-                seminorm_sum=seminorm_sum,
-                min_coefficient=cmin,
-                lower_bound=cmin * seminorm_sum,
-                korn_lower_bound=cmin / korn * _quadratic(h1, S, xf),
-            )
-        )
+    for start in range(0, len(xs), CHAIN_BLOCK):
+        chunk = xs[start : start + CHAIN_BLOCK]
+        U = np.zeros((spaces.n_V, CHAIN_BLOCK))  # the padding columns stay zero
+        U[rows, : len(chunk)] = np.transpose(chunk)
+        Y = S.split(S.to_sectors(U[rows][: S.order.size]))
+        forms = _column_quadratics(A.sectors, V.split(V.to_sectors(U)))[: len(chunk)]
+        for form, semi, h in zip(forms.tolist(), *(_column_quadratics(G, Y).tolist() for G in (lower, h1))):
+            reports.append(ChainReport(form, semi, cmin, cmin * semi, cmin / korn * h))
     return reports
 
 

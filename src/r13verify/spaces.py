@@ -497,8 +497,10 @@ class Sectors:
 
     def split(self, y: np.ndarray) -> list[np.ndarray]:
         """Per orbit, its m sectors' slices of the carried sector coordinates y as the m rows
-        of one array (views): a matrix that commutes with the swaps acts on each row alike."""
-        return [y[self.sectors[o[0]].start : self.sectors[o[-1]].stop].reshape(len(o), -1) for o in self.orbits]
+        of one array (views; for a matrix y, m stacked matrices): a matrix that commutes with
+        the swaps acts on each row alike."""
+        shape = y.shape[1:]
+        return [y[self.sectors[o[0]].start : self.sectors[o[-1]].stop].reshape((len(o), -1, *shape)) for o in self.orbits]
 
 
 def mirror_masks(basis: np.ndarray) -> list[int]:

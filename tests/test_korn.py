@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from r13verify.assembly import ModelParams
+from r13verify.assembly import ModelParams, assemble_form
 from r13verify.ellipticity import OperatorSpec
 from r13verify.korn import (
+    CHAIN_BLOCK,
     coercivity_chain_check,
     div_right_inverse,
     korn_constant,
     korn_rayleigh,
     scalar_div_right_inverse,
 )
-from r13verify.spaces import build_spaces
+from r13verify.spaces import Sectors, build_spaces
 
 from helpers import dense_korn_grams
 
@@ -120,6 +121,102 @@ def test_chain_batch_matches_single_fields(sp2):
         batch = coercivity_chain_check(kind, fields, sp2, params)
         assert len(batch) == len(fields)
         assert batch == [coercivity_chain_check(kind, [f], sp2, params)[0] for f in fields]
+
+
+def _chain_fields(sp, rng, count):
+    heat = [rng.standard_normal((3, sp.n_scalar)) for _ in range(count)]
+    stress = [(rng.standard_normal((5, sp.n_scalar)), rng.standard_normal(sp.n_p)) for _ in range(count)]
+    return {"heat": heat, "stress": stress}
+
+
+def test_chain_block_boundaries_match_single_fields_and_dense_oracle(sp2):
+    # 2 blocks and a partial third: the fields on either side of a block edge
+    # and the last, padded one keep the bits of a call of their own, and every
+    # field's numbers are the dense forms' and grams'
+    params = ModelParams(kn=0.7, chi_tilde=1.3, epsilon_w=0.1)
+    count = 2 * CHAIN_BLOCK + 1
+    A = assemble_form("A", sp2, params)
+    vb = sp2.v_blocks
+    for kind, fields in _chain_fields(sp2, np.random.default_rng(11), count).items():
+        batch = coercivity_chain_check(kind, fields, sp2, params)
+        assert len(batch) == count
+        for i in (0, CHAIN_BLOCK - 1, CHAIN_BLOCK, count - 1):
+            assert batch[i] == coercivity_chain_check(kind, [fields[i]], sp2, params)[0], (kind, i)
+        op = SYM_VEC if kind == "heat" else STF_STF
+        G_h1, G_l2, G_op = dense_korn_grams(op, sp2.scalar)
+        korn = korn_constant(op, sp2).constant
+        for rep, f in zip(batch, fields):
+            U = np.zeros(sp2.n_V)
+            if kind == "heat":
+                U[vb["s"]] = f.ravel()
+            else:
+                U[vb["sigma"]], U[vb["p"]] = f[0].ravel(), f[1]
+            x = np.ravel(f if kind == "heat" else f[0])
+            want = (U @ A @ U, x @ (G_l2 + G_op) @ x, rep.min_coefficient / korn * (x @ G_h1 @ x))
+            for got, w in zip((rep.form_value, rep.seminorm_sum, rep.korn_lower_bound), want):
+                assert abs(got - w) <= 1e-12 * abs(w), (kind, got, w)
+            assert rep.holds
+
+
+def test_chain_carries_fields_in_column_blocks(sp2, monkeypatch):
+    # the fields are carried to sector coordinates a block of columns at a time:
+    # one carry of the whole V and one of the Korn field per block, never per field
+    fields = _chain_fields(sp2, np.random.default_rng(12), 200)
+    calls = []
+    carry = Sectors.to_sectors
+    monkeypatch.setattr(Sectors, "to_sectors", lambda self, x: calls.append(x.shape) or carry(self, x))
+    for kind, batch in fields.items():
+        calls.clear()
+        assert len(coercivity_chain_check(kind, batch, sp2, ModelParams())) == 200
+        assert len(calls) <= 2 * -(-200 // CHAIN_BLOCK), (kind, len(calls))
+
+
+def test_chain_empty_field_list(sp2):
+    for kind in ("heat", "stress"):
+        assert coercivity_chain_check(kind, [], sp2, ModelParams()) == []
+
+
+@pytest.mark.parametrize(
+    "kind, make, message",
+    [
+        ("heat", lambda n, n_p: [np.ones((3, n)), np.ones(1)], r"heat field 1 has shape \(1,\)"),
+        ("heat", lambda n, n_p: [np.ones((3, n + 1))], r"heat field 0 has shape \(3, {n1}\), expected \(3, {n}\)"),
+        ("heat", lambda n, n_p: [np.ones(3 * n)] * 2 + [np.ones(3 * n + 1)], "heat field 2"),
+        ("heat", lambda n, n_p: [np.ones((n, 3))], "heat field 0"),
+        # the total length is right, so only the shapes tell it from a valid field
+        (
+            "stress",
+            lambda n, n_p: [(np.ones((5, n)), np.ones(n_p)), (np.ones((5, n + 1)), np.ones(n_p - 5))],
+            r"stress field 1 .* expected \(5, {n}\)",
+        ),
+        ("stress", lambda n, n_p: [(np.ones(5 * n), np.ones(n_p))], "stress field 0"),
+        ("stress", lambda n, n_p: [(np.ones((4, n)), np.ones(n_p))], "stress field 0"),
+        ("stress", lambda n, n_p: [(np.ones((5, n)), np.ones(n_p + 1))], r"stress field 0 .* \({n_p},\)"),
+    ],
+)
+def test_chain_rejects_misshaped_fields(sp2, kind, make, message):
+    n, n_p = sp2.n_scalar, sp2.n_p
+    with pytest.raises(ValueError, match=message.format(n=n, n1=n + 1, n_p=n_p)):
+        coercivity_chain_check(kind, make(n, n_p), sp2, ModelParams())
+
+
+def test_chain_accepts_flattened_heat_fields(sp2):
+    rng = np.random.default_rng(13)
+    fields = [rng.standard_normal((3, sp2.n_scalar)) for _ in range(3)]
+    flat = [f.ravel() for f in fields]
+    params = ModelParams()
+    assert coercivity_chain_check("heat", fields, sp2, params) == coercivity_chain_check("heat", flat, sp2, params)
+
+
+def test_korn_rayleigh_rejects_zero_and_misshaped_vectors(sp2):
+    n = sp2.n_scalar
+    for op, size in ((SYM_VEC, 3 * n), (STF_STF, 5 * n)):
+        with pytest.raises(ValueError, match="zero coefficient vector"):
+            korn_rayleigh(op, sp2, np.zeros(size))
+        for wrong in (size - 1, size + 1, 1):
+            with pytest.raises(ValueError, match=f"has {wrong} entries"):
+                korn_rayleigh(op, sp2, np.ones(wrong))
+        assert np.isfinite(korn_rayleigh(op, sp2, np.ones(size)))
 
 
 def test_right_inverse_zero_data(sp2):
