@@ -28,6 +28,15 @@ With --repeat n, the report, each suite and each rung are timed n times; the
 record keeps the median as `wall_s` (report, suites) or `total_s` (rungs) and
 the n times beside it as `wall_s_runs` or `total_s_runs`.
 
+The `loads` record, always taken and once whatever --repeat, is the cost
+of a bounds-checked load once the constants are held, as perfbench's
+solve-many-loads workload measures it: one (3,1) zero-mean structure and
+its constants, then 100 seeded wall loads, each timed as one
+`assemble_system` plus `solve_mixed(system, constants)`. It keeps the
+median and the 90th percentile (inclusive, linearly interpolated) of the
+100 latencies as `p50_s` and `p90_s`, and whether every load verified
+(solver residuals within the report's tolerance, stability bounds hold).
+
 BLAS is pinned to one thread when the script starts a fresh interpreter.
 The record carries the Python, numpy, scipy and BLAS versions, the thread
 settings and the git revision of the imported package, suffixed -dirty
@@ -60,6 +69,7 @@ import r13verify  # noqa: E402
 from r13verify.report import ALL_SUITES, TOLERANCES  # noqa: E402
 
 LADDER = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2))
+LOADS_SPACE, N_LOADS = (3, 1), 100
 
 
 def provenance() -> dict:
@@ -168,6 +178,27 @@ def time_ladder(rungs, pairing: str, repeat: int) -> dict:
     return out
 
 
+def time_loads() -> dict:
+    rng = np.random.default_rng(0)
+    spaces, params = r13verify.build_spaces(*LOADS_SPACE, "zero_mean"), r13verify.ModelParams()
+    consts = r13verify.brezzi_constants(r13verify.assemble_system(spaces, params))
+    walls = [r13verify.BoundaryData(*(0.5 * rng.standard_normal((5, 6)))) for _ in range(N_LOADS)]
+    times, verified = [], True
+    for wall in walls:
+        t0 = time.perf_counter()
+        sol = r13verify.solve_mixed(r13verify.assemble_system(spaces, params, None, wall), consts)
+        times.append(time.perf_counter() - t0)
+        res = max(sol.residual_primal, sol.residual_constraint)
+        verified = verified and res <= TOLERANCES["solver_residual"] and sol.bounds_hold
+    return {
+        "N_k": list(LOADS_SPACE),
+        "loads": N_LOADS,
+        "p50_s": statistics.median(times),
+        "p90_s": statistics.quantiles(times, n=10, method="inclusive")[8],
+        "verified": bool(verified),
+    }
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -206,6 +237,7 @@ def main(argv=None) -> None:
             "pressure_mode": "zero_mean",
             "rungs": time_ladder(args.rungs, args.pairing, args.repeat),
         },
+        "loads": time_loads(),
     }
     path = Path(args.out)
     data = json.loads(path.read_text()) if path.exists() else {}
@@ -222,6 +254,8 @@ def main(argv=None) -> None:
             f"rung {name:8s} n_V {r['n_V']:5d} total {r['total_s']:8.3f} s ({steps}) "
             f"peak {r['peak_rss_mb']:.0f} MB verified {r['verified']}"
         )
+    loads = record["loads"]
+    print(f"loads {loads['loads']} p50 {loads['p50_s'] * 1e6:.0f} us p90 {loads['p90_s'] * 1e6:.0f} us verified {loads['verified']}")
 
 
 if __name__ == "__main__":

@@ -90,40 +90,11 @@ KERNEL_RTOL = 1e-10  # relative singular-value cutoff of every rank decision
 (_trtrs,) = sla.get_lapack_funcs(("trtrs",), (np.empty(0),))
 
 
-class BlockCholesky:
-    """Lower Cholesky factor of a block-diagonal symmetric positive definite matrix.
-
-    One dense factor per diagonal block, each paired with the indices of its
-    rows.
-    """
-
-    def __init__(self, blocks):
-        # (indices, lower factor) pairs; Fortran order, as LAPACK takes them
-        self.blocks = tuple((idx, np.asfortranarray(L)) for idx, L in blocks)
-
-    def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        """L^-1 x, or L^-T x for trans=1; x is a vector or a matrix of columns.
-
-        LAPACK trtrs is called directly: the blocks are small and many, and
-        scipy's solve_triangular costs about ten times the solve itself
-        there. A Cholesky factor has a positive diagonal, so trtrs cannot
-        report a singular one.
-        """
-        out = np.empty(x.shape)
-        for idx, L in self.blocks:
-            out[idx] = _trtrs(L, x[idx], lower=1, trans=trans)[0]
-        return out
-
-    def matvec(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        """L x, or L^T x for trans=1."""
-        out = np.empty(x.shape)
-        for idx, L in self.blocks:
-            out[idx] = (L.T if trans else L) @ x[idx]
-        return out
-
-
-def _shift(sl: slice, offset: int) -> slice:
-    return slice(sl.start + offset, sl.stop + offset)
+def trsolve(L: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^-1 x, or L^-T x for trans=1, for a lower Cholesky factor L and a vector or matrix x:
+    LAPACK trtrs directly, as scipy's solve_triangular costs about ten times the solve on
+    these small factors. A Cholesky factor has a positive diagonal: trtrs cannot fail."""
+    return _trtrs(L, x, lower=1, trans=trans)[0]
 
 
 @dataclass(eq=False)
@@ -134,8 +105,9 @@ class SaddlePart:
     sector coordinates; the structure holds the part at index
     2 orbit + subproblem, and V.parts and Q.parts at that index give its
     slices of a sector's coordinates. It builds on first use the Cholesky
-    factors of its M_V and M_Q blocks and one SVD of its block of B in
-    those norms, of which it keeps U and the singular values.
+    factors of its M_V and M_Q blocks, each one plain lower factor, and one
+    SVD of its block of B in those norms, of which it keeps U and the
+    singular values.
     """
 
     B: np.ndarray
@@ -143,23 +115,25 @@ class SaddlePart:
     M_Q: np.ndarray
 
     @cached_property
-    def cholesky(self) -> tuple[BlockCholesky, BlockCholesky]:
-        """Factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's own indices,
-        each one dense block: a part is small, and fewer blocks mean fewer LAPACK calls."""
-        return tuple(BlockCholesky([(slice(0, M.shape[0]), sla.cholesky(M, lower=True))]) for M in (self.M_V, self.M_Q))
+    def cholesky(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower Cholesky factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's
+        own indices and in Fortran order, as LAPACK takes them: the part is one dense block,
+        so each is one plain factor, and fewer blocks mean fewer LAPACK calls."""
+        return tuple(np.asfortranarray(sla.cholesky(M, lower=True)) for M in (self.M_V, self.M_Q))
 
     @cached_property
     def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, svals) of X_i, svals descending; U is square, and past the rank it spans L_Q^T ker B_i^T."""
         L_V, L_Q = self.cholesky
-        X = L_V.solve(L_Q.solve(self.B).T).T
+        X = trsolve(L_V, trsolve(L_Q, self.B).T).T
         U, svals, _ = sla.svd(X, full_matrices=X.shape[0] > X.shape[1])
         return U, svals
 
     def constraint(self, rank: int) -> np.ndarray:
         """C_i = U_r^T L_Q^-1 B_i for the leading rank columns U_r of U: full
-        row rank and ker C_i = ker B_i. Built anew on each use, not kept."""
-        return self.whitened_svd[0][:, :rank].T @ self.cholesky[1].solve(self.B)
+        row rank and ker C_i = ker B_i. Built anew on each use, not kept. The product
+        reads L_Q^-1 B_i in C order: its bits depend on the layout."""
+        return self.whitened_svd[0][:, :rank].T @ np.ascontiguousarray(trsolve(self.cholesky[1], self.B))
 
 
 def _scatter(blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
@@ -168,7 +142,8 @@ def _scatter(blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
     M = np.zeros((rows.order.size, cols.order.size))
     for X, o, r, c in blocks:
         for s in rows.orbits[o]:
-            M[_shift(r, rows.sectors[s].start), _shift(c, cols.sectors[s].start)] = X
+            a, b = rows.sectors[s].start, cols.sectors[s].start
+            M[a + r.start : a + r.stop, b + c.start : b + c.stop] = X
     M = rows.from_sectors(cols.from_sectors(M.T).T)
     M.setflags(write=False)
     return M
@@ -224,24 +199,21 @@ class SaddleStructure:
         return self._dense("M_Q", self.Q, self.Q)
 
     @cached_property
+    def cut(self) -> float:
+        """KERNEL_RTOL (1e-10, the report's `kernel_rank_cutoff`) times the largest whitened
+        singular value of the whole B: the cutoff of the one rank decision."""
+        return float(KERNEL_RTOL * self.whitened_svals[0]) if self.whitened_svals.size else 0.0
+
+    @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """Rank of each part's block of B, cut once at KERNEL_RTOL (1e-10, the report's
-        `kernel_rank_cutoff`) times the largest whitened singular value of the whole B:
-        the one rank decision behind every kernel, cokernel and constant."""
-        cut = KERNEL_RTOL * self.whitened_svals[0] if self.whitened_svals.size else 0.0
-        return tuple(int(np.sum(p.whitened_svd[1] > cut)) for p in self.parts)
+        """Rank of each part's block of B, its whitened singular values above `cut`: the one
+        rank decision behind every kernel, cokernel and constant."""
+        return tuple(int(np.sum(p.whitened_svd[1] > self.cut)) for p in self.parts)
 
     @cached_property
     def rank(self) -> int:
         """Rank of the whole B: each part's rank once per sector of its orbit."""
         return sum(len(self.V.orbits[i // 2]) * r for i, r in enumerate(self.ranks))
-
-    @cached_property
-    def L_V(self) -> list[BlockCholesky]:
-        """Per orbit, the factor of M_V on a sector's carried V coordinates, joined from its
-        two parts' factors."""
-        blocks = [[(_shift(sl, v.start), L) for sl, L in p.cholesky[0].blocks] for p, v in zip(self.parts, self.V.parts)]
-        return [BlockCholesky(blocks[i] + blocks[i + 1]) for i in range(0, len(blocks), 2)]
 
     @cached_property
     def whitened_svals(self) -> np.ndarray:
@@ -266,7 +238,7 @@ class SaddleStructure:
             Y, Z = np.zeros((n, n)), np.zeros((n, rank))
             row, kernel_row = 0, rank
             for i in own:
-                k, W = self.ranks[i], self.parts[i].cholesky[1].solve(self.parts[i].whitened_svd[0], trans=1)  # L_Q^-T U
+                k, W = self.ranks[i], trsolve(self.parts[i].cholesky[1], self.parts[i].whitened_svd[0], trans=1)  # L_Q^-T U
                 lq = self.Q.parts[i]
                 Y[row : row + k, lq] = W[:, :k].T
                 Z[lq, row : row + k] = W[:, :k]
@@ -542,28 +514,28 @@ def assemble_load(
     sources: VolumeSources | None = None,
     bdata: BoundaryData | None = None,
 ):
-    """Right-hand sides (F, G) from wall data and volume sources (tabulated only if given)."""
+    """Right-hand sides (F, G) from wall data and volume sources (tabulated only if given).
+
+    The wall part takes whole-array products of the spaces' face tables (`wall_table`, the
+    bases' `face_integrals`), summed over the faces in face order: the bits of a face loop.
+    """
     bdata = bdata or BoundaryData()
     sb, pb = spaces.scalar, spaces.scalar_pq
-    n, m = sb.n, pb.n
     chi, eps = params.chi_tilde, params.epsilon_w
 
-    F, G, raw_p = np.zeros(spaces.n_V), np.zeros(spaces.n_Q), np.zeros(m)
+    F, G, raw_p = np.zeros(spaces.n_V), np.zeros(spaces.n_Q), np.zeros(pb.n)
     if sources is not None:
         pts, wq = sb.points, sb.weights
         m_vals, r_vals = sources.mass(pts), sources.energy(pts)
         raw_p = pb.phi.T @ (wq * m_vals)
         G[spaces.q_blocks["u"]] = -(pb.phi.T @ (wq[:, None] * sources.body(pts))).T.ravel()
         G[spaces.q_blocks["theta"]] = -(pb.phi.T @ (wq * (r_vals - m_vals)))
-    F_sigma, F_s = F[spaces.v_blocks["sigma"]].reshape(5, n), F[spaces.v_blocks["s"]].reshape(3, n)
-    for f, (fd, w) in enumerate(zip(sb.faces, spaces.stress_face_weights)):
-        fint = sb.face_integrals(f)
-        eff_un = bdata.u_n_w[f] - eps * chi * bdata.p_w[f]
-        # wall temperature drives the heat-flux test functions, wall velocity
-        # and pressure the stress test functions
-        F_s -= np.outer(bdata.theta_w[f] * fd.frame.n, fint)
-        F_sigma -= np.outer(bdata.u_t1_w[f] * w["nt1"] + bdata.u_t2_w[f] * w["nt2"] + eff_un * w["nn"], fint)
-        raw_p -= eff_un * pb.face_integrals(f)
+    # wall velocity and pressure drive the stress test functions, wall temperature the heat-flux ones
+    eff_un = bdata.u_n_w - eps * chi * bdata.p_w
+    walls = np.array([bdata.u_t1_w, bdata.u_t2_w, eff_un, bdata.theta_w]).T
+    coefs = (walls[:, :, None] * spaces.wall_table).sum(axis=1)  # per face, sigma's 5 rows and s's 3
+    F[: 8 * sb.n] = 0.0 - (coefs[:, :, None] * sb.face_integrals[:, None, :]).sum(axis=0).ravel()
+    raw_p = np.subtract.reduce(np.concatenate([raw_p[None], eff_un[:, None] * pb.face_integrals]))
     F[spaces.v_blocks["p"]] = spaces.Cp.T @ raw_p
     return F, G
 

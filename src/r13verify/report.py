@@ -4,7 +4,7 @@ Every numeric result lands in a flat row (suite, quantity, value,
 tolerance, pass); rows without a pass criterion carry empty tolerance and
 pass fields. The CSV export contains exactly these rows and is
 byte-identical across runs with the same configuration and seed; timings
-live only in the JSON report.
+and the rank decisions' singular-value gaps live only in the JSON report.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ class VerificationReport:
     rows: list[Row] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=lambda: dict(TOLERANCES))
+    rank_decisions: list = field(default_factory=list)  # per part of the base system (`_rank_decisions`)
 
     def add(self, suite, quantity, value, tolerance=None, passed=None):
         # every checked quantity carries the tolerance it was checked
@@ -160,6 +161,7 @@ class VerificationReport:
             "tolerances": self.tolerances,
             "rows": [asdict(r) for r in self.rows],
             "timings": self.timings,
+            "rank_decisions": self.rank_decisions,
             "summary": {
                 "rows": len(self.rows),
                 "failed": self.n_failed,
@@ -470,6 +472,21 @@ def _suite_bc(cfg: RunConfig, rep: VerificationReport, base) -> None:
         rep.add("bc", f"onsager_{name}", val, None, bool(np.isfinite(val)))
 
 
+def _rank_decisions(structure) -> list[dict]:
+    """Per part of a structure, the whitened singular-value gap behind its rank: the
+    smallest kept value, the largest dropped one (None where there is none) and the cut,
+    KERNEL_RTOL times the largest of the whole B; read off the parts' SVDs, not computed."""
+    out = []
+    for i, (part, rank) in enumerate(zip(structure.parts, structure.ranks)):
+        s = part.whitened_svd[1]
+        out.append({
+            "orbit": i // 2, "subproblem": ("momentum", "energy")[i % 2], "sectors": len(structure.V.orbits[i // 2]),
+            "singular_values": s.size, "rank": rank, "kept_min": float(s[rank - 1]) if rank else None,
+            "dropped_max": float(s[rank]) if rank < s.size else None, "cut": structure.cut,
+        })
+    return out
+
+
 _SUITE_FUNCS = {
     "ellipticity": _suite_ellipticity,
     "korn": _suite_korn,
@@ -486,7 +503,8 @@ def run(config: RunConfig) -> VerificationReport:
     Every suite is called as suite(config, report, base). base (`_Base`)
     builds the configured system and its constants once per run on first
     read: the korn suite shares its spaces, which keep the operator, and
-    the constants and the solve suite its constants.
+    the constants and the solve suite its constants, whose rank decisions
+    the report then keeps (`_rank_decisions`).
     """
     rep = VerificationReport(config=asdict(config))
     rep.config["suites"] = list(config.suites)
@@ -497,4 +515,6 @@ def run(config: RunConfig) -> VerificationReport:
         t0 = time.perf_counter()
         _SUITE_FUNCS[suite](config, rep, base)
         rep.timings[suite] = time.perf_counter() - t0
+    if "constants" in vars(base):
+        rep.rank_decisions = _rank_decisions(base.system.operator.structure)
     return rep

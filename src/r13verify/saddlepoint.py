@@ -14,7 +14,9 @@ part per orbit and subproblem (assembly.SaddleStructure), and every
 factorization, SVD and Lanczos run is made once per orbit. Each constant
 counts an orbit's values once per sector of it, and the solve factors
 one saddle matrix per orbit and solves the orbit's m sectors as m
-right-hand sides of it.
+right-hand sides of it. The factors of M_V and M_Q are plain lower
+Cholesky factors, one per part (SaddlePart.cholesky), and every
+triangular solve with them is one LAPACK trtrs (assembly.trsolve).
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import KERNEL_RTOL, MixedSystem, SaddleOperator
+from .assembly import KERNEL_RTOL, MixedSystem, SaddleOperator, trsolve
 from .tensors import projection_matrix2
 
 LANCZOS_RTOL = 1e-13  # relative Ritz residual at which the Lanczos iteration stops
 
-(_getrs,) = sla.get_lapack_funcs(("getrs",), (np.empty(0),))
+(_getrs,) = sla.get_lapack_funcs(("getrs",), (np.empty(0),))  # scipy's lu_solve costs more here
 
 
 @dataclass(frozen=True)
@@ -134,24 +136,30 @@ def _sector_lus(op: SaddleOperator) -> list:
     return op.factors
 
 
-def _lu_solve(lu: tuple, b: np.ndarray) -> np.ndarray:  # LAPACK getrs: scipy's lu_solve costs more here
-    return _getrs(*lu, b)[0]
+def _orbit_solve(L_V: list, x: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L_V^-1 x, or L_V^-T x for trans=1, for an orbit's factor L_V of M_V: its two parts'
+    plain factors, as (V.parts slice, factor) pairs."""
+    out = np.empty(x.shape)
+    for sl, L in L_V:
+        out[sl] = trsolve(L, x[sl], trans)
+    return out
 
 
 def _norm_A(op: SaddleOperator) -> float:
     """|A| in the M_V norm: the largest singular value of X = L_V^-1 A L_V^-T, by Lanczos
     on X^T X over the direct sum of the orbits' blocks, one sector of each. Each product
-    takes four block triangular solves per orbit; X is never formed."""
-    terms, n = [], 0
-    for A_o, L in zip(op.sectors, op.structure.L_V):
+    takes four triangular solves per part; X is never formed."""
+    st, terms, n = op.structure, [], 0
+    for o, A_o in enumerate(op.sectors):
+        L = [(st.V.parts[i], st.parts[i].cholesky[0]) for i in (2 * o, 2 * o + 1)]
         terms.append((A_o, L, slice(n, n + len(A_o))))
         n += len(A_o)
 
     def apply(x):
         y = np.empty(n)
         for A_s, L, sl in terms:
-            z = L.solve(A_s @ L.solve(x[sl], trans=1))
-            y[sl] = L.solve(A_s.T @ L.solve(z, trans=1))
+            z = _orbit_solve(L, A_s @ _orbit_solve(L, x[sl], trans=1))
+            y[sl] = _orbit_solve(L, A_s.T @ _orbit_solve(L, z, trans=1))
         return y
 
     return float(np.sqrt(_lanczos_max(apply, n)))
@@ -189,8 +197,8 @@ def _coercivity(op: SaddleOperator) -> float:
     def apply(x):
         y = np.empty(n)
         for lu, L_V, sl, rhs in terms:
-            rhs[: sl.stop - sl.start] = L_V.matvec(x[sl])
-            y[sl] = L_V.matvec(_lu_solve(lu, rhs)[: sl.stop - sl.start], trans=1)
+            rhs[: sl.stop - sl.start] = L_V @ x[sl]
+            y[sl] = L_V.T @ _getrs(*lu, rhs)[0][: sl.stop - sl.start]
         return y
 
     return 1.0 / _lanczos_max(apply, n)
@@ -266,51 +274,58 @@ def solve_mixed(system: MixedSystem, constants: BrezziConstants | None = None) -
     into U_r and U_k, gives the consistency test U_k^T L_Q^-1 G = 0, the
     constraint rows U_r^T L_Q^-1 G and, from the multipliers lam, the
     minimal pressure P = L_Q^-T U_r lam, through one map per orbit each way
-    (SaddleStructure.load_maps). Everything runs in the carried sector
-    coordinates (spaces.Sectors): F and G are carried in once (an index
-    gather, plus the 2 x 2 mix of sigma's diagonal pair for F), an
-    orbit's m sectors are the m columns of one load matrix, each orbit's
-    saddle matrix is factored once per operator and back-substituted once
-    per load for all m columns, and U and P are carried back once. The
-    residuals are matrix products with the orbits' blocks of A and the
-    parts' blocks of B, and |U| and |P| are |L_V^T u| and |L_Q^T p| with
-    the parts' factors; M_V and M_Q themselves are not read. The residual
-    of each row is relative to max(|load|, 1): F and G alike, so a load
-    of rounding size in one row does not inflate that row's residual.
+    (SaddleStructure.load_maps). F and G are carried once into the carried
+    sector coordinates (spaces.Sectors), where an orbit's m sectors are the
+    m columns of one load matrix, and U and P are carried back once. Each
+    orbit's saddle matrix is factored once per operator; a load then takes
+    one pass per orbit: one product with Y, one getrs on the right-hand
+    side built in place, one product with the orbit's block of A and, per
+    part, the two products with its block of B, L_V^T u for |U| and
+    L_V^-1 F for the dual norm of F, with the part's plain factor of M_V.
+    |P| is |lam|, as |L_Q^T P| = |U_r lam| with U_r orthonormal, and the
+    dual norm of G is |Y G|. The defect, the residual and the norm sums
+    gather in that same pass; M_V and M_Q are not read. The residual of
+    each row is relative to max(|load|, 1): F and G alike, so a load of
+    rounding size in one row does not inflate that row's residual.
     """
     op = system.operator
     st = op.structure
     V, Q = st.V, st.Q
     f, g = V.to_sectors(system.F), Q.to_sectors(system.G)
-    loads = [(F_o.T, G_o.T) for F_o, G_o in zip(V.split(f), Q.split(g))]  # per orbit, one column per sector
-    y = [Y @ G_o for (Y, _), (_, G_o) in zip(st.load_maps, loads)]
-    defect = sum(np.vdot(y_o[Z.shape[1] :], y_o[Z.shape[1] :]) for y_o, (_, Z) in zip(y, st.load_maps))
-    g_dual = np.sqrt(sum(np.vdot(y_o, y_o) for y_o in y))  # |L_Q^-1 G|, the dual norm of G
-    if np.sqrt(defect) > KERNEL_RTOL * max(g_dual, 1.0):
-        raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {g.size - st.rank})")
-    u, p, res1, res2, norm_U, norm_P = [], [], 0.0, 0.0, 0.0, 0.0  # the last four squared until the end
-    for o, (lu, A_o, (F_o, G_o), y_o, (_, Z)) in enumerate(zip(_sector_lus(op), op.sectors, loads, y, st.load_maps)):
-        X = _lu_solve(lu, np.vstack([F_o, y_o[: Z.shape[1]]]))
-        U_o, P_o = X[: len(A_o)], Z @ X[len(A_o) :]
-        R1, R2 = A_o @ U_o - F_o, -G_o
+    u, p = np.empty(f.shape), np.empty(g.shape)  # carried U and P, filled orbit by orbit
+    defect = g_dual = f_dual = res1 = res2 = norm_U = norm_P = 0.0  # all squared until the end
+    orbits = zip(_sector_lus(op), op.sectors, st.load_maps, V.split(f), Q.split(g), V.split(u), Q.split(p))
+    for o, ((lu, piv), A_o, (Y, Z), F_o, G_o, u_o, p_o) in enumerate(orbits):
+        F_o, G_o, nV, rank = F_o.T, G_o.T, len(A_o), Z.shape[1]  # one column per sector
+        y = Y @ G_o
+        defect, g_dual = defect + np.vdot(y[rank:], y[rank:]), g_dual + np.vdot(y, y)
+        rhs = np.empty((nV + rank, F_o.shape[1]), order="F")
+        rhs[:nV], rhs[nV:] = F_o, y[:rank]
+        X = _getrs(lu, piv, rhs, overwrite_b=1)[0]
+        U_o, lam = X[:nV], X[nV:]
+        P_o = Z @ lam
+        norm_P += np.vdot(lam, lam)  # |L_Q^T P| = |U_r lam| = |lam|, U_r having orthonormal columns
+        R1, R2, W = A_o @ U_o - F_o, -G_o, np.empty(F_o.shape)  # W = L_V^-1 F_o
         for i in (2 * o, 2 * o + 1):
             part, lv, lq = st.parts[i], V.parts[i], Q.parts[i]
             R1[lv] += part.B.T @ P_o[lq]
             R2[lq] += part.B @ U_o[lv]
-            W_V, W_Q = (L.matvec(x, trans=1) for L, x in zip(part.cholesky, (U_o[lv], P_o[lq])))
-            norm_U, norm_P = norm_U + np.vdot(W_V, W_V), norm_P + np.vdot(W_Q, W_Q)
-        res1, res2 = res1 + np.vdot(R1, R1), res2 + np.vdot(R2, R2)
-        u.append(U_o.T.ravel())
-        p.append(P_o.T.ravel())
-    res1, res2 = np.sqrt(res1) / max(np.linalg.norm(f), 1.0), np.sqrt(res2) / max(np.linalg.norm(g), 1.0)
+            L = part.cholesky[0]
+            W_V, W[lv] = L.T @ U_o[lv], trsolve(L, F_o[lv])
+            norm_U += np.vdot(W_V, W_V)
+        res1, res2, f_dual = res1 + np.vdot(R1, R1), res2 + np.vdot(R2, R2), f_dual + np.vdot(W, W)
+        u_o[...], p_o[...] = U_o.T, P_o.T
+    f_dual, g_dual = np.sqrt(f_dual), np.sqrt(g_dual)  # |L_V^-1 F| and |L_Q^-1 G|
+    if np.sqrt(defect) > KERNEL_RTOL * max(g_dual, 1.0):
+        raise ValueError(f"discrete pairing deficient: load not in range(B) (dim ker B^T = {g.size - st.rank})")
+    res1, res2 = np.sqrt(res1) / max(np.sqrt(f @ f), 1.0), np.sqrt(res2) / max(np.sqrt(g @ g), 1.0)
 
     bound_U = bound_P = None
     if constants is not None:
-        f_dual = np.sqrt(sum(np.vdot(W, W) for W in (L.solve(F_o) for L, (F_o, _) in zip(st.L_V, loads))))
         a0, k0, na = constants.alpha0, constants.k0, constants.norm_A
         bound_U = float(f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual)
         bound_P = float((1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual)
-    U, P = V.from_sectors(np.concatenate(u)), Q.from_sectors(np.concatenate(p))
+    U, P = V.from_sectors(u), Q.from_sectors(p)
     return MixedSolution(U, P, float(res1), float(res2), float(np.sqrt(norm_U)), float(np.sqrt(norm_P)), bound_U, bound_P)
 
 

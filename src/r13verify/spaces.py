@@ -253,13 +253,12 @@ class ScalarBasis:
         """Vector of integrals of each basis function."""
         return _kron_all([self.factors()["int"][None, :]] * self.dim).ravel()
 
-    def face_integrals(self, f: int) -> np.ndarray:
-        """Vector of integrals of each basis function over face f."""
-        if ("fi", f) not in self._cache:
-            fd, integrals = self.faces[f], self.factors()["int"]
-            trace = (self.b1.at1 if fd.side else self.b1.at0) @ self.T1
-            self._cache["fi", f] = _kron_all([(trace if a == fd.axis else integrals)[None, :] for a in range(3)]).ravel()
-        return self._cache["fi", f]
+    @cached_property
+    def face_integrals(self) -> np.ndarray:
+        """Integrals of each basis function over each face: one row per face, in `faces` order."""
+        integrals, ends = self.factors()["int"], (self.b1.at0 @ self.T1, self.b1.at1 @ self.T1)
+        rows = [[(ends[fd.side] if a == fd.axis else integrals)[None, :] for a in range(3)] for fd in self.faces]
+        return np.array([_kron_all(row).ravel() for row in rows])
 
     def project(self, fn) -> np.ndarray:
         """L2 projection of a callable fn(points) onto the basis (exact on members).
@@ -612,6 +611,16 @@ class DiscreteSpaces:
             keys = (("n", "n"), ("n", "t1"), ("n", "t2"), ("t1", "t1"), ("t1", "t2"), ("t2", "t2"))
             out.append({i + j: np.einsum("aij,i,j->a", self.E, vec[i], vec[j]) for i, j in keys})
         return out
+
+    @cached_property
+    def wall_table(self) -> np.ndarray:
+        """Per face (in `faces` order), the coefficients of the wall loads of sigma's 5 and s's 3
+        components per unit of u_t1, u_t2, the effective u_n and theta, (6, 4, 8): the nt1, nt2
+        and nn rows of stress_face_weights and the normal."""
+        table = np.zeros((6, 4, 8))
+        for f, (fd, w) in enumerate(zip(self.faces, self.stress_face_weights)):
+            table[f, :3, :5], table[f, 3, 5:] = (w["nt1"], w["nt2"], w["nn"]), fd.frame.n
+        return table
 
     @cached_property
     def sectors(self) -> tuple[Sectors, Sectors]:

@@ -428,6 +428,42 @@ def test_load_theta_wall_hits_only_s_rows(sp):
     assert np.all(G == 0)
 
 
+def wall_load_oracle(spaces, params, bdata):
+    """F of the wall data alone by a quadrature over each face, one face at a time: the
+    face tabulations phi and weights of each basis, the face's frame vectors, and the
+    sigma weights nn, nt1, nt2 of stress_face_weights. Wall velocity and the effective
+    normal velocity u_n - eps chi p drive sigma and p, wall temperature s."""
+    chi, eps = params.chi_tilde, params.epsilon_w
+    n, m = spaces.scalar.n, spaces.scalar_pq.n
+    sig, s, raw_p = np.zeros((5, n)), np.zeros((3, n)), np.zeros(m)
+    for f, (fd, w) in enumerate(zip(spaces.faces, spaces.stress_face_weights)):
+        face_int = fd.phi.T @ fd.weights
+        pq = spaces.scalar_pq.faces[f]
+        eff = bdata.u_n_w[f] - eps * chi * bdata.p_w[f]
+        for a in range(5):
+            sig[a] -= (bdata.u_t1_w[f] * w["nt1"][a] + bdata.u_t2_w[f] * w["nt2"][a] + eff * w["nn"][a]) * face_int
+        for i in range(3):
+            s[i] -= bdata.theta_w[f] * fd.frame.n[i] * face_int
+        raw_p -= eff * (pq.phi.T @ pq.weights)
+    return np.concatenate([sig.ravel(), s.ravel(), spaces.Cp.T @ raw_p])
+
+
+@pytest.mark.parametrize("pairing,N,k,mode", [("equal", 2, 1, "zero_mean"), ("equal", 2, 1, "full"), ("enriched", 1, 2, "zero_mean")])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_wall_loads_match_face_quadrature(pairing, N, k, mode, eps):
+    # seeded data on every face and every wall field; the face tables and
+    # the loop over faces agree to rounding, and no wall datum reaches G
+    sp = build_spaces(N, k, mode, pairing)
+    params = ModelParams(kn=1.0, chi_tilde=0.8, epsilon_w=eps)
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        bdata = BoundaryData(*(0.5 * rng.standard_normal((5, 6))))
+        F, G = assemble_load(sp, params, bdata=bdata)
+        expected = wall_load_oracle(sp, params, bdata)
+        assert np.linalg.norm(F - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert np.all(G == 0)
+
+
 def test_load_mass_source_theta_block(sp):
     src = VolumeSources(m_src=lambda q: np.ones(q.shape[0]))
     F, G = assemble_load(sp, PARAMS, sources=src)

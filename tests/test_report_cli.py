@@ -256,3 +256,27 @@ def test_bc_rows_measure_a_driven_load():
     assert len(rows) == 7
     for row in rows:
         assert row.value > 1e-6, row.quantity
+
+
+def test_default_report_json_records_the_rank_decisions(tmp_path):
+    # the base system's 8 parts (orbit x subproblem), each cut at the one
+    # whole-B cutoff: every kept singular value lies above it and every
+    # dropped one below, with the equal pairing's 7 dropped directions
+    # spread over the sectors; report.csv does not carry them
+    rep = run(RunConfig())
+    jpath, cpath = rep.write(tmp_path)
+    loaded = json.loads(jpath.read_text())
+    decisions = loaded["rank_decisions"]
+    assert len(decisions) == 8
+    assert [(d["orbit"], d["subproblem"]) for d in decisions] == [(o, s) for o in range(4) for s in ("momentum", "energy")]
+    # the cut is kernel_rank_cutoff times the largest whitened singular value, |B|
+    norm_B = next(r["value"] for r in loaded["rows"] if r["quantity"].startswith("norm_B_"))
+    cut = decisions[0]["cut"]
+    assert cut == loaded["tolerances"]["kernel_rank_cutoff"] * norm_B
+    for d in decisions:
+        assert d["cut"] == cut > 0 and d["kept_min"] > cut
+        if d["dropped_max"] is not None:
+            assert cut > d["dropped_max"] >= 0
+        assert (d["dropped_max"] is None) == (d["rank"] == d["singular_values"])
+    assert sum(d["sectors"] * (d["singular_values"] - d["rank"]) for d in decisions) == 7
+    assert "rank_decisions" not in cpath.read_text()

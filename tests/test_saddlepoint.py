@@ -640,6 +640,23 @@ def assert_matches_dense_solution(sol, system):
     assert np.linalg.norm(sol.P - P) <= 1e-10 * np.linalg.norm(P)
 
 
+def dense_verification(U, P, tab, consts):
+    """The verification outputs of (U, P) from the dense matrices of tab: |U|_V, |P|_Q, both
+    residuals relative to max(|load|, 1), and the stability bounds with the dual norms
+    sqrt(F^T M_V^-1 F) and sqrt(G^T M_Q^-1 G)."""
+    F, G = tab.F, tab.G
+    f_dual, g_dual = (np.sqrt(x @ sla.solve(M, x, assume_a="pos")) for x, M in ((F, tab.M_V), (G, tab.M_Q)))
+    a0, k0, na = consts.alpha0, consts.k0, consts.norm_A
+    return {
+        "norm_U": np.sqrt(U @ tab.M_V @ U),
+        "norm_P": np.sqrt(P @ tab.M_Q @ P),
+        "residual_primal": np.linalg.norm(tab.A @ U + tab.B.T @ P - F) / max(np.linalg.norm(F), 1.0),
+        "residual_constraint": np.linalg.norm(tab.B @ U - G) / max(np.linalg.norm(G), 1.0),
+        "bound_U": f_dual / a0 + (na / a0 + 1.0) / k0 * g_dual,
+        "bound_P": (1.0 + na / a0) / k0 * f_dual + na / k0**2 * (1.0 + na / a0) * g_dual,
+    }
+
+
 @pytest.mark.parametrize(
     "eps,N,k,pairing,mode",
     with_ids(
@@ -656,10 +673,47 @@ def test_solve_matches_dense_oracle(eps, N, k, pairing, mode):
     # neither solve has an answer to compare
     system = make_system(N=N, k=k, eps=eps, pairing=pairing, mode=mode)
     mats = oracle_forms(system.spaces, system.params)
+    consts = brezzi_constants(system)
     for seed in (51, 52):
         loaded = random_consistent_load(system, seed, mats["B"])
         tabulated = types.SimpleNamespace(A=mats["A"], B=mats["B"], M_V=mats["MV"], M_Q=mats["MQ"], F=loaded.F, G=loaded.G)
-        assert_matches_dense_solution(solve_mixed(loaded), tabulated)
+        sol = solve_mixed(loaded, consts)
+        assert_matches_dense_solution(sol, tabulated)
+        # the norms and bounds the solve verifies, against the tabulated matrices; the
+        # residuals of an exact solve are rounding, so they agree to 1e-12 of the load
+        dense = dense_verification(sol.U, sol.P, tabulated, consts)
+        for name in ("norm_U", "norm_P", "bound_U", "bound_P"):
+            assert getattr(sol, name) == pytest.approx(dense[name], rel=1e-12), name
+        for name in ("residual_primal", "residual_constraint"):
+            assert abs(getattr(sol, name) - dense[name]) <= 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "eps,N,k,pairing",
+    with_ids([(eps, N, k, pairing) for eps in (0.0, 0.1) for N, k in ((1, 1), (2, 1)) for pairing in PAIRINGS]),
+)
+def test_residuals_of_an_inexact_solve_match_dense_oracle(monkeypatch, eps, N, k, pairing):
+    # each back-substitution is perturbed by 1e-3 of its size, so the solve
+    # returns (U, P) with residuals far above rounding, which the per-orbit
+    # pass must measure as the tabulated matrices do, to 1e-12 relative
+    system = make_system(N=N, k=k, eps=eps, pairing=pairing)
+    mats = oracle_forms(system.spaces, system.params)
+    consts = brezzi_constants(system)
+    rng = np.random.default_rng(55)
+    getrs = saddlepoint._getrs
+
+    def perturbed(lu, piv, b, **kw):
+        x, info = getrs(lu, piv, b, **kw)
+        return x + 1e-3 * np.abs(x).max() * rng.standard_normal(x.shape), info
+
+    monkeypatch.setattr(saddlepoint, "_getrs", perturbed)
+    loaded = random_consistent_load(system, 56, mats["B"])
+    tabulated = types.SimpleNamespace(A=mats["A"], B=mats["B"], M_V=mats["MV"], M_Q=mats["MQ"], F=loaded.F, G=loaded.G)
+    sol = solve_mixed(loaded, consts)
+    dense = dense_verification(sol.U, sol.P, tabulated, consts)
+    assert min(sol.residual_primal, sol.residual_constraint) > 1e-6
+    for name in ("residual_primal", "residual_constraint", "norm_U", "norm_P"):
+        assert getattr(sol, name) == pytest.approx(dense[name], rel=1e-12), name
 
 
 def test_primal_residual_is_relative_to_at_least_one():

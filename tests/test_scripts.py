@@ -79,6 +79,11 @@ def test_bench(monkeypatch, capsys, tmp_path):
     assert re.fullmatch("[0-9a-f]{64}", report["csv_sha256"])
     assert report["csv_sha256"] == data["first"]["report"]["csv_sha256"]
     assert 10.0 < report["peak_rss_mb"] <= rung["peak_rss_mb"]
+    # the loads record, taken once whatever --repeat: 100 seeded (3,1) loads, each verified
+    loads = rec["loads"]
+    assert loads["N_k"] == [3, 1] and loads["loads"] == 100 and loads["verified"] is True
+    assert 0.0 < loads["p50_s"] <= loads["p90_s"] < 1.0
+    assert rows[-1][:2] == ["loads", "100"] and rows[-1][-1] == "True"
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])
