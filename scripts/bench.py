@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time of each CLI suite and of the constants ladder, as one JSON record.
+"""Wall time of each CLI suite, of the constants ladder and of the Korn ladder, as one JSON record.
 
     PYTHONPATH=src python scripts/bench.py --out BENCH.json --label after
     PYTHONPATH=<other checkout>/src python scripts/bench.py --out BENCH.json --label before
@@ -37,6 +37,13 @@ median and the 90th percentile (inclusive, linearly interpolated) of the
 100 latencies as `p50_s` and `p90_s`, and whether every load verified
 (solver residuals within the report's tolerance, stability bounds hold).
 
+The `korn` record, always taken, is the cost of the discrete Korn ladder:
+per operator, `sym_vec` (the symmetrized gradient of 3D vectors) and
+`stf_stf` (the Stf gradient of 3D stf tensors), and per degree N in 4, 6
+and 8 at k = 1, one `korn_constant` on fresh "full" spaces, so its grams are
+built inside the timed call. Each entry keeps the constant and, like the
+suites, the median `wall_s` of --repeat runs with the runs as `wall_s_runs`.
+
 BLAS is pinned to one thread when the script starts a fresh interpreter.
 The record carries the Python, numpy, scipy and BLAS versions, the thread
 settings and the git revision of the imported package, suffixed -dirty
@@ -70,6 +77,7 @@ from r13verify.report import ALL_SUITES, TOLERANCES  # noqa: E402
 
 LADDER = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2))
 LOADS_SPACE, N_LOADS = (3, 1), 100
+KORN_OPS, KORN_DEGREES = {"sym_vec": ("vectors", "sym"), "stf_stf": ("stf2", "Stf")}, (4, 6, 8)
 
 
 def provenance() -> dict:
@@ -199,6 +207,21 @@ def time_loads() -> dict:
     }
 
 
+def time_korn(repeat: int) -> dict:
+    out = {}
+    for label, (domain, codomain) in KORN_OPS.items():
+        op = r13verify.OperatorSpec(domain, codomain, 3)
+        for N in KORN_DEGREES:
+            runs = []
+            for _ in range(repeat):
+                spaces = r13verify.build_spaces(N, 1, "full")
+                t0 = time.perf_counter()
+                est = r13verify.korn_constant(op, spaces)
+                runs.append(time.perf_counter() - t0)
+            out[f"{label}_N{N}_k1"] = {"wall_s": statistics.median(runs), "wall_s_runs": runs, "constant": est.constant}
+    return out
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -238,6 +261,7 @@ def main(argv=None) -> None:
             "rungs": time_ladder(args.rungs, args.pairing, args.repeat),
         },
         "loads": time_loads(),
+        "korn": time_korn(args.repeat),
     }
     path = Path(args.out)
     data = json.loads(path.read_text()) if path.exists() else {}
@@ -256,6 +280,8 @@ def main(argv=None) -> None:
         )
     loads = record["loads"]
     print(f"loads {loads['loads']} p50 {loads['p50_s'] * 1e6:.0f} us p90 {loads['p90_s'] * 1e6:.0f} us verified {loads['verified']}")
+    for name, r in record["korn"].items():
+        print(f"korn {name:14s} {r['wall_s']:8.3f} s constant {r['constant']:.6f}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import scipy.linalg as sla
 from .assembly import STF_GRADIENT, ModelParams
 from .assembly import _gradient_terms, _norm_terms, _sector_assemble, _shared_operator
 from .ellipticity import SINGULAR_VALUE_THRESHOLD, OperatorSpec, domain_basis, lh_constant, projector
-from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis, Sectors, mirror_masks
+from .spaces import BubbleBasis, DiscreteSpaces, ScalarBasis, Sectors, mirror_masks, swap_maps
 
 # relative slack of a coercivity chain: the form may undershoot a bound by
 # this fraction of max(|form|, 1) before the chain counts as violated
@@ -29,6 +29,7 @@ CHAIN_VIOLATION_RTOL = 1e-12
 # block's shape picks OpenBLAS's product kernel, and only at one width (the last
 # block zero-padded) does each field's result keep its bits whatever its batch
 CHAIN_BLOCK = 64
+KERNEL_EIG_RTOL = 1e-10  # operator_kernel_dimension's eigenvalue cut, relative to max(largest eigenvalue, 1)
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,18 @@ class RightInverseResult:
 
 
 def _field_sectors(op: OperatorSpec, sb: ScalarBasis) -> Sectors:
-    """The sectors of op's field: one block over sb per domain basis tensor, one subproblem."""
-    return Sectors([(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(domain_basis(op))])
+    """Sectors of op's field: a block over sb per domain basis tensor, one subproblem, its swap_maps."""
+    basis = domain_basis(op)
+    return Sectors([(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(basis)], swap_maps([basis], op.dim))
 
 
 def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list, list]:
     """(sectors, H1 blocks, L2 + projected-gradient blocks) of the Korn pencil on the spaces'
     scalar basis, or for op.dim == 2 on the plane basis of that basis's degree.
 
-    The grams commute with the box's mirrors, so they are their diagonal
-    sector blocks, assembled from the 1D factors; built once per operator
-    and kept with the spaces.
+    The grams commute with the box's mirrors and axis swaps, so they are
+    one block per orbit, the representative sector's, assembled from the
+    1D factors; built once per operator and kept with the spaces.
     """
     if op not in spaces.korn:
         sb = spaces.scalar if op.dim == 3 else ScalarBasis(op.dim, spaces.scalar.degree, spaces.subdivisions)
@@ -91,11 +93,6 @@ def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list
         grams = [_sector_assemble(t, S, S, cache) for t in (h1, _gradient_terms(op, 1.0, l2))]
         spaces.korn[op] = (S, *grams)
     return spaces.korn[op]
-
-
-def _quadratic(blocks: list, sectors: Sectors, x: np.ndarray) -> float:
-    """x^T M x for the M with one block per orbit, on each of its sectors."""
-    return float(sum(y @ M @ y for M, Y in zip(blocks, sectors.split(sectors.to_sectors(x))) for y in Y))
 
 
 def _column_quadratics(blocks: list, split: list) -> np.ndarray:
@@ -107,9 +104,9 @@ def _column_quadratics(blocks: list, split: list) -> np.ndarray:
 def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     """Discrete Korn constant for sym-gradient on vectors or Stf-gradient on stf fields.
 
-    The largest eigenvalue of the pencil over its 2^dim mirror sectors, each
-    an orbit of its own (the field's Sectors have no swaps); the extremizer
-    is the top eigenvector of the sector that attains it. For
+    The largest eigenvalue of the pencil over the orbits of its 2^dim mirror
+    sectors, one eigenproblem per orbit on its representative's block; the
+    extremizer is the top eigenvector of the first orbit attaining it, carried back. For
     op.dim == 2 the fields are plane (z-independent) and live on the unit
     square with the planar trace coefficient; this is the diagnostic
     configuration where the complex-ellipticity failure shows up as growth
@@ -119,16 +116,14 @@ def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
         raise ValueError(f"unsupported operator {(op.domain, op.codomain)!r}")
     S, h1, lower = _korn_grams(op, spaces)
     pencils = [sla.eigh(G_h1, G_low) for G_h1, G_low in zip(h1, lower)]
-    s = max(range(len(pencils)), key=lambda i: pencils[i][0][-1])  # the first sector attaining it
-    vals, vecs = pencils[s]
+    o = max(range(len(pencils)), key=lambda i: pencils[i][0][-1])  # the first orbit attaining it
+    vals, vecs = pencils[o]
     y = np.zeros(S.order.size)
-    y[S.sectors[s]] = vecs[:, -1]
+    y[S.sectors[S.orbits[o][0]]] = vecs[:, -1]
     return KornEstimate(op, spaces.scalar.degree, float(vals[-1]), float(np.sqrt(vals[-1])), S.from_sectors(y))
 
 
-def operator_kernel_dimension(
-    op: OperatorSpec, degree: int, subdivisions: int = 1, tol: float = 1e-10
-) -> int:
+def operator_kernel_dimension(op: OperatorSpec, degree: int, subdivisions: int = 1) -> int:
     """Dimension of the discrete kernel {field : P[D field] = 0}.
 
     Complex-elliptic operators have finite-dimensional polynomial kernels,
@@ -137,12 +132,13 @@ def operator_kernel_dimension(
     conformal-Killing-type fields for the stf gradient on stf fields at
     d = 3 from degree 4 on). The planar stf gradient is the counterexample
     and shows the unbounded growth 2N + 2 instead. The count is summed over
-    the gram's mirror sectors, each cut at tol times max(largest eigenvalue, 1).
+    the gram's orbit blocks, each cut at KERNEL_EIG_RTOL times max(largest
+    eigenvalue, 1) and counted once per sector of its orbit.
     """
     S = _field_sectors(op, ScalarBasis(op.dim, degree, subdivisions))
     vals = [np.linalg.eigvalsh(G) for G in _sector_assemble(_gradient_terms(op, 1.0, {}), S, S, {})]
-    cut = tol * max(max(v[-1] for v in vals), 1.0)
-    return int(sum(np.sum(v < cut) for v in vals))
+    cut = KERNEL_EIG_RTOL * max(max(v[-1] for v in vals), 1.0)
+    return int(sum(len(orbit) * np.sum(v < cut) for orbit, v in zip(S.orbits, vals)))
 
 
 def korn_rayleigh(op: OperatorSpec, spaces: DiscreteSpaces, coeffs: np.ndarray) -> float:
@@ -151,7 +147,8 @@ def korn_rayleigh(op: OperatorSpec, spaces: DiscreteSpaces, coeffs: np.ndarray) 
     x = np.asarray(coeffs).ravel()
     if x.size != S.order.size:
         raise ValueError(f"coefficient vector has {x.size} entries, expected {S.order.size}")
-    num, den = _quadratic(h1, S, x), _quadratic(lower, S, x)
+    Y = S.split(S.to_sectors(x[:, None]))
+    num, den = (float(_column_quadratics(G, Y)[0]) for G in (h1, lower))
     if den == 0.0:
         raise ValueError("the Rayleigh quotient of a zero coefficient vector is undefined")
     return num / den
@@ -216,20 +213,20 @@ def coercivity_chain_check(
     return reports
 
 
-def _auxiliary_dirichlet(u_vals: np.ndarray, P: np.ndarray, spaces: DiscreteSpaces) -> RightInverseResult:
+def _auxiliary_dirichlet(coeffs: np.ndarray, P: np.ndarray, spaces: DiscreteSpaces) -> RightInverseResult:
     """tau = P[D v] with -div tau = u weakly, from the auxiliary Dirichlet problem.
 
-    u_vals holds the c components of the data at the volume quadrature
-    points of spaces.scalar, (q, c), and P projects the flattened (c, 3)
-    gradient. v is the c-component potential on the bubble space one
-    degree above spaces.scalar with (P[D v], D w) = (u, w) for every w
-    there, and tau, shaped (q, c, 3), its projected gradient at the same
-    points. Returns v, tau and the measured quality indicators:
-    H1-over-L2 bound ratio, weak divergence residual over the test space,
-    energy identity gap, and the re-projection residual of tau (zero by
-    construction up to rounding).
+    coeffs holds the c components of the data u over spaces.scalar, (c, n),
+    and P projects the flattened (c, 3) gradient. v is the c-component
+    potential on the bubble space one degree above spaces.scalar with
+    (P[D v], D w) = (u, w) for every w there, and tau, shaped (q, c, 3),
+    its projected gradient at the volume quadrature points of spaces.scalar.
+    Returns v, tau and the measured quality indicators: H1-over-L2 bound
+    ratio, weak divergence residual over the test space, energy identity
+    gap, and the re-projection residual of tau (zero by construction up to rounding).
     """
-    sb, c = spaces.scalar, u_vals.shape[1]
+    sb, c = spaces.scalar, coeffs.shape[0]
+    u_vals = np.einsum("iI,qI->qi", coeffs, sb.phi)  # u at the volume quadrature points, (q, c)
     bb = BubbleBasis(3, sb.degree + 1, sb.b1.nodes, sb.b1.weights)
     w, P4 = bb.weights, P.reshape(c, 3, c, 3)
     # the stiffness of the projected gradient: per derivative pair (b, e), the
@@ -287,14 +284,11 @@ def div_right_inverse(u_coeffs: np.ndarray, proj: str, spaces: DiscreteSpaces) -
     op = OperatorSpec("vectors", proj, 3)
     if lh_constant(op) < SINGULAR_VALUE_THRESHOLD:  # the least real symbol singular value
         raise ValueError("operator not elliptic")
-    u = np.asarray(u_coeffs).reshape(3, spaces.scalar.n)
-    return _auxiliary_dirichlet(np.einsum("iI,qI->qi", u, spaces.scalar.phi), projector(op), spaces)
+    return _auxiliary_dirichlet(np.reshape(u_coeffs, (3, spaces.scalar.n)), projector(op), spaces)
 
 
 def scalar_div_right_inverse(kappa_coeffs: np.ndarray, spaces: DiscreteSpaces) -> RightInverseResult:
     """Vector field t = grad v, (q, 3), with -div t = kappa weakly, from a scalar potential
     v, (n_b,): the auxiliary Dirichlet problem with one component and P the identity."""
-    # BLAS here, einsum in div_right_inverse: the report's rinv rows are rounding
-    # noise, and each keeps its bits only with the contraction it was recorded with
-    res = _auxiliary_dirichlet((spaces.scalar.phi @ np.ravel(kappa_coeffs))[:, None], np.eye(3), spaces)
+    res = _auxiliary_dirichlet(np.reshape(kappa_coeffs, (1, spaces.scalar.n)), np.eye(3), spaces)
     return replace(res, potential=res.potential[0], tau=res.tau[:, 0])

@@ -291,18 +291,18 @@ def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport, base) -> None:
 
 def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     degrees = sorted({1, 2, 3, cfg.degree})
-    full = {N: build_spaces(N, cfg.subdivisions, "full") for N in sorted({*degrees, max(cfg.degree, 2), 4})}
+    sp = base.system.spaces  # the helpers read only the scalar basis: at cfg.degree the base spaces serve
+    by_degree = {N: sp if N == cfg.degree else build_spaces(N, cfg.subdivisions, "full") for N in {*degrees, 4}}
     for label, op in (
         ("sym_vec", OperatorSpec("vectors", "sym", 3)),
         ("stf_stf", OperatorSpec("stf2", "Stf", 3)),
     ):
         prev = 0.0
         for N in degrees:
-            sp = full[N]
-            est = korn_constant(op, sp)
+            est = korn_constant(op, by_degree[N])
             ok = np.isfinite(est.constant) and est.constant > 0 and est.constant >= prev - 1e-9
             rep.add("korn", f"korn_{label}_N{N}", est.constant, None, bool(ok))
-            ray = korn_rayleigh(op, sp, est.extremizer)
+            ray = korn_rayleigh(op, by_degree[N], est.extremizer)
             dev = abs(ray - est.constant) / est.constant
             rep.check("korn", f"korn_{label}_rayleigh_dev_N{N}", dev, "korn_rayleigh_consistency")
             prev = est.constant
@@ -310,7 +310,7 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     planar = OperatorSpec("stf2", "Stf", 2)
     vals = []
     for N in degrees:
-        est = korn_constant(planar, full[N])
+        est = korn_constant(planar, by_degree[N])
         vals.append(est.constant)
         rep.add("korn", f"korn_planar_N{N}", est.constant, None, bool(np.isfinite(est.constant)))
     rep.add("korn", "korn_planar_growth", vals[-1] / vals[0], None, None)
@@ -327,7 +327,6 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
         all(b - a == 2 for a, b in zip(dims2, dims2[1:])),
     )
 
-    sp = base.system.spaces
     rng = np.random.default_rng(cfg.seed + 1)
     fields = {"heat": [], "stress": []}
     for _ in range(200):
@@ -344,12 +343,15 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
         violations == 0,
     )
 
+    def unit_flow(sp):  # u = (1, 0, 0) on sp's scalar basis
+        u = np.zeros((3, sp.n_scalar))
+        u[0] = sp.scalar.project(lambda q: np.ones(q.shape[0]))
+        return u
+
     # divergence right-inverses at the configured degree
-    sp_ri = full[max(cfg.degree, 2)]
-    u = np.zeros((3, sp_ri.n_scalar))
-    u[0] = sp_ri.scalar.project(lambda q: np.ones(q.shape[0]))
+    sp_ri = by_degree[max(cfg.degree, 2)]
     for proj in ("identity", "stf"):
-        res = div_right_inverse(u, proj, sp_ri)
+        res = div_right_inverse(unit_flow(sp_ri), proj, sp_ri)
         rep.check(
             "korn", f"rinv_{proj}_weak_residual", res.weak_residual, "weak_divergence_residual"
         )
@@ -362,13 +364,8 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     sres = scalar_div_right_inverse(kappa, sp_ri)
     rep.check("korn", "rinv_scalar_weak_residual", sres.weak_residual, "weak_divergence_residual")
     # stability under degree refinement, past the low-degree parity staircase
-    ratios = {}
-    for N in (3, 4):
-        spN = full[N]
-        uN = np.zeros((3, spN.n_scalar))
-        uN[0] = spN.scalar.project(lambda q: np.ones(q.shape[0]))
-        ratios[N] = div_right_inverse(uN, "stf", spN).bound_ratio
-    rel = abs(ratios[4] - ratios[3]) / ratios[3]
+    r3, r4 = (div_right_inverse(unit_flow(by_degree[N]), "stf", by_degree[N]).bound_ratio for N in (3, 4))
+    rel = abs(r4 - r3) / r3
     rep.check("korn", "rinv_stf_ratio_stability", rel, "bound_ratio_stability")
 
 
@@ -406,13 +403,13 @@ def _seeded_boundary_data(rng: np.random.Generator) -> BoundaryData:
     return BoundaryData(*(0.5 * rng.standard_normal((5, 6))))  # field order u_n, u_t1, u_t2, p, theta
 
 
-def _suite_solve(cfg: RunConfig, rep: VerificationReport, base, n_datasets: int = 10) -> None:
+def _suite_solve(cfg: RunConfig, rep: VerificationReport, base) -> None:
     system, consts = base.system, base.constants
     sp = system.spaces
     rng = np.random.default_rng(cfg.seed + 2)
     worst_res = 0.0
     bounds_ok = True
-    for _ in range(n_datasets):
+    for _ in range(10):  # seeded loads
         sol = solve_mixed(assemble_system(sp, cfg.params, None, _seeded_boundary_data(rng)), consts)
         worst_res = max(worst_res, sol.residual_primal, sol.residual_constraint)
         bounds_ok = bounds_ok and sol.bounds_hold

@@ -13,7 +13,7 @@ assembled here with margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -373,14 +373,15 @@ class Sectors:
     coordinates to the fully even functions, the only sector where Cp is
     not the identity (else None); subproblem is 0 (momentum) or 1 (energy).
 
-    `swaps` maps each transposition (a, b) of the cube's axes (AXIS_SWAPS)
-    to the orthogonal matrix W it induces on the field blocks: block c of
-    the swapped field is sum_r W[c, r] times block r with the axes a and b
-    of its coefficient grid exchanged. The swap maps sector s to s with
-    bits a and b exchanged, so the sectors with as many odd axes form one
-    orbit. `orbits` lists them, each led by its representative, the sector
-    whose odd axes come first: (0,), (1, 2, 4), (3, 5, 6) and (7,) in 3D.
-    Without swaps each sector is an orbit of its own, in order.
+    `swaps` maps each transposition (a, b) of the box's axes (AXIS_SWAPS)
+    to the orthogonal matrix W it induces on the field blocks (`swap_maps`):
+    block c of the swapped field is sum_r W[c, r] times block r with the
+    axes a and b of its coefficient grid exchanged. The swap maps sector s
+    to s with bits a and b exchanged, so the sectors with as many odd axes
+    form one orbit. `orbits` lists them, each led by its representative,
+    the sector whose odd axes come first: (0,), (1, 2, 4), (3, 5, 6) and
+    (7,) in 3D, (0,), (1, 2) and (3,) in 2D. Without swaps each sector is
+    an orbit of its own, in order: the per-sector reference layout.
 
     The sector coordinates list the coordinates orbit by orbit, sector by
     sector inside an orbit and momentum before energy inside a sector:
@@ -404,12 +405,8 @@ class Sectors:
 
     def __init__(self, fields: list, swaps: dict | None = None):
         self.fields, self.swaps = fields, swaps or {}
-        dim = fields[0][0].dim
-        count = 2**dim
-        if self.swaps:
-            self.orbits = [tuple(s for s in range(count) if bin(s).count("1") == k) for k in range(dim + 1)]
-        else:
-            self.orbits = [(s,) for s in range(count)]
+        count = 2 ** fields[0][0].dim
+        self.orbits = sorted({tuple(sorted({s} | {_swap_bits(s, *ab) for ab in self.swaps})) for s in range(count)})
         place = np.argsort(np.concatenate(self.orbits))  # each sector's place in the listing
         slots = np.concatenate([2 * place[lab.ravel()] + sub for *_, lab, sub in fields])
         self.order = np.argsort(slots, kind="stable")
@@ -447,30 +444,29 @@ class Sectors:
         (its coordinates lie in s's), up reads s's coordinates from r's.
         """
         swapped = {}
-        if self.swaps:
-            grids = [lab if lab.ndim == basis.dim else basis.sectors(mask) for basis, mask, _, lab, _ in self.fields]
-            where = np.full((len(grids), max(g.size for g in grids)), -1)  # the coordinate of each block's grid point
-            block, point, start = [], [], 0
-            for c, ((*_, lab, _), grid) in enumerate(zip(self.fields, grids)):
-                lab, by_label = lab.ravel(), np.argsort(grid.ravel(), kind="stable")
-                points = by_label[np.searchsorted(grid.ravel()[by_label], lab) + _label_ranks(lab)]
-                where[c, points] = start + np.arange(lab.size)
-                block.append(np.full(lab.size, c))
-                point.append(points)
-                start += lab.size
-            block, point = np.concatenate(block)[self.order], np.concatenate(point)[self.order]
-            for axes, W in self.swaps.items():
-                moved = np.zeros(where.shape, dtype=int)
-                for c, grid in enumerate(grids):
-                    moved[c, : grid.size] = np.arange(grid.size).reshape(grid.shape).swapaxes(*axes).ravel()
-                terms = int(np.count_nonzero(W, axis=1).max())
-                source, weight = np.zeros((terms, len(W)), dtype=int), np.zeros((terms, len(W)))
-                for c, row in enumerate(W):
-                    r = np.flatnonzero(row)
-                    source[:, c] = r[0]  # a padding term reads the first source, with weight 0
-                    source[: r.size, c], weight[: r.size, c] = r, row[r]
-                coords = where[source[:, block], moved[block, point]]
-                swapped[axes] = (np.where(coords < 0, -1, at[coords]), weight[:, block])
+        grids = [lab if lab.ndim == basis.dim else basis.sectors(mask) for basis, mask, _, lab, _ in self.fields]
+        where = np.full((len(grids), max(g.size for g in grids)), -1)  # the coordinate of each block's grid point
+        block, point, start = [], [], 0
+        for c, ((*_, lab, _), grid) in enumerate(zip(self.fields, grids)):
+            lab, by_label = lab.ravel(), np.argsort(grid.ravel(), kind="stable")
+            points = by_label[np.searchsorted(grid.ravel()[by_label], lab) + _label_ranks(lab)]
+            where[c, points] = start + np.arange(lab.size)
+            block.append(np.full(lab.size, c))
+            point.append(points)
+            start += lab.size
+        block, point = np.concatenate(block)[self.order], np.concatenate(point)[self.order]
+        for axes, W in self.swaps.items():
+            moved = np.zeros(where.shape, dtype=int)
+            for c, grid in enumerate(grids):
+                moved[c, : grid.size] = np.arange(grid.size).reshape(grid.shape).swapaxes(*axes).ravel()
+            terms = int(np.count_nonzero(W, axis=1).max())
+            source, weight = np.zeros((terms, len(W)), dtype=int), np.zeros((terms, len(W)))
+            for c, row in enumerate(W):
+                r = np.flatnonzero(row)
+                source[:, c] = r[0]  # a padding term reads the first source, with weight 0
+                source[: r.size, c], weight[: r.size, c] = r, row[r]
+            coords = where[source[:, block], moved[block, point]]
+            swapped[axes] = (np.where(coords < 0, -1, at[coords]), weight[:, block])
         terms = max([index.shape[0] for index, _ in swapped.values()], default=1)
         down, up = (Gather(np.zeros((terms, at.size), dtype=int), np.zeros((terms, at.size))) for _ in range(2))
         down.index[0], up.index[0], down.weight[0], up.weight[0] = self.order, at, 1.0, 1.0
@@ -502,13 +498,32 @@ class Sectors:
         return [y[self.sectors[o[0]].start : self.sectors[o[-1]].stop].reshape((len(o), -1, *shape)) for o in self.orbits]
 
 
+def _induced_map(bases: list, P: np.ndarray) -> np.ndarray:
+    """The map W that the orthogonal map P of the axes induces on fields with the orthonormal
+    basis tensors X of bases, (d,) * rank each, rank <= 2 (a scalar's is np.ones(1)), one field
+    after another: block diagonal, W[c, r] = <P X_r, X_c> with P on every index of X_r. One
+    einsum per field, so the entries zero in exact arithmetic are exact zeros."""
+    blocks = []
+    for X in bases:
+        spec, Ps = {0: ("b,c", ()), 1: ("ki,bi,ck", (P,)), 2: ("ki,bij,lj,ckl", (P, P))}[X.ndim - 1]
+        blocks.append(np.einsum(spec + "->cb", *Ps[:1], X, *Ps[1:], X))
+    return sla.block_diag(*blocks)
+
+
 def mirror_masks(basis: np.ndarray) -> list[int]:
     """Per orthonormal basis tensor X of shape (d,) * r, the bit mask of the axes whose mirror
-    maps X to -X (it flips the sign of X's entries once per index equal to the axis). A basis
-    tensor not mapped to plus or minus itself would show as off-sector entries when assembled."""
+    maps X to -X (a negative diagonal entry of its _induced_map). A basis tensor not mapped to
+    plus or minus itself would show as off-sector entries when assembled."""
     d = basis.shape[1]
-    signs = [reduce(np.multiply.outer, [1.0 - 2.0 * np.eye(d)[a]] * (basis.ndim - 1)) for a in range(d)]
-    return [sum(int(np.sum(s * X * X) < 0) << a for a, s in enumerate(signs)) for X in basis]
+    flips = [np.diagonal(_induced_map([basis], np.diag(1.0 - 2.0 * np.eye(d)[a]))) < 0 for a in range(d)]
+    return [sum(int(f) << a for a, f in enumerate(col)) for col in zip(*flips)]
+
+
+def swap_maps(bases: list, dim: int) -> dict:
+    """Per swap (a, b) of AXIS_SWAPS inside dim axes, the map it induces on fields with the given
+    basis tensors (`_induced_map`); Sectors._carry mixes each of its nonzero entries."""
+    swapped = {(a, b): [b if i == a else a if i == b else i for i in range(dim)] for a, b in AXIS_SWAPS if b < dim}
+    return {ab: _induced_map(bases, np.eye(dim)[perm]) for ab, perm in swapped.items()}
 
 
 def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -599,7 +614,7 @@ class DiscreteSpaces:
         self.q_blocks = {"u": slice(0, 3 * m), "theta": slice(3 * m, 4 * m)}
         self.structure = None
         self.operators = {}
-        self.korn = {}  # per OperatorSpec, the sector grams of its Korn pencil (korn._korn_grams)
+        self.korn = {}  # per OperatorSpec, the orbit grams of its Korn pencil (korn._korn_grams)
 
     @cached_property
     def stress_face_weights(self) -> list[dict]:
@@ -630,20 +645,14 @@ class DiscreteSpaces:
         An axis swap P maps sigma to P sigma P^T, whose components mix by
         <P E_b P^T, E_c> (a signed permutation but for a 2 x 2 rotation of
         the two diagonal components), permutes the components of s and u,
-        and leaves p and theta scalar."""
+        and leaves p and theta (`swap_maps`)."""
         sb, pb, axes = self.scalar, self.scalar_pq, mirror_masks(np.eye(3))
         even = np.flatnonzero(pb.sectors(0).ravel() == 0)
         R = self.Cp[even][:, self.p_sectors == 0] if self.pressure_mode == "zero_mean" else None
         V = [(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(self.E)]
         V += [(sb, mask, None, sb.sectors(mask), 1) for mask in axes] + [(pb, 0, R, self.p_sectors, 0)]
         Q = [(pb, mask, None, pb.sectors(mask), 0) for mask in axes] + [(pb, 0, None, pb.sectors(0), 1)]
-        swaps_V, swaps_Q = {}, {}
-        for a, b in AXIS_SWAPS:
-            P = np.eye(3)[[b if i == a else a if i == b else i for i in range(3)]]
-            stress = np.einsum("ki,bij,lj,ckl->cb", P, self.E, P, self.E)
-            swaps_V[a, b], swaps_Q[a, b] = np.eye(9), np.eye(4)
-            swaps_V[a, b][:5, :5], swaps_V[a, b][5:8, 5:8], swaps_Q[a, b][:3, :3] = stress, P, P
-        return Sectors(V, swaps_V), Sectors(Q, swaps_Q)
+        return Sectors(V, swap_maps([self.E, np.eye(3), np.ones(1)], 3)), Sectors(Q, swap_maps([np.eye(3), np.ones(1)], 3))
 
     @property
     def faces(self) -> list[FaceData]:

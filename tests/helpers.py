@@ -232,6 +232,16 @@ def mirror_maps(spaces) -> list:
     return maps
 
 
+def component_swap_maps(E) -> dict:
+    """(Om5, P) per axis swap (a, b): P exchanges x_a and x_b, and Om5 mixes the components
+    of a stress in the basis E as P sigma P^T does, Om5[c, b] = <P E_b P^T, E_c>."""
+    maps = {}
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        P = np.eye(3)[[b if i == a else a if i == b else i for i in range(3)]]
+        maps[a, b] = (np.einsum("ki,bij,lj,ckl->cb", P, E, P, E), P)
+    return maps
+
+
 def permutation_maps(spaces) -> dict:
     """(Omega_V, Omega_Q) per axis swap (a, b): the coefficient maps of x -> P x, P exchanging x_a and x_b.
 
@@ -252,15 +262,13 @@ def permutation_maps(spaces) -> dict:
         return out
 
     maps = {}
-    for a, b in ((0, 1), (0, 2), (1, 2)):
+    for (a, b), (Om5, P) in component_swap_maps(spaces.E).items():
         perm = [b if i == a else a if i == b else i for i in range(3)]
-        P = np.eye(3)[perm]
         R3, R3q = (
             np.linalg.lstsq(tabulate(sb, pts), tabulate(sb, pts[:, perm]), rcond=None)[0]
             for sb in (spaces.scalar, spaces.scalar_pq)
             for pts in [rng.random((3 * sb.n, 3))]
         )
-        Om5 = np.einsum("ki,bij,lj,ckl->cb", P, spaces.E, P, spaces.E)
         Omega_V = sla.block_diag(np.kron(Om5, R3), np.kron(P, R3), spaces.Cp.T @ R3q @ spaces.Cp)
         Omega_Q = sla.block_diag(np.kron(P, R3q), R3q)
         maps[a, b] = (Omega_V, Omega_Q)

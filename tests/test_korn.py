@@ -348,25 +348,22 @@ def test_operator_kernel_dimension_dichotomy():
 
 
 def _dense(op, sp):
-    """The korn module's sector grams of op on sp as whole matrices in field coordinates."""
+    """The korn module's orbit grams of op on sp as whole matrices in field coordinates: each
+    orbit's block on every sector of the orbit, carried back on both sides (assembly._scatter)."""
+    from r13verify.assembly import _scatter
     from r13verify.korn import _korn_grams
 
     S, h1, lower = _korn_grams(op, sp)
-    out = []
-    for blocks in (h1, lower):
-        M = np.zeros((S.order.size,) * 2)
-        for B, sl in zip(blocks, S.sectors):
-            M[np.ix_(S.order[sl], S.order[sl])] = B
-        out.append(M)
-    return out
+    whole = [slice(0, len(B)) for B in h1]  # each orbit block spans a whole sector
+    return [_scatter([(B, o, whole[o], whole[o]) for o, B in enumerate(blocks)], S, S) for blocks in (h1, lower)]
 
 
 @pytest.mark.parametrize(
     "op, degrees", [(SYM_VEC, (1, 2, 3, 4, 5)), (STF_STF, (1, 2, 3, 4, 5)), (STF_STF_2D, (1, 2, 3, 4))]
 )
 def test_sector_korn_grams_match_dense_kronecker_oracle(op, degrees):
-    # the grams commute with the mirrors: their sector blocks, scattered back,
-    # are the whole dense Kronecker grams, off-sector entries included
+    # the grams commute with the mirrors and the axis swaps: their orbit blocks,
+    # scattered back, are the whole dense Kronecker grams, off-sector entries included
     from r13verify.spaces import ScalarBasis
 
     for N in degrees:
@@ -393,6 +390,34 @@ def test_sector_korn_constant_matches_dense_pencil(op):
         x = est.extremizer
         assert abs((x @ G_h1 @ x) / (x @ (G_l2 + G_op) @ x) - want) <= 1e-12 * want
         assert korn_rayleigh(op, sp, x) == pytest.approx(est.constant, rel=1e-12)
+
+
+@pytest.mark.parametrize("op", [SYM_VEC, STF_STF, STF_STF_2D])
+def test_orbit_pencils_hold_every_sector_spectrum(op):
+    # the pencils assembled per sector in the swap-free reference layout: every
+    # sector of an orbit has its representative's spectrum, so the constant over
+    # the orbits is the maximum over all sectors, and the kernel count weighted
+    # by orbit size is the per-sector count
+    import scipy.linalg as sla
+    from r13verify.assembly import _gradient_terms, _norm_terms, _sector_assemble
+    from r13verify.korn import KERNEL_EIG_RTOL, _korn_grams, operator_kernel_dimension
+
+    for N in (1, 2, 3, 4):
+        sp = build_spaces(N, 1, "full")
+        S, h1, lower = _korn_grams(op, sp)
+        plain, count = Sectors(S.fields), len(S.fields)
+        terms = (_norm_terms(count, True, op.dim), _gradient_terms(op, 1.0, _norm_terms(count, False, op.dim)))
+        sector_h1, sector_lower = (_sector_assemble(t, plain, plain, {}) for t in terms)
+        by_sector = [sla.eigh(a, b, eigvals_only=True) for a, b in zip(sector_h1, sector_lower)]
+        for orbit, a, b in zip(S.orbits, h1, lower):
+            want = sla.eigh(a, b, eigvals_only=True)
+            for s in orbit:
+                assert np.abs(by_sector[s] - want).max() <= 1e-12 * want[-1], (op, N, s)
+        top = max(v[-1] for v in by_sector)
+        assert abs(korn_constant(op, sp).constant - top) <= 1e-13 * top, (op, N)
+        grams = [np.linalg.eigvalsh(G) for G in _sector_assemble(_gradient_terms(op, 1.0, {}), plain, plain, {})]
+        cut = KERNEL_EIG_RTOL * max(max(v[-1] for v in grams), 1.0)
+        assert operator_kernel_dimension(op, N) == sum(int(np.sum(v < cut)) for v in grams), (op, N)
 
 
 @pytest.mark.parametrize("N", [1, 2])

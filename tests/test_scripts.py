@@ -83,7 +83,17 @@ def test_bench(monkeypatch, capsys, tmp_path):
     loads = rec["loads"]
     assert loads["N_k"] == [3, 1] and loads["loads"] == 100 and loads["verified"] is True
     assert 0.0 < loads["p50_s"] <= loads["p90_s"] < 1.0
-    assert rows[-1][:2] == ["loads", "100"] and rows[-1][-1] == "True"
+    assert rows[-7][:2] == ["loads", "100"] and rows[-7][-1] == "True"
+    # the korn record: korn_constant of sym3 and Stf3 at (N,1), N = 4, 6, 8, timed per --repeat
+    korn = rec["korn"]
+    assert list(korn) == [f"{op}_N{N}_k1" for op in ("sym_vec", "stf_stf") for N in (4, 6, 8)]
+    assert [r[:2] for r in rows[-6:]] == [["korn", name] for name in korn]
+    for name, r in korn.items():
+        assert len(r["wall_s_runs"]) == 2 and r["wall_s"] == statistics.median(r["wall_s_runs"]) > 0
+        assert r["constant"] == data["first"]["korn"][name]["constant"]
+    # sym3 levels off near 13.9 (rigid motions aside); Stf3 grows with the degree
+    assert 13.0 < korn["sym_vec_N4_k1"]["constant"] < korn["sym_vec_N8_k1"]["constant"] < 14.0
+    assert 100.0 < korn["stf_stf_N4_k1"]["constant"] < korn["stf_stf_N6_k1"]["constant"] < korn["stf_stf_N8_k1"]["constant"]
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from r13verify.assembly import ModelParams, _B_terms, _norm_terms, _sector_assemble, assemble_system
-from r13verify.spaces import PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, Sectors, _swap_bits, build_spaces
+from r13verify.spaces import (
+    PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, Sectors, _swap_bits, build_spaces, swap_maps,
+)
+from r13verify.tensors import stf_basis
 
-from helpers import kron_gram, mirror_maps, permutation_maps
+from helpers import component_swap_maps, kron_gram, mirror_maps, permutation_maps
 
 
 def test_dimensions_full():
@@ -372,8 +376,8 @@ def test_orbits_lie_side_by_side_as_the_rows_of_one_array(pairing, mode):
     # orbit's sectors adjacent; row j of an orbit's array is sector
     # orbit[j]'s carried slice, the swap's coefficient map (built from
     # tabulations) taking it onto the representative's coordinates; without
-    # the swaps the order is the stable sort by (sector, subproblem), so
-    # korn's grams keep their rows
+    # the swaps (the per-sector reference layout) the order is the stable
+    # sort by (sector, subproblem), each sector an orbit of its own
     sp = build_spaces(1, 2, mode, pairing)
     rng, maps = np.random.default_rng(4), permutation_maps(sp)
     for S, which in zip(sp.sectors, (0, 1)):
@@ -412,3 +416,45 @@ def test_carried_coordinates_round_trip(pairing, mode):
         assert np.array_equal(y[V.sectors[r]], x[V.order[V.sectors[r]]])
     assert_allclose(V.from_sectors(y), x, rtol=0, atol=1e-15 * np.abs(x).max())
     assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), rel=1e-14)
+
+
+def _assert_signed_permutation(W):
+    # one nonzero per row and column, +-1 up to the rounding of the basis tensors' entries
+    assert np.all(np.count_nonzero(W, axis=0) == 1) and np.all(np.count_nonzero(W, axis=1) == 1)
+    assert_allclose(np.abs(W[W != 0]), 1.0, rtol=0, atol=1e-15)
+
+
+def test_swap_maps_from_basis_tensors_are_the_tabulated_maps_with_exact_zeros():
+    # V's and Q's maps are bitwise the block-diagonal of the helpers' stress mix Om5, the
+    # permutation P and the scalar 1; every map, the Korn fields' too (3D vectors and stf
+    # tensors, planar stf tensors with their one swap), is <P X_r P^T, X_c> to rounding with
+    # an exact zero wherever that is zero: a signed permutation but for the 2 x 2 mix of
+    # sigma's two diagonal components, and diagonal for the planar stf basis
+    sp = build_spaces(1, 1, "zero_mean")
+    V, Q = sp.sectors
+    tabulated = component_swap_maps(sp.E)
+    assert set(V.swaps) == set(Q.swaps) == set(tabulated)
+    for ab, (Om5, P) in tabulated.items():
+        assert np.array_equal(V.swaps[ab], sla.block_diag(Om5, P, 1.0))
+        assert np.array_equal(Q.swaps[ab], sla.block_diag(P, 1.0))
+    diagonal = [b for b, X in enumerate(sp.E) if np.any(np.diagonal(X))]
+    rest = [b for b in range(5) if b not in diagonal]
+    assert len(diagonal) == 2
+    for X, dim in ((np.eye(3), 3), (sp.E, 3), (stf_basis(2, 2), 2)):
+        maps = swap_maps([X], dim)
+        assert list(maps) == ([(0, 1)] if dim == 2 else [(0, 1), (0, 2), (1, 2)])
+        for (a, b), W in maps.items():
+            P = np.eye(dim)[[b if i == a else a if i == b else i for i in range(dim)]]
+            moved = P @ X @ P.T if X.ndim == 3 else X @ P.T
+            want = np.tensordot(X, moved, axes=(list(range(1, X.ndim)),) * 2)
+            assert_allclose(W, want, rtol=0, atol=1e-15)
+            assert np.array_equal(W != 0, np.abs(want) > 1e-12), (X.shape, a, b)
+            if X.shape == (5, 3, 3):
+                assert np.array_equal(W, tabulated[a, b][0])
+                _assert_signed_permutation(W[np.ix_(rest, rest)])
+                assert not np.any(W[np.ix_(rest, diagonal)]) and not np.any(W[np.ix_(diagonal, rest)])
+            elif dim == 3:
+                assert np.array_equal(W, P)
+            else:
+                _assert_signed_permutation(W)
+                assert np.array_equal(W, np.diag(np.diagonal(W)))
