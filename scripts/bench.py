@@ -36,6 +36,9 @@ its constants, then 100 seeded wall loads, each timed as one
 median and the 90th percentile (inclusive, linearly interpolated) of the
 100 latencies as `p50_s` and `p90_s`, and whether every load verified
 (solver residuals within the report's tolerance, stability bounds hold).
+It also keeps `constants_s`, the time of that one `brezzi_constants` on
+the unloaded (3,1) system, timed as perfbench's setup times it: with the
+median load it makes up solve-many-loads' `verify_top_s`.
 
 The `korn` record, always taken, is the cost of the discrete Korn ladder:
 per operator, `sym_vec` (the symmetrized gradient of 3D vectors) and
@@ -189,7 +192,10 @@ def time_ladder(rungs, pairing: str, repeat: int) -> dict:
 def time_loads() -> dict:
     rng = np.random.default_rng(0)
     spaces, params = r13verify.build_spaces(*LOADS_SPACE, "zero_mean"), r13verify.ModelParams()
-    consts = r13verify.brezzi_constants(r13verify.assemble_system(spaces, params))
+    base = r13verify.assemble_system(spaces, params)
+    t0 = time.perf_counter()
+    consts = r13verify.brezzi_constants(base)
+    constants_s = time.perf_counter() - t0
     walls = [r13verify.BoundaryData(*(0.5 * rng.standard_normal((5, 6)))) for _ in range(N_LOADS)]
     times, verified = [], True
     for wall in walls:
@@ -201,6 +207,7 @@ def time_loads() -> dict:
     return {
         "N_k": list(LOADS_SPACE),
         "loads": N_LOADS,
+        "constants_s": constants_s,
         "p50_s": statistics.median(times),
         "p90_s": statistics.quantiles(times, n=10, method="inclusive")[8],
         "verified": bool(verified),
@@ -279,7 +286,10 @@ def main(argv=None) -> None:
             f"peak {r['peak_rss_mb']:.0f} MB verified {r['verified']}"
         )
     loads = record["loads"]
-    print(f"loads {loads['loads']} p50 {loads['p50_s'] * 1e6:.0f} us p90 {loads['p90_s'] * 1e6:.0f} us verified {loads['verified']}")
+    print(
+        f"loads {loads['loads']} constants {loads['constants_s'] * 1e3:.2f} ms p50 {loads['p50_s'] * 1e6:.0f} us "
+        f"p90 {loads['p90_s'] * 1e6:.0f} us verified {loads['verified']}"
+    )
     for name, r in record["korn"].items():
         print(f"korn {name:14s} {r['wall_s']:8.3f} s constant {r['constant']:.6f}")
 

@@ -87,7 +87,7 @@ class VolumeSources:
 KERNEL_RTOL = 1e-10  # relative singular-value cutoff of every rank decision
 
 
-(_trtrs,) = sla.get_lapack_funcs(("trtrs",), (np.empty(0),))
+_trtrs, _potrf = sla.get_lapack_funcs(("trtrs", "potrf"), (np.empty(0),))
 
 
 def trsolve(L: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -116,10 +116,14 @@ class SaddlePart:
 
     @cached_property
     def cholesky(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower Cholesky factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's
-        own indices and in Fortran order, as LAPACK takes them: the part is one dense block,
-        so each is one plain factor, and fewer blocks mean fewer LAPACK calls."""
-        return tuple(np.asfortranarray(sla.cholesky(M, lower=True)) for M in (self.M_V, self.M_Q))
+        """Lower Cholesky factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's own
+        indices and in Fortran order, as LAPACK takes them: one plain factor each, the part being
+        one dense block. Each is one potrf, with scipy.linalg.cholesky's bits and checks (a
+        ValueError if non-finite, a LinAlgError if not positive definite) less its 6-7 us wrapper."""
+        factors = [_potrf(np.asarray_chkfinite(M), lower=1) for M in (self.M_V, self.M_Q)]
+        if any(info for _, info in factors):
+            raise np.linalg.LinAlgError("a block of M_V or M_Q is not positive definite (potrf)")
+        return tuple(L for L, _ in factors)
 
     @cached_property
     def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:

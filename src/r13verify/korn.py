@@ -91,8 +91,8 @@ def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list
         S, cache = _field_sectors(op, sb), {}
         h1, l2 = (_norm_terms(len(S.fields), is_h1, op.dim) for is_h1 in (True, False))
         grams = [_sector_assemble(t, S, S, cache) for t in (h1, _gradient_terms(op, 1.0, l2))]
-        spaces.korn[op] = (S, *grams)
-    return spaces.korn[op]
+        spaces.korn[op] = [(S, *grams), None]  # the grams, then korn_constant's estimate
+    return spaces.korn[op][0]
 
 
 def _column_quadratics(blocks: list, split: list) -> np.ndarray:
@@ -110,17 +110,21 @@ def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     op.dim == 2 the fields are plane (z-independent) and live on the unit
     square with the planar trace coefficient; this is the diagnostic
     configuration where the complex-ellipticity failure shows up as growth
-    of the constant with the degree.
+    of the constant with the degree. It is kept with the grams, read-only.
     """
     if (op.domain, op.codomain) not in (("vectors", "sym"), ("stf2", "Stf")):
         raise ValueError(f"unsupported operator {(op.domain, op.codomain)!r}")
     S, h1, lower = _korn_grams(op, spaces)
-    pencils = [sla.eigh(G_h1, G_low) for G_h1, G_low in zip(h1, lower)]
-    o = max(range(len(pencils)), key=lambda i: pencils[i][0][-1])  # the first orbit attaining it
-    vals, vecs = pencils[o]
-    y = np.zeros(S.order.size)
-    y[S.sectors[S.orbits[o][0]]] = vecs[:, -1]
-    return KornEstimate(op, spaces.scalar.degree, float(vals[-1]), float(np.sqrt(vals[-1])), S.from_sectors(y))
+    if (kept := spaces.korn[op])[1] is None:
+        pencils = [sla.eigh(G_h1, G_low) for G_h1, G_low in zip(h1, lower)]
+        o = max(range(len(pencils)), key=lambda i: pencils[i][0][-1])  # the first orbit attaining it
+        vals, vecs = pencils[o]
+        y = np.zeros(S.order.size)
+        y[S.sectors[S.orbits[o][0]]] = vecs[:, -1]
+        x = S.from_sectors(y)
+        x.setflags(write=False)
+        kept[1] = KornEstimate(op, spaces.scalar.degree, float(vals[-1]), float(np.sqrt(vals[-1])), x)
+    return kept[1]
 
 
 def operator_kernel_dimension(op: OperatorSpec, degree: int, subdivisions: int = 1) -> int:
@@ -166,7 +170,7 @@ def coercivity_chain_check(
     dbar((sigma, p), same) is checked against min{Kn, 1/(2 Kn)} times the
     Stf-gradient seminorm sum. A field of another shape raises a
     ValueError before any is evaluated. The Korn lower bound divides by
-    the discrete Korn constant to reach the full H1 norm.
+    the kept discrete Korn constant to reach the full H1 norm.
 
     The fields are the columns of blocks of CHAIN_BLOCK, the last one
     zero-padded. Per block, one carry of U to the shared operator's sector

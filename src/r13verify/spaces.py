@@ -503,11 +503,11 @@ def _induced_map(bases: list, P: np.ndarray) -> np.ndarray:
     basis tensors X of bases, (d,) * rank each, rank <= 2 (a scalar's is np.ones(1)), one field
     after another: block diagonal, W[c, r] = <P X_r, X_c> with P on every index of X_r. One
     einsum per field, so the entries zero in exact arithmetic are exact zeros."""
-    blocks = []
-    for X in bases:
+    W = np.zeros((sum(map(len, bases)),) * 2)
+    for X, at in zip(bases, np.cumsum([0, *map(len, bases)])):
         spec, Ps = {0: ("b,c", ()), 1: ("ki,bi,ck", (P,)), 2: ("ki,bij,lj,ckl", (P, P))}[X.ndim - 1]
-        blocks.append(np.einsum(spec + "->cb", *Ps[:1], X, *Ps[1:], X))
-    return sla.block_diag(*blocks)
+        W[at : at + len(X), at : at + len(X)] = np.einsum(spec + "->cb", *Ps[:1], X, *Ps[1:], X)
+    return W
 
 
 def mirror_masks(basis: np.ndarray) -> list[int]:

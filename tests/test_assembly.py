@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from r13verify import assembly
 from r13verify.assembly import (
     BoundaryData,
     ModelParams,
+    SaddlePart,
     VolumeSources,
     assemble_form,
     assemble_load,
@@ -592,3 +594,31 @@ def test_closures_agree_on_faces(sp):
         np.einsum("ij,k->ijk", sp.E[0], np.eye(3)[0]), "Stf"
     )
     assert_allclose(m3_vol[0], expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("pairing,N,k", [("equal", 2, 1), ("enriched", 1, 2)])
+def test_part_factors_are_scipy_cholesky_bit_for_bit(pairing, N, k):
+    # one LAPACK potrf per block, in Fortran order: the bits of scipy.linalg.cholesky
+    structure = assemble_system(build_spaces(N, k, "zero_mean", pairing), PARAMS0).operator.structure
+    assert len(structure.parts) == 8
+    for part in structure.parts:
+        for L, M in zip(part.cholesky, (part.M_V, part.M_Q)):
+            ref = np.asfortranarray(sla.cholesky(M, lower=True))
+            assert L.flags.f_contiguous and L.dtype == ref.dtype and L.shape == ref.shape
+            assert L.tobytes(order="F") == ref.tobytes(order="F")
+
+
+def test_part_factors_reject_what_scipy_cholesky_rejects(sp0):
+    # a block that is not positive definite raises LinAlgError, a non-finite one ValueError
+    part = assemble_system(sp0, PARAMS0).operator.structure.parts[0]
+    indefinite = part.M_V.copy()
+    indefinite[-1, -1] = -1.0
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        SaddlePart(part.B, indefinite, part.M_Q).cholesky
+    with pytest.raises(np.linalg.LinAlgError):
+        SaddlePart(part.B, part.M_V, -part.M_Q).cholesky
+    for bad in (np.nan, np.inf):
+        broken = part.M_Q.copy()
+        broken[0, -1] = broken[-1, 0] = bad
+        with pytest.raises(ValueError):
+            SaddlePart(part.B, part.M_V, broken).cholesky

@@ -450,3 +450,24 @@ def test_korn_grams_built_once_per_operator_and_spaces():
     grams = _korn_grams(STF_STF, sp)
     korn_rayleigh(STF_STF, sp, est.extremizer)
     assert _korn_grams(STF_STF, sp) is grams and set(sp.korn) == {STF_STF}
+
+
+def test_korn_estimate_made_once_per_operator_and_spaces(monkeypatch):
+    # the estimate is kept beside the grams, its extremizer read-only; later calls and
+    # the coercivity chain read it instead of solving the pencils again
+    import scipy.linalg as sla
+
+    heat = [np.random.default_rng(7).standard_normal((3, build_spaces(2, 1, "full").n_scalar))]
+    ref = coercivity_chain_check("heat", heat, build_spaces(2, 1, "full"), ModelParams())
+    sp = build_spaces(2, 1, "full")
+    est = korn_constant(SYM_VEC, sp)
+    assert not est.extremizer.flags.writeable
+    with pytest.raises(ValueError):
+        est.extremizer[0] = 1.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pencils solved again")
+
+    monkeypatch.setattr(sla, "eigh", refuse)
+    assert korn_constant(SYM_VEC, sp) is est
+    assert coercivity_chain_check("heat", heat, sp, ModelParams()) == ref

@@ -819,3 +819,48 @@ def test_axis_permuted_sectors_agree_to_rounding():
     svals = [p.whitened_svd[1] for p in parts]
     top = max(s[0] for s in svals)
     assert max(np.abs(a - b).max() for a in svals for b in svals) <= 1e-12 * top
+
+
+def test_ritz_step_is_eigh_tridiagonal_bit_for_bit():
+    # every Lanczos step takes its Ritz pair from LAPACK stebz and stein directly; the
+    # value and the eigenvector are those of scipy's wrapper, bit for bit, at every size,
+    # on the views of preallocated arrays that the iteration passes
+    rng = np.random.default_rng(25)
+    for n in range(1, 61):
+        for scale in (1e-3, 1.0, 4.0):
+            alpha, beta = np.empty(64), np.empty(64)
+            alpha[:n] = scale * (rng.random(n) + rng.standard_normal(n) ** 2)
+            beta[: n - 1] = scale * rng.random(n - 1) * rng.choice([1.0, -1.0], n - 1)
+            d, e = alpha[:n], beta[: n - 1]
+            theta, s = saddlepoint._top_ritz(d, e)
+            w, v = sla.eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
+            assert np.float64(theta).tobytes() == w[0].tobytes(), (n, scale)
+            assert s.shape == (n,) and s.tobytes() == np.ascontiguousarray(v[:, 0]).tobytes(), (n, scale)
+
+
+@pytest.mark.parametrize("bad_call", [1, 3])
+def test_lanczos_raises_at_once_on_a_non_finite_product(bad_call):
+    # a NaN from the operator raises ValueError at the step it arrives, as
+    # eigh_tridiagonal's finiteness check did, not after 500 steps
+    calls = []
+
+    def apply(q):
+        calls.append(1)
+        return np.full(q.size, np.nan) if len(calls) == bad_call else (1.0 + np.arange(q.size)) * q
+
+    with pytest.raises(ValueError, match="non-finite"):
+        saddlepoint._lanczos_max(apply, 40)
+    assert len(calls) == bad_call
+
+
+def test_constants_call_neither_eigh_tridiagonal_nor_cholesky(monkeypatch):
+    # the Ritz steps and the parts' factors call LAPACK directly; scipy's wrappers
+    # are never reached, and the constants are those of an unpatched run
+    ref = brezzi_constants(make_system(N=2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy wrapper called")
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", refuse)
+    monkeypatch.setattr(sla, "cholesky", refuse)
+    assert brezzi_constants(make_system(N=2)) == ref

@@ -83,7 +83,10 @@ def test_bench(monkeypatch, capsys, tmp_path):
     loads = rec["loads"]
     assert loads["N_k"] == [3, 1] and loads["loads"] == 100 and loads["verified"] is True
     assert 0.0 < loads["p50_s"] <= loads["p90_s"] < 1.0
+    # and the one brezzi_constants on the unloaded (3,1) system before them, in seconds
+    assert 0.0 < loads["constants_s"] < 10.0
     assert rows[-7][:2] == ["loads", "100"] and rows[-7][-1] == "True"
+    assert rows[-7][2:5] == ["constants", f"{loads['constants_s'] * 1e3:.2f}", "ms"]
     # the korn record: korn_constant of sym3 and Stf3 at (N,1), N = 4, 6, 8, timed per --repeat
     korn = rec["korn"]
     assert list(korn) == [f"{op}_N{N}_k1" for op in ("sym_vec", "stf_stf") for N in (4, 6, 8)]
