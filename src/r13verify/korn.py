@@ -110,7 +110,7 @@ def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
     op.dim == 2 the fields are plane (z-independent) and live on the unit
     square with the planar trace coefficient; this is the diagnostic
     configuration where the complex-ellipticity failure shows up as growth
-    of the constant with the degree. It is kept with the grams, read-only.
+    of the constant with the degree. The estimate is kept with the grams, read-only.
     """
     if (op.domain, op.codomain) not in (("vectors", "sym"), ("stf2", "Stf")):
         raise ValueError(f"unsupported operator {(op.domain, op.codomain)!r}")

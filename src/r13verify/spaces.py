@@ -614,7 +614,7 @@ class DiscreteSpaces:
         self.q_blocks = {"u": slice(0, 3 * m), "theta": slice(3 * m, 4 * m)}
         self.structure = None
         self.operators = {}
-        self.korn = {}  # per OperatorSpec, the orbit grams of its Korn pencil (korn._korn_grams)
+        self.korn = {}  # per OperatorSpec, its Korn pencil's orbit grams and estimate (korn._korn_grams)
 
     @cached_property
     def stress_face_weights(self) -> list[dict]:
