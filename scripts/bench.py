@@ -22,7 +22,8 @@ memory a rung needs when it is the only one timed in its process, as with
 `--rungs N,k` and `--repeat 1`. Between two records of the same code the
 report's `peak_rss_mb` varies by a few MB, so a difference under about 3%
 is noise. Only public calls are used, so pointing PYTHONPATH at another
-checkout of the package times that checkout with the same script.
+checkout of the package times that checkout with the same script, as long
+as it has the same public calls (see the `korn` record).
 
 With --repeat n, the report, each suite and each rung are timed n times; the
 record keeps the median as `wall_s` (report, suites) or `total_s` (rungs) and
@@ -41,11 +42,16 @@ the unloaded (3,1) system, timed as perfbench's setup times it: with the
 median load it makes up solve-many-loads' `verify_top_s`.
 
 The `korn` record, always taken, is the cost of the discrete Korn ladder:
-per operator, `sym_vec` (the symmetrized gradient of 3D vectors) and
-`stf_stf` (the Stf gradient of 3D stf tensors), and per degree N in 4, 6
-and 8 at k = 1, one `korn_constant` on fresh "full" spaces, so its grams are
-built inside the timed call. Each entry keeps the constant and, like the
-suites, the median `wall_s` of --repeat runs with the runs as `wall_s_runs`.
+per operator, `sym_vec` (the symmetrized gradient of 3D vectors), `stf_stf`
+(the Stf gradient of 3D stf tensors) and `stf_vec` (the trace-free
+symmetrized gradient of 3D vectors, the C-elliptic control), and per
+degree N in 4, 6 and 8 at k = 1, one `korn_constant` on a fresh
+`r13verify.ScalarBasis(3, N, 1)`, so its grams are built inside the timed
+call. Each entry keeps the constant and, like the suites, the median
+`wall_s` of --repeat runs with the runs as `wall_s_runs`. `korn_constant`
+took a `DiscreteSpaces` before it took a basis, and such a checkout does
+not export `ScalarBasis`, so a checkout from before that change must be
+timed with its own copy of this script.
 
 BLAS is pinned to one thread when the script starts a fresh interpreter.
 The record carries the Python, numpy, scipy and BLAS versions, the thread
@@ -80,7 +86,8 @@ from r13verify.report import ALL_SUITES, TOLERANCES  # noqa: E402
 
 LADDER = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2))
 LOADS_SPACE, N_LOADS = (3, 1), 100
-KORN_OPS, KORN_DEGREES = {"sym_vec": ("vectors", "sym"), "stf_stf": ("stf2", "Stf")}, (4, 6, 8)
+KORN_OPS = {"sym_vec": ("vectors", "sym"), "stf_stf": ("stf2", "Stf"), "stf_vec": ("vectors", "stf")}
+KORN_DEGREES = (4, 6, 8)
 
 
 def provenance() -> dict:
@@ -221,9 +228,9 @@ def time_korn(repeat: int) -> dict:
         for N in KORN_DEGREES:
             runs = []
             for _ in range(repeat):
-                spaces = r13verify.build_spaces(N, 1, "full")
+                basis = r13verify.ScalarBasis(3, N, 1)
                 t0 = time.perf_counter()
-                est = r13verify.korn_constant(op, spaces)
+                est = r13verify.korn_constant(op, basis)
                 runs.append(time.perf_counter() - t0)
             out[f"{label}_N{N}_k1"] = {"wall_s": statistics.median(runs), "wall_s_runs": runs, "constant": est.constant}
     return out

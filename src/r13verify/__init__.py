@@ -45,5 +45,5 @@ from .saddlepoint import (
     limit_consistency,
     solve_mixed,
 )
-from .spaces import DiscreteSpaces, build_spaces
+from .spaces import DiscreteSpaces, ScalarBasis, build_spaces
 from .tensors import Frame, frame_components, project2, project3, stf_basis

@@ -1,4 +1,4 @@
-"""Korn-type constants on discrete spaces and divergence right-inverses.
+"""Korn-type constants on a scalar basis and divergence right-inverses.
 
 The Korn constant is the largest Rayleigh quotient |v|_H1^2 over
 (|v|_L2^2 + |Av|_L2^2), a lower bound for the continuous constant in the
@@ -7,7 +7,8 @@ from above. Both divergence right-inverses solve one auxiliary Dirichlet
 problem for the projected gradient on a bubble space (the scalar one with
 the identity projection), so the constructed field lies in the
 projection's range exactly and satisfies the divergence identity weakly
-against the whole test space.
+against the whole test space. Each helper takes the ScalarBasis it reads, whose cache
+keeps its grams; the coercivity chain, which needs the operator, takes the spaces.
 """
 
 from __future__ import annotations
@@ -72,27 +73,27 @@ class RightInverseResult:
     range_residual: float
 
 
-def _field_sectors(op: OperatorSpec, sb: ScalarBasis) -> Sectors:
-    """Sectors of op's field: a block over sb per domain basis tensor, one subproblem, its swap_maps."""
-    basis = domain_basis(op)
-    return Sectors([(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(basis)], swap_maps([basis], op.dim))
+def _korn_cache(op: OperatorSpec, sb: ScalarBasis) -> dict:
+    """sb's cache entry for op, which holds op's field Sectors from the first call; raises unless sb.dim == op.dim."""
+    if sb.dim != op.dim:
+        raise ValueError(f"operator of dim {op.dim} on a basis of dim {sb.dim}")
+    if ("korn", op) not in sb._cache:
+        basis = domain_basis(op)
+        S = Sectors([(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(basis)], swap_maps([basis], op.dim))
+        sb._cache["korn", op] = {"sectors": S}
+    return sb._cache["korn", op]
 
 
-def _korn_grams(op: OperatorSpec, spaces: DiscreteSpaces) -> tuple[Sectors, list, list]:
-    """(sectors, H1 blocks, L2 + projected-gradient blocks) of the Korn pencil on the spaces'
-    scalar basis, or for op.dim == 2 on the plane basis of that basis's degree.
-
-    The grams commute with the box's mirrors and axis swaps, so they are
-    one block per orbit, the representative sector's, assembled from the
-    1D factors; built once per operator and kept with the spaces.
-    """
-    if op not in spaces.korn:
-        sb = spaces.scalar if op.dim == 3 else ScalarBasis(op.dim, spaces.scalar.degree, spaces.subdivisions)
-        S, cache = _field_sectors(op, sb), {}
+def _korn_grams(op: OperatorSpec, sb: ScalarBasis) -> tuple[Sectors, list, list]:
+    """(sectors, H1 blocks, L2 + projected-gradient blocks) of the Korn pencil of op on sb, kept
+    in sb's cache. The grams commute with the box's mirrors and axis swaps, so they are one
+    block per orbit, the representative sector's, assembled from the 1D factors."""
+    kept = _korn_cache(op, sb)
+    if "grams" not in kept:
+        S, cache = kept["sectors"], {}
         h1, l2 = (_norm_terms(len(S.fields), is_h1, op.dim) for is_h1 in (True, False))
-        grams = [_sector_assemble(t, S, S, cache) for t in (h1, _gradient_terms(op, 1.0, l2))]
-        spaces.korn[op] = [(S, *grams), None]  # the grams, then korn_constant's estimate
-    return spaces.korn[op][0]
+        kept["grams"] = (S, *(_sector_assemble(t, S, S, cache) for t in (h1, _gradient_terms(op, 1.0, l2))))
+    return kept["grams"]
 
 
 def _column_quadratics(blocks: list, split: list) -> np.ndarray:
@@ -101,21 +102,21 @@ def _column_quadratics(blocks: list, split: list) -> np.ndarray:
     return sum(np.einsum("ib,ib->b", Y, M @ Y) for M, orbit in zip(blocks, split) for Y in orbit)
 
 
-def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
-    """Discrete Korn constant for sym-gradient on vectors or Stf-gradient on stf fields.
+def korn_constant(op: OperatorSpec, basis: ScalarBasis) -> KornEstimate:
+    """Discrete Korn constant over basis for sym- or stf-gradient on vectors or Stf-gradient on stf fields.
 
     The largest eigenvalue of the pencil over the orbits of its 2^dim mirror
     sectors, one eigenproblem per orbit on its representative's block; the
     extremizer is the top eigenvector of the first orbit attaining it, carried back. For
-    op.dim == 2 the fields are plane (z-independent) and live on the unit
+    op.dim == 2 the basis is planar and the fields live on the unit
     square with the planar trace coefficient; this is the diagnostic
     configuration where the complex-ellipticity failure shows up as growth
     of the constant with the degree. The estimate is kept with the grams, read-only.
     """
-    if (op.domain, op.codomain) not in (("vectors", "sym"), ("stf2", "Stf")):
+    if (op.domain, op.codomain) not in (("vectors", "sym"), ("stf2", "Stf"), ("vectors", "stf")):
         raise ValueError(f"unsupported operator {(op.domain, op.codomain)!r}")
-    S, h1, lower = _korn_grams(op, spaces)
-    if (kept := spaces.korn[op])[1] is None:
+    S, h1, lower = _korn_grams(op, basis)
+    if "estimate" not in (kept := _korn_cache(op, basis)):
         pencils = [sla.eigh(G_h1, G_low) for G_h1, G_low in zip(h1, lower)]
         o = max(range(len(pencils)), key=lambda i: pencils[i][0][-1])  # the first orbit attaining it
         vals, vecs = pencils[o]
@@ -123,12 +124,12 @@ def korn_constant(op: OperatorSpec, spaces: DiscreteSpaces) -> KornEstimate:
         y[S.sectors[S.orbits[o][0]]] = vecs[:, -1]
         x = S.from_sectors(y)
         x.setflags(write=False)
-        kept[1] = KornEstimate(op, spaces.scalar.degree, float(vals[-1]), float(np.sqrt(vals[-1])), x)
-    return kept[1]
+        kept["estimate"] = KornEstimate(op, basis.degree, float(vals[-1]), float(np.sqrt(vals[-1])), x)
+    return kept["estimate"]
 
 
-def operator_kernel_dimension(op: OperatorSpec, degree: int, subdivisions: int = 1) -> int:
-    """Dimension of the discrete kernel {field : P[D field] = 0}.
+def operator_kernel_dimension(op: OperatorSpec, basis: ScalarBasis) -> int:
+    """Dimension of the discrete kernel {field over basis : P[D field] = 0}.
 
     Complex-elliptic operators have finite-dimensional polynomial kernels,
     so the count saturates once the degree reaches the kernel's maximal
@@ -137,17 +138,17 @@ def operator_kernel_dimension(op: OperatorSpec, degree: int, subdivisions: int =
     d = 3 from degree 4 on). The planar stf gradient is the counterexample
     and shows the unbounded growth 2N + 2 instead. The count is summed over
     the gram's orbit blocks, each cut at KERNEL_EIG_RTOL times max(largest
-    eigenvalue, 1) and counted once per sector of its orbit.
+    eigenvalue, 1) and counted once per sector of its orbit, on the Korn pencil's Sectors.
     """
-    S = _field_sectors(op, ScalarBasis(op.dim, degree, subdivisions))
+    S = _korn_cache(op, basis)["sectors"]
     vals = [np.linalg.eigvalsh(G) for G in _sector_assemble(_gradient_terms(op, 1.0, {}), S, S, {})]
     cut = KERNEL_EIG_RTOL * max(max(v[-1] for v in vals), 1.0)
     return int(sum(len(orbit) * np.sum(v < cut) for orbit, v in zip(S.orbits, vals)))
 
 
-def korn_rayleigh(op: OperatorSpec, spaces: DiscreteSpaces, coeffs: np.ndarray) -> float:
-    """Rayleigh quotient of the Korn pencil at a given coefficient vector."""
-    S, h1, lower = _korn_grams(op, spaces)
+def korn_rayleigh(op: OperatorSpec, basis: ScalarBasis, coeffs: np.ndarray) -> float:
+    """Rayleigh quotient of the Korn pencil at a given coefficient vector over basis."""
+    S, h1, lower = _korn_grams(op, basis)
     x = np.asarray(coeffs).ravel()
     if x.size != S.order.size:
         raise ValueError(f"coefficient vector has {x.size} entries, expected {S.order.size}")
@@ -170,7 +171,7 @@ def coercivity_chain_check(
     dbar((sigma, p), same) is checked against min{Kn, 1/(2 Kn)} times the
     Stf-gradient seminorm sum. A field of another shape raises a
     ValueError before any is evaluated. The Korn lower bound divides by
-    the kept discrete Korn constant to reach the full H1 norm.
+    the discrete Korn constant kept on spaces.scalar to reach the full H1 norm.
 
     The fields are the columns of blocks of CHAIN_BLOCK, the last one
     zero-padded. Per block, one carry of U to the shared operator's sector
@@ -203,8 +204,8 @@ def coercivity_chain_check(
         raise ValueError(f"unknown chain kind {kind!r}")
 
     A = _shared_operator(spaces, params)
-    V, (S, h1, lower) = A.structure.V, _korn_grams(op, spaces)
-    korn = korn_constant(op, spaces).constant
+    V, (S, h1, lower) = A.structure.V, _korn_grams(op, spaces.scalar)
+    korn = korn_constant(op, spaces.scalar).constant
     reports = []
     for start in range(0, len(xs), CHAIN_BLOCK):
         chunk = xs[start : start + CHAIN_BLOCK]
@@ -217,19 +218,19 @@ def coercivity_chain_check(
     return reports
 
 
-def _auxiliary_dirichlet(coeffs: np.ndarray, P: np.ndarray, spaces: DiscreteSpaces) -> RightInverseResult:
+def _auxiliary_dirichlet(coeffs: np.ndarray, P: np.ndarray, sb: ScalarBasis) -> RightInverseResult:
     """tau = P[D v] with -div tau = u weakly, from the auxiliary Dirichlet problem.
 
-    coeffs holds the c components of the data u over spaces.scalar, (c, n),
+    coeffs holds the c components of the data u over the 3D basis sb, (c, n),
     and P projects the flattened (c, 3) gradient. v is the c-component
-    potential on the bubble space one degree above spaces.scalar with
+    potential on the bubble space one degree above sb with
     (P[D v], D w) = (u, w) for every w there, and tau, shaped (q, c, 3),
-    its projected gradient at the volume quadrature points of spaces.scalar.
+    its projected gradient at the volume quadrature points of sb.
     Returns v, tau and the measured quality indicators: H1-over-L2 bound
     ratio, weak divergence residual over the test space, energy identity
     gap, and the re-projection residual of tau (zero by construction up to rounding).
     """
-    sb, c = spaces.scalar, coeffs.shape[0]
+    c = coeffs.shape[0]
     u_vals = np.einsum("iI,qI->qi", coeffs, sb.phi)  # u at the volume quadrature points, (q, c)
     bb = BubbleBasis(3, sb.degree + 1, sb.b1.nodes, sb.b1.weights)
     w, P4 = bb.weights, P.reshape(c, 3, c, 3)
@@ -282,17 +283,17 @@ def _auxiliary_dirichlet(coeffs: np.ndarray, P: np.ndarray, spaces: DiscreteSpac
     )
 
 
-def div_right_inverse(u_coeffs: np.ndarray, proj: str, spaces: DiscreteSpaces) -> RightInverseResult:
+def div_right_inverse(u_coeffs: np.ndarray, proj: str, basis: ScalarBasis) -> RightInverseResult:
     """Right inverse of the matrix divergence: tau = proj(D v), (q, 3, 3), from the
     auxiliary Dirichlet problem for the projected gradient (`_auxiliary_dirichlet`)."""
     op = OperatorSpec("vectors", proj, 3)
     if lh_constant(op) < SINGULAR_VALUE_THRESHOLD:  # the least real symbol singular value
         raise ValueError("operator not elliptic")
-    return _auxiliary_dirichlet(np.reshape(u_coeffs, (3, spaces.scalar.n)), projector(op), spaces)
+    return _auxiliary_dirichlet(np.reshape(u_coeffs, (3, basis.n)), projector(op), basis)
 
 
-def scalar_div_right_inverse(kappa_coeffs: np.ndarray, spaces: DiscreteSpaces) -> RightInverseResult:
+def scalar_div_right_inverse(kappa_coeffs: np.ndarray, basis: ScalarBasis) -> RightInverseResult:
     """Vector field t = grad v, (q, 3), with -div t = kappa weakly, from a scalar potential
     v, (n_b,): the auxiliary Dirichlet problem with one component and P the identity."""
-    res = _auxiliary_dirichlet(np.reshape(kappa_coeffs, (1, spaces.scalar.n)), np.eye(3), spaces)
+    res = _auxiliary_dirichlet(np.reshape(kappa_coeffs, (1, basis.n)), np.eye(3), basis)
     return replace(res, potential=res.potential[0], tau=res.tau[:, 0])

@@ -39,7 +39,7 @@ from .korn import (
     scalar_div_right_inverse,
 )
 from .saddlepoint import KERNEL_RTOL, brezzi_constants, limit_consistency, solve_mixed
-from .spaces import build_spaces
+from .spaces import ScalarBasis, build_spaces
 
 ALL_SUITES = ("ellipticity", "korn", "constants", "solve", "limit", "bc")
 
@@ -291,34 +291,34 @@ def _suite_ellipticity(cfg: RunConfig, rep: VerificationReport, base) -> None:
 
 def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
     degrees = sorted({1, 2, 3, cfg.degree})
-    sp = base.system.spaces  # the helpers read only the scalar basis: at cfg.degree the base spaces serve
-    by_degree = {N: sp if N == cfg.degree else build_spaces(N, cfg.subdivisions, "full") for N in {*degrees, 4}}
+    sp, k = base.system.spaces, cfg.subdivisions
+    bases = {(3, cfg.degree, k): sp.scalar}  # by (dim, N, k); at its own key the base spaces' basis serves
+
+    def basis(*key) -> ScalarBasis:
+        return bases[key] if key in bases else bases.setdefault(key, ScalarBasis(*key))
+
     for label, op in (
         ("sym_vec", OperatorSpec("vectors", "sym", 3)),
         ("stf_stf", OperatorSpec("stf2", "Stf", 3)),
     ):
-        prev = 0.0
-        for N in degrees:
-            est = korn_constant(op, by_degree[N])
+        ests = [korn_constant(op, basis(3, N, k)) for N in degrees]
+        for N, est, prev in zip(degrees, ests, [0.0] + [e.constant for e in ests]):
             ok = np.isfinite(est.constant) and est.constant > 0 and est.constant >= prev - 1e-9
             rep.add("korn", f"korn_{label}_N{N}", est.constant, None, bool(ok))
-            ray = korn_rayleigh(op, by_degree[N], est.extremizer)
+            ray = korn_rayleigh(op, basis(3, N, k), est.extremizer)
             dev = abs(ray - est.constant) / est.constant
             rep.check("korn", f"korn_{label}_rayleigh_dev_N{N}", dev, "korn_rayleigh_consistency")
-            prev = est.constant
     # planar diagnostic: finite at fixed degree, growth with N is the signal
     planar = OperatorSpec("stf2", "Stf", 2)
-    vals = []
-    for N in degrees:
-        est = korn_constant(planar, by_degree[N])
-        vals.append(est.constant)
-        rep.add("korn", f"korn_planar_N{N}", est.constant, None, bool(np.isfinite(est.constant)))
+    vals = [korn_constant(planar, basis(2, N, k)).constant for N in degrees]
+    for N, val in zip(degrees, vals):
+        rep.add("korn", f"korn_planar_N{N}", val, None, bool(np.isfinite(val)))
     rep.add("korn", "korn_planar_growth", vals[-1] / vals[0], None, None)
-    # discrete kernel dimensions: saturation is the complex-ellipticity
-    # signature, linear growth the planar counterexample
-    dims3 = [operator_kernel_dimension(OperatorSpec("stf2", "Stf", 3), N) for N in (4, 5)]
+    # discrete kernel dimensions on one subdivision: saturation is the
+    # complex-ellipticity signature, linear growth the planar counterexample
+    dims3 = [operator_kernel_dimension(OperatorSpec("stf2", "Stf", 3), basis(3, N, 1)) for N in (4, 5)]
     rep.add("korn", "stf_kernel_dim_d3", dims3[-1], None, dims3[0] == dims3[1] == 35)
-    dims2 = [operator_kernel_dimension(planar, N) for N in (2, 3, 4)]
+    dims2 = [operator_kernel_dimension(planar, basis(2, N, 1)) for N in (2, 3, 4)]
     rep.add(
         "korn",
         "stf_kernel_growth_d2",
@@ -343,15 +343,15 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
         violations == 0,
     )
 
-    def unit_flow(sp):  # u = (1, 0, 0) on sp's scalar basis
-        u = np.zeros((3, sp.n_scalar))
-        u[0] = sp.scalar.project(lambda q: np.ones(q.shape[0]))
+    def unit_flow(sb):  # u = (1, 0, 0) on sb
+        u = np.zeros((3, sb.n))
+        u[0] = sb.project(lambda q: np.ones(q.shape[0]))
         return u
 
     # divergence right-inverses at the configured degree
-    sp_ri = by_degree[max(cfg.degree, 2)]
+    sb_ri = basis(3, max(cfg.degree, 2), k)
     for proj in ("identity", "stf"):
-        res = div_right_inverse(unit_flow(sp_ri), proj, sp_ri)
+        res = div_right_inverse(unit_flow(sb_ri), proj, sb_ri)
         rep.check(
             "korn", f"rinv_{proj}_weak_residual", res.weak_residual, "weak_divergence_residual"
         )
@@ -360,11 +360,11 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
         )
         rep.check("korn", f"rinv_{proj}_energy_gap", res.energy_gap, "energy_identity")
         rep.add("korn", f"rinv_{proj}_bound_ratio", res.bound_ratio, None, None)
-    kappa = sp_ri.scalar.project(lambda q: 1.0 + q[:, 0])
-    sres = scalar_div_right_inverse(kappa, sp_ri)
+    kappa = sb_ri.project(lambda q: 1.0 + q[:, 0])
+    sres = scalar_div_right_inverse(kappa, sb_ri)
     rep.check("korn", "rinv_scalar_weak_residual", sres.weak_residual, "weak_divergence_residual")
     # stability under degree refinement, past the low-degree parity staircase
-    r3, r4 = (div_right_inverse(unit_flow(by_degree[N]), "stf", by_degree[N]).bound_ratio for N in (3, 4))
+    r3, r4 = (div_right_inverse(unit_flow(basis(3, N, k)), "stf", basis(3, N, k)).bound_ratio for N in (3, 4))
     rel = abs(r4 - r3) / r3
     rep.check("korn", "rinv_stf_ratio_stability", rel, "bound_ratio_stability")
 
@@ -372,7 +372,7 @@ def _suite_korn(cfg: RunConfig, rep: VerificationReport, base) -> None:
 class _Base:
     """The unloaded system at the configured degree, subdivisions, pressure mode and
     parameters, and its constants, each built once per run on first read. The
-    system's spaces keep its structure and operator, which the korn suite reads too."""
+    system's spaces keep its structure, operator and scalar basis, which the korn suite reads too."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg

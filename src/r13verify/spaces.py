@@ -570,7 +570,7 @@ class DiscreteSpaces:
     'enriched' puts sigma and s at degree N+1 and keeps p, u and theta at
     degree N, both tabulated on the N+3 Gauss points per direction and
     cell of the degree-(N+1) basis; its constraint maps onto Q. The Korn
-    and right-inverse helpers read `scalar` alone, at its own degree.
+    and right-inverse helpers take a ScalarBasis: `scalar` at its own degree.
     `sectors` holds V and Q as Sectors, the one layout of their mirror
     sectors and subproblems, built on first use.
 
@@ -614,7 +614,6 @@ class DiscreteSpaces:
         self.q_blocks = {"u": slice(0, 3 * m), "theta": slice(3 * m, 4 * m)}
         self.structure = None
         self.operators = {}
-        self.korn = {}  # per OperatorSpec, its Korn pencil's orbit grams and estimate (korn._korn_grams)
 
     @cached_property
     def stress_face_weights(self) -> list[dict]:

@@ -40,7 +40,7 @@ from r13verify.saddlepoint import (
     limit_consistency,
     solve_mixed,
 )
-from r13verify.spaces import build_spaces
+from r13verify.spaces import ScalarBasis, build_spaces
 
 
 def _line(num: int, ok: bool, desc: str) -> None:
@@ -87,10 +87,10 @@ def test_criterion_3_tensor_korn():
     op = OperatorSpec("stf2", "Stf", 3)
     ok = True
     for N in (1, 2, 3):
-        sp = build_spaces(N, 1, "full")
-        est = korn_constant(op, sp)
+        sb = ScalarBasis(3, N, 1)
+        est = korn_constant(op, sb)
         ok &= np.isfinite(est.constant) and est.constant > 0
-        dev = abs(korn_rayleigh(op, sp, est.extremizer) - est.constant) / est.constant
+        dev = abs(korn_rayleigh(op, sb, est.extremizer) - est.constant) / est.constant
         ok &= dev <= 1e-9
     sp = build_spaces(2, 1, "full")
     params = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
@@ -111,8 +111,7 @@ def test_criterion_3_tensor_korn():
 def test_criterion_4_divergence_right_inverse():
     ok = True
     N = 2
-    sp = build_spaces(N, 1, "full")
-    sb = sp.scalar
+    sb = ScalarBasis(3, N, 1)
     # vector data of per-direction degree <= N-1
     u = np.stack(
         [
@@ -122,19 +121,19 @@ def test_criterion_4_divergence_right_inverse():
         ]
     )
     for proj in ("identity", "stf", "sym"):
-        res = div_right_inverse(u, proj, sp)
+        res = div_right_inverse(u, proj, sb)
         ok &= res.weak_residual <= 1e-10
         ok &= res.range_residual <= 1e-13
         ok &= res.energy_gap <= 1e-10
     kappa = sb.project(lambda q: q[:, 0] + q[:, 1])
-    sres = scalar_div_right_inverse(kappa, sp)
+    sres = scalar_div_right_inverse(kappa, sb)
     ok &= sres.weak_residual <= 1e-10 and sres.energy_gap <= 1e-10
     ratios = []
     for NN in (3, 4):
-        spN = build_spaces(NN, 1, "full")
-        uN = np.zeros((3, spN.n_scalar))
-        uN[0] = spN.scalar.project(lambda q: np.ones(q.shape[0]))
-        ratios.append(div_right_inverse(uN, "stf", spN).bound_ratio)
+        sbN = ScalarBasis(3, NN, 1)
+        uN = np.zeros((3, sbN.n))
+        uN[0] = sbN.project(lambda q: np.ones(q.shape[0]))
+        ratios.append(div_right_inverse(uN, "stf", sbN).bound_ratio)
     ok &= abs(ratios[1] - ratios[0]) <= 0.2 * ratios[0]
     _line(4, ok, "divergence right-inverse: weak identity, range, energy, stability")
     assert ok

@@ -12,15 +12,17 @@ from r13verify.korn import (
     div_right_inverse,
     korn_constant,
     korn_rayleigh,
+    operator_kernel_dimension,
     scalar_div_right_inverse,
 )
-from r13verify.spaces import Sectors, build_spaces
+from r13verify.spaces import ScalarBasis, Sectors, build_spaces
 
 from helpers import dense_korn_grams
 
 SYM_VEC = OperatorSpec("vectors", "sym", 3)
 STF_STF = OperatorSpec("stf2", "Stf", 3)
 STF_STF_2D = OperatorSpec("stf2", "Stf", 2)
+STF_VEC = OperatorSpec("vectors", "stf", 3)  # the C-elliptic control: the trace-free symmetrized gradient
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +32,9 @@ def sp2():
 
 def test_korn_constant_rayleigh_consistency(sp2):
     for op in (SYM_VEC, STF_STF):
-        est = korn_constant(op, sp2)
+        est = korn_constant(op, sp2.scalar)
         assert est.constant > 0
-        ray = korn_rayleigh(op, sp2, est.extremizer)
+        ray = korn_rayleigh(op, sp2.scalar, est.extremizer)
         assert ray == pytest.approx(est.constant, rel=1e-9)
         assert est.sum_convention_bound == pytest.approx(np.sqrt(est.constant))
 
@@ -40,7 +42,7 @@ def test_korn_constant_rayleigh_consistency(sp2):
 def test_korn_constant_nondecreasing_in_degree():
     prev = 0.0
     for N in (1, 2, 3):
-        est = korn_constant(STF_STF, build_spaces(N, 1, "full"))
+        est = korn_constant(STF_STF, ScalarBasis(3, N, 1))
         assert np.isfinite(est.constant) and est.constant > 0
         assert est.constant >= prev - 1e-9
         prev = est.constant
@@ -54,8 +56,8 @@ def test_rigid_motion_satisfies_inequality(sp2):
     coeffs = np.stack(
         [sb.project(lambda q, i=i: q @ W[i] + b[i]) for i in range(3)]
     )
-    est = korn_constant(SYM_VEC, sp2)
-    ratio = korn_rayleigh(SYM_VEC, sp2, coeffs.ravel())
+    est = korn_constant(SYM_VEC, sb)
+    ratio = korn_rayleigh(SYM_VEC, sb, coeffs.ravel())
     assert np.isfinite(ratio)
     assert ratio <= est.constant + 1e-9
 
@@ -65,7 +67,7 @@ def test_planar_korn_trend_reported():
     # missing complex ellipticity appears only as growth with N
     vals = []
     for N in (1, 2, 3):
-        est = korn_constant(STF_STF_2D, build_spaces(N, 1, "full"))
+        est = korn_constant(STF_STF_2D, ScalarBasis(2, N, 1))
         assert np.isfinite(est.constant)
         vals.append(est.constant)
     assert vals[0] < vals[-1]
@@ -144,7 +146,7 @@ def test_chain_block_boundaries_match_single_fields_and_dense_oracle(sp2):
             assert batch[i] == coercivity_chain_check(kind, [fields[i]], sp2, params)[0], (kind, i)
         op = SYM_VEC if kind == "heat" else STF_STF
         G_h1, G_l2, G_op = dense_korn_grams(op, sp2.scalar)
-        korn = korn_constant(op, sp2).constant
+        korn = korn_constant(op, sp2.scalar).constant
         for rep, f in zip(batch, fields):
             U = np.zeros(sp2.n_V)
             if kind == "heat":
@@ -212,15 +214,15 @@ def test_korn_rayleigh_rejects_zero_and_misshaped_vectors(sp2):
     n = sp2.n_scalar
     for op, size in ((SYM_VEC, 3 * n), (STF_STF, 5 * n)):
         with pytest.raises(ValueError, match="zero coefficient vector"):
-            korn_rayleigh(op, sp2, np.zeros(size))
+            korn_rayleigh(op, sp2.scalar, np.zeros(size))
         for wrong in (size - 1, size + 1, 1):
             with pytest.raises(ValueError, match=f"has {wrong} entries"):
-                korn_rayleigh(op, sp2, np.ones(wrong))
-        assert np.isfinite(korn_rayleigh(op, sp2, np.ones(size)))
+                korn_rayleigh(op, sp2.scalar, np.ones(wrong))
+        assert np.isfinite(korn_rayleigh(op, sp2.scalar, np.ones(size)))
 
 
 def test_right_inverse_zero_data(sp2):
-    res = div_right_inverse(np.zeros((3, sp2.n_scalar)), "stf", sp2)
+    res = div_right_inverse(np.zeros((3, sp2.n_scalar)), "stf", sp2.scalar)
     assert res.tau_l2 == 0.0
     assert res.weak_residual < 1e-14
 
@@ -236,7 +238,7 @@ def test_right_inverse_identity_poisson(sp2):
             np.zeros(sp2.n_scalar),
         ]
     )
-    res = div_right_inverse(u, "identity", sp2)
+    res = div_right_inverse(u, "identity", sb)
     assert res.weak_residual <= 1e-10
     assert res.energy_gap <= 1e-10
     assert res.range_residual <= 1e-13
@@ -249,10 +251,10 @@ def test_right_inverse_stf_constant_data():
     # starts where the bubble space resolves both parities
     prev = None
     for N in (3, 4):
-        sp = build_spaces(N, 1, "full")
-        u = np.zeros((3, sp.n_scalar))
-        u[0] = sp.scalar.project(lambda q: np.ones(q.shape[0]))
-        res = div_right_inverse(u, "stf", sp)
+        sb = ScalarBasis(3, N, 1)
+        u = np.zeros((3, sb.n))
+        u[0] = sb.project(lambda q: np.ones(q.shape[0]))
+        res = div_right_inverse(u, "stf", sb)
         assert res.weak_residual <= 1e-10
         assert res.range_residual <= 1e-13
         assert res.energy_gap <= 1e-10
@@ -263,13 +265,13 @@ def test_right_inverse_stf_constant_data():
 
 def test_right_inverse_rejects_non_elliptic(sp2):
     with pytest.raises(ValueError, match="not elliptic"):
-        div_right_inverse(np.zeros((3, sp2.n_scalar)), "skew", sp2)
+        div_right_inverse(np.zeros((3, sp2.n_scalar)), "skew", sp2.scalar)
 
 
 def test_scalar_right_inverse(sp2):
     sb = sp2.scalar
     kappa = sb.project(lambda q: 1.0 + q[:, 0])
-    res = scalar_div_right_inverse(kappa, sp2)
+    res = scalar_div_right_inverse(kappa, sb)
     assert res.weak_residual <= 1e-10
     assert res.energy_gap <= 1e-10
     assert res.bound_ratio > 0
@@ -283,19 +285,19 @@ def test_scalar_right_inverse(sp2):
 def test_scalar_right_inverse_stability():
     ratios = []
     for N in (3, 4):
-        sp = build_spaces(N, 1, "full")
-        kappa = sp.scalar.project(lambda q: 1.0 + q[:, 0])
-        ratios.append(scalar_div_right_inverse(kappa, sp).bound_ratio)
+        sb = ScalarBasis(3, N, 1)
+        kappa = sb.project(lambda q: 1.0 + q[:, 0])
+        ratios.append(scalar_div_right_inverse(kappa, sb).bound_ratio)
     assert abs(ratios[1] - ratios[0]) <= 0.2 * ratios[0]
 
 
 def test_korn_constant_rejects_unsupported_operator(sp2):
     with pytest.raises(ValueError, match="unsupported operator"):
-        korn_constant(OperatorSpec("vectors", "dev", 3), sp2)
+        korn_constant(OperatorSpec("vectors", "dev", 3), sp2.scalar)
 
 
 def test_scalar_right_inverse_zero_data(sp2):
-    res = scalar_div_right_inverse(np.zeros(sp2.n_scalar), sp2)
+    res = scalar_div_right_inverse(np.zeros(sp2.n_scalar), sp2.scalar)
     assert res.tau_l2 == 0.0
     assert res.weak_residual < 1e-14
 
@@ -304,92 +306,95 @@ def test_korn_sym_vec_degree1_analytic_value():
     # at N = 1 the extremizer is a centered rigid motion: for a unit skew
     # pair W, |W|_F^2 = 2 and int |W(x - c)|^2 over the cube is 2/12, so
     # the quotient is 1 + 2/(1/6) = 13 exactly
-    est = korn_constant(SYM_VEC, build_spaces(1, 1, "full"))
+    est = korn_constant(SYM_VEC, ScalarBasis(3, 1, 1))
     assert est.constant == pytest.approx(13.0, rel=1e-9)
-    sp = build_spaces(1, 1, "full")
-    sb = sp.scalar
+    sb = ScalarBasis(3, 1, 1)
     W = np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     coeffs = np.stack([sb.project(lambda q, i=i: (q - 0.5) @ W[i]) for i in range(3)])
-    assert korn_rayleigh(SYM_VEC, sp, coeffs.ravel()) == pytest.approx(
+    assert korn_rayleigh(SYM_VEC, sb, coeffs.ravel()) == pytest.approx(
         est.constant, rel=1e-12
     )
 
 
 def test_right_inverse_lowest_degree():
     # N = 1 pairs with a single-bubble auxiliary space per direction
-    sp = build_spaces(1, 1, "full")
-    u = np.zeros((3, sp.n_scalar))
-    u[1] = sp.scalar.project(lambda q: np.ones(q.shape[0]))
-    res = div_right_inverse(u, "sym", sp)
+    sb = ScalarBasis(3, 1, 1)
+    u = np.zeros((3, sb.n))
+    u[1] = sb.project(lambda q: np.ones(q.shape[0]))
+    res = div_right_inverse(u, "sym", sb)
     assert res.weak_residual <= 1e-10
     assert res.energy_gap <= 1e-10
     assert np.isfinite(res.bound_ratio) and res.bound_ratio > 0
 
 
 def test_operator_kernel_dimension_dichotomy():
-    from r13verify.korn import operator_kernel_dimension
-
     # symmetrized gradient: exactly the 6 rigid motions at every degree
     for N in (1, 2, 3):
-        assert operator_kernel_dimension(SYM_VEC, N) == 6
+        assert operator_kernel_dimension(SYM_VEC, ScalarBasis(3, N, 1)) == 6
     # stf gradient on stf fields, d = 3: finite kernel, saturates at 35
-    dims3 = [operator_kernel_dimension(STF_STF, N) for N in (3, 4, 5)]
+    dims3 = [operator_kernel_dimension(STF_STF, ScalarBasis(3, N, 1)) for N in (3, 4, 5)]
     assert dims3[1] == dims3[2] == 35
     assert dims3[0] < 35
     # planar case: no saturation, the kernel grows as 2N + 2
-    dims2 = [operator_kernel_dimension(STF_STF_2D, N) for N in (1, 2, 3, 4, 5)]
+    dims2 = [operator_kernel_dimension(STF_STF_2D, ScalarBasis(2, N, 1)) for N in (1, 2, 3, 4, 5)]
     assert dims2 == [2 * N + 2 for N in (1, 2, 3, 4, 5)]
+    # the C-elliptic control saturates at the 10 conformal Killing fields in 3D; its planar
+    # counterpart is the Cauchy-Riemann operator, whose kernel grows as 2N + 2 as well
+    assert [operator_kernel_dimension(STF_VEC, ScalarBasis(3, N, 1)) for N in (1, 2, 3, 4)] == [7, 10, 10, 10]
+    planar_control = OperatorSpec("vectors", "stf", 2)
+    assert [operator_kernel_dimension(planar_control, ScalarBasis(2, N, 1)) for N in (1, 2, 3, 4)] == [4, 6, 8, 10]
     # the sector counts sum to the count of the whole dense gram, cut at the same level
-    from r13verify.spaces import ScalarBasis
-
     for op, N in ((SYM_VEC, 2), (STF_STF, 4), (STF_STF_2D, 3)):
-        vals = np.linalg.eigvalsh(dense_korn_grams(op, ScalarBasis(op.dim, N, 1))[2])
-        assert operator_kernel_dimension(op, N) == np.sum(vals < 1e-10 * max(vals[-1], 1.0))
+        sb = ScalarBasis(op.dim, N, 1)
+        vals = np.linalg.eigvalsh(dense_korn_grams(op, sb)[2])
+        assert operator_kernel_dimension(op, sb) == np.sum(vals < 1e-10 * max(vals[-1], 1.0))
 
 
-def _dense(op, sp):
-    """The korn module's orbit grams of op on sp as whole matrices in field coordinates: each
+def _dense(op, sb):
+    """The korn module's orbit grams of op on sb as whole matrices in field coordinates: each
     orbit's block on every sector of the orbit, carried back on both sides (assembly._scatter)."""
     from r13verify.assembly import _scatter
     from r13verify.korn import _korn_grams
 
-    S, h1, lower = _korn_grams(op, sp)
+    S, h1, lower = _korn_grams(op, sb)
     whole = [slice(0, len(B)) for B in h1]  # each orbit block spans a whole sector
     return [_scatter([(B, o, whole[o], whole[o]) for o, B in enumerate(blocks)], S, S) for blocks in (h1, lower)]
 
 
 @pytest.mark.parametrize(
-    "op, degrees", [(SYM_VEC, (1, 2, 3, 4, 5)), (STF_STF, (1, 2, 3, 4, 5)), (STF_STF_2D, (1, 2, 3, 4))]
+    "op, degrees",
+    [
+        (SYM_VEC, (1, 2, 3, 4, 5)),
+        (STF_STF, (1, 2, 3, 4, 5)),
+        (STF_STF_2D, (1, 2, 3, 4)),
+        (STF_VEC, (1, 2, 3, 4, 5)),
+    ],
 )
 def test_sector_korn_grams_match_dense_kronecker_oracle(op, degrees):
     # the grams commute with the mirrors and the axis swaps: their orbit blocks,
     # scattered back, are the whole dense Kronecker grams, off-sector entries included
-    from r13verify.spaces import ScalarBasis
-
     for N in degrees:
-        sp = build_spaces(N, 1, "full")
-        sb = sp.scalar if op.dim == 3 else ScalarBasis(2, N, 1)
+        sb = ScalarBasis(op.dim, N, 1)
         G_h1, G_l2, G_op = dense_korn_grams(op, sb)
-        h1, lower = _dense(op, sp)
+        h1, lower = _dense(op, sb)
         for got, want in ((h1, G_h1), (lower, G_l2 + G_op)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (op, N)
 
 
-@pytest.mark.parametrize("op", [SYM_VEC, STF_STF, STF_STF_2D])
+@pytest.mark.parametrize("op", [SYM_VEC, STF_STF, STF_STF_2D, STF_VEC])
 def test_sector_korn_constant_matches_dense_pencil(op):
     import scipy.linalg as sla
-    from r13verify.spaces import ScalarBasis
 
     for N in (1, 2, 3):
-        sp = build_spaces(N, 1, "full")
-        G_h1, G_l2, G_op = dense_korn_grams(op, sp.scalar if op.dim == 3 else ScalarBasis(2, N, 1))
+        sb = ScalarBasis(op.dim, N, 1)
+        G_h1, G_l2, G_op = dense_korn_grams(op, sb)
         want = sla.eigh(G_h1, G_l2 + G_op, eigvals_only=True)[-1]
-        est = korn_constant(op, sp)
+        est = korn_constant(op, sb)
         assert abs(est.constant - want) <= 1e-12 * want
         # the extremizer, scattered back from its sector, attains it on the dense pencil
         x = est.extremizer
         assert abs((x @ G_h1 @ x) / (x @ (G_l2 + G_op) @ x) - want) <= 1e-12 * want
-        assert korn_rayleigh(op, sp, x) == pytest.approx(est.constant, rel=1e-12)
+        assert korn_rayleigh(op, sb, x) == pytest.approx(est.constant, rel=1e-12)
 
 
 @pytest.mark.parametrize("op", [SYM_VEC, STF_STF, STF_STF_2D])
@@ -400,11 +405,11 @@ def test_orbit_pencils_hold_every_sector_spectrum(op):
     # by orbit size is the per-sector count
     import scipy.linalg as sla
     from r13verify.assembly import _gradient_terms, _norm_terms, _sector_assemble
-    from r13verify.korn import KERNEL_EIG_RTOL, _korn_grams, operator_kernel_dimension
+    from r13verify.korn import KERNEL_EIG_RTOL, _korn_grams
 
     for N in (1, 2, 3, 4):
-        sp = build_spaces(N, 1, "full")
-        S, h1, lower = _korn_grams(op, sp)
+        sb = ScalarBasis(op.dim, N, 1)
+        S, h1, lower = _korn_grams(op, sb)
         plain, count = Sectors(S.fields), len(S.fields)
         terms = (_norm_terms(count, True, op.dim), _gradient_terms(op, 1.0, _norm_terms(count, False, op.dim)))
         sector_h1, sector_lower = (_sector_assemble(t, plain, plain, {}) for t in terms)
@@ -414,27 +419,27 @@ def test_orbit_pencils_hold_every_sector_spectrum(op):
             for s in orbit:
                 assert np.abs(by_sector[s] - want).max() <= 1e-12 * want[-1], (op, N, s)
         top = max(v[-1] for v in by_sector)
-        assert abs(korn_constant(op, sp).constant - top) <= 1e-13 * top, (op, N)
+        assert abs(korn_constant(op, sb).constant - top) <= 1e-13 * top, (op, N)
         grams = [np.linalg.eigvalsh(G) for G in _sector_assemble(_gradient_terms(op, 1.0, {}), plain, plain, {})]
         cut = KERNEL_EIG_RTOL * max(max(v[-1] for v in grams), 1.0)
-        assert operator_kernel_dimension(op, N) == sum(int(np.sum(v < cut)) for v in grams), (op, N)
+        assert operator_kernel_dimension(op, sb) == sum(int(np.sum(v < cut)) for v in grams), (op, N)
 
 
 @pytest.mark.parametrize("N", [1, 2])
 def test_enriched_helpers_read_the_scalar_degree(N):
     # enriched (N, 1) expands sigma and s on the degree-(N+1) basis of equal (N+1, 1),
-    # on the same quadrature; the Korn and right-inverse helpers read only that basis,
-    # so both spaces give the same bits
+    # on the same quadrature; the Korn and right-inverse helpers take that basis,
+    # so both spaces' `scalar` give the same bits
     enriched, equal = build_spaces(N, 1, "full", "enriched"), build_spaces(N + 1, 1, "full")
-    for op in (SYM_VEC, STF_STF, STF_STF_2D):
-        a, b = korn_constant(op, enriched), korn_constant(op, equal)
+    for op in (SYM_VEC, STF_STF, STF_VEC):
+        a, b = korn_constant(op, enriched.scalar), korn_constant(op, equal.scalar)
         assert a.degree == b.degree == N + 1
         assert a.constant == b.constant and np.array_equal(a.extremizer, b.extremizer)
     rng = np.random.default_rng(N)
     u, kappa = rng.standard_normal((3, equal.n_scalar)), rng.standard_normal(equal.n_scalar)
     results = [
-        (div_right_inverse(u, "stf", sp), div_right_inverse(u, "sym", sp), scalar_div_right_inverse(kappa, sp))
-        for sp in (enriched, equal)
+        (div_right_inverse(u, "stf", sb), div_right_inverse(u, "sym", sb), scalar_div_right_inverse(kappa, sb))
+        for sb in (enriched.scalar, equal.scalar)
     ]
     for a, b in zip(*results):
         for f in dataclasses.fields(a):
@@ -442,14 +447,17 @@ def test_enriched_helpers_read_the_scalar_degree(N):
 
 
 def test_korn_grams_built_once_per_operator_and_spaces():
-    # korn_constant and korn_rayleigh on one spaces share one gram build
+    # korn_constant and korn_rayleigh on one basis share one gram build, kept in the
+    # basis's cache under the operator; the spaces hold no Korn data
     from r13verify.korn import _korn_grams
 
     sp = build_spaces(2, 1, "full")
-    est = korn_constant(STF_STF, sp)
-    grams = _korn_grams(STF_STF, sp)
-    korn_rayleigh(STF_STF, sp, est.extremizer)
-    assert _korn_grams(STF_STF, sp) is grams and set(sp.korn) == {STF_STF}
+    est = korn_constant(STF_STF, sp.scalar)
+    grams = _korn_grams(STF_STF, sp.scalar)
+    korn_rayleigh(STF_STF, sp.scalar, est.extremizer)
+    assert _korn_grams(STF_STF, sp.scalar) is grams
+    assert [key for key in sp.scalar._cache if "korn" in key] == [("korn", STF_STF)]
+    assert not hasattr(sp, "korn")
 
 
 def test_korn_estimate_made_once_per_operator_and_spaces(monkeypatch):
@@ -460,7 +468,7 @@ def test_korn_estimate_made_once_per_operator_and_spaces(monkeypatch):
     heat = [np.random.default_rng(7).standard_normal((3, build_spaces(2, 1, "full").n_scalar))]
     ref = coercivity_chain_check("heat", heat, build_spaces(2, 1, "full"), ModelParams())
     sp = build_spaces(2, 1, "full")
-    est = korn_constant(SYM_VEC, sp)
+    est = korn_constant(SYM_VEC, sp.scalar)
     assert not est.extremizer.flags.writeable
     with pytest.raises(ValueError):
         est.extremizer[0] = 1.0
@@ -469,5 +477,16 @@ def test_korn_estimate_made_once_per_operator_and_spaces(monkeypatch):
         raise AssertionError("pencils solved again")
 
     monkeypatch.setattr(sla, "eigh", refuse)
-    assert korn_constant(SYM_VEC, sp) is est
+    assert korn_constant(SYM_VEC, sp.scalar) is est
     assert coercivity_chain_check("heat", heat, sp, ModelParams()) == ref
+
+
+@pytest.mark.parametrize("op", [SYM_VEC, STF_STF, STF_STF_2D, STF_VEC])
+def test_korn_helpers_reject_a_basis_of_another_dimension(op):
+    sb = ScalarBasis(5 - op.dim, 1, 1)
+    for call in (korn_constant, operator_kernel_dimension):
+        with pytest.raises(ValueError, match=f"operator of dim {op.dim} on a basis of dim {sb.dim}"):
+            call(op, sb)
+    with pytest.raises(ValueError, match="on a basis of dim"):
+        korn_rayleigh(op, sb, np.ones(sb.n))
+    assert sb._cache == {}  # nothing was built on it

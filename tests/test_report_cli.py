@@ -280,3 +280,34 @@ def test_default_report_json_records_the_rank_decisions(tmp_path):
         assert (d["dropped_max"] is None) == (d["rank"] == d["singular_values"])
     assert sum(d["sectors"] * (d["singular_values"] - d["rank"]) for d in decisions) == 7
     assert "rank_decisions" not in cpath.read_text()
+
+
+def test_korn_suite_kernel_counts_keep_one_subdivision():
+    # the kernel counts run on one-subdivision bases whatever the configured k; the
+    # Korn constants and right inverses on k = 2
+    rows = {r.quantity: r for r in run(RunConfig(suites=("korn",), subdivisions=2)).rows}
+    assert rows["stf_kernel_dim_d3"].value == 35 and rows["stf_kernel_dim_d3"].passed
+    assert rows["stf_kernel_growth_d2"].value == 4 and rows["stf_kernel_growth_d2"].passed
+
+
+def test_report_construction_counts(monkeypatch):
+    # the korn suite builds its Korn data on bare scalar bases, one per (dim, N, k), and
+    # reuses the base spaces' basis; the only spaces it builds are the base's
+    from r13verify.spaces import DiscreteSpaces, ScalarBasis
+
+    built = []
+
+    def counting(init):
+        def wrapped(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        return wrapped
+
+    for cls in (DiscreteSpaces, ScalarBasis):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    run(RunConfig())
+    assert (built.count(DiscreteSpaces), built.count(ScalarBasis)) == (3, 11)
+    built.clear()
+    run(RunConfig(suites=("korn",)))  # the base's basis, then 3D N = 1, 3, 4, 5 and planar N = 1 ... 4
+    assert (built.count(DiscreteSpaces), built.count(ScalarBasis)) == (1, 9)

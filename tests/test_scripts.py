@@ -39,6 +39,8 @@ def test_korn_limit_study(monkeypatch, capsys):
     rows = run_script("korn_limit_study.py", ["--max-degree", "2", "--kn", "1.0", "0.1"], monkeypatch, capsys)
     # rigid motions span the kernel of the symmetrized gradient at every degree
     assert "sym grad, vectors (d=3) [6, 6]".split() in rows
+    # the C-elliptic control: 7 fields at N = 1, then its 10 conformal Killing fields
+    assert "stf grad, vectors (d=3) [7, 10]".split() in rows
     misfits = {r[0]: r[1:] for r in rows if len(r) == 3 and r[0] in ("1.00", "0.10")}
     assert set(misfits) == {"1.00", "0.10"}
     assert float(misfits["0.10"][0]) < float(misfits["1.00"][0])
@@ -85,18 +87,21 @@ def test_bench(monkeypatch, capsys, tmp_path):
     assert 0.0 < loads["p50_s"] <= loads["p90_s"] < 1.0
     # and the one brezzi_constants on the unloaded (3,1) system before them, in seconds
     assert 0.0 < loads["constants_s"] < 10.0
-    assert rows[-7][:2] == ["loads", "100"] and rows[-7][-1] == "True"
-    assert rows[-7][2:5] == ["constants", f"{loads['constants_s'] * 1e3:.2f}", "ms"]
-    # the korn record: korn_constant of sym3 and Stf3 at (N,1), N = 4, 6, 8, timed per --repeat
+    assert rows[-10][:2] == ["loads", "100"] and rows[-10][-1] == "True"
+    assert rows[-10][2:5] == ["constants", f"{loads['constants_s'] * 1e3:.2f}", "ms"]
+    # the korn record: korn_constant of sym3, Stf3 and the control at (N,1), N = 4, 6, 8, timed per --repeat
     korn = rec["korn"]
-    assert list(korn) == [f"{op}_N{N}_k1" for op in ("sym_vec", "stf_stf") for N in (4, 6, 8)]
-    assert [r[:2] for r in rows[-6:]] == [["korn", name] for name in korn]
+    assert list(korn) == [f"{op}_N{N}_k1" for op in ("sym_vec", "stf_stf", "stf_vec") for N in (4, 6, 8)]
+    assert [r[:2] for r in rows[-9:]] == [["korn", name] for name in korn]
     for name, r in korn.items():
         assert len(r["wall_s_runs"]) == 2 and r["wall_s"] == statistics.median(r["wall_s_runs"]) > 0
         assert r["constant"] == data["first"]["korn"][name]["constant"]
     # sym3 levels off near 13.9 (rigid motions aside); Stf3 grows with the degree
     assert 13.0 < korn["sym_vec_N4_k1"]["constant"] < korn["sym_vec_N8_k1"]["constant"] < 14.0
     assert 100.0 < korn["stf_stf_N4_k1"]["constant"] < korn["stf_stf_N6_k1"]["constant"] < korn["stf_stf_N8_k1"]["constant"]
+    # the C-elliptic control lies between them at each degree
+    for N in (4, 6, 8):
+        assert korn[f"sym_vec_N{N}_k1"]["constant"] < korn[f"stf_vec_N{N}_k1"]["constant"] < korn[f"stf_stf_N{N}_k1"]["constant"]
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])
