@@ -19,7 +19,9 @@ whether the verified answer holds (alpha0 > 0, k0 > 0, solver residuals
 within the report's tolerance, stability bounds hold) and `peak_rss_mb`,
 the process's peak resident set size (ru_maxrss) after the rung: the
 memory a rung needs when it is the only one timed in its process, as with
-`--rungs N,k` and `--repeat 1`. Between two records of the same code the
+`--rungs N,k` and `--repeat 1`. `steps_peak_rss_mb` holds that peak after
+each of the four steps, so it shows which step sets it; the last is
+`peak_rss_mb`. Between two records of the same code the
 report's `peak_rss_mb` varies by a few MB, so a difference under about 3%
 is noise. Only public calls are used, so pointing PYTHONPATH at another
 checkout of the package times that checkout with the same script, as long
@@ -154,13 +156,13 @@ def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
     wall = r13verify.BoundaryData(*(0.5 * rng.standard_normal((5, 6))))
     t0 = time.perf_counter()
     spaces = r13verify.build_spaces(N, k, "zero_mean", pairing)
-    t1 = time.perf_counter()
+    t1, rss1 = time.perf_counter(), peak_rss_mb()
     system = r13verify.assemble_system(spaces, r13verify.ModelParams(), None, wall)
-    t2 = time.perf_counter()
+    t2, rss2 = time.perf_counter(), peak_rss_mb()
     consts = r13verify.brezzi_constants(system)
-    t3 = time.perf_counter()
+    t3, rss3 = time.perf_counter(), peak_rss_mb()
     sol = r13verify.solve_mixed(system, consts)
-    t4 = time.perf_counter()
+    t4, rss4 = time.perf_counter(), peak_rss_mb()
     steps = {
         "build_spaces": t1 - t0,
         "assemble_system": t2 - t1,
@@ -180,7 +182,8 @@ def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
         "total_s": t4 - t0,
         "verified": bool(verified),
         "constants": {name: float(v) for name, v in vars(consts).items()},
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": rss4,
+        "steps_peak_rss_mb": dict(zip(steps, (rss1, rss2, rss3, rss4))),
     }
 
 

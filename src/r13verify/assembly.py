@@ -99,31 +99,28 @@ def trsolve(L: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
 
 @dataclass(eq=False)
 class SaddlePart:
-    """One (orbit, subproblem) of a SaddleStructure: its blocks of B, M_V and M_Q.
+    """One (orbit, subproblem) of a SaddleStructure: its block of B and the factors of its M_V and M_Q.
 
     A block is the same on every sector of the orbit, in the carried
     sector coordinates; the structure holds the part at index
     2 orbit + subproblem, and V.parts and Q.parts at that index give its
-    slices of a sector's coordinates. It builds on first use the Cholesky
-    factors of its M_V and M_Q blocks, each one plain lower factor, and one
-    SVD of its block of B in those norms, of which it keeps U and the
-    singular values.
+    slices of a sector's coordinates. `cholesky` holds the plain lower
+    Cholesky factors (L_V, L_Q) of its M_V and M_Q blocks (`factor`), not
+    the blocks. It builds on first use one SVD of its block of B in those
+    norms, of which it keeps U and the singular values.
     """
 
     B: np.ndarray
-    M_V: np.ndarray
-    M_Q: np.ndarray
+    cholesky: tuple[np.ndarray, np.ndarray]
 
-    @cached_property
-    def cholesky(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower Cholesky factors (L_V, L_Q) of the part's M_V and M_Q blocks, in the part's own
-        indices and in Fortran order, as LAPACK takes them: one plain factor each, the part being
-        one dense block. Each is one potrf, with scipy.linalg.cholesky's bits and checks (a
-        ValueError if non-finite, a LinAlgError if not positive definite) less its 6-7 us wrapper."""
-        factors = [_potrf(np.asarray_chkfinite(M), lower=1) for M in (self.M_V, self.M_Q)]
+    @classmethod
+    def factor(cls, B: np.ndarray, M_V: np.ndarray, M_Q: np.ndarray) -> SaddlePart:
+        """The part of blocks B, M_V and M_Q, each factor one potrf in place on a Fortran-ordered block, with
+        scipy.linalg.cholesky's bits and checks: a ValueError if non-finite, a LinAlgError if not positive definite."""
+        factors = [_potrf(np.asarray_chkfinite(M), lower=1, overwrite_a=1) for M in (M_V, M_Q)]
         if any(info for _, info in factors):
             raise np.linalg.LinAlgError("a block of M_V or M_Q is not positive definite (potrf)")
-        return tuple(L for L, _ in factors)
+        return cls(B, tuple(L for L, _ in factors))
 
     @cached_property
     def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +152,7 @@ def _scatter(blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
 
 @dataclass(eq=False)
 class SaddleStructure:
-    """B, M_V and M_Q of one spaces: the matrices that do not depend on ModelParams.
+    """B, M_V and M_Q of one spaces, the matrices that do not depend on ModelParams, as 8 parts.
 
     The spaces keep it, and every operator assembled on them shares it. It
     holds no reference back to the spaces, so reference counting frees it
@@ -166,12 +163,12 @@ class SaddleStructure:
     onto each other: in V's and Q's carried sector coordinates (the
     spaces' own Sectors) every sector of an orbit has the same blocks.
     `parts` holds one SaddlePart per orbit and subproblem, 8 in all,
-    assembled from the 1D factors (`_sector_assemble` by part). So every
-    derived quantity is computed once per part and counts once per sector
-    of its orbit: the Cholesky factors of M_V and M_Q, the SVD of B in
-    those norms and the one rank decision cut on it. The dense B, M_V and
-    M_Q are scattered from the parts and carried back on first access, and
-    kept.
+    assembled from the 1D factors (`_sector_assemble` by part) with M_V
+    and M_Q blocks in Fortran order, factored in place. So every derived
+    quantity is computed once per part and counts once per sector of its
+    orbit: the Cholesky factors, the SVD of B in those norms and the one
+    rank decision cut on it. The dense B, and M_V and M_Q assembled anew,
+    are scattered by part and carried back on first access, and kept.
     """
 
     V: Sectors = field(repr=False)
@@ -182,25 +179,23 @@ class SaddleStructure:
     def assemble(cls, spaces: DiscreteSpaces) -> SaddleStructure:
         (V, Q), cache = spaces.sectors, {}
         B = _sector_assemble(_B_terms(spaces), Q, V, cache, by_part=True)
-        M_V = _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, cache, by_part=True)
-        M_Q = _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, cache, by_part=True)
-        return cls(V, Q, tuple(map(SaddlePart, B, M_V, M_Q)))
+        M_V, M_Q = (_norm_blocks(S, h1, cache) for S, h1 in ((V, True), (Q, False)))
+        return cls(V, Q, tuple(map(SaddlePart.factor, B, M_V, M_Q)))
 
-    def _dense(self, name: str, rows: Sectors, cols: Sectors) -> np.ndarray:
-        blocks = ((getattr(p, name), i // 2, rows.parts[i], cols.parts[i]) for i, p in enumerate(self.parts))
-        return _scatter(blocks, rows, cols)
+    def _dense(self, blocks, rows: Sectors, cols: Sectors) -> np.ndarray:
+        return _scatter(((X, i // 2, rows.parts[i], cols.parts[i]) for i, X in enumerate(blocks)), rows, cols)
 
     @cached_property
     def B(self) -> np.ndarray:
-        return self._dense("B", self.Q, self.V)
+        return self._dense([p.B for p in self.parts], self.Q, self.V)
 
     @cached_property
     def M_V(self) -> np.ndarray:
-        return self._dense("M_V", self.V, self.V)
+        return self._dense(_norm_blocks(self.V, True, {}), self.V, self.V)
 
     @cached_property
     def M_Q(self) -> np.ndarray:
-        return self._dense("M_Q", self.Q, self.Q)
+        return self._dense(_norm_blocks(self.Q, False, {}), self.Q, self.Q)
 
     @cached_property
     def cut(self) -> float:
@@ -379,6 +374,11 @@ def _norm_terms(count: int, h1: bool, dim: int = 3) -> dict:
     return {(r, r): dict.fromkeys(names, 1.0) for r in range(count)}
 
 
+def _norm_blocks(S: Sectors, h1: bool, cache: dict) -> list:
+    """Per part, the block of the H1 (h1 True) or L2 gram on S, in Fortran order for potrf."""
+    return _sector_assemble(_norm_terms(len(S.fields), h1), S, S, cache, by_part=True, order="F")
+
+
 def _gradient_terms(op: OperatorSpec, weight: float, terms: dict) -> dict:
     """Add to terms the gram of weight * P[field otimes grad] over the component blocks of
     op's field: block (a, b) is the sum over (k, l) of weight H[a,k,b,l] dmat(k, l)."""
@@ -388,7 +388,7 @@ def _gradient_terms(op: OperatorSpec, weight: float, terms: dict) -> dict:
     return terms
 
 
-def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_part: bool = False) -> list:
+def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_part: bool = False, order: str = "C") -> list:
     """One block per orbit (by_part: per orbit and subproblem, at 2 orbit + subproblem) of the
     sum of coef times the Kronecker product of the named 1D factors (ScalarBasis.factors) over
     the field-block pairs (r, c) of terms.
@@ -402,10 +402,10 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_
     coefficients in one product. R maps the zero-mean pressure's sector-0
     coordinates. With by_part, r and c lie in one subproblem. Only each
     orbit's representative is assembled: in the carried coordinates its
-    block is that of every sector of the orbit.
+    block is that of every sector of the orbit, allocated in `order`.
     """
     rs, cs = (S.parts if by_part else [slice(0, p.stop) for p in S.parts[1::2]] for S in (rows, cols))
-    out = [np.zeros((r.stop - r.start, c.stop - c.start)) for r, c in zip(rs, cs)]
+    out = [np.zeros((r.stop - r.start, c.stop - c.start), order=order) for r, c in zip(rs, cs)]
     orbit = {o[0]: j for j, o in enumerate(rows.orbits)}  # by representative
     for (r, c), pair in terms.items():
         (X, mr, Rr, _, ur), (Y, mc, Rc, _, _) = rows.fields[r], cols.fields[c]
@@ -552,10 +552,10 @@ def assemble_system(
 ) -> MixedSystem:
     """Assemble the loads of the mixed problem on its shared operator.
 
-    The sector blocks of B, M_V and M_Q are assembled once per spaces and
-    those of A once per (spaces, params), from the 1D factors, and kept by
-    the spaces, so every system on them shares them; the dense matrices
-    are built only when read (MixedSystem).
+    The part blocks of B and the Cholesky factors of M_V and M_Q (a LinAlgError if
+    a block is not positive definite) are made once per spaces, and the blocks of A
+    once per (spaces, params), from the 1D factors, and kept by the spaces, so every
+    system on them shares them; the dense matrices are built only when read (MixedSystem).
     """
     F, G = assemble_load(spaces, params, sources, bdata)
     return MixedSystem(F=F, G=G, params=params, spaces=spaces, operator=_shared_operator(spaces, params))

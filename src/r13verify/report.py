@@ -459,7 +459,7 @@ def _suite_limit(cfg: RunConfig, rep: VerificationReport, base) -> None:
 
 def _suite_bc(cfg: RunConfig, rep: VerificationReport, base) -> None:
     eps = cfg.epsilon_w if cfg.epsilon_w > 0 else 0.1
-    sp = build_spaces(cfg.degree, cfg.subdivisions, "full")
+    sp = base.system.spaces if cfg.pressure_mode == "full" else build_spaces(cfg.degree, cfg.subdivisions, "full")
     params = ModelParams(cfg.kn, cfg.chi_tilde, eps)
     bdata = limit_study_boundary_data()  # a load that drives every field, so the rows read imposition, not rounding
     system = assemble_system(sp, params, None, bdata)

@@ -16,7 +16,7 @@ counts an orbit's values once per sector of it, and the solve factors
 one saddle matrix per orbit and solves the orbit's m sectors as m
 right-hand sides of it. LAPACK is called directly, with the bits of
 scipy's wrappers: potrf for each part's plain lower Cholesky factors of
-M_V and M_Q (SaddlePart.cholesky), trtrs for every triangular solve with
+M_V and M_Q (SaddlePart.factor), trtrs for every triangular solve with
 them (assembly.trsolve), and stebz and stein for each Lanczos Ritz step.
 """
 

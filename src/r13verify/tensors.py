@@ -132,21 +132,21 @@ def _range_orthobasis(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return np.array(basis)
 
 
+@cache
 def stf_basis(rank: int, d: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of the stf/Stf subspace.
+    """Read-only orthonormal (Frobenius) basis of the stf/Stf subspace, built once per (rank, d).
 
     Returns shape (n, d, d) for rank 2 with n = d(d+1)/2 - 1, or
     (n, d, d, d) for rank 3 with n = d(d+1)(d+2)/6 - d.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    if rank == 2:
-        B = _range_orthobasis(projection_matrix2("stf", d))
-        return B.reshape(-1, d, d)
-    if rank == 3:
-        B = _range_orthobasis(projection_matrix3("Stf", d))
-        return B.reshape(-1, d, d, d)
-    raise ValueError("rank must be 2 or 3")
+    if rank not in (2, 3):
+        raise ValueError("rank must be 2 or 3")
+    B = _range_orthobasis(projection_matrix2("stf", d) if rank == 2 else projection_matrix3("Stf", d))
+    B = B.reshape((-1,) + (d,) * rank)
+    B.setflags(write=False)  # cached and shared between callers
+    return B
 
 
 @dataclass(frozen=True)

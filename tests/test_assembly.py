@@ -11,6 +11,8 @@ from r13verify.assembly import (
     ModelParams,
     SaddlePart,
     VolumeSources,
+    _norm_terms,
+    _sector_assemble,
     assemble_form,
     assemble_load,
     assemble_system,
@@ -596,13 +598,21 @@ def test_closures_agree_on_faces(sp):
     assert_allclose(m3_vol[0], expected, atol=1e-13)
 
 
+def part_norm_blocks(structure):
+    """Each part's (M_V, M_Q) blocks, assembled anew in C order, so that no factor overwrites them."""
+    V, Q = structure.V, structure.Q
+    M_V = _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, {}, by_part=True)
+    M_Q = _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, {}, by_part=True)
+    return list(zip(M_V, M_Q))
+
+
 @pytest.mark.parametrize("pairing,N,k", [("equal", 2, 1), ("enriched", 1, 2)])
 def test_part_factors_are_scipy_cholesky_bit_for_bit(pairing, N, k):
     # one LAPACK potrf per block, in Fortran order: the bits of scipy.linalg.cholesky
     structure = assemble_system(build_spaces(N, k, "zero_mean", pairing), PARAMS0).operator.structure
     assert len(structure.parts) == 8
-    for part in structure.parts:
-        for L, M in zip(part.cholesky, (part.M_V, part.M_Q)):
+    for part, norms in zip(structure.parts, part_norm_blocks(structure)):
+        for L, M in zip(part.cholesky, norms):
             ref = np.asfortranarray(sla.cholesky(M, lower=True))
             assert L.flags.f_contiguous and L.dtype == ref.dtype and L.shape == ref.shape
             assert L.tobytes(order="F") == ref.tobytes(order="F")
@@ -610,15 +620,38 @@ def test_part_factors_are_scipy_cholesky_bit_for_bit(pairing, N, k):
 
 def test_part_factors_reject_what_scipy_cholesky_rejects(sp0):
     # a block that is not positive definite raises LinAlgError, a non-finite one ValueError
-    part = assemble_system(sp0, PARAMS0).operator.structure.parts[0]
-    indefinite = part.M_V.copy()
+    structure = assemble_system(sp0, PARAMS0).operator.structure
+    part = structure.parts[0]
+    M_V, M_Q = part_norm_blocks(structure)[0]
+    indefinite = M_V.copy()
     indefinite[-1, -1] = -1.0
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        SaddlePart(part.B, indefinite, part.M_Q).cholesky
+        SaddlePart.factor(part.B, indefinite, M_Q)
     with pytest.raises(np.linalg.LinAlgError):
-        SaddlePart(part.B, part.M_V, -part.M_Q).cholesky
+        SaddlePart.factor(part.B, M_V, -M_Q)
     for bad in (np.nan, np.inf):
-        broken = part.M_Q.copy()
+        broken = M_Q.copy()
         broken[0, -1] = broken[-1, 0] = bad
         with pytest.raises(ValueError):
-            SaddlePart(part.B, part.M_V, broken).cholesky
+            SaddlePart.factor(part.B, M_V, broken)
+
+
+def test_parts_hold_their_factors_in_the_arrays_their_blocks_were_assembled_in(monkeypatch):
+    # a part keeps its block of B and the two Cholesky factors, not its M_V and M_Q blocks:
+    # assembly allocates those in Fortran order and potrf factors each one in place
+    assembled = []
+
+    def recording(*args, **kwargs):
+        assembled.append(sector_assemble(*args, **kwargs))
+        return assembled[-1]
+
+    sector_assemble = assembly._sector_assemble
+    monkeypatch.setattr(assembly, "_sector_assemble", recording)
+    structure = assembly.SaddleStructure.assemble(build_spaces(2, 1, "zero_mean", "enriched"))
+    assert len(assembled) == 3 and len(structure.parts) == 8  # B, M_V, M_Q
+    for part, *norms in zip(structure.parts, *assembled[1:]):
+        assert not hasattr(part, "M_V") and not hasattr(part, "M_Q")
+        for L, M in zip(part.cholesky, norms):
+            assert M.flags.f_contiguous and L.flags.f_contiguous and L.shape == M.shape
+            assert not np.triu(L, 1).any()
+            assert np.shares_memory(L, M)

@@ -292,7 +292,8 @@ def test_korn_suite_kernel_counts_keep_one_subdivision():
 
 def test_report_construction_counts(monkeypatch):
     # the korn suite builds its Korn data on bare scalar bases, one per (dim, N, k), and
-    # reuses the base spaces' basis; the only spaces it builds are the base's
+    # reuses the base spaces' basis; the only spaces it builds are the base's. At
+    # epsilon_w > 0 the bc suite's "full" spaces are the base's too
     from r13verify.spaces import DiscreteSpaces, ScalarBasis
 
     built = []
@@ -308,6 +309,9 @@ def test_report_construction_counts(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     run(RunConfig())
     assert (built.count(DiscreteSpaces), built.count(ScalarBasis)) == (3, 11)
+    built.clear()
+    run(RunConfig(epsilon_w=0.05))  # the bc suite solves on the base's "full" spaces
+    assert (built.count(DiscreteSpaces), built.count(ScalarBasis)) == (2, 10)
     built.clear()
     run(RunConfig(suites=("korn",)))  # the base's basis, then 3D N = 1, 3, 4, 5 and planar N = 1 ... 4
     assert (built.count(DiscreteSpaces), built.count(ScalarBasis)) == (1, 9)

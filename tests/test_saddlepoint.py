@@ -56,7 +56,8 @@ def make_system(N=2, k=1, eps=0.0, kn=1.0, sources=None, bdata=None, pairing="eq
 def on_edited_blocks(system, part=lambda p: {}, sector=lambda S: S):
     """A copy of the system on a new operator and structure, with every part p
     replaced by dataclasses.replace(p, **part(p)) and every sector block S of A
-    by sector(S); nothing the shared operator has factored carries over."""
+    by sector(S). The parts keep their Cholesky factors; no SVD or LU of the shared
+    operator carries over."""
     op = system.operator
     parts = tuple(dataclasses.replace(p, **part(p)) for p in op.structure.parts)
     structure = dataclasses.replace(op.structure, parts=parts)
@@ -749,7 +750,7 @@ def test_each_part_and_sector_is_factored_once_for_every_load(monkeypatch):
     V, ranks = structure.V, structure.ranks
     orbit_sizes = [V.parts[2 * o + 1].stop + ranks[2 * o] + ranks[2 * o + 1] for o in range(4)]
     consts = brezzi_constants(system)
-    assert sizes == [p.M_V.shape[0] + r for p, r in zip(structure.parts, ranks)]
+    assert sizes == [p.cholesky[0].shape[0] + r for p, r in zip(structure.parts, ranks)]
     solve_mixed(system, consts)
     assert sizes[8:] == orbit_sizes and len(system.operator.factors) == 4
     assert max(sizes) == max(orbit_sizes) < sp.n_V / 4
@@ -814,7 +815,7 @@ def test_axis_permuted_sectors_agree_to_rounding():
         _sector_assemble(_norm_terms(len(V.fields), h1=True), V, V, {}, by_part=True),
         _sector_assemble(_norm_terms(len(Q.fields), h1=False), Q, Q, {}, by_part=True),
     )
-    parts = [SaddlePart(*(b[2 * s + 1] for b in blocks)) for s in (1, 2, 4)]
+    parts = [SaddlePart.factor(*(b[2 * s + 1] for b in blocks)) for s in (1, 2, 4)]
     assert len({id(p.B) for p in parts}) == 3
     svals = [p.whitened_svd[1] for p in parts]
     top = max(s[0] for s in svals)

@@ -71,6 +71,11 @@ def test_bench(monkeypatch, capsys, tmp_path):
     assert rung["verified"] and rung["constants"]["alpha0"] > 0
     # the process's peak resident set so far, in MB: at least the interpreter with numpy
     assert 10.0 < rung["peak_rss_mb"] < 1e5
+    # and that peak after each step: it never falls, and after the last it is the rung's
+    peaks = rung["steps_peak_rss_mb"]
+    assert list(peaks) == list(rung["steps_s"])
+    assert 10.0 < min(peaks.values()) and list(peaks.values()) == sorted(peaks.values())
+    assert peaks["solve_mixed"] == rung["peak_rss_mb"]
     # --repeat times each suite as often as each rung and keeps the median
     assert len(rec["suites"]["bc"]["wall_s_runs"]) == len(rung["total_s_runs"]) == 2
     # the report record: one run of all six suites per repeat, the default report's rows

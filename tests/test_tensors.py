@@ -128,12 +128,13 @@ def test_stf3_matches_symbol_formula_on_dyads():
 
 
 def test_projection_matrix_is_shared_read_only():
-    # built once per (kind, d) and handed to every caller, so no caller may
+    # built once per (kind, d) or (rank, d) and handed to every caller, so no caller may
     # write into it
-    P = projection_matrix3("Stf", 3)
-    assert projection_matrix3("Stf", 3) is P
-    with pytest.raises(ValueError):
-        P[0, 0] = 1.0
+    for build, args in ((projection_matrix3, ("Stf", 3)), (stf_basis, (2, 3))):
+        P = build(*args)
+        assert build(*args) is P
+        with pytest.raises(ValueError):
+            P[(0,) * P.ndim] = 1.0
 
 
 def test_projection_matrix2_orthogonal_projector():
