@@ -12,20 +12,22 @@ default configuration, as perfbench's report-default workload does, and
 records `peak_rss_mb` after it; it runs first, so that figure is the
 report's own. The suites then run one at a time. The report and each suite
 record `csv_sha256`, the digest of the last run's `report.csv` bytes, so two
-records show whether a change kept the report byte-identical. Each ladder
-rung (N, k) builds fresh spaces and times four steps: `build_spaces`, `assemble_system`, `brezzi_constants` and
-`solve_mixed` on seeded wall data; the rung also records the constants,
-whether the verified answer holds (alpha0 > 0, k0 > 0, solver residuals
-within the report's tolerance, stability bounds hold) and `peak_rss_mb`,
-the process's peak resident set size (ru_maxrss) after the rung: the
-memory a rung needs when it is the only one timed in its process, as with
-`--rungs N,k` and `--repeat 1`. `steps_peak_rss_mb` holds that peak after
-each of the four steps, so it shows which step sets it; the last is
-`peak_rss_mb`. Between two records of the same code the
-report's `peak_rss_mb` varies by a few MB, so a difference under about 3%
-is noise. Only public calls are used, so pointing PYTHONPATH at another
-checkout of the package times that checkout with the same script, as long
-as it has the same public calls (see the `korn` record).
+records show whether a change kept the report byte-identical. Each run of a
+ladder rung (N, k) takes place in a fresh interpreter that imports the same
+package (`fresh_rung`). It builds spaces and times four steps: `build_spaces`,
+`assemble_system`, `brezzi_constants` and `solve_mixed` on seeded wall data
+(run i of a rung reads draw i of a generator seeded 0); the rung also records
+the constants, whether the verified answer holds (alpha0 > 0, k0 > 0, solver
+residuals within the report's tolerance, stability bounds hold) and
+`peak_rss_mb`, that interpreter's peak resident set size (`peak_rss_mb()`)
+after the rung: the memory the rung needs alone, whatever the script ran
+before it. `steps_peak_rss_mb` holds that peak after each of the four
+steps, so it shows which step sets it; the last is `peak_rss_mb`. Between
+two records of the same code the report's `peak_rss_mb` varies by a few
+MB, so a difference under about 3% is noise. Only public calls are used,
+so pointing PYTHONPATH at another checkout of the package times that
+checkout with the same script, as long as it has the same public calls
+(see the `korn` record).
 
 With --repeat n, the report, each suite and each rung are timed n times; the
 record keeps the median as `wall_s` (report, suites) or `total_s` (rungs) and
@@ -55,7 +57,8 @@ took a `DiscreteSpaces` before it took a basis, and such a checkout does
 not export `ScalarBasis`, so a checkout from before that change must be
 timed with its own copy of this script.
 
-BLAS is pinned to one thread when the script starts a fresh interpreter.
+BLAS is pinned to one thread when the script starts, and the rung
+interpreters inherit that setting.
 The record carries the Python, numpy, scipy and BLAS versions, the thread
 settings and the git revision of the imported package, suffixed -dirty
 when it has uncommitted changes, and `src_lines`, the line count of each
@@ -74,9 +77,11 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import re  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -90,6 +95,7 @@ LADDER = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2))
 LOADS_SPACE, N_LOADS = (3, 1), 100
 KORN_OPS = {"sym_vec": ("vectors", "sym"), "stf_stf": ("stf2", "Stf"), "stf_vec": ("vectors", "stf")}
 KORN_DEGREES = (4, 6, 8)
+RUNG_CHILD = "import json, runpy, sys; bench = runpy.run_path(sys.argv[1]); print(json.dumps(bench['run_rung'](*json.loads(sys.argv[2]))))"
 
 
 def provenance() -> dict:
@@ -140,8 +146,13 @@ def time_run(suites, repeat: int) -> dict:
 
 
 def peak_rss_mb() -> float:
-    """The process's peak resident set size so far (ru_maxrss; Linux reports KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """This interpreter's peak resident set size so far, in MB: Linux's VmHWM, the peak of its own
+    address space. ru_maxrss (KiB on Linux), read where there is no VmHWM, also counts the peak of
+    the process that started the interpreter, which for a rung is the report's."""
+    try:
+        return int(re.search(r"VmHWM:\s+(\d+) kB", Path("/proc/self/status").read_text()).group(1)) / 1024.0
+    except (OSError, AttributeError):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def time_report(repeat: int) -> dict:
@@ -187,11 +198,28 @@ def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
     }
 
 
+def run_rung(N: int, k: int, pairing: str, draw: int) -> dict:
+    """time_rung on wall data draw `draw` (from 0) of a generator seeded 0."""
+    rng = np.random.default_rng(0)
+    for _ in range(draw):
+        rng.standard_normal((5, 6))
+    return time_rung(N, k, pairing, rng)
+
+
+def fresh_rung(N: int, k: int, pairing: str, draw: int) -> dict:
+    """run_rung in a fresh interpreter that imports this package, so nothing run before shapes its peak_rss_mb."""
+    path = os.pathsep.join(filter(None, (str(Path(r13verify.__file__).parent.parent), os.environ.get("PYTHONPATH"))))
+    args = [sys.executable, "-c", RUNG_CHILD, str(Path(__file__).resolve()), json.dumps([N, k, pairing, draw])]
+    proc = subprocess.run(args, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"rung {N},{k} failed in its interpreter:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def time_ladder(rungs, pairing: str, repeat: int) -> dict:
     out = {}
     for N, k in rungs:
-        rng = np.random.default_rng(0)
-        runs = [time_rung(N, k, pairing, rng) for _ in range(repeat)]
+        runs = [fresh_rung(N, k, pairing, draw) for draw in range(repeat)]
         rec = runs[-1]
         rec["total_s_runs"] = [r["total_s"] for r in runs]
         rec["total_s"] = statistics.median(rec["total_s_runs"])

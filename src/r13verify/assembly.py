@@ -288,7 +288,7 @@ class SaddleOperator:
     def A(self) -> np.ndarray:
         V = self.structure.V
         A = _scatter(((S, o, slice(0, len(S)), slice(0, len(S))) for o, S in enumerate(self.sectors)), V, V)
-        energy = np.concatenate([np.full(lab.size, sub == 1) for *_, lab, sub in V.fields])
+        energy = np.concatenate([np.full(lab.size, sub == 1) for lab, (*_, sub) in zip(V.labels, V.fields)])
         A = np.where(energy[:, None] == energy[None, :], 0.5 * (A + A.T), np.where(energy[:, None], -A.T, A))
         A.setflags(write=False)
         return A
@@ -399,10 +399,11 @@ def _sector_assemble(terms: dict, rows: Sectors, cols: Sectors, cache: dict, by_
     lands there when its factors swap parity on the axes of mask_r ^ mask_c,
     and is else off-sector and zero in exact arithmetic. Per (r, c) and
     sector, one stack of products (shared through cache) meets the
-    coefficients in one product. R maps the zero-mean pressure's sector-0
-    coordinates. With by_part, r and c lie in one subproblem. Only each
-    orbit's representative is assembled: in the carried coordinates its
-    block is that of every sector of the orbit, allocated in `order`.
+    coefficients in one product. R (the spaces' p_R) maps the zero-mean
+    pressure's sector-0 coordinates to its fully even functions. With
+    by_part, r and c lie in one subproblem. Only each orbit's
+    representative is assembled: in the carried coordinates its block is
+    that of every sector of the orbit, allocated in `order`.
     """
     rs, cs = (S.parts if by_part else [slice(0, p.stop) for p in S.parts[1::2]] for S in (rows, cols))
     out = [np.zeros((r.stop - r.start, c.stop - c.start), order=order) for r, c in zip(rs, cs)]
@@ -540,7 +541,7 @@ def assemble_load(
     coefs = (walls[:, :, None] * spaces.wall_table).sum(axis=1)  # per face, sigma's 5 rows and s's 3
     F[: 8 * sb.n] = 0.0 - (coefs[:, :, None] * sb.face_integrals[:, None, :]).sum(axis=0).ravel()
     raw_p = np.subtract.reduce(np.concatenate([raw_p[None], eff_un[:, None] * pb.face_integrals]))
-    F[spaces.v_blocks["p"]] = spaces.Cp.T @ raw_p
+    F[spaces.v_blocks["p"]] = spaces.restrict_p(raw_p)
     return F, G
 
 

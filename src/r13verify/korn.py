@@ -79,7 +79,7 @@ def _korn_cache(op: OperatorSpec, sb: ScalarBasis) -> dict:
         raise ValueError(f"operator of dim {op.dim} on a basis of dim {sb.dim}")
     if ("korn", op) not in sb._cache:
         basis = domain_basis(op)
-        S = Sectors([(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(basis)], swap_maps([basis], op.dim))
+        S = Sectors([(sb, mask, None, None, 0) for mask in mirror_masks(basis)], swap_maps([basis], op.dim))
         sb._cache["korn", op] = {"sectors": S}
     return sb._cache["korn", op]
 

@@ -338,14 +338,6 @@ def _swap_bits(s: int, a: int, b: int) -> int:
     return s ^ (((s >> a ^ s >> b) & 1) * (1 << a | 1 << b))
 
 
-def _label_ranks(lab: np.ndarray) -> np.ndarray:
-    """Per entry of lab, the number of earlier entries with the same label."""
-    order = np.argsort(lab, kind="stable")
-    rank = np.empty(lab.size, dtype=int)
-    rank[order] = np.arange(lab.size) - np.searchsorted(lab[order], lab[order])
-    return rank
-
-
 @dataclass(frozen=True, eq=False)
 class Gather:
     """The linear map x -> sum_t weight[t] * x[index[t]] along x's first axis.
@@ -365,13 +357,14 @@ class Sectors:
     """V, Q or one Korn field in sector coordinates: by orbit of mirror sectors, by sector, by subproblem.
 
     It is built from the field blocks, which lie one after the other in the
-    coordinates, each given as (scalar basis, mask, R, labels, subproblem).
+    coordinates, each given as (scalar basis, mask, R, points, subproblem).
     Bit a of mask is set where the mirror of axis a flips the component;
-    labels hold the sector 0..2^dim - 1 of each of the block's coordinates
-    under the box's mirrors (ScalarBasis.sectors, shaped (n1,) * dim, or
-    `p_sectors` for the pressure); R maps the zero-mean pressure's sector-0
-    coordinates to the fully even functions, the only sector where Cp is
-    not the identity (else None); subproblem is 0 (momentum) or 1 (energy).
+    points is None where the block's coordinates are the basis's functions,
+    else the function of each coordinate (the zero-mean pressure's p_keep);
+    R maps the zero-mean pressure's sector-0 coordinates to the fully even
+    functions (else None); subproblem is 0 (momentum) or 1 (energy).
+    `labels` holds per block the sector 0..2^dim - 1 of each coordinate
+    under the box's mirrors (ScalarBasis.sectors at its points).
 
     `swaps` maps each transposition (a, b) of the box's axes (AXIS_SWAPS)
     to the orthogonal matrix W it induces on the field blocks (`swap_maps`):
@@ -394,21 +387,21 @@ class Sectors:
     (`split`), and `parts` holds the slice of each subproblem inside any
     sector of orbit o, at index 2 o + subproblem. `to_sectors` and
     `from_sectors` are the carry and its inverse, each one Gather over
-    whole vectors: an exact index gather read off the blocks' label grids,
-    mixed by W; no map touches sector 0, so R never enters. Without swaps
-    the carry is the plain permutation `order`. `boxes` gives per field
-    block and sector the start, in sector coordinates, and the size of the
-    block's coordinates in the sector, where they are contiguous. The
-    constructor raises if a sector's part sizes differ from its
-    representative's.
+    whole vectors (`_carry`, built on first use); no map touches sector 0,
+    so R never enters. Without swaps the carry is the plain permutation
+    `order`. `boxes` gives per field block and sector the start, in sector
+    coordinates, and the size of the block's coordinates in the sector,
+    where they are contiguous. The constructor raises if a sector's part
+    sizes differ from its representative's.
     """
 
     def __init__(self, fields: list, swaps: dict | None = None):
         self.fields, self.swaps = fields, swaps or {}
+        self.labels = [b.sectors(mask).ravel()[slice(None) if pts is None else pts] for b, mask, _, pts, _ in fields]
         count = 2 ** fields[0][0].dim
         self.orbits = sorted({tuple(sorted({s} | {_swap_bits(s, *ab) for ab in self.swaps})) for s in range(count)})
         place = np.argsort(np.concatenate(self.orbits))  # each sector's place in the listing
-        slots = np.concatenate([2 * place[lab.ravel()] + sub for *_, lab, sub in fields])
+        slots = np.concatenate([2 * place[lab] + sub for lab, (*_, sub) in zip(self.labels, fields)])
         self.order = np.argsort(slots, kind="stable")
         bounds = np.searchsorted(slots[self.order], np.arange(2 * count + 1))
         self.sectors = [slice(bounds[2 * j], bounds[2 * j + 2]) for j in place]
@@ -420,45 +413,37 @@ class Sectors:
             for s in others:
                 if sizes[s] != sizes[r]:
                     raise ValueError(f"sector {s} has part sizes {sizes[s]}, its representative {r} {sizes[r]}")
-        at = np.empty(slots.size, dtype=int)
-        at[self.order] = np.arange(slots.size)  # the sector coordinate of each coordinate
+        at = np.argsort(self.order)  # the sector coordinate of each coordinate
         self.boxes, start = [], 0
-        for *_, lab, _ in fields:
+        for lab in self.labels:
             present, first = np.unique(lab, return_index=True)
             offset = np.zeros(count, dtype=int)
             offset[present] = at[start + first]
-            self.boxes.append(list(zip(offset.tolist(), np.bincount(lab.ravel(), minlength=count).tolist())))
+            self.boxes.append(list(zip(offset.tolist(), np.bincount(lab, minlength=count).tolist())))
             start += lab.size
-        self._down, self._up = self._carry(at)
 
-    def _carry(self, at: np.ndarray) -> tuple[Gather, Gather]:
+    @cached_property
+    def _carry(self) -> tuple[Gather, Gather]:
         """(down, up): to_sectors and from_sectors, from each swap's map of the whole sector coordinates.
 
-        Each block's label grid (its labels, but for the zero-mean pressure's)
-        gives every coordinate a grid point: the k-th coordinate with a label
-        is the k-th point of the grid with that label (outside the zero-mean
-        pressure's sector 0, which no map reads, this is exact). The swap
-        reads, for a coordinate of block c, the grid point with the axes
-        exchanged in each block r that W mixes into c. down reads sector s's
-        slice of the carried coordinates through the swap from r's slice
-        (its coordinates lie in s's), up reads s's coordinates from r's.
+        A block's coordinate is the grid point of its function (`fields`'
+        points; not exact on the zero-mean pressure's sector 0, which no map
+        reads). The swap reads, for a coordinate of block c, the grid point
+        with the axes exchanged in each block r that W mixes into c. down
+        reads sector s's slice of the carried coordinates through the swap
+        from r's slice (its coordinates lie in s's), up reads s's from r's.
         """
-        swapped = {}
-        grids = [lab if lab.ndim == basis.dim else basis.sectors(mask) for basis, mask, _, lab, _ in self.fields]
-        where = np.full((len(grids), max(g.size for g in grids)), -1)  # the coordinate of each block's grid point
-        block, point, start = [], [], 0
-        for c, ((*_, lab, _), grid) in enumerate(zip(self.fields, grids)):
-            lab, by_label = lab.ravel(), np.argsort(grid.ravel(), kind="stable")
-            points = by_label[np.searchsorted(grid.ravel()[by_label], lab) + _label_ranks(lab)]
-            where[c, points] = start + np.arange(lab.size)
-            block.append(np.full(lab.size, c))
-            point.append(points)
-            start += lab.size
-        block, point = np.concatenate(block)[self.order], np.concatenate(point)[self.order]
+        swapped, at = {}, np.argsort(self.order)
+        points = [np.arange(basis.n) if pts is None else pts for basis, _, _, pts, _ in self.fields]
+        where = np.full((len(points), max(basis.n for basis, *_ in self.fields)), -1)  # the coordinate of each grid point
+        for c, (pts, start) in enumerate(zip(points, np.cumsum([0, *map(len, points)]))):
+            where[c, pts] = start + np.arange(pts.size)
+        block = np.concatenate([np.full(pts.size, c) for c, pts in enumerate(points)])[self.order]
+        point = np.concatenate(points)[self.order]
         for axes, W in self.swaps.items():
             moved = np.zeros(where.shape, dtype=int)
-            for c, grid in enumerate(grids):
-                moved[c, : grid.size] = np.arange(grid.size).reshape(grid.shape).swapaxes(*axes).ravel()
+            for c, (basis, *_) in enumerate(self.fields):
+                moved[c, : basis.n] = np.arange(basis.n).reshape((basis.b1.n,) * basis.dim).swapaxes(*axes).ravel()
             terms = int(np.count_nonzero(W, axis=1).max())
             source, weight = np.zeros((terms, len(W)), dtype=int), np.zeros((terms, len(W)))
             for c, row in enumerate(W):
@@ -484,11 +469,11 @@ class Sectors:
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """The carried sector coordinates of a vector, or of each column of a matrix."""
-        return self._down(x)
+        return self._carry[0](x)
 
     def from_sectors(self, y: np.ndarray) -> np.ndarray:
         """The vector (or matrix of columns) with carried sector coordinates y."""
-        return self._up(y)
+        return self._carry[1](y)
 
     def split(self, y: np.ndarray) -> list[np.ndarray]:
         """Per orbit, its m sectors' slices of the carried sector coordinates y as the m rows
@@ -527,25 +512,25 @@ def swap_maps(bases: list, dim: int) -> dict:
 
 
 def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Cp, sectors of its columns): an orthonormal basis of the coefficients
-    orthogonal to the integrals, each column inside one sector, sorted by sector.
+    """(keep, R): the coefficients orthogonal to the integrals as p = Cp q, Cp orthonormal,
+    without Cp. Coordinate i is function keep[i] (every function but the first fully even
+    one, in order), but on the fully even class (sector 0), whose coordinates R maps.
 
     Odd functions integrate to zero, so the integrals lie in the fully even
-    class (sector 0). A Householder reflection of that class maps its first
-    coordinate onto them, and the rest of the class spans their orthogonal
-    complement there. Its sign never cancels, also where the integrals are
-    a multiple of that coordinate, such as a class of one function.
+    class. A Householder reflection of that class maps its first coordinate
+    onto them, and the rest of the class spans their orthogonal complement
+    there: R is the reflection but its first column, in Fortran order, on
+    which the bits of the sector-0 blocks depend. Its sign never cancels,
+    also where the integrals are a multiple of that coordinate, such as a
+    class of one function.
     """
     even = np.flatnonzero(sectors == 0)
     x = integrals[even] / np.linalg.norm(integrals[even])
     u = x.copy()
     u[0] += 1.0 if x[0] >= 0 else -1.0
     u /= np.linalg.norm(u)
-    C = np.eye(sectors.size)
-    C[np.ix_(even, even)] -= 2.0 * np.outer(u, u)  # column even[0] now spans the integrals
-    keep = np.delete(np.arange(sectors.size), even[0])
-    order = keep[np.argsort(sectors[keep], kind="stable")]
-    return C[:, order], sectors[order]
+    R = np.asfortranarray((np.eye(even.size) - 2.0 * np.outer(u, u))[:, 1:])
+    return np.delete(np.arange(sectors.size), even[0]), R
 
 
 PAIRINGS = ("equal", "enriched")
@@ -559,11 +544,11 @@ class DiscreteSpaces:
     basis `scalar`, p, u and theta in `scalar_pq`. The stress components
     live in the orthonormal stf coordinate basis, so the symmetry and trace
     constraints hold exactly. pressure_mode 'zero_mean' removes the global
-    constant pressure mode: the pressure coordinates are p = Cp q, with Cp
-    an orthonormal basis of the zero-mean coefficients whose columns each
-    lie in one mirror sector, sorted by sector, and `p_sectors` holds their
-    sectors (in 'full' mode Cp is the identity and `p_sectors` the scalar
-    sectors, shaped (n1, n1, n1)).
+    constant pressure mode: the pressure coefficients are p = Cp q, Cp an
+    orthonormal basis of the zero-mean ones, held as the functions `p_keep`
+    of the coordinates q and Cp's sector-0 block `p_R` (_zero_mean_basis);
+    `expand_p` and `restrict_p` apply Cp and Cp^T. In 'full' mode p_keep
+    lists every function and p_R is None.
 
     pairing 'equal' uses one degree-N basis for every field (`scalar_pq` is
     `scalar`); its constraint has a 7-dimensional cokernel. pairing
@@ -597,13 +582,11 @@ class DiscreteSpaces:
         self.E = stf_basis(2, 3)  # (5, 3, 3) orthonormal stress component basis
 
         n, m = self.scalar.n, self.scalar_pq.n
-        scalar_sectors = self.scalar_pq.sectors(0)
+        self.p_keep, self.p_R = np.arange(m), None
         if pressure_mode == "zero_mean":
-            self.Cp, self.p_sectors = _zero_mean_basis(self.scalar_pq.integrals(), scalar_sectors.ravel())
-        else:
-            self.Cp, self.p_sectors = np.eye(m), scalar_sectors
+            self.p_keep, self.p_R = _zero_mean_basis(self.scalar_pq.integrals(), self.scalar_pq.sectors(0).ravel())
         self.n_scalar = n
-        self.n_p = self.Cp.shape[1]
+        self.n_p = self.p_keep.size
         self.n_V = 8 * n + self.n_p
         self.n_Q = 4 * m
         self.v_blocks = {
@@ -646,16 +629,33 @@ class DiscreteSpaces:
         the two diagonal components), permutes the components of s and u,
         and leaves p and theta (`swap_maps`)."""
         sb, pb, axes = self.scalar, self.scalar_pq, mirror_masks(np.eye(3))
-        even = np.flatnonzero(pb.sectors(0).ravel() == 0)
-        R = self.Cp[even][:, self.p_sectors == 0] if self.pressure_mode == "zero_mean" else None
-        V = [(sb, mask, None, sb.sectors(mask), 0) for mask in mirror_masks(self.E)]
-        V += [(sb, mask, None, sb.sectors(mask), 1) for mask in axes] + [(pb, 0, R, self.p_sectors, 0)]
-        Q = [(pb, mask, None, pb.sectors(mask), 0) for mask in axes] + [(pb, 0, None, pb.sectors(0), 1)]
+        V = [(sb, mask, None, None, 0) for mask in mirror_masks(self.E)]
+        V += [(sb, mask, None, None, 1) for mask in axes] + [(pb, 0, self.p_R, self.p_keep, 0)]
+        Q = [(pb, mask, None, None, 0) for mask in axes] + [(pb, 0, None, None, 1)]
         return Sectors(V, swap_maps([self.E, np.eye(3), np.ones(1)], 3)), Sectors(Q, swap_maps([np.eye(3), np.ones(1)], 3))
 
     @property
     def faces(self) -> list[FaceData]:
         return self.scalar.faces
+
+    @cached_property
+    def _p_even(self) -> np.ndarray:  # the fully even functions of scalar_pq, p_R's rows
+        return np.flatnonzero(self.scalar_pq.sectors(0) == 0)
+
+    def expand_p(self, q: np.ndarray) -> np.ndarray:
+        """p = Cp q: the pressure's coefficients over `scalar_pq` from its coordinates q."""
+        p = np.zeros(self.scalar_pq.n)
+        p[self.p_keep] = q
+        if self.p_R is not None:
+            p[self._p_even] = self.p_R @ p[self._p_even[1:]]
+        return p
+
+    def restrict_p(self, raw: np.ndarray) -> np.ndarray:
+        """Cp^T raw: the coordinates of the pressure load whose entries over `scalar_pq` are raw."""
+        q = np.array(raw, dtype=float)
+        if self.p_R is not None:
+            q[self._p_even[1:]] = self.p_R.T @ q[self._p_even]
+        return q[self.p_keep]
 
     def split_V(self, U: np.ndarray):
         """Coefficient blocks (sigma (5, n), s (3, n), p scalar coefficients (m,)).
@@ -665,8 +665,7 @@ class DiscreteSpaces:
         n = self.n_scalar
         sig = U[self.v_blocks["sigma"]].reshape(5, n)
         s = U[self.v_blocks["s"]].reshape(3, n)
-        p = self.Cp @ U[self.v_blocks["p"]]
-        return sig, s, p
+        return sig, s, self.expand_p(U[self.v_blocks["p"]])
 
     def split_Q(self, P: np.ndarray):
         """Coefficient blocks (u (3, m), theta (m,)) over `scalar_pq`."""

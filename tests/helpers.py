@@ -199,6 +199,29 @@ def svd_ellipticity_oracle(op, xis, n_real):
     return float(smins[idx]), idx, float(np.linalg.norm(mat @ coords) / np.linalg.norm(coords))
 
 
+# -- dense oracle of the zero-mean pressure transform --------------------------
+
+
+def dense_Cp(spaces) -> np.ndarray:
+    """The pressure's coordinate transform p = Cp q as one dense (m, n_p) matrix, built from
+    scalar_pq alone, without the spaces' keep list and sector-0 block: in 'full' mode the
+    identity; in 'zero_mean' the identity with its fully even class (sector 0) replaced by
+    the Householder reflection that maps the class's first function onto the integrals of
+    scalar_pq, without that column, so the columns are an orthonormal basis of the
+    zero-mean coefficients, in the order of the functions."""
+    pb = spaces.scalar_pq
+    C = np.eye(pb.n)
+    if spaces.pressure_mode == "full":
+        return C
+    integrals, even = pb.integrals(), np.flatnonzero(pb.sectors(0).ravel() == 0)
+    x = integrals[even] / np.linalg.norm(integrals[even])
+    u = x.copy()
+    u[0] += 1.0 if x[0] >= 0 else -1.0
+    u /= np.linalg.norm(u)
+    C[np.ix_(even, even)] -= 2.0 * np.outer(u, u)
+    return np.delete(C, even[0], axis=1)
+
+
 # -- mirror maps of the unit cube ---------------------------------------------
 
 
@@ -210,7 +233,7 @@ def mirror_maps(spaces) -> list:
     (its nodal functions times T1), sigma's components mix by
     <R E_b R, E_c> without assuming that the stress basis is mapped to
     itself, a vector component flips where it points along the axis, and
-    the pressure map goes through the coefficient transform Cp.
+    the pressure map goes through the coefficient transform Cp (dense_Cp).
     """
     x = np.linspace(0.0, 1.0, 41)
 
@@ -221,12 +244,12 @@ def mirror_maps(spaces) -> list:
             out = np.kron(out, R if b == a else np.eye(sb.b1.n))
         return out
 
-    maps = []
+    maps, Cp = [], dense_Cp(spaces)
     for a in range(3):
         R3, R3q = reflection3d(spaces.scalar, a), reflection3d(spaces.scalar_pq, a)
         S = np.diag(np.where(np.arange(3) == a, -1.0, 1.0))
         Om5 = np.einsum("bij,ik,jl,ckl->bc", spaces.E, S, S, spaces.E)
-        Omega_V = sla.block_diag(np.kron(Om5, R3), np.kron(S, R3), spaces.Cp.T @ R3q @ spaces.Cp)
+        Omega_V = sla.block_diag(np.kron(Om5, R3), np.kron(S, R3), Cp.T @ R3q @ Cp)
         Omega_Q = sla.block_diag(np.kron(S, R3q), R3q)
         maps.append((Omega_V, Omega_Q))
     return maps
@@ -250,7 +273,7 @@ def permutation_maps(spaces) -> dict:
     a scalar basis's 1D factors (its nodal functions times T1), one shared
     factor per axis; sigma's components mix by <P E_b P, E_c>, a vector's
     components are permuted by P, and the pressure map goes through the
-    coefficient transform Cp.
+    coefficient transform Cp (dense_Cp).
     """
     rng = np.random.default_rng(5)
 
@@ -261,7 +284,7 @@ def permutation_maps(spaces) -> dict:
             out = (out[:, :, None] * F[:, None, :]).reshape(pts.shape[0], -1)
         return out
 
-    maps = {}
+    maps, Cp = {}, dense_Cp(spaces)
     for (a, b), (Om5, P) in component_swap_maps(spaces.E).items():
         perm = [b if i == a else a if i == b else i for i in range(3)]
         R3, R3q = (
@@ -269,7 +292,7 @@ def permutation_maps(spaces) -> dict:
             for sb in (spaces.scalar, spaces.scalar_pq)
             for pts in [rng.random((3 * sb.n, 3))]
         )
-        Omega_V = sla.block_diag(np.kron(Om5, R3), np.kron(P, R3), spaces.Cp.T @ R3q @ spaces.Cp)
+        Omega_V = sla.block_diag(np.kron(Om5, R3), np.kron(P, R3), Cp.T @ R3q @ Cp)
         Omega_Q = sla.block_diag(np.kron(P, R3q), R3q)
         maps[a, b] = (Omega_V, Omega_Q)
     return maps
@@ -320,7 +343,7 @@ def oracle_forms(spaces, params) -> dict:
     sb, pb = spaces.scalar, spaces.scalar_pq
     ts, tp = Tabulated(sb), Tabulated(pb)
     n, m = sb.n, pb.n
-    E, Cp, weights = spaces.E, spaces.Cp, spaces.stress_face_weights
+    E, Cp, weights = spaces.E, dense_Cp(spaces), spaces.stress_face_weights
     frames = [fd.frame for fd in sb.faces]
     kn, chi, eps = params.kn, params.chi_tilde, params.epsilon_w
     grad_sum = sum(ts.dmat(al, al) for al in range(3))

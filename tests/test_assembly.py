@@ -22,7 +22,7 @@ from r13verify.assembly import (
 from r13verify.spaces import PAIRINGS, _swap_bits, build_spaces
 from r13verify.tensors import project2
 
-from helpers import dense_korn_grams, mirror_maps, oracle_forms, permutation_maps
+from helpers import dense_Cp, dense_korn_grams, mirror_maps, oracle_forms, permutation_maps
 
 PARAMS = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.1)
 PARAMS0 = ModelParams(kn=1.0, chi_tilde=1.0, epsilon_w=0.0)
@@ -449,7 +449,7 @@ def wall_load_oracle(spaces, params, bdata):
         for i in range(3):
             s[i] -= bdata.theta_w[f] * fd.frame.n[i] * face_int
         raw_p -= eff * (pq.phi.T @ pq.weights)
-    return np.concatenate([sig.ravel(), s.ravel(), spaces.Cp.T @ raw_p])
+    return np.concatenate([sig.ravel(), s.ravel(), dense_Cp(spaces).T @ raw_p])
 
 
 @pytest.mark.parametrize("pairing,N,k,mode", [("equal", 2, 1, "zero_mean"), ("equal", 2, 1, "full"), ("enriched", 1, 2, "zero_mean")])

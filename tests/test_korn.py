@@ -8,6 +8,7 @@ from r13verify.assembly import ModelParams, assemble_form
 from r13verify.ellipticity import OperatorSpec
 from r13verify.korn import (
     CHAIN_BLOCK,
+    _korn_cache,
     coercivity_chain_check,
     div_right_inverse,
     korn_constant,
@@ -395,6 +396,19 @@ def test_sector_korn_constant_matches_dense_pencil(op):
         x = est.extremizer
         assert abs((x @ G_h1 @ x) / (x @ (G_l2 + G_op) @ x) - want) <= 1e-12 * want
         assert korn_rayleigh(op, sb, x) == pytest.approx(est.constant, rel=1e-12)
+
+
+def test_the_carry_is_built_on_first_use():
+    # the kernel count reads the Korn field's Sectors but carries no vector, so
+    # it leaves their carry unbuilt; the first carried vector builds it, once
+    sb = ScalarBasis(3, 2, 1)
+    assert operator_kernel_dimension(STF_STF, sb) > 0
+    S = _korn_cache(STF_STF, sb)["sectors"]
+    assert "_carry" not in vars(S)
+    korn_rayleigh(STF_STF, sb, np.ones(S.order.size))
+    carry = vars(S)["_carry"]
+    korn_rayleigh(STF_STF, sb, np.arange(S.order.size, dtype=float))
+    assert vars(S)["_carry"] is carry
 
 
 @pytest.mark.parametrize("op", [SYM_VEC, STF_STF, STF_STF_2D])

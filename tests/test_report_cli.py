@@ -207,14 +207,14 @@ def test_export_fields_csv(tmp_path):
     assert len(lines) == 1 + n_q * n_fields
 
     # the values: polynomials projected onto each pairing's own bases come
-    # back at the points; p = x - 1/2 has zero mean and enters through Cp
+    # back at the points; p = x - 1/2 has zero mean and enters through Cp^T (restrict_p)
     for pairing in PAIRINGS:
         sp = build_spaces(2, 1, "zero_mean", pairing)
         sb, pb = sp.scalar, sp.scalar_pq
         U, P = np.zeros(sp.n_V), np.zeros(sp.n_Q)
         U[sp.v_blocks["sigma"]][: sb.n] = sb.project(lambda q: q[:, 2] ** 2)
         U[sp.v_blocks["s"]][sb.n : 2 * sb.n] = sb.project(lambda q: q[:, 0] * q[:, 1])
-        U[sp.v_blocks["p"]] = sp.Cp.T @ pb.project(lambda q: q[:, 0] - 0.5)
+        U[sp.v_blocks["p"]] = sp.restrict_p(pb.project(lambda q: q[:, 0] - 0.5))
         P[sp.q_blocks["u"]][: pb.n] = pb.project(lambda q: q[:, 1] * q[:, 2])
         P[sp.q_blocks["theta"]] = pb.project(lambda q: 1.0 + q[:, 0])
         export_fields_csv(sp, U, P, path)

@@ -85,7 +85,9 @@ def test_bench(monkeypatch, capsys, tmp_path):
     # the digest of the report's csv bytes: the same code writes the same report
     assert re.fullmatch("[0-9a-f]{64}", report["csv_sha256"])
     assert report["csv_sha256"] == data["first"]["report"]["csv_sha256"]
-    assert 10.0 < report["peak_rss_mb"] <= rung["peak_rss_mb"]
+    # each rung runs in a fresh interpreter, so its peak is its own: the (1,1)
+    # rung alone needs less than the whole report before it
+    assert 10.0 < rung["peak_rss_mb"] < report["peak_rss_mb"]
     # the loads record, taken once whatever --repeat: 100 seeded (3,1) loads, each verified
     loads = rec["loads"]
     assert loads["N_k"] == [3, 1] and loads["loads"] == 100 and loads["verified"] is True

@@ -3,13 +3,16 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from r13verify.assembly import ModelParams, _B_terms, _norm_terms, _sector_assemble, assemble_system
+from r13verify.assembly import (
+    BoundaryData, ModelParams, VolumeSources, _B_terms, _norm_terms, _sector_assemble, assemble_load,
+    assemble_system,
+)
 from r13verify.spaces import (
     PAIRINGS, Basis1D, BubbleBasis, ScalarBasis, Sectors, _swap_bits, build_spaces, swap_maps,
 )
 from r13verify.tensors import stf_basis
 
-from helpers import component_swap_maps, kron_gram, mirror_maps, permutation_maps
+from helpers import component_swap_maps, dense_Cp, kron_gram, mirror_maps, permutation_maps
 
 
 def test_dimensions_full():
@@ -140,16 +143,59 @@ def test_zero_mean_transform():
     for pairing in PAIRINGS:
         for N, k in ((1, 1), (2, 2)):
             sp = build_spaces(N, k, "zero_mean", pairing)
-            m = sp.scalar_pq.n
-            assert sp.Cp.shape == (m, m - 1) and sp.n_p == m - 1
-            assert np.all(np.isfinite(sp.Cp))
-            assert_allclose(sp.Cp.T @ sp.Cp, np.eye(sp.n_p), atol=1e-13)
-            # every admissible pressure has zero mean
-            assert np.linalg.norm(sp.scalar_pq.integrals() @ sp.Cp) < 1e-12
-            # the columns are sorted by sector, and each lies inside its own sector
-            assert np.all(np.diff(sp.p_sectors) >= 0)
+            m, Cp = sp.scalar_pq.n, dense_Cp(sp)
+            assert Cp.shape == (m, m - 1) and sp.n_p == m - 1
+            assert np.all(np.isfinite(Cp))
+            assert_allclose(Cp.T @ Cp, np.eye(sp.n_p), atol=1e-13)
+            # every admissible pressure has zero mean, also through the spaces' own map
+            assert np.linalg.norm(sp.scalar_pq.integrals() @ Cp) < 1e-12
+            expanded = np.column_stack([sp.expand_p(q) for q in np.eye(sp.n_p)])
+            assert np.linalg.norm(sp.scalar_pq.integrals() @ expanded) < 1e-12
+            # each column lies inside the sector of its coordinate, the only sector
+            # the spaces' layout gives it, and outside sector 0 it is its own function
             coordinate_sectors = sp.scalar_pq.sectors(0).ravel()
-            assert not np.any(sp.Cp[coordinate_sectors[:, None] != sp.p_sectors[None, :]])
+            labels = sp.sectors[0].labels[-1]
+            for C in (Cp, expanded):
+                assert not np.any(C[coordinate_sectors[:, None] != labels[None, :]])
+            assert np.array_equal(expanded[:, labels != 0], np.eye(m)[:, sp.p_keep[labels != 0]])
+            assert sp.p_R.flags.f_contiguous and sp.p_R.shape == (np.sum(coordinate_sectors == 0), np.sum(labels == 0))
+
+
+@pytest.mark.parametrize("mode", ["zero_mean", "full"])
+@pytest.mark.parametrize("pairing,N,k", [("equal", 1, 1), ("equal", 2, 1), ("equal", 3, 1), ("enriched", 1, 1), ("enriched", 2, 2)])
+def test_pressure_maps_are_the_dense_transform(pairing, N, k, mode):
+    # split_V expands p = Cp q and assemble_load restricts Cp^T raw with the
+    # spaces' keep list and sector-0 block; they agree with the dense Cp to
+    # rounding, and in full mode (Cp the identity) to the bit. The raw pressure
+    # load is read from the full spaces on the same bases, whose Cp is the identity
+    sp, full = build_spaces(N, k, mode, pairing), build_spaces(N, k, "full", pairing)
+    Cp, rng = dense_Cp(sp), np.random.default_rng(8)
+    U, raw = rng.standard_normal(sp.n_V), rng.standard_normal(sp.scalar_pq.n)
+    q = U[sp.v_blocks["p"]]
+    params = ModelParams(kn=0.7, chi_tilde=1.2, epsilon_w=0.1)
+    sources = VolumeSources(m_src=lambda x: np.cos(np.pi * x[:, 0]) + x[:, 1] * x[:, 2])
+    bdata = BoundaryData(*(0.5 * rng.standard_normal((5, 6))))
+    F, G = assemble_load(sp, params, sources, bdata)
+    F_full, G_full = assemble_load(full, params, sources, bdata)
+    raw_load = F_full[full.v_blocks["p"]]
+    pairs = ((sp.split_V(U)[2], Cp @ q, q), (sp.restrict_p(raw), Cp.T @ raw, raw), (F[sp.v_blocks["p"]], Cp.T @ raw_load, raw_load))
+    for got, want, x in pairs:
+        if mode == "full":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * np.linalg.norm(x)
+    assert np.array_equal(F[: 8 * sp.n_scalar], F_full[: 8 * full.n_scalar]) and np.array_equal(G, G_full)
+
+
+def test_zero_mean_spaces_hold_no_dense_pressure_transform():
+    # the zero-mean pressure is held as its keep list and its sector-0 block R:
+    # at (2,4), n_p = 728, no array of the spaces or of their Sectors comes near
+    # the n_p^2 entries of a dense Cp
+    sp = build_spaces(2, 4, "zero_mean")
+    assert not hasattr(sp, "Cp") and not hasattr(sp, "p_sectors")
+    arrays = [v for obj in (sp, *sp.sectors) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert any(a is sp.p_R for a in arrays)
+    assert max(a.size for a in arrays) < sp.n_p**2 / 8
 
 
 def test_integration_by_parts_scalar():
@@ -294,7 +340,7 @@ def test_one_sector_layout_serves_sectors_and_parts(pairing, mode):
 def test_evaluate_returns_projected_polynomials_and_their_gradients(pairing):
     # polynomials projected onto each pairing's own bases come back, with their
     # exact gradients, at the volume points and at one face's points; p = x - 1/2
-    # has zero mean and enters through Cp
+    # has zero mean and enters through Cp^T (restrict_p)
     sp = build_spaces(2, 1, "zero_mean", pairing)
     sb, pb = sp.scalar, sp.scalar_pq
     U, P = np.zeros(sp.n_V), np.zeros(sp.n_Q)
@@ -302,7 +348,7 @@ def test_evaluate_returns_projected_polynomials_and_their_gradients(pairing):
     u, theta = P[sp.q_blocks["u"]].reshape(3, -1), P[sp.q_blocks["theta"]]
     sig[0], sig[3] = sb.project(lambda q: q[:, 2] ** 2), sb.project(lambda q: q[:, 0] * q[:, 1])
     s[1] = sb.project(lambda q: q[:, 0] * q[:, 1])
-    U[sp.v_blocks["p"]] = sp.Cp.T @ pb.project(lambda q: q[:, 0] - 0.5)
+    U[sp.v_blocks["p"]] = sp.restrict_p(pb.project(lambda q: q[:, 0] - 0.5))
     u[0], u[2] = pb.project(lambda q: q[:, 1] * q[:, 2]), pb.project(lambda q: q[:, 0] ** 2)
     theta[:] = pb.project(lambda q: 1.0 + q[:, 0] * q[:, 2])
 
@@ -355,14 +401,15 @@ def test_field_readers_tabulate_no_stress_gradients(tmp_path):
 @pytest.mark.parametrize("mode", ["zero_mean", "full"])
 def test_sectors_refuse_an_orbit_of_unequal_part_sizes(mode):
     # V as the spaces build it, but one coordinate of the pressure moved
-    # from sector 2 to sector 4: sectors 2 and 4 no longer have the part
-    # sizes of their representative, sector 1, and the constructor says so
-    # before it builds any map; without the swaps the same fields build
+    # from sector 2 to sector 4 (given the point of a sector-4 function):
+    # sectors 2 and 4 no longer have the part sizes of their representative,
+    # sector 1, and the constructor says so before it builds any map; without
+    # the swaps the same fields build
     sp = build_spaces(1, 1, mode)
     V = sp.sectors[0]
-    *pressure, labels, sub = V.fields[-1]
-    moved = labels.copy()
-    moved.flat[np.flatnonzero(moved.ravel() == 2)[0]] = 4
+    *pressure, points, sub = V.fields[-1]
+    labels, moved = V.labels[-1], points.copy()
+    moved[np.flatnonzero(labels == 2)[0]] = points[np.flatnonzero(labels == 4)[0]]
     fields = V.fields[:-1] + [(*pressure, moved, sub)]
     with pytest.raises(ValueError, match="part sizes"):
         Sectors(fields, V.swaps)
@@ -396,7 +443,7 @@ def test_orbits_lie_side_by_side_as_the_rows_of_one_array(pairing, mode):
                 want = (maps[axes][which] @ x)[S.order[S.sectors[orbit[0]]]]
                 assert np.abs(Y[j] - want).max() <= 1e-12 * np.abs(x).max(), (s, axes)
         plain = Sectors(S.fields)
-        slots = np.concatenate([2 * lab.ravel() + sub for *_, lab, sub in S.fields])
+        slots = np.concatenate([2 * lab + sub for lab, (*_, sub) in zip(S.labels, S.fields)])
         assert np.array_equal(plain.order, np.argsort(slots, kind="stable"))
         assert plain.orbits == [(s,) for s in range(8)]
         assert [Y.shape[0] for Y in plain.split(x)] == [1] * 8
