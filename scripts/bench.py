@@ -78,7 +78,6 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import re  # noqa: E402
-import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -95,7 +94,7 @@ LADDER = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2))
 LOADS_SPACE, N_LOADS = (3, 1), 100
 KORN_OPS = {"sym_vec": ("vectors", "sym"), "stf_stf": ("stf2", "Stf"), "stf_vec": ("vectors", "stf")}
 KORN_DEGREES = (4, 6, 8)
-RUNG_CHILD = "import json, runpy, sys; bench = runpy.run_path(sys.argv[1]); print(json.dumps(bench['run_rung'](*json.loads(sys.argv[2]))))"
+RUNG_CHILD = "import json, runpy, sys; bench = runpy.run_path(sys.argv[1]); print(json.dumps(bench['time_rung'](*json.loads(sys.argv[2]))))"
 
 
 def provenance() -> dict:
@@ -146,13 +145,8 @@ def time_run(suites, repeat: int) -> dict:
 
 
 def peak_rss_mb() -> float:
-    """This interpreter's peak resident set size so far, in MB: Linux's VmHWM, the peak of its own
-    address space. ru_maxrss (KiB on Linux), read where there is no VmHWM, also counts the peak of
-    the process that started the interpreter, which for a rung is the report's."""
-    try:
-        return int(re.search(r"VmHWM:\s+(\d+) kB", Path("/proc/self/status").read_text()).group(1)) / 1024.0
-    except (OSError, AttributeError):
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """This interpreter's peak resident set size so far, in MB: Linux's VmHWM, the peak of its own address space."""
+    return int(re.search(r"VmHWM:\s+(\d+) kB", Path("/proc/self/status").read_text()).group(1)) / 1024.0
 
 
 def time_report(repeat: int) -> dict:
@@ -163,8 +157,9 @@ def time_suites(suites, repeat: int) -> dict:
     return {suite: time_run((suite,), repeat) for suite in suites}
 
 
-def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
-    wall = r13verify.BoundaryData(*(0.5 * rng.standard_normal((5, 6))))
+def time_rung(N: int, k: int, pairing: str, draw: int) -> dict:
+    """One verified answer at (N, k) on wall data draw `draw` (from 0) of a generator seeded 0."""
+    wall = r13verify.BoundaryData(*(0.5 * np.random.default_rng(0).standard_normal((draw + 1, 5, 6))[draw]))
     t0 = time.perf_counter()
     spaces = r13verify.build_spaces(N, k, "zero_mean", pairing)
     t1, rss1 = time.perf_counter(), peak_rss_mb()
@@ -198,16 +193,8 @@ def time_rung(N: int, k: int, pairing: str, rng: np.random.Generator) -> dict:
     }
 
 
-def run_rung(N: int, k: int, pairing: str, draw: int) -> dict:
-    """time_rung on wall data draw `draw` (from 0) of a generator seeded 0."""
-    rng = np.random.default_rng(0)
-    for _ in range(draw):
-        rng.standard_normal((5, 6))
-    return time_rung(N, k, pairing, rng)
-
-
 def fresh_rung(N: int, k: int, pairing: str, draw: int) -> dict:
-    """run_rung in a fresh interpreter that imports this package, so nothing run before shapes its peak_rss_mb."""
+    """time_rung in a fresh interpreter that imports this package, so nothing run before shapes its peak_rss_mb."""
     path = os.pathsep.join(filter(None, (str(Path(r13verify.__file__).parent.parent), os.environ.get("PYTHONPATH"))))
     args = [sys.executable, "-c", RUNG_CHILD, str(Path(__file__).resolve()), json.dumps([N, k, pairing, draw])]
     proc = subprocess.run(args, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)

@@ -392,7 +392,8 @@ class Sectors:
     `order`. `boxes` gives per field block and sector the start, in sector
     coordinates, and the size of the block's coordinates in the sector,
     where they are contiguous. The constructor raises if a sector's part
-    sizes differ from its representative's.
+    sizes differ from its representative's, the first carried vector if a
+    swap does not map a sector's coordinates onto its image's.
     """
 
     def __init__(self, fields: list, swaps: dict | None = None):
@@ -413,12 +414,12 @@ class Sectors:
             for s in others:
                 if sizes[s] != sizes[r]:
                     raise ValueError(f"sector {s} has part sizes {sizes[s]}, its representative {r} {sizes[r]}")
-        at = np.argsort(self.order)  # the sector coordinate of each coordinate
+        self.at = np.argsort(self.order)  # the sector coordinate of each coordinate
         self.boxes, start = [], 0
         for lab in self.labels:
             present, first = np.unique(lab, return_index=True)
             offset = np.zeros(count, dtype=int)
-            offset[present] = at[start + first]
+            offset[present] = self.at[start + first]
             self.boxes.append(list(zip(offset.tolist(), np.bincount(lab, minlength=count).tolist())))
             start += lab.size
 
@@ -433,7 +434,7 @@ class Sectors:
         reads sector s's slice of the carried coordinates through the swap
         from r's slice (its coordinates lie in s's), up reads s's from r's.
         """
-        swapped, at = {}, np.argsort(self.order)
+        swapped, at = {}, self.at
         points = [np.arange(basis.n) if pts is None else pts for basis, _, _, pts, _ in self.fields]
         where = np.full((len(points), max(basis.n for basis, *_ in self.fields)), -1)  # the coordinate of each grid point
         for c, (pts, start) in enumerate(zip(points, np.cumsum([0, *map(len, points)]))):
@@ -511,10 +512,11 @@ def swap_maps(bases: list, dim: int) -> dict:
     return {ab: _induced_map(bases, np.eye(dim)[perm]) for ab, perm in swapped.items()}
 
 
-def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, R): the coefficients orthogonal to the integrals as p = Cp q, Cp orthonormal,
+def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keep, R, even): the coefficients orthogonal to the integrals as p = Cp q, Cp orthonormal,
     without Cp. Coordinate i is function keep[i] (every function but the first fully even
-    one, in order), but on the fully even class (sector 0), whose coordinates R maps.
+    one, in order), but on the fully even class (sector 0), the functions even, whose
+    coordinates (keep's entries even[1:]) R maps onto them.
 
     Odd functions integrate to zero, so the integrals lie in the fully even
     class. A Householder reflection of that class maps its first coordinate
@@ -530,7 +532,7 @@ def _zero_mean_basis(integrals: np.ndarray, sectors: np.ndarray) -> tuple[np.nda
     u[0] += 1.0 if x[0] >= 0 else -1.0
     u /= np.linalg.norm(u)
     R = np.asfortranarray((np.eye(even.size) - 2.0 * np.outer(u, u))[:, 1:])
-    return np.delete(np.arange(sectors.size), even[0]), R
+    return np.delete(np.arange(sectors.size), even[0]), R, even
 
 
 PAIRINGS = ("equal", "enriched")
@@ -546,9 +548,10 @@ class DiscreteSpaces:
     constraints hold exactly. pressure_mode 'zero_mean' removes the global
     constant pressure mode: the pressure coefficients are p = Cp q, Cp an
     orthonormal basis of the zero-mean ones, held as the functions `p_keep`
-    of the coordinates q and Cp's sector-0 block `p_R` (_zero_mean_basis);
-    `expand_p` and `restrict_p` apply Cp and Cp^T. In 'full' mode p_keep
-    lists every function and p_R is None.
+    of the coordinates q and Cp's sector-0 block `p_R` on the fully even
+    functions `p_even` (_zero_mean_basis); `expand_p` and `restrict_p` apply
+    Cp and Cp^T. In 'full' mode p_keep lists every function and p_R and
+    p_even are None.
 
     pairing 'equal' uses one degree-N basis for every field (`scalar_pq` is
     `scalar`); its constraint has a 7-dimensional cokernel. pairing
@@ -582,9 +585,9 @@ class DiscreteSpaces:
         self.E = stf_basis(2, 3)  # (5, 3, 3) orthonormal stress component basis
 
         n, m = self.scalar.n, self.scalar_pq.n
-        self.p_keep, self.p_R = np.arange(m), None
+        self.p_keep, self.p_R, self.p_even = np.arange(m), None, None
         if pressure_mode == "zero_mean":
-            self.p_keep, self.p_R = _zero_mean_basis(self.scalar_pq.integrals(), self.scalar_pq.sectors(0).ravel())
+            self.p_keep, self.p_R, self.p_even = _zero_mean_basis(self.scalar_pq.integrals(), self.scalar_pq.sectors(0).ravel())
         self.n_scalar = n
         self.n_p = self.p_keep.size
         self.n_V = 8 * n + self.n_p
@@ -638,23 +641,19 @@ class DiscreteSpaces:
     def faces(self) -> list[FaceData]:
         return self.scalar.faces
 
-    @cached_property
-    def _p_even(self) -> np.ndarray:  # the fully even functions of scalar_pq, p_R's rows
-        return np.flatnonzero(self.scalar_pq.sectors(0) == 0)
-
     def expand_p(self, q: np.ndarray) -> np.ndarray:
         """p = Cp q: the pressure's coefficients over `scalar_pq` from its coordinates q."""
         p = np.zeros(self.scalar_pq.n)
         p[self.p_keep] = q
         if self.p_R is not None:
-            p[self._p_even] = self.p_R @ p[self._p_even[1:]]
+            p[self.p_even] = self.p_R @ p[self.p_even[1:]]
         return p
 
     def restrict_p(self, raw: np.ndarray) -> np.ndarray:
         """Cp^T raw: the coordinates of the pressure load whose entries over `scalar_pq` are raw."""
         q = np.array(raw, dtype=float)
         if self.p_R is not None:
-            q[self._p_even[1:]] = self.p_R.T @ q[self._p_even]
+            q[self.p_even[1:]] = self.p_R.T @ q[self.p_even]
         return q[self.p_keep]
 
     def split_V(self, U: np.ndarray):

@@ -416,6 +416,24 @@ def test_sectors_refuse_an_orbit_of_unequal_part_sizes(mode):
     assert Sectors(fields).orbits == [(s,) for s in range(8)]
 
 
+def test_sectors_refuse_swaps_that_do_not_fit_their_labels():
+    # a vector field whose swaps leave its components in place: component 0
+    # flips under the x mirror, yet the (x, y) swap keeps it component 0, so
+    # it maps sector 1 onto no sector. The part sizes still match, so the
+    # constructor builds; the first carried vector, which builds the carry,
+    # refuses it, and so does every later one
+    sb = ScalarBasis(3, 2, 1)
+    fields = [(sb, mask, None, None, 0) for mask in (1, 2, 4)]
+    S = Sectors(fields, swap_maps([np.ones(1)] * 3, 3))
+    assert S.orbits == [(0,), (1, 2, 4), (3, 5, 6), (7,)]
+    for carry in (S.to_sectors, S.from_sectors, S.to_sectors):
+        with pytest.raises(ValueError, match="does not map sector"):
+            carry(np.ones(3 * sb.n))
+    fitting = Sectors(fields, swap_maps([np.eye(3)], 3))
+    x = np.arange(3 * sb.n, dtype=float)
+    assert np.array_equal(fitting.from_sectors(fitting.to_sectors(x)), x)
+
+
 @pytest.mark.parametrize("pairing", PAIRINGS)
 @pytest.mark.parametrize("mode", ["zero_mean", "full"])
 def test_orbits_lie_side_by_side_as_the_rows_of_one_array(pairing, mode):
